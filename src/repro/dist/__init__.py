@@ -7,7 +7,7 @@ from repro.dist.distributions import (
     auto_distribution,
     split_local_data,
 )
-from repro.dist.mps import lpt_schedule, schedule_makespan
+from repro.dist.mps import lpt_schedule, mps_assignment, schedule_makespan
 
 __all__ = [
     "DataDistribution",
@@ -16,5 +16,6 @@ __all__ = [
     "auto_distribution",
     "split_local_data",
     "lpt_schedule",
+    "mps_assignment",
     "schedule_makespan",
 ]

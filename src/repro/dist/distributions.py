@@ -10,13 +10,22 @@ Two strategies, exactly the two the paper's codes offer:
   ranks via the LPT heuristic for the NP-hard multiprocessor-scheduling
   problem.  For ``p ≫ ranks`` this wins by up to an order of magnitude
   (paper, Section II) because each rank runs long contiguous kernels over
-  few partitions.
+  few partitions and touches nothing else.
 
 The ``owned`` matrix (ranks × partitions, in virtual patterns) is what
 the performance model replays compute against, and
 :func:`split_local_data` materializes real per-rank
 :class:`~repro.likelihood.partitioned.PartitionData` shares for the
-genuinely distributed backends.
+genuinely distributed backends; both read the MPS owner of a partition
+from :func:`~repro.dist.mps.mps_assignment`, so ``owned[r, j]`` is the
+``cost_patterns`` of rank ``r``'s share of partition ``j``.
+
+Ownership is a property of the data: a rank's share of a partition it
+holds no pattern of is a **zero-pattern** ``PartitionData`` that keeps
+the replicated model state (GTR rates, α, branch set) and nothing
+else.  The likelihood layers run no kernel for such a share and put an
+exact ``0.0`` in its slot of every per-partition vector, so collectives
+keep their length on every rank while compute follows ownership.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dist.mps import lpt_schedule, refine_schedule
+from repro.dist.mps import mps_assignment
 from repro.errors import DistributionError
 
 __all__ = [
@@ -93,19 +102,15 @@ def cyclic_distribution(cost_patterns: np.ndarray, n_ranks: int) -> DataDistribu
     return DataDistribution(kind="cyclic", owned=owned)
 
 
-def mps_distribution(
-    cost_patterns: np.ndarray, n_ranks: int, refine: bool = True
-) -> DataDistribution:
-    """Assign whole partitions to ranks (LPT + optional refinement)."""
+def mps_distribution(cost_patterns: np.ndarray, n_ranks: int) -> DataDistribution:
+    """Assign whole partitions to ranks (LPT + refinement)."""
     cost_patterns = np.asarray(cost_patterns, dtype=np.float64)
     if cost_patterns.size < n_ranks:
         raise DistributionError(
             f"MPS needs at least as many partitions ({cost_patterns.size}) "
             f"as ranks ({n_ranks}); use cyclic distribution instead"
         )
-    assignment = lpt_schedule(cost_patterns, n_ranks)
-    if refine:
-        assignment = refine_schedule(cost_patterns, assignment, n_ranks)
+    assignment = mps_assignment(cost_patterns, n_ranks)
     owned = np.zeros((n_ranks, cost_patterns.size))
     owned[assignment, np.arange(cost_patterns.size)] = cost_patterns
     return DataDistribution(kind="mps", owned=owned, assignment=assignment)
@@ -131,39 +136,25 @@ def auto_distribution(
 def split_local_data(parts, rank: int, n_ranks: int, kind: str = "cyclic"):
     """Materialize one rank's real data share from full partition data.
 
-    Cyclic: pattern ``i`` of each partition goes to rank ``i % n_ranks``
-    (a rank may end up with zero patterns of some partition — it then
-    contributes 0 to that partition's reductions, handled by keeping at
-    least one pattern with ~zero weight).
+    Cyclic: pattern ``i`` of each partition goes to rank ``i % n_ranks``.
+    MPS: a partition goes whole to its :func:`mps_assignment` owner.
 
-    MPS: whole partitions per rank; ranks keep a 1-pattern epsilon stub
-    for partitions they do not own so every rank's per-partition vectors
-    align for the collectives.
+    Either way a rank may hold no pattern of some partition (always under
+    MPS; under cyclic when a partition has fewer patterns than ranks).
+    Its share is then a zero-pattern ``PartitionData``: the list still has
+    one entry per partition, so per-partition vectors align across ranks.
     """
-    out = []
     if kind == "cyclic":
-        for part in parts:
-            idx = np.arange(rank, part.n_patterns, n_ranks, dtype=np.intp)
-            local = _subset_or_stub(part, idx)
-            out.append(local)
-    elif kind == "mps":
-        loads = np.array([p.cost_patterns for p in parts])
-        assignment = lpt_schedule(loads, n_ranks)
-        for j, part in enumerate(parts):
-            if assignment[j] == rank:
-                out.append(part.subset(np.arange(part.n_patterns)))
-            else:
-                out.append(_subset_or_stub(part, np.array([], dtype=np.intp)))
-    else:
-        raise DistributionError(f"unknown distribution kind {kind!r}")
-    return out
-
-
-def _subset_or_stub(part, idx: np.ndarray):
-    """Subset a partition; an empty selection becomes a weight-ε stub so
-    per-partition vector shapes stay aligned across ranks."""
-    if idx.size > 0:
-        return part.subset(idx)
-    stub = part.subset(np.array([0], dtype=np.intp))
-    stub.weights = np.array([1.0e-12])
-    return stub
+        return [
+            part.subset(np.arange(rank, part.n_patterns, n_ranks, dtype=np.intp))
+            for part in parts
+        ]
+    if kind == "mps":
+        owner = mps_assignment(np.array([p.cost_patterns for p in parts]), n_ranks)
+        return [
+            part.subset(
+                np.arange(part.n_patterns if owner[j] == rank else 0, dtype=np.intp)
+            )
+            for j, part in enumerate(parts)
+        ]
+    raise DistributionError(f"unknown distribution kind {kind!r}")

@@ -3,9 +3,12 @@
 Assigning whole partitions to processors so that the per-processor load is
 balanced is the NP-hard *multiprocessor scheduling problem* (paper,
 Section II, citing Zhang & Stamatakis 2011).  We provide the classic LPT
-(Longest Processing Time first) heuristic — 4/3-approximate — plus an
-optional local-search refinement that moves/swaps partitions while the
-makespan improves.
+(Longest Processing Time first) heuristic — 4/3-approximate — plus a
+local-search refinement that moves partitions while the makespan
+improves.  :func:`mps_assignment` composes the two and is the *one*
+schedule everything downstream uses: the shares the ranks hold, the
+``owned`` matrix the cost model replays, recovery pricing and the
+service's rank sizing all describe the same split.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from repro.errors import DistributionError
 
-__all__ = ["lpt_schedule", "refine_schedule", "schedule_makespan"]
+__all__ = ["lpt_schedule", "refine_schedule", "schedule_makespan", "mps_assignment"]
 
 
 def lpt_schedule(loads: np.ndarray, n_ranks: int) -> np.ndarray:
@@ -81,3 +84,12 @@ def refine_schedule(
         per_rank[hi] -= loads[best_i]
         per_rank[lo] += loads[best_i]
     return assignment
+
+
+def mps_assignment(loads: np.ndarray, n_ranks: int) -> np.ndarray:
+    """The MPS schedule: LPT followed by refinement.
+
+    Deterministic in ``(loads, n_ranks)``, so every replica — and every
+    model of the run — derives the identical owner per partition.
+    """
+    return refine_schedule(loads, lpt_schedule(loads, n_ranks), n_ranks)

@@ -194,7 +194,7 @@ def recover_decentralized(
     # no pattern is lost and prices the recovery traffic
     costs = np.array([p.cost_patterns for p in full_parts])
     if dist_kind == "mps":
-        dist = mps_distribution(costs, comm.size, refine=False)
+        dist = mps_distribution(costs, comm.size)
     else:
         dist = cyclic_distribution(costs, comm.size)
     report = redistribute_after_failure(dist, sorted(agreed))

@@ -10,6 +10,11 @@ shares, with no topology knowledge whatsoever.
 Wire op format: ``(node, toward, child_a, child_b, t_a, t_b)`` where the
 ``t_*`` are branch-length vectors of ``n_branch_sets`` doubles.
 
+Compute follows ownership: a share with no local patterns (a partition
+this rank does not own) is skipped by every method — no P matrix, tip
+vector or CLV is built for it — and its slot of a per-partition result
+is an exact ``0.0``, so reductions keep their shape.
+
 Every kernel call is bracketed with the attached op profiler (a
 :data:`~repro.obs.hotspots.NULL_OP_PROFILER` by default, whose hooks are
 no-ops and read no clock), and the CLV store carries live/peak byte
@@ -80,6 +85,8 @@ class DescriptorExecutor:
         """Execute a wire descriptor (all partitions, dependency order)."""
         prof = self.profiler
         for p, part in enumerate(self.parts):
+            if part.n_patterns == 0:
+                continue
             eigen = part.model.eigen()
             rates, _ = part.category_rates()
             bs = part.branch_set
@@ -122,9 +129,12 @@ class DescriptorExecutor:
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Local per-partition log likelihoods (and per-site values)."""
         prof = self.profiler
-        per_part = np.empty(self.n_partitions)
+        per_part = np.zeros(self.n_partitions)
         site_lhs: list[np.ndarray] = []
         for p, part in enumerate(self.parts):
+            if part.n_patterns == 0:
+                site_lhs.append(np.empty(0))
+                continue
             eigen = part.model.eigen()
             rates, cat_w = part.category_rates()
             n_states = part.model.n_states
@@ -147,10 +157,13 @@ class DescriptorExecutor:
             site_lhs.append(log_site)
         return per_part, site_lhs
 
-    def sumtables(self, u_id: int, v_id: int) -> list[np.ndarray]:
+    def sumtables(self, u_id: int, v_id: int) -> list[np.ndarray | None]:
         prof = self.profiler
-        tables = []
+        tables: list[np.ndarray | None] = []
         for p, part in enumerate(self.parts):
+            if part.n_patterns == 0:
+                tables.append(None)
+                continue
             eigen = part.model.eigen()
             clv_i, _ = self._side(p, u_id, v_id)
             clv_j, _ = self._side(p, v_id, u_id)
@@ -163,18 +176,21 @@ class DescriptorExecutor:
         return tables
 
     def derivatives(
-        self, tables: list[np.ndarray], t: np.ndarray, n_branch_sets: int
+        self, tables: list[np.ndarray | None], t: np.ndarray, n_branch_sets: int
     ) -> np.ndarray:
         """Per-branch-set summed (d1, d2) stacked as a ``(2, sets)`` array."""
         prof = self.profiler
         d1 = np.zeros(n_branch_sets)
         d2 = np.zeros(n_branch_sets)
         for p, part in enumerate(self.parts):
+            table = tables[p]
+            if table is None:
+                continue
             eigen = part.model.eigen()
             rates, cat_w = part.category_rates()
             t0 = prof.begin()
             _, dl, d2l = kernel.derivatives_from_sumtable(
-                eigen, tables[p], float(t[part.branch_set]), rates, cat_w,
+                eigen, table, float(t[part.branch_set]), rates, cat_w,
                 part.weights,
             )
             prof.end(t0, "derivative", p, part.cost_patterns * part.n_cats,

@@ -27,7 +27,7 @@ from repro.likelihood.partitioned import PartitionedLikelihood
 from repro.model.rates import PerSiteRates
 from repro.par.comm import Comm, ReduceOp
 from repro.tree.topology import Node
-from repro.tree.traversal import TraversalDescriptor, traversal_for_edge
+from repro.tree.traversal import TraversalDescriptor
 
 __all__ = [
     "CommEvent",
@@ -214,18 +214,13 @@ class ForkJoinMasterBackend:
         return np.array([p.branch_set for p in self.lik.parts], dtype=np.intp)
 
     def _bcast_traversal(self, cmd: str, u: Node, v: Node) -> None:
-        self.lik._fresh_memos()  # memos must reflect the current tree state
-        descriptors = [
-            traversal_for_edge(
-                self.tree, u, v,
-                is_valid=lambda key, p=p: self.lik._is_valid(p, key),
-            )
-            for p in range(self.n_partitions)
-        ]
+        # The master stamps validity for every partition, owned or not, so
+        # one descriptor list serves both the wire and its own share.
+        descriptors = self.lik.descriptors_for_edge(u, v)
         wire = _wire_descriptor(self.tree, descriptors)
         t_root = self.tree.edge_length(u, v).copy()
         self.comm.bcast((cmd, wire, u.id, v.id, t_root), root=0, tag=CAT_TRAVERSAL)
-        self.lik.ensure_clvs(u, v)
+        self.lik.execute_descriptors(descriptors)
 
     def evaluate(self, u: Node, v: Node) -> tuple[float, np.ndarray]:
         self._bcast_traversal(_CMD_EVALUATE, u, v)

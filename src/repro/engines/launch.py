@@ -7,8 +7,10 @@ tests assert that
 
 * every decentralized replica finishes with the *same* tree and
   likelihood (the paper's Section III-B requirement), and
-* both engines reproduce the sequential reference exactly (up to the
-  ε-stub noise of empty cyclic shares, ~1e-10).
+* both engines reproduce the sequential reference (bitwise per partition
+  under MPS, where a partition's likelihood is one rank's value plus exact
+  zeros; up to the rounding of summing pattern shares, ~1e-10, under
+  cyclic).
 
 Both launchers can inject rank failures (``fault_plan``) to exercise the
 live fault-tolerance paths:

@@ -7,13 +7,21 @@ cache of conditional likelihood vectors keyed by directed edge.  It is the
 distributed run every rank holds one over its local data; in lock-step
 simulation a single instance holds the full data.
 
-Cache invalidation is dependency-tracked: every cached CLV records the
-identity of its two children and the version stamps of the connecting
-edges and of the partition's model.  A CLV is valid iff those stamps still
-match and its children are (recursively) valid, so branch-length changes,
-SPR moves and model updates invalidate exactly the right CLVs without any
-explicit notification — the same effect as RAxML's orientation bookkeeping,
-but robust against arbitrary topology edits.
+Cache invalidation is dependency-tracked: every computed orientation
+records the identity of its two children and the version stamps of the
+connecting edges and of the partition's model.  An orientation is valid
+iff those stamps still match and its children are (recursively) valid, so
+branch-length changes, SPR moves and model updates invalidate exactly the
+right CLVs without any explicit notification — the same effect as RAxML's
+orientation bookkeeping, but robust against arbitrary topology edits.
+
+Compute follows ownership.  A partition with no local patterns (a rank's
+share of a partition it does not own, see :mod:`repro.dist`) keeps its
+replicated model state and its validity stamps — the fork-join master
+derives the wire descriptor from them — but no arrays: no tip vectors,
+P matrices, CLVs or sumtables are built for it, no kernel runs, nothing
+is charged to the ledger or the profiler, and its slot of every
+per-partition result is an exact ``0.0``.
 """
 
 from __future__ import annotations
@@ -154,9 +162,9 @@ class PartitionData:
 
 
 @dataclass
-class _Entry:
-    clv: np.ndarray
-    scale: np.ndarray
+class _Stamp:
+    """What ``clv(node -> toward)`` was computed from (validity only)."""
+
     child_a: int
     child_b: int
     ver_a: int
@@ -166,11 +174,12 @@ class _Entry:
 
 @dataclass
 class BranchWorkspace:
-    """Per-branch state reused across Newton iterations: the sumtables."""
+    """Per-branch state reused across Newton iterations: the sumtables
+    (``None`` for a partition with no local patterns)."""
 
     u: Node
     v: Node
-    sumtables: list[np.ndarray]
+    sumtables: list[np.ndarray | None]
     edge_version: int
 
 
@@ -220,7 +229,12 @@ class PartitionedLikelihood:
         self.taxon_row = {label: i for i, label in enumerate(taxa)}
         self.ledger = ledger if ledger is not None else WorkLedger()
         self.profiler = NULL_OP_PROFILER
-        self._cache: list[dict[tuple[int, int], _Entry]] = [{} for _ in parts]
+        # per partition, keyed by directed edge: validity stamps for every
+        # partition, (clv, scale) arrays only where there are local patterns
+        self._stamps: list[dict[tuple[int, int], _Stamp]] = [{} for _ in parts]
+        self._clv: list[dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]] = [
+            {} for _ in parts
+        ]
         self._memo: list[dict[tuple[int, int], bool]] = [{} for _ in parts]
         self._memo_counter = -1
         self._clv_bytes = [0] * len(parts)
@@ -333,7 +347,7 @@ class PartitionedLikelihood:
         return ok
 
     def _check_valid(self, p: int, key: tuple[int, int]) -> bool:
-        entry = self._cache[p].get(key)
+        entry = self._stamps[p].get(key)
         if entry is None or entry.model_ver != self.parts[p].model_version:
             return False
         tree = self.tree
@@ -372,23 +386,29 @@ class PartitionedLikelihood:
         """Drop stale cache entries; returns how many were evicted."""
         self._fresh_memos()
         evicted = 0
-        for p, cache in enumerate(self._cache):
-            dead = [k for k in cache if not self._is_valid(p, k)]
+        for p, stamps in enumerate(self._stamps):
+            store = self._clv[p]
+            dead = [k for k in stamps if not self._is_valid(p, k)]
             for k in dead:
-                entry = cache.pop(k)
-                nbytes = entry.clv.nbytes + entry.scale.nbytes
-                self._clv_bytes[p] -= nbytes
-                self._clv_evicted_bytes[p] += nbytes
-            self._clv_evictions[p] += len(dead)
-            evicted += len(dead)
+                del stamps[k]
+                arrays = store.pop(k, None)
+                if arrays is not None:
+                    nbytes = arrays[0].nbytes + arrays[1].nbytes
+                    self._clv_bytes[p] -= nbytes
+                    self._clv_evicted_bytes[p] += nbytes
+                    self._clv_evictions[p] += 1
+                    evicted += 1
         return evicted
 
     def clv_stats(self) -> list[dict[str, int]]:
-        """Per-partition CLV cache accounting (for profile emission)."""
+        """Per-partition CLV cache accounting (for profile emission).
+
+        Counts arrays, not stamps: a partition with no local patterns
+        reports zero entries and zero bytes."""
         return [
             {
                 "partition": p,
-                "entries": len(self._cache[p]),
+                "entries": len(self._clv[p]),
                 "live_bytes": self._clv_bytes[p],
                 "peak_bytes": self._clv_peak[p],
                 "evictions": self._clv_evictions[p],
@@ -405,80 +425,98 @@ class PartitionedLikelihood:
     ) -> tuple[np.ndarray, np.ndarray | None]:
         if node.is_leaf:
             return self.parts[p].tip_clv(self.taxon_row[node.label]), None
-        entry = self._cache[p].get((node.id, toward.id))
-        if entry is None:  # pragma: no cover - traversal guarantees presence
+        arrays = self._clv[p].get((node.id, toward.id))
+        if arrays is None:  # pragma: no cover - traversal guarantees presence
             raise LikelihoodError(f"missing CLV ({node.id}->{toward.id})")
-        return entry.clv, entry.scale
+        return arrays
 
     def _branch_length(self, part: PartitionData, u: Node, v: Node) -> float:
         return float(self.tree.edge_length(u, v)[part.branch_set])
 
+    def descriptors_for_edge(self, u: Node, v: Node) -> list[TraversalDescriptor]:
+        """Per-partition descriptors of the CLV updates edge ``{u, v}``
+        still needs (what :meth:`ensure_clvs` executes)."""
+        self._fresh_memos()
+        return [
+            traversal_for_edge(
+                self.tree, u, v, is_valid=lambda key, p=p: self._is_valid(p, key)
+            )
+            for p in range(self.n_partitions)
+        ]
+
+    def execute_descriptors(self, descriptors: list[TraversalDescriptor]) -> None:
+        """Run :meth:`descriptors_for_edge`'s result, one per partition."""
+        for p, desc in enumerate(descriptors):
+            self._execute_descriptor(p, desc)
+
     def ensure_clvs(self, u: Node, v: Node) -> list[TraversalDescriptor]:
         """Make both CLVs of edge ``{u, v}`` valid; returns the executed
         per-partition traversal descriptors (for region accounting)."""
-        self._fresh_memos()
-        descriptors: list[TraversalDescriptor] = []
-        for p in range(self.n_partitions):
-            desc = traversal_for_edge(
-                self.tree, u, v, is_valid=lambda key, p=p: self._is_valid(p, key)
-            )
-            self._execute_descriptor(p, desc)
-            descriptors.append(desc)
+        descriptors = self.descriptors_for_edge(u, v)
+        self.execute_descriptors(descriptors)
         return descriptors
 
     def _execute_descriptor(self, p: int, desc: TraversalDescriptor) -> None:
+        """Recompute and stamp the orientations ``desc`` lists; a partition
+        with no local patterns is stamped only."""
         part = self.parts[p]
-        eigen = part.model.eigen()
-        rates, _ = part.category_rates()
+        owned = part.n_patterns > 0
+        if owned:
+            eigen = part.model.eigen()
+            rates, _ = part.category_rates()
+            store = self._clv[p]
+            prof = self.profiler
+            unit = part.cost_patterns * part.n_cats
+            n_states = part.model.n_states
+            live = self._clv_bytes[p]
+            peak = self._clv_peak[p]
         tree = self.tree
-        cache = self._cache[p]
+        stamps = self._stamps[p]
         memo = self._memo[p]
-        prof = self.profiler
-        unit = part.cost_patterns * part.n_cats
-        n_states = part.model.n_states
-        live = self._clv_bytes[p]
-        peak = self._clv_peak[p]
         for op in desc.ops:
+            key = (op.node, op.toward)
             node = tree.node(op.node)
             a = tree.node(op.child_a)
             b = tree.node(op.child_b)
-            ta = self._branch_length(part, node, a)
-            tb = self._branch_length(part, node, b)
-            t0 = prof.begin()
-            p_a = kernel.pmatrices(eigen, ta, rates)
-            p_b = kernel.pmatrices(eigen, tb, rates)
-            prof.end(t0, "pmatrix", p, 2 * len(rates), count=2,
-                     alloc=p_a.nbytes + p_b.nbytes,
-                     n_states=n_states, site_specific=part.site_specific)
-            clv_a, scale_a = self._side_clv(p, a, node)
-            clv_b, scale_b = self._side_clv(p, b, node)
-            t0 = prof.begin()
-            clv, scale = kernel.newview(
-                p_a, clv_a, scale_a, p_b, clv_b, scale_b,
-                site_specific=part.site_specific,
-            )
-            prof.end(t0, "newview", p, unit,
-                     alloc=clv.nbytes + scale.nbytes,
-                     n_states=n_states, site_specific=part.site_specific)
-            old = cache.get((op.node, op.toward))
-            if old is not None:
-                live -= old.clv.nbytes + old.scale.nbytes
-            live += clv.nbytes + scale.nbytes
-            if live > peak:
-                peak = live
-            cache[(op.node, op.toward)] = _Entry(
-                clv=clv,
-                scale=scale,
-                child_a=min(op.child_a, op.child_b),
-                child_b=max(op.child_a, op.child_b),
-                ver_a=tree.edge_version(node, tree.node(min(op.child_a, op.child_b))),
-                ver_b=tree.edge_version(node, tree.node(max(op.child_a, op.child_b))),
+            if owned:
+                ta = self._branch_length(part, node, a)
+                tb = self._branch_length(part, node, b)
+                t0 = prof.begin()
+                p_a = kernel.pmatrices(eigen, ta, rates)
+                p_b = kernel.pmatrices(eigen, tb, rates)
+                prof.end(t0, "pmatrix", p, 2 * len(rates), count=2,
+                         alloc=p_a.nbytes + p_b.nbytes,
+                         n_states=n_states, site_specific=part.site_specific)
+                clv_a, scale_a = self._side_clv(p, a, node)
+                clv_b, scale_b = self._side_clv(p, b, node)
+                t0 = prof.begin()
+                arrays = kernel.newview(
+                    p_a, clv_a, scale_a, p_b, clv_b, scale_b,
+                    site_specific=part.site_specific,
+                )
+                nbytes = arrays[0].nbytes + arrays[1].nbytes
+                prof.end(t0, "newview", p, unit, alloc=nbytes,
+                         n_states=n_states, site_specific=part.site_specific)
+                old = store.get(key)
+                if old is not None:
+                    live -= old[0].nbytes + old[1].nbytes
+                store[key] = arrays
+                live += nbytes
+                if live > peak:
+                    peak = live
+            if a.id > b.id:
+                a, b = b, a
+            stamps[key] = _Stamp(
+                child_a=a.id,
+                child_b=b.id,
+                ver_a=tree.edge_version(node, a),
+                ver_b=tree.edge_version(node, b),
                 model_ver=part.model_version,
             )
-            memo[(op.node, op.toward)] = True
-        self._clv_bytes[p] = live
-        self._clv_peak[p] = peak
-        if desc.ops:
+            memo[key] = True
+        if owned and desc.ops:
+            self._clv_bytes[p] = live
+            self._clv_peak[p] = peak
             self.ledger.charge(
                 ComputeItem(
                     op=OpKind.NEWVIEW,
@@ -499,7 +537,8 @@ class PartitionedLikelihood:
         """Log likelihood at the virtual root on edge ``{u, v}``.
 
         Returns ``(total, per_partition, descriptors)``; ``per_partition``
-        is the vector a distributed run reduces.
+        is the vector a distributed run reduces (``0.0`` in the slot of a
+        partition with no local patterns).
         """
         descriptors = self.ensure_clvs(u, v) if ensure else []
         per_part = np.empty(self.n_partitions)
@@ -512,6 +551,8 @@ class PartitionedLikelihood:
         self, p: int, u: Node, v: Node
     ) -> tuple[float, np.ndarray]:
         part = self.parts[p]
+        if part.n_patterns == 0:
+            return 0.0, np.empty(0)
         eigen = part.model.eigen()
         rates, cat_w = part.category_rates()
         prof = self.profiler
@@ -566,10 +607,13 @@ class PartitionedLikelihood:
         Newton iteration sequence reuses one workspace.
         """
         self.ensure_clvs(u, v)
-        sumtables = []
+        sumtables: list[np.ndarray | None] = []
         prof = self.profiler
         for p in range(self.n_partitions):
             part = self.parts[p]
+            if part.n_patterns == 0:
+                sumtables.append(None)
+                continue
             eigen = part.model.eigen()
             clv_i, _ = self._side_clv(p, u, v)
             clv_j, _ = self._side_clv(p, v, u)
@@ -596,23 +640,27 @@ class PartitionedLikelihood:
         self, ws: BranchWorkspace, t: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """First/second log-likelihood derivatives per partition at branch
-        lengths ``t`` (shape ``(n_branch_sets,)``)."""
+        lengths ``t`` (shape ``(n_branch_sets,)``); both ``0.0`` for a
+        partition with no local patterns."""
         t = np.asarray(t, dtype=np.float64)
         if t.shape != (self.n_branch_sets,):
             raise LikelihoodError(
                 f"t shape {t.shape} != ({self.n_branch_sets},)"
             )
-        d1 = np.empty(self.n_partitions)
-        d2 = np.empty(self.n_partitions)
+        d1 = np.zeros(self.n_partitions)
+        d2 = np.zeros(self.n_partitions)
         prof = self.profiler
         for p in range(self.n_partitions):
             part = self.parts[p]
+            table = ws.sumtables[p]
+            if table is None:
+                continue
             eigen = part.model.eigen()
             rates, cat_w = part.category_rates()
             t0 = prof.begin()
             _, dl, d2l = kernel.derivatives_from_sumtable(
                 eigen,
-                ws.sumtables[p],
+                table,
                 float(t[part.branch_set]),
                 rates,
                 cat_w,

@@ -54,8 +54,9 @@ class UniformPartitionedLikelihood(PartitionedLikelihood):
         kinds = {type(p.rate_het) for p in parts}
         if len(kinds) != 1:
             raise LikelihoodError("uniform stack needs one rate-het flavor")
-        if any(p.n_patterns != n for p in parts):
-            raise LikelihoodError("uniform stack needs equal pattern counts")
+        if n == 0 or any(p.n_patterns != n for p in parts):
+            raise LikelihoodError(
+                "uniform stack needs equal pattern counts, at least one each")
         if any(p.model.n_states != 4 for p in parts):
             raise LikelihoodError("uniform stack is DNA-only")
         if any(p.n_cats != parts[0].n_cats for p in parts):

@@ -158,7 +158,9 @@ class PerSiteRates(RateHeterogeneity):
     """The PSR (CAT) model: one individually optimized rate per pattern.
 
     Rates are stored per *pattern*; their pattern-weighted mean is kept at
-    one by :meth:`normalize` so branch lengths stay identifiable.
+    one by :meth:`normalize` so branch lengths stay identifiable.  The
+    vector is empty for a rank's share of a partition it holds no pattern
+    of: such a share contributes exactly ``0`` to the normalization sums.
     """
 
     n_cats = 1
@@ -170,8 +172,8 @@ class PerSiteRates(RateHeterogeneity):
                 raise ModelError("PerSiteRates needs rates or n_patterns")
             rates = np.ones(n_patterns)
         self.rates = np.asarray(rates, dtype=np.float64).copy()
-        if self.rates.ndim != 1 or self.rates.size == 0:
-            raise ModelError("per-site rates must be a non-empty vector")
+        if self.rates.ndim != 1:
+            raise ModelError("per-site rates must be a vector")
         if np.any(self.rates < PSR_MIN) or np.any(self.rates > PSR_MAX):
             raise ModelError(f"per-site rates outside [{PSR_MIN}, {PSR_MAX}]")
 
@@ -198,6 +200,10 @@ class PerSiteRates(RateHeterogeneity):
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != self.rates.shape:
             raise ModelError("weights shape mismatch")
+        if weights.size == 0:
+            raise ModelError(
+                "cannot normalize an empty PSR share locally; the mean rate "
+                "is a global quantity (reduce the normalization sums)")
         mean = float(np.dot(weights, self.rates) / weights.sum())
         if mean <= 0:  # pragma: no cover - defensive
             raise ModelError("degenerate per-site rates")

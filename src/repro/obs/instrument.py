@@ -177,6 +177,8 @@ class TracedExecutor(DescriptorExecutor):
         super().__init__(parts, node_taxon)
         self.tracer = tracer
         self.metrics = metrics
+        # the executor runs kernels only for shares with local patterns
+        self._n_computed = sum(part.n_patterns > 0 for part in parts)
         if profiler is not None:
             self.profiler = profiler
 
@@ -198,23 +200,23 @@ class TracedExecutor(DescriptorExecutor):
         n_ops = len(wire)
         with self.tracer.span("run_ops", kind=KIND_KERNEL, n_ops=n_ops):
             super().run_ops(wire)
-        self._count("kernel.ops.newview", n_ops * self.n_partitions)
+        self._count("kernel.ops.newview", n_ops * self._n_computed)
         self._count("kernel.calls.run_ops", 1)
 
     def evaluate(self, u_id: int, v_id: int, t_root):
         with self.tracer.span("evaluate", kind=KIND_KERNEL):
             result = super().evaluate(u_id, v_id, t_root)
-        self._count("kernel.ops.evaluate", self.n_partitions)
+        self._count("kernel.ops.evaluate", self._n_computed)
         return result
 
     def sumtables(self, u_id: int, v_id: int):
         with self.tracer.span("sumtables", kind=KIND_KERNEL):
             result = super().sumtables(u_id, v_id)
-        self._count("kernel.ops.sumtable", self.n_partitions)
+        self._count("kernel.ops.sumtable", self._n_computed)
         return result
 
     def derivatives(self, tables, t, n_branch_sets: int):
         with self.tracer.span("derivatives", kind=KIND_KERNEL):
             result = super().derivatives(tables, t, n_branch_sets)
-        self._count("kernel.ops.derivative", self.n_partitions)
+        self._count("kernel.ops.derivative", self._n_computed)
         return result

@@ -179,7 +179,8 @@ def restore_into(lik, meta: dict, arrays: dict[str, np.ndarray]):
     lik.tree = new_tree
     lik._memo_counter = -1
     for p in range(lik.n_partitions):
-        lik._cache[p].clear()
+        lik._stamps[p].clear()
+        lik._clv[p].clear()
         lik._memo[p].clear()
     if hasattr(lik, "_ucache"):  # stacked implementation
         lik._ucache.clear()

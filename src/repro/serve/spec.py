@@ -9,8 +9,9 @@ from the same machinery the engines use to distribute data:
 
 * under ``--dist mps`` (monolithic per-partition distribution), a rank
   can only hold whole partitions, so the budget is the smallest rank
-  count whose LPT makespan (:func:`repro.dist.mps.lpt_schedule`) fits
-  the policy's per-rank pattern target — more ranks than partitions can
+  count whose MPS makespan (:func:`repro.dist.mps.mps_assignment`, the
+  schedule the ranks will actually hold) fits the policy's per-rank
+  pattern target — more ranks than partitions can
   never help;
 * under ``--dist cyclic``, patterns split freely, so the budget is
   simply ``ceil(total_patterns / patterns_per_rank)``.
@@ -175,17 +176,17 @@ def rank_budget(
         return min(spec.ranks, max_ranks)
     target = max(1, patterns_per_rank)
     if spec.dist == "mps":
-        # Whole partitions per rank: walk rank counts until the LPT
+        # Whole partitions per rank: walk rank counts until the MPS
         # makespan fits the target.  Beyond n_partitions ranks the
         # makespan cannot shrink (the largest partition is the floor).
         import numpy as np
 
-        from repro.dist.mps import lpt_schedule, schedule_makespan
+        from repro.dist.mps import mps_assignment, schedule_makespan
 
         loads = np.asarray(sizing.pattern_loads, dtype=np.float64)
         ceiling = min(max_ranks, sizing.partitions)
         for r in range(1, ceiling + 1):
-            assignment = lpt_schedule(loads, r)
+            assignment = mps_assignment(loads, r)
             if schedule_makespan(loads, assignment, r) <= target:
                 return r
         return ceiling

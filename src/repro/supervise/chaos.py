@@ -52,8 +52,9 @@ __all__ = [
 ]
 
 #: |Δ logL| a matching run may show against the undisturbed reference.
-#: The engines are replica-exact; the tolerance only absorbs the ε-stub
-#: noise of empty cyclic shares (~1e-10) across differing mesh widths.
+#: The engines are replica-exact; the tolerance only absorbs the float
+#: rounding of summing differently split shares (~1e-10) when recovery
+#: leaves a run on a narrower mesh than its reference.
 DEFAULT_LOGL_TOL = 1e-8
 
 REPORT_FILENAME = "chaos_report.json"
