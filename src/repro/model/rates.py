@@ -17,8 +17,7 @@ The paper's RAxML family implements exactly two schemes:
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammainc
-from scipy.stats import gamma as gamma_dist
+from scipy.special import gammainc, gammaincinv
 
 from repro.errors import ModelError
 
@@ -40,6 +39,16 @@ PSR_MIN = 0.001
 PSR_MAX = 30.0
 
 
+def _gamma_quantiles(q: np.ndarray, alpha: float) -> np.ndarray:
+    """Quantiles of Gamma(shape=α, scale=1/α).
+
+    The arithmetic of ``scipy.stats.gamma.ppf(q, a=α, scale=1/α)``,
+    bit for bit, without importing ``scipy.stats`` (half of this
+    program's start-up time when it was used for this one call).
+    """
+    return gammaincinv(alpha, q) * (1.0 / alpha)
+
+
 def discrete_gamma_rates(alpha: float, n_cats: int, method: str = "mean") -> np.ndarray:
     """Discretize Gamma(α, α) into ``n_cats`` equiprobable categories.
 
@@ -55,7 +64,7 @@ def discrete_gamma_rates(alpha: float, n_cats: int, method: str = "mean") -> np.
         return np.ones(1)
     if method == "mean":
         # category boundaries at quantiles i/k of Gamma(shape=α, scale=1/α)
-        qs = gamma_dist.ppf(np.arange(1, n_cats) / n_cats, a=alpha, scale=1.0 / alpha)
+        qs = _gamma_quantiles(np.arange(1, n_cats) / n_cats, alpha)
         bounds = np.concatenate([[0.0], qs, [np.inf]])
         # mean of Gamma(α, α) over [a,b] × k:
         #   k * (I(α+1, αb) − I(α+1, αa)), I = regularized lower inc. gamma
@@ -63,9 +72,7 @@ def discrete_gamma_rates(alpha: float, n_cats: int, method: str = "mean") -> np.
         lower = gammainc(alpha + 1.0, alpha * bounds[:-1])
         rates = n_cats * (upper - lower)
     elif method == "median":
-        qs = gamma_dist.ppf(
-            (np.arange(n_cats) + 0.5) / n_cats, a=alpha, scale=1.0 / alpha
-        )
+        qs = _gamma_quantiles((np.arange(n_cats) + 0.5) / n_cats, alpha)
         rates = qs * n_cats / qs.sum()
     else:
         raise ModelError(f"unknown discretization method {method!r}")

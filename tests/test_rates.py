@@ -136,3 +136,42 @@ class TestNoHeterogeneity:
         rates, weights = n.category_rates(7)
         assert rates[0] == 1.0 and weights[0] == 1.0
         assert n.parameter_bytes(100) == 0
+
+
+class TestNoScipyStats:
+    """``scipy.stats`` was half of ``import repro.cli``; the Γ quantiles
+    come from ``scipy.special.gammaincinv`` — the same arithmetic."""
+
+    def test_cli_import_does_not_load_scipy_stats(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        subprocess.run(
+            [sys.executable, "-c",
+             "import repro.cli, sys; assert 'scipy.stats' not in sys.modules"],
+            check=True, env={"PYTHONPATH": str(src)}, timeout=120)
+
+    @pytest.mark.parametrize("method", ["mean", "median"])
+    def test_bitwise_equal_to_scipy_stats_ppf(self, method):
+        from scipy.special import gammainc
+        from scipy.stats import gamma
+
+        def reference(alpha: float, k: int) -> np.ndarray:
+            """The implementation this replaced, quantiles from ``ppf``."""
+            if method == "median":
+                qs = gamma.ppf((np.arange(k) + 0.5) / k, a=alpha,
+                               scale=1.0 / alpha)
+                return qs * k / qs.sum()
+            qs = gamma.ppf(np.arange(1, k) / k, a=alpha, scale=1.0 / alpha)
+            bounds = np.concatenate([[0.0], qs, [np.inf]])
+            return k * (gammainc(alpha + 1.0, alpha * bounds[1:])
+                        - gammainc(alpha + 1.0, alpha * bounds[:-1]))
+
+        rng = np.random.default_rng(1994)
+        alphas = np.exp(rng.uniform(np.log(ALPHA_MIN), np.log(ALPHA_MAX), 400))
+        for alpha in [ALPHA_MIN, ALPHA_MAX, *alphas]:
+            for k in (2, 4, 8):
+                got = discrete_gamma_rates(float(alpha), k, method)
+                assert np.array_equal(got, reference(float(alpha), k)), (alpha, k)
