@@ -82,7 +82,8 @@ class DescriptorExecutor:
         return clv, scale
 
     def run_ops(self, wire: list[tuple]) -> None:
-        """Execute a wire descriptor (all partitions, dependency order)."""
+        """Execute a wire descriptor (every partition with local patterns,
+        dependency order)."""
         prof = self.profiler
         for p, part in enumerate(self.parts):
             if part.n_patterns == 0:

@@ -31,7 +31,7 @@ from repro.dist import (
 )
 from repro.engines.decentral import DecentralizedBackend
 from repro.engines.forkjoin import ForkJoinMasterBackend, forkjoin_worker
-from repro.engines.launch import run_decentralized, run_forkjoin
+from repro.engines.launch import _rebuild_tree, run_decentralized, run_forkjoin
 from repro.engines.recording import RecordingBackend
 from repro.errors import ModelError
 from repro.likelihood.backend import SequentialBackend
@@ -46,7 +46,7 @@ from repro.par.mpcomm import run_mpi
 from repro.search.search import SearchConfig, hill_climb
 from repro.seq.partitions import PartitionScheme
 from repro.seq.simulate import simulate_partitioned_alignment
-from repro.tree.newick import parse_newick, write_newick
+from repro.tree.newick import write_newick
 from repro.tree.random_trees import random_topology, yule_tree
 
 KERNEL_OPS = ("pmatrix", "newview", "evaluate", "sumtable", "derivative")
@@ -78,13 +78,6 @@ def _workload(rate_mode: str, minus_m: bool):
     assert lik.parts[0].n_patterns == 1
     return (lik.parts, lik.taxa, write_newick(start, branch_set=0),
             lik.n_branch_sets)
-
-
-def _tree(newick: str, n_branch_sets: int):
-    tree = parse_newick(newick, n_branch_sets)
-    if n_branch_sets > 1:
-        tree.set_n_branch_sets(n_branch_sets)
-    return tree
 
 
 def _copies(parts):
@@ -193,7 +186,7 @@ class TestZeroPatternShares:
         local = split_local_data(parts, 1, 2, "mps")
         mine = [j for j, p in enumerate(local) if p.n_patterns]
         assert mine and len(mine) < N_PARTS
-        tree = _tree(newick, nbs)
+        tree = _rebuild_tree(newick, nbs)
         lik = PartitionedLikelihood(tree, local, taxa)
         lik.profiler = OpProfiler()
         u, v = _probe_edge(tree)
@@ -227,7 +220,7 @@ class TestZeroPatternShares:
     def test_gc_counts_arrays_not_stamps(self):
         parts, taxa, newick, nbs = _workload("gamma", False)
         local = split_local_data(parts, 0, 2, "mps")
-        tree = _tree(newick, nbs)
+        tree = _rebuild_tree(newick, nbs)
         lik = PartitionedLikelihood(tree, local, taxa)
         u, v = _probe_edge(tree)
         lik.evaluate(u, v)
@@ -242,37 +235,34 @@ class TestZeroPatternShares:
 # --------------------------------------------------------------------- #
 # (a) the reduced per-partition vector
 # --------------------------------------------------------------------- #
+def _probe(backend):
+    """One evaluate + one Newton derivative at the start tree."""
+    u, v = _probe_edge(backend.tree)
+    _, per_part = backend.evaluate(u, v)
+    handle = backend.begin_branch(u, v)
+    d1, d2 = backend.derivatives(handle, backend.tree.edge_length(u, v).copy())
+    backend.finish()
+    return per_part, d1, d2
+
+
 def _probe_rank(comm, payload):
-    """One evaluate + one Newton derivative at the start tree, through the
-    real backend of ``payload['engine']``."""
+    """:func:`_probe` through the real backend of ``payload['engine']``."""
     local = split_local_data(payload["parts"], comm.rank, comm.size,
                              payload["dist"])
     nbs = payload["n_branch_sets"]
     if payload["engine"] == "forkjoin" and comm.rank > 0:
         forkjoin_worker(comm, local, payload["node_taxon"], nbs)
         return None
-    tree = _tree(payload["newick"], nbs)
+    tree = _rebuild_tree(payload["newick"], nbs)
     lik = PartitionedLikelihood(tree, local, payload["taxa"])
     if payload["engine"] == "forkjoin":
-        backend = ForkJoinMasterBackend(comm, lik)
-    else:
-        backend = DecentralizedBackend(comm, lik)
-    u, v = _probe_edge(tree)
-    _, per_part = backend.evaluate(u, v)
-    handle = backend.begin_branch(u, v)
-    d1, d2 = backend.derivatives(handle, tree.edge_length(u, v).copy())
-    backend.finish()
-    return per_part, d1, d2
+        return _probe(ForkJoinMasterBackend(comm, lik))
+    return _probe(DecentralizedBackend(comm, lik))
 
 
 def _probe_sequential(parts, taxa, newick, nbs):
-    tree = _tree(newick, nbs)
-    backend = SequentialBackend(PartitionedLikelihood(tree, parts, taxa))
-    u, v = _probe_edge(tree)
-    _, per_part = backend.evaluate(u, v)
-    handle = backend.begin_branch(u, v)
-    d1, d2 = backend.derivatives(handle, tree.edge_length(u, v).copy())
-    return per_part, d1, d2
+    tree = _rebuild_tree(newick, nbs)
+    return _probe(SequentialBackend(PartitionedLikelihood(tree, parts, taxa)))
 
 
 def _by_branch_set(parts, d):
@@ -281,7 +271,7 @@ def _by_branch_set(parts, d):
 
 
 def _launch_probe(engine, dist, ranks, parts, taxa, newick, nbs):
-    tree = _tree(newick, nbs)
+    tree = _rebuild_tree(newick, nbs)
     row = {label: i for i, label in enumerate(taxa)}
     payload = {"engine": engine, "dist": dist, "parts": parts, "taxa": taxa,
                "newick": newick, "n_branch_sets": nbs,
@@ -335,7 +325,7 @@ class TestReducedVector:
             for j, share in enumerate(local):
                 if share.n_patterns == 0:
                     continue
-                tree = _tree(newick, nbs)
+                tree = _rebuild_tree(newick, nbs)
                 lik = PartitionedLikelihood(tree, [share], taxa)
                 mine[j] = lik.evaluate(*_probe_edge(tree))[1][0]
             expected = expected + mine
@@ -351,7 +341,7 @@ def _sequential_search(parts, taxa, newick, nbs):
     """Reference search with a profiler: ``(calls[op][partition], wire ops,
     logl, newick)``; *wire ops* is the length of every region's longest
     per-partition descriptor, summed — what a fork-join master broadcasts."""
-    tree = _tree(newick, nbs)
+    tree = _rebuild_tree(newick, nbs)
     lik = PartitionedLikelihood(tree, _copies(parts), taxa)
     lik.profiler = OpProfiler()
     backend = RecordingBackend(lik)  # the sequential numbers + a region log
