@@ -21,6 +21,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.datasets import (
     PaperWorkload,
     large_unpartitioned_workload,
@@ -31,7 +33,8 @@ from repro.engines.decentral import DecentralizedCommModel
 from repro.engines.events import EventLog
 from repro.engines.forkjoin import ForkJoinCommModel
 from repro.engines.recording import RecordingBackend
-from repro.likelihood.uniform import UniformPartitionedLikelihood
+from repro.likelihood.partitioned import PartitionData, PartitionedLikelihood
+from repro.model.rates import PerSiteRates
 from repro.par.machine import HITS_CLUSTER, MachineSpec
 from repro.perf.costmodel import WorkloadMeta
 from repro.perf.runtime_sim import RuntimeReport, simulate_runtime
@@ -97,6 +100,37 @@ def _search_config(rate_mode: str) -> SearchConfig:
     )
 
 
+def _uncompressed_likelihood(
+    workload: PaperWorkload,
+    rate_mode: str,
+    per_partition_branches: bool = False,
+) -> PartitionedLikelihood:
+    """The workload's likelihood with one pattern per site.
+
+    The generated genes are equally long, so without pattern compression
+    all partitions have one shape and run as a single partition stack —
+    what makes the 1000-partition recordings affordable.  Each site
+    weighs ``pattern_scale`` (it stands for that many virtual sites).
+    """
+    lik = workload.build_likelihood(rate_mode, per_partition_branches)
+    parts = []
+    for part, partition in zip(lik.parts, workload.scheme):
+        patterns = workload.alignment.slice_sites(partition.sites).data
+        n_sites = patterns.shape[1]
+        parts.append(PartitionData(
+            name=part.name,
+            patterns=patterns,
+            weights=np.full(n_sites, part.pattern_scale),
+            model=part.model,
+            rate_het=(PerSiteRates(n_patterns=n_sites)
+                      if rate_mode == "psr" else part.rate_het),
+            branch_set=part.branch_set,
+            pattern_scale=part.pattern_scale,
+            alphabet=part.alphabet,
+        ))
+    return PartitionedLikelihood(lik.tree, parts, lik.taxa)
+
+
 def record_partitioned(
     n_partitions: int,
     rate_mode: str,
@@ -108,15 +142,7 @@ def record_partitioned(
         return _CACHE[key]
     sites = 40 if FULL else 24
     workload = partitioned_workload(n_partitions, sites_per_partition=sites)
-    tree = workload.tree.copy()
-    lik = UniformPartitionedLikelihood.build_uniform(
-        workload.alignment,
-        tree,
-        scheme=workload.scheme,
-        rate_mode=rate_mode,
-        per_partition_branches=per_partition_branches,
-        pattern_scale=workload.pattern_scale,
-    )
+    lik = _uncompressed_likelihood(workload, rate_mode, per_partition_branches)
     backend = RecordingBackend(lik)
     result = hill_climb(backend, _search_config(rate_mode))
     run = RecordedRun(
@@ -139,14 +165,7 @@ def record_large_unpartitioned(rate_mode: str) -> RecordedRun:
     workload = large_unpartitioned_workload(
         real_sites=800 if FULL else 400
     )
-    tree = workload.tree.copy()
-    lik = UniformPartitionedLikelihood.build_uniform(
-        workload.alignment,
-        tree,
-        scheme=workload.scheme,
-        rate_mode=rate_mode,
-        pattern_scale=workload.pattern_scale,
-    )
+    lik = _uncompressed_likelihood(workload, rate_mode)
     backend = RecordingBackend(lik)
     config = SearchConfig(
         max_iterations=2 if FULL else 1,

@@ -96,9 +96,7 @@ class DecentralizedBackend(SequentialBackend):
 
     def evaluate(self, u: Node, v: Node) -> tuple[float, np.ndarray]:
         self.lik.ensure_clvs(u, v)
-        local = np.array(
-            [self.lik._evaluate_partition(p, u, v)[0] for p in range(self.n_partitions)]
-        )
+        local, _ = self.lik.evaluate_local(u, v)
         per_part = self.comm.allreduce(local, ReduceOp.SUM, tag=CAT_LIKELIHOOD)
         return float(per_part.sum()), per_part
 

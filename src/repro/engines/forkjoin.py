@@ -27,7 +27,7 @@ from repro.likelihood.partitioned import PartitionedLikelihood
 from repro.model.rates import PerSiteRates
 from repro.par.comm import Comm, ReduceOp
 from repro.tree.topology import Node
-from repro.tree.traversal import TraversalDescriptor
+from repro.tree.traversal import EdgeDescriptor
 
 __all__ = [
     "CommEvent",
@@ -164,19 +164,18 @@ _CMD_PSR_FINALIZE = "psr_finalize"
 _CMD_STOP = "stop"
 
 
-def _wire_descriptor(tree, descriptors: list[TraversalDescriptor]) -> list[tuple]:
-    """Serialize the longest per-partition descriptor with branch lengths.
+def _wire_descriptor(tree, descriptors: EdgeDescriptor) -> list[tuple]:
+    """Serialize the edge's descriptor with branch lengths.
 
-    Per-partition descriptors can only differ by *how much* of the full
-    post-order they need (model changes force full traversals, structural
-    changes invalidate identically across partitions), so the longest one
-    is a superset of every partition's needs; workers simply execute it
-    for all partitions, recomputing a few already-valid CLVs — exactly
-    RAxML-Light's behaviour.
+    Partitions can only differ by *how much* of the post-order they need
+    (model changes force full traversals, structural changes invalidate
+    identically across partitions), so the edge's op list is the longest
+    per-partition descriptor and a superset of every partition's needs;
+    workers simply execute it for all partitions, recomputing a few
+    already-valid CLVs — exactly RAxML-Light's behaviour.
     """
-    longest = max(descriptors, key=len)
     wire = []
-    for op in longest.ops:
+    for op in descriptors.ops:
         node = tree.node(op.node)
         ta = tree.edge_length(node, tree.node(op.child_a)).copy()
         tb = tree.edge_length(node, tree.node(op.child_b)).copy()
@@ -224,16 +223,14 @@ class ForkJoinMasterBackend:
 
     def evaluate(self, u: Node, v: Node) -> tuple[float, np.ndarray]:
         self._bcast_traversal(_CMD_EVALUATE, u, v)
-        local = np.array(
-            [self.lik._evaluate_partition(p, u, v)[0] for p in range(self.n_partitions)]
-        )
+        local, _ = self.lik.evaluate_local(u, v)
         per_part = self.comm.reduce(local, ReduceOp.SUM, root=0, tag=CAT_LIKELIHOOD)
         assert per_part is not None
         return float(per_part.sum()), per_part
 
     def begin_branch(self, u: Node, v: Node):
         self._bcast_traversal(_CMD_BRANCH_SETUP, u, v)
-        handle = self.lik.prepare_branch(u, v)
+        handle = self.lik.sumtables_local(u, v)
         self.comm.barrier(tag=CAT_TRAVERSAL)
         return handle
 
@@ -302,7 +299,7 @@ class ForkJoinMasterBackend:
                     i, np.full(self.lik.parts[i].n_patterns, float(rate))
                 )
             self._bcast_traversal(_CMD_TRAVERSE, u, v)
-            site_lhs = self.lik.site_log_likelihoods(u, v)
+            _, site_lhs = self.lik.evaluate_local(u, v)
             for i in psr_parts:
                 tables[i].append(site_lhs[i])
         # choose the master's local rates, then exchange normalization sums
@@ -424,6 +421,7 @@ def forkjoin_worker(
                 for part in parts:
                     if isinstance(part.rate_het, _PSR):
                         part.rate_het.set_rates(np.full(part.n_patterns, rate))
+                        part.bump_model()
             elif cmd == _CMD_PSR_FINALIZE:
                 candidates = msg[1]
                 sums = np.zeros(2 * len(psr_tables))

@@ -19,15 +19,13 @@ from repro.likelihood.backend import SequentialBackend, choose_psr_rates
 from repro.likelihood.partitioned import PartitionedLikelihood
 from repro.model.rates import PerSiteRates
 from repro.tree.topology import Node
-from repro.tree.traversal import TraversalDescriptor
+from repro.tree.traversal import EdgeDescriptor
 
 __all__ = ["RecordingBackend"]
 
 
-def _ops_summary(descriptors: list[TraversalDescriptor]) -> float | np.ndarray:
-    lens = np.array([len(d) for d in descriptors], dtype=np.float64)
-    if lens.size == 0:
-        return 0.0
+def _ops_summary(descriptors: EdgeDescriptor) -> float | np.ndarray:
+    lens = np.array(descriptors.op_counts(), dtype=np.float64)
     if np.all(lens == lens[0]):
         return float(lens[0])
     return lens

@@ -1,4 +1,4 @@
-"""NumPy likelihood kernels.
+"""NumPy likelihood kernels, written as matrix products.
 
 These are the three functions every likelihood-based phylogenetics code is
 built from (the paper, Section III-A):
@@ -12,18 +12,26 @@ built from (the paper, Section III-A):
 
 Shapes
 ------
-* CLVs: ``(n_patterns, n_cats, n_states)`` float64.  PSR uses
+Every array may carry leading *stack* axes (written ``...`` below): a
+:class:`~repro.likelihood.stack.PartitionStack` runs each kernel once for
+all partitions of one shape, stacked on one leading axis.  Every
+contraction is an ``np.matmul`` over those axes, which runs one GEMM per
+stacked item and never reduces across the stack, so an item's result does
+not depend on what else is in the call — the property that keeps a rank
+holding 8 genes bitwise equal to a rank holding 16.
+
+* CLVs: ``(..., n_patterns, n_cats, n_states)`` float64.  PSR uses
   ``n_cats == 1``.
-* Tip vectors: ``(n_patterns, n_states)`` of 0/1 (ambiguity-aware).
-* P matrices: ``(n_cats, n, n)`` for category rates (Γ/uniform) or
-  ``(n_patterns, n, n)`` for site-specific rates (PSR).
-* Scalers: per-pattern accumulated *log* scale, ``(n_patterns,)`` float64.
+* Tip vectors: ``(..., n_patterns, n_states)`` of 0/1 (ambiguity-aware).
+* P matrices: ``(..., n_cats, n, n)`` for category rates (Γ / uniform) or
+  ``(..., n_patterns, n, n)`` for site-specific rates (PSR).
+* Scalers: per-pattern accumulated *log* scale, ``(..., n_patterns)``.
   Keeping the logarithm directly (instead of RAxML's integer count of
   2^256 multiplications) is exact and simpler; the cost model charges the
   same traffic either way.
 
-All kernels optionally charge a work ledger so the performance model can
-replay per-rank compute for any data distribution.
+The einsum forms these replace live on in ``tests/reference_kernels.py``
+as the oracle the GEMM forms are property-tested against.
 """
 
 from __future__ import annotations
@@ -50,40 +58,67 @@ SCALE_THRESHOLD = 1e-100
 _LH_FLOOR = 1e-300
 
 
-def pmatrices(eigen, t: float, rates: np.ndarray) -> np.ndarray:
+def _check_branch(t: np.ndarray) -> None:
+    if t.min() < 0:
+        raise LikelihoodError(f"negative branch length {t}")
+
+
+def pmatrices(eigen, t, rates: np.ndarray) -> np.ndarray:
     """Transition matrices for one branch under a set of rate multipliers.
 
-    ``rates`` of shape ``(n_cats,)`` (Γ / uniform) yields ``(n_cats, n, n)``;
-    shape ``(n_patterns,)`` (PSR) yields ``(n_patterns, n, n)``.
+    ``rates`` of shape ``(..., n_cats)`` (Γ / uniform) yields
+    ``(..., n_cats, n, n)``; shape ``(..., n_patterns)`` (PSR) yields
+    ``(..., n_patterns, n, n)``.  ``t`` is one length per stacked item;
+    ``eigen``'s arrays carry the same leading axes.
     """
-    if t < 0:
-        raise LikelihoodError(f"negative branch length {t}")
-    return eigen.pmatrices(np.asarray(rates, dtype=np.float64) * t)
+    t = np.asarray(t, dtype=np.float64)
+    _check_branch(t)
+    arg = np.asarray(rates, dtype=np.float64) * t[..., None]
+    expo = np.exp(arg[..., None] * eigen.eigenvalues[..., None, :])
+    # P = left · diag(expo) · right: scale left's columns, then one GEMM
+    # per item serves all of its rates
+    scaled = eigen.left[..., None, :, :] * expo[..., None, :]
+    n = scaled.shape[-1]
+    flat = scaled.reshape(scaled.shape[:-3] + (-1, n))
+    return np.matmul(flat, eigen.right).reshape(scaled.shape)
 
 
-def _apply(p: np.ndarray, clv_or_tip: np.ndarray, site_specific: bool) -> np.ndarray:
+def _apply(p: np.ndarray, child: np.ndarray, site_specific: bool) -> np.ndarray:
     """Propagate a child CLV (or tip vector) through its P matrices.
 
     ``site_specific`` selects the PSR flavor (one P matrix per pattern,
     singleton category axis) versus the category flavor (one P matrix per
-    rate category, shared across patterns).  Returns
-    ``(n_patterns, n_cats, n_states)``.
+    rate category, shared across patterns).  Returns a fresh
+    ``(..., n_patterns, n_cats, n_states)``.
+
+    The category flavor is one GEMM: the child flattened to
+    ``(n_patterns, n_cats·n)`` times the block-diagonal of the ``Pᵀ``
+    (``n_cats`` times the multiplies of a per-category contraction, and
+    several times faster); a tip, which has no category axis, is
+    ``(n_patterns, n)`` times the ``Pᵀ`` side by side.
     """
-    if clv_or_tip.ndim == 2:  # tip vector (patterns, states)
-        if site_specific:
-            return np.einsum("pxy,py->px", p, clv_or_tip)[:, None, :]
-        return np.einsum("cxy,py->pcx", p, clv_or_tip)
+    is_tip = child.ndim == p.ndim - 1
+    lead, (c, n) = p.shape[:-3], p.shape[-3:-1]
     if site_specific:
-        if clv_or_tip.shape[1] != 1:
-            raise LikelihoodError(
-                "site-specific rates require a singleton category axis"
-            )
-        return np.einsum("pxy,pcy->pcx", p, clv_or_tip)
-    if clv_or_tip.shape[1] != p.shape[0]:
+        if not is_tip:
+            if child.shape[-2] != 1:
+                raise LikelihoodError(
+                    "site-specific rates require a singleton category axis"
+                )
+            child = child[..., 0, :]
+        return np.matmul(p, child[..., None])[..., None, :, 0]
+    if is_tip:
+        rhs = np.moveaxis(p, -1, -3).reshape(lead + (n, c * n))
+        return np.matmul(child, rhs).reshape(child.shape[:-1] + (c, n))
+    if child.shape[-2] != c:
         raise LikelihoodError(
-            f"CLV has {clv_or_tip.shape[1]} categories but P has {p.shape[0]}"
+            f"CLV has {child.shape[-2]} categories but P has {c}"
         )
-    return np.einsum("cxy,pcy->pcx", p, clv_or_tip)
+    rhs = np.zeros(lead + (c, n, c, n))
+    for k in range(c):
+        rhs[..., k, :, k, :] = np.swapaxes(p[..., k, :, :], -1, -2)
+    flat = child.reshape(child.shape[:-2] + (c * n,))
+    return np.matmul(flat, rhs.reshape(lead + (c * n, c * n))).reshape(child.shape)
 
 
 def newview(
@@ -100,25 +135,34 @@ def newview(
     ``scale_*`` are the children's accumulated per-pattern log scalers
     (``None`` for tips).  Returns ``(clv, scale)`` for the parent.
     """
-    left = _apply(p_a, clv_a, site_specific)
-    right = _apply(p_b, clv_b, site_specific)
-    clv = left * right
-    n_patterns = clv.shape[0]
-    scale = np.zeros(n_patterns)
+    clv = _apply(p_a, clv_a, site_specific)
+    clv *= _apply(p_b, clv_b, site_specific)
+    flat = clv.reshape(clv.shape[:-2] + (-1,))
+    scale = np.zeros(flat.shape[:-1])
     if scale_a is not None:
         scale += scale_a
     if scale_b is not None:
         scale += scale_b
-    # rescale patterns whose magnitude dropped below threshold
-    m = clv.reshape(n_patterns, -1).max(axis=1)
-    tiny = (m < SCALE_THRESHOLD) & (m > 0)
-    if np.any(tiny):
-        factor = m[tiny]
-        clv[tiny] /= factor[:, None, None]
-        scale[tiny] += np.log(factor)
-    if np.any(m == 0):
-        raise LikelihoodError("CLV underflowed to exactly zero")
+    # Rescale patterns whose magnitude dropped below threshold.  A pattern's
+    # maximum is at least its mean, so a row sum (one GEMV) of twice the
+    # threshold per entry rules the pattern out; the exact maximum is only
+    # taken when some pattern is not ruled out (NaN compares false).
+    width = flat.shape[-1]
+    if not np.all(np.matmul(flat, np.ones(width)) >= 2.0 * width * SCALE_THRESHOLD):
+        m = flat.max(axis=-1)
+        tiny = (m < SCALE_THRESHOLD) & (m > 0)
+        if np.any(tiny):
+            factor = m[tiny]
+            clv[tiny] /= factor[:, None, None]
+            scale[tiny] += np.log(factor)
+        if np.any(m == 0):
+            raise LikelihoodError("CLV underflowed to exactly zero")
     return clv, scale
+
+
+def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``Σ_p weights[..., p] · values[..., p]``, one dot product per item."""
+    return np.matmul(weights[..., None, :], values[..., :, None])[..., 0, 0]
 
 
 def evaluate_edge(
@@ -131,35 +175,45 @@ def evaluate_edge(
     cat_weights: np.ndarray | None,
     weights: np.ndarray,
     site_specific: bool = False,
-) -> tuple[float, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Log likelihood at the virtual root on edge ``{i, j}``.
 
     ``p_root`` carries the branch between the two CLVs and is applied to
-    side ``j``.  ``cat_weights`` is ``None`` for site-specific rates (PSR:
-    a single implicit category of weight 1).
+    side ``j``.  ``cat_weights`` (shared by the stack) is ``None`` for
+    site-specific rates (PSR: a single implicit category of weight 1).
 
     Returns ``(log_likelihood, per_pattern_log_likelihood)`` where the
-    total is ``Σ_p weights[p] · per_pattern[p]``.  The per-pattern vector is
-    what the PSR rate optimizer consumes and what distributed ranks reduce.
+    total — one per stacked item — is ``Σ_p weights[p] · per_pattern[p]``.
+    The per-pattern vector is what the PSR rate optimizer consumes and
+    what distributed ranks reduce.
     """
-    right = _apply(p_root, clv_j, site_specific)
-    if clv_i.ndim == 2:  # tip on side i
-        clv_i = clv_i[:, None, :]
-    per_cat = np.einsum("pcx,pcx,x->pc", clv_i, right, frequencies)
-    if cat_weights is None:
-        site_lh = per_cat[:, 0]
-    else:
-        site_lh = per_cat @ cat_weights
-    site_lh = np.maximum(site_lh, _LH_FLOOR)
-    log_site = np.log(site_lh)
+    both = _apply(p_root, clv_j, site_specific)
+    if clv_i.ndim == both.ndim - 1:  # tip on side i
+        clv_i = clv_i[..., None, :]
+    both *= clv_i
+    # Σ_c w_c Σ_x π_x (...) as one GEMV: weights and frequencies folded
+    # into the right-hand side
+    mix = frequencies[..., None, :]
+    if cat_weights is not None:
+        mix = cat_weights[:, None] * mix
+    mix = mix.reshape(mix.shape[:-2] + (-1, 1))
+    site_lh = np.matmul(both.reshape(both.shape[:-2] + (-1,)), mix)[..., 0]
+    log_site = np.log(np.maximum(site_lh, _LH_FLOOR))
     if scale_i is not None:
         log_site = log_site + scale_i
     if scale_j is not None:
         log_site = log_site + scale_j
-    total = float(np.dot(weights, log_site))
-    if not np.isfinite(total):
+    total = _weighted_sum(weights, log_site)
+    if not np.all(np.isfinite(total)):
         raise LikelihoodError("non-finite log likelihood")
     return total, log_site
+
+
+def _ztransform(eigen, clv: np.ndarray) -> np.ndarray:
+    """``z = clv · rightᵀ`` over the state axis: one GEMM per stacked item."""
+    right_t = np.swapaxes(eigen.right, -1, -2)
+    flat = clv.reshape(right_t.shape[:-2] + (-1, clv.shape[-1]))
+    return np.matmul(flat, right_t).reshape(clv.shape)
 
 
 def sumtable(
@@ -173,64 +227,56 @@ def sumtable(
     branch is ``f(t) = Σ_k st[p, c, k] · e^{λ_k r t}`` where
     ``st = z_i ⊙ z_j``.  Tips are promoted to a singleton category axis.
     """
-    if clv_i.ndim == 2:
-        clv_i = clv_i[:, None, :]
-    if clv_j.ndim == 2:
-        clv_j = clv_j[:, None, :]
-    if clv_i.shape[1] != clv_j.shape[1]:
-        if clv_i.shape[1] == 1:
-            clv_i = np.broadcast_to(clv_i, clv_j.shape)
-        elif clv_j.shape[1] == 1:
-            clv_j = np.broadcast_to(clv_j, clv_i.shape)
-        else:
-            raise LikelihoodError("category mismatch between CLVs")
-    zi = eigen.ztransform(clv_i)
-    zj = eigen.ztransform(clv_j)
-    return zi * zj
+    ndim = eigen.right.ndim + 1
+    if clv_i.ndim < ndim:
+        clv_i = clv_i[..., None, :]
+    if clv_j.ndim < ndim:
+        clv_j = clv_j[..., None, :]
+    if clv_i.shape[-2] != clv_j.shape[-2] and 1 not in (
+        clv_i.shape[-2], clv_j.shape[-2]
+    ):
+        raise LikelihoodError("category mismatch between CLVs")
+    return _ztransform(eigen, clv_i) * _ztransform(eigen, clv_j)
 
 
 def derivatives_from_sumtable(
     eigen,
     st: np.ndarray,
-    t: float,
+    t,
     rates: np.ndarray,
     cat_weights: np.ndarray | None,
     weights: np.ndarray,
-) -> tuple[float, float, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First and second derivative of the log likelihood in ``t``.
 
-    Returns ``(logl_proxy, dlnL, d2lnL)``; the proxy omits scaler terms and
-    is only used for trend checks inside the Newton solver (scalers are
-    constant in ``t`` so derivatives are exact).
+    Returns ``(logl_proxy, dlnL, d2lnL)``, one each per stacked item; the
+    proxy omits scaler terms and is only used for trend checks inside the
+    Newton solver (scalers are constant in ``t`` so derivatives are exact).
 
-    ``rates`` is ``(n_cats,)`` with ``cat_weights`` given, or
-    ``(n_patterns,)`` with ``cat_weights=None`` (PSR).
+    ``rates`` is ``(..., n_cats)`` with ``cat_weights`` given, or
+    ``(..., n_patterns)`` with ``cat_weights=None`` (PSR).
     """
-    if t < 0:
-        raise LikelihoodError(f"negative branch length {t}")
-    lam = eigen.eigenvalues
+    t = np.asarray(t, dtype=np.float64)
+    _check_branch(t)
+    lr = rates[..., None] * eigen.eigenvalues[..., None, :]  # (..., rates, k)
+    e = np.exp(lr * t[..., None, None])
     if cat_weights is not None:
-        lr = rates[:, None] * lam[None, :]  # (cats, k)
-        e = np.exp(lr * t)  # (cats, k)
-        f = np.einsum("pck,ck->pc", st, e)
-        f1 = np.einsum("pck,ck,ck->pc", st, e, lr)
-        f2 = np.einsum("pck,ck,ck,ck->pc", st, e, lr, lr)
-        site = f @ cat_weights
-        site1 = f1 @ cat_weights
-        site2 = f2 @ cat_weights
+        e = e * cat_weights[:, None]
+    # f, f' and f'' as the three columns of one right-hand side
+    rhs = np.stack([e, e * lr, e * lr * lr], axis=-1)
+    if cat_weights is not None:
+        # every pattern meets the same (cats·k, 3) operand: one GEMM
+        rhs = rhs.reshape(rhs.shape[:-3] + (-1, 3))
+        f = np.matmul(st.reshape(st.shape[:-2] + (-1,)), rhs)
     else:
-        lr = rates[:, None] * lam[None, :]  # (patterns, k)
-        e = np.exp(lr * t)
-        stp = st[:, 0, :]
-        site = np.einsum("pk,pk->p", stp, e)
-        site1 = np.einsum("pk,pk,pk->p", stp, e, lr)
-        site2 = np.einsum("pk,pk,pk,pk->p", stp, e, lr, lr)
-    site = np.maximum(site, _LH_FLOOR)
-    ratio1 = site1 / site
-    ratio2 = site2 / site
-    logl = float(np.dot(weights, np.log(site)))
-    dlnl = float(np.dot(weights, ratio1))
-    d2lnl = float(np.dot(weights, ratio2 - ratio1 * ratio1))
+        # PSR: one exponent row, hence one (k, 3) operand, per pattern
+        f = np.matmul(st, rhs)[..., 0, :]
+    site = np.maximum(f[..., 0], _LH_FLOOR)
+    ratio1 = f[..., 1] / site
+    ratio2 = f[..., 2] / site
+    logl = _weighted_sum(weights, np.log(site))
+    dlnl = _weighted_sum(weights, ratio1)
+    d2lnl = _weighted_sum(weights, ratio2 - ratio1 * ratio1)
     return logl, dlnl, d2lnl
 
 
@@ -241,20 +287,27 @@ def derivatives_from_sumtable(
 # The work unit is one pattern·category — the same virtual-pattern unit
 # the work ledger and the cost model charge in — except for ``pmatrix``,
 # whose work is independent of the pattern count under category rates:
-# its unit is one transition *matrix*.  FLOPs are counted straight off
-# the einsums above for ``n = n_states``:
+# its unit is one transition *matrix*.  Modeled FLOPs are the analytic
+# minimum of the operation for ``n = n_states`` — what a per-category
+# contraction performs — not what the GEMM forms above execute: the
+# block-diagonal right-hand side of ``_apply`` spends ``n_cats`` times the
+# multiplies of that contraction (4× under Γ-4; the extra ones are by
+# exact zeros), and the row-sum guard of the rescale scan adds a GEMV.
+# Achieved GFLOP/s computed from these counts is therefore useful work per
+# second, which is what one wants to compare across implementations.
 #
-# newview:    two ``_apply`` contractions ("cxy,pcy->pcx": n mul + n−1
-#             add per output state, n outputs → 2·(2n−1)·n = 4n²−2n),
+# newview:    two child propagations (per category ``P · clv``: n mul +
+#             n−1 add per output state, n outputs → 2·(2n−1)·n = 4n²−2n),
 #             the elementwise product (n), and the rescale scan
 #             (max + compare ≈ n + 2n per unit) → 4n² + 3n.
-# evaluate:   one ``_apply`` (2n²−n), the "pcx,pcx,x->pc" triple
-#             product (3n−1 per unit), the category mix + floor + log +
-#             weighted-sum tail (≈ n + 5 spread per unit) → 2n² + 3n + 4.
+# evaluate:   one propagation (2n²−n), the product with the other side
+#             and the frequencies (3n−1 per unit), the category mix +
+#             floor + log + weighted-sum tail (≈ n + 5 spread per unit)
+#             → 2n² + 3n + 4.
 # sumtable:   two ztransforms (eigen-basis change, each 2n²−n per unit)
 #             and the product (n) → 4n² + n.
-# derivative: exp(lr·t) amortized over patterns is negligible; f/f1/f2
-#             contractions "pck,ck->pc" cost 2n−1, 3n−1, 4n−1; category
+# derivative: exp(lr·t) amortized over patterns is negligible; the f/f′/f″
+#             sums over the eigen index cost 2n−1, 3n−1, 4n−1; category
 #             mix + ratios + dots ≈ 7 → 9n + 6.
 # pmatrix:    eigen reconstruction U·diag(e^{λrt})·U⁻¹ per matrix:
 #             n³ mul + n²·(n−1) add + n² scale + n exp → 2n³ + n² + n.

@@ -1,27 +1,34 @@
 """Partitioned likelihood orchestration.
 
-:class:`PartitionedLikelihood` owns, per partition: the compressed site
-patterns, tip vectors, substitution model, rate-heterogeneity model and a
-cache of conditional likelihood vectors keyed by directed edge.  It is the
-*computational* engine that both parallelization schemes drive — in a real
-distributed run every rank holds one over its local data; in lock-step
-simulation a single instance holds the full data.
+:class:`PartitionedLikelihood` is the tree-aware driver of the likelihood
+core.  Per partition it holds a :class:`PartitionData` — compressed site
+patterns, substitution model, rate-heterogeneity model; the arrays the
+kernels work on (tips, eigensystems, conditional likelihood vectors keyed
+by directed edge) live in :class:`~repro.likelihood.stack.PartitionStack`
+objects, one per group of equally shaped partitions, so every kernel runs
+once per stack rather than once per partition.  It is the *computational*
+engine that both parallelization schemes drive — in a real distributed run
+every rank holds one over its local data; in lock-step simulation a single
+instance holds the full data.
 
 Cache invalidation is dependency-tracked: every computed orientation
-records the identity of its two children and the version stamps of the
-connecting edges and of the partition's model.  An orientation is valid
-iff those stamps still match and its children are (recursively) valid, so
-branch-length changes, SPR moves and model updates invalidate exactly the
-right CLVs without any explicit notification — the same effect as RAxML's
-orientation bookkeeping, but robust against arbitrary topology edits.
+records — once, for all partitions — the identity of its two children, the
+version stamps of the connecting edges and the model version of every
+partition.  An orientation is valid for a partition iff those stamps still
+match and its children are (recursively) valid, so branch-length changes,
+SPR moves and model updates invalidate exactly the right CLVs without any
+explicit notification — the same effect as RAxML's orientation
+bookkeeping, but robust against arbitrary topology edits.  The traversal
+an edge needs is derived once; each of its ops carries the set of
+partitions it is stale for (all of them, unless only some models changed).
 
 Compute follows ownership.  A partition with no local patterns (a rank's
 share of a partition it does not own, see :mod:`repro.dist`) keeps its
-replicated model state and its validity stamps — the fork-join master
-derives the wire descriptor from them — but no arrays: no tip vectors,
-P matrices, CLVs or sumtables are built for it, no kernel runs, nothing
-is charged to the ledger or the profiler, and its slot of every
-per-partition result is an exact ``0.0``.
+replicated model state and takes part in the validity stamps — the
+fork-join master derives the wire descriptor from them — but is in no
+stack: no tip vectors, P matrices, CLVs or sumtables are built for it, no
+kernel runs, nothing is charged to the ledger or the profiler, and its
+slot of every per-partition result is an exact ``0.0``.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import LikelihoodError, ModelError
-from repro.likelihood import kernel
+from repro.errors import LikelihoodError, ModelError, TreeError
+from repro.likelihood.stack import PartitionStack, build_stacks, clv_stats
 from repro.model.frequencies import smooth_frequencies
 from repro.model.rates import (
     DiscreteGamma,
@@ -44,7 +51,7 @@ from repro.par.ledger import ComputeItem, OpKind, WorkLedger
 from repro.seq.alignment import Alignment
 from repro.seq.partitions import PartitionScheme
 from repro.tree.topology import Node, Tree
-from repro.tree.traversal import TraversalDescriptor, traversal_for_edge
+from repro.tree.traversal import EdgeDescriptor, traversal_for_edge
 
 __all__ = ["PartitionData", "PartitionedLikelihood", "BranchWorkspace"]
 
@@ -101,7 +108,6 @@ class PartitionData:
         self.pattern_scale = float(pattern_scale)
         self.alphabet = alphabet if alphabet is not None else DNA
         self.model_version = 0
-        self._tips: dict[int, np.ndarray] = {}
 
     @property
     def n_patterns(self) -> int:
@@ -119,14 +125,6 @@ class PartitionData:
     @property
     def site_specific(self) -> bool:
         return self.rate_het.site_specific
-
-    def tip_clv(self, taxon_row: int) -> np.ndarray:
-        """Cached 0/1 tip vector for the given global taxon row."""
-        tip = self._tips.get(taxon_row)
-        if tip is None:
-            tip = self.alphabet.tip_vectors(self.patterns[taxon_row])
-            self._tips[taxon_row] = tip
-        return tip
 
     def category_rates(self) -> tuple[np.ndarray, np.ndarray | None]:
         return self.rate_het.category_rates(self.n_patterns)
@@ -169,17 +167,23 @@ class _Stamp:
     child_b: int
     ver_a: int
     ver_b: int
-    model_ver: int
+    #: every partition's model version when the orientation was last
+    #: computed or found valid for it
+    model_vers: tuple[int, ...]
+
+
+#: ``_stale`` result: the orientation is up to date for every partition.
+_VALID: frozenset[int] = frozenset()
 
 
 @dataclass
 class BranchWorkspace:
-    """Per-branch state reused across Newton iterations: the sumtables
-    (``None`` for a partition with no local patterns)."""
+    """Per-branch state reused across Newton iterations: the sumtables,
+    one per partition stack."""
 
     u: Node
     v: Node
-    sumtables: list[np.ndarray | None]
+    sumtables: list[np.ndarray]
     edge_version: int
 
 
@@ -229,18 +233,19 @@ class PartitionedLikelihood:
         self.taxon_row = {label: i for i, label in enumerate(taxa)}
         self.ledger = ledger if ledger is not None else WorkLedger()
         self.profiler = NULL_OP_PROFILER
-        # per partition, keyed by directed edge: validity stamps for every
-        # partition, (clv, scale) arrays only where there are local patterns
-        self._stamps: list[dict[tuple[int, int], _Stamp]] = [{} for _ in parts]
-        self._clv: list[dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]] = [
-            {} for _ in parts
+        self.stacks: list[PartitionStack] = build_stacks(parts)
+        # what one region charges the ledger, per partition computed
+        self._charges = [
+            (p, part.cost_patterns, part.n_cats, part.site_specific)
+            for stack in self.stacks
+            for p, part in zip(stack.partitions, stack.parts)
         ]
-        self._memo: list[dict[tuple[int, int], bool]] = [{} for _ in parts]
-        self._memo_counter = -1
-        self._clv_bytes = [0] * len(parts)
-        self._clv_peak = [0] * len(parts)
-        self._clv_evictions = [0] * len(parts)
-        self._clv_evicted_bytes = [0] * len(parts)
+        # one validity stamp per directed edge, for all partitions; the
+        # arrays it vouches for are in the stacks
+        self._stamps: dict[tuple[int, int], _Stamp] = {}
+        self._memo: dict[tuple[int, int], frozenset[int] | None] = {}
+        self._memo_token: tuple | None = None
+        self._versions: tuple[int, ...] = ()
         missing = [
             leaf.label for leaf in tree.leaves() if leaf.label not in self.taxon_row
         ]
@@ -332,270 +337,217 @@ class PartitionedLikelihood:
     # cache validity
     # ------------------------------------------------------------------ #
     def _fresh_memos(self) -> None:
-        if self._memo_counter != self.tree._version_counter:
-            for memo in self._memo:
-                memo.clear()
-            self._memo_counter = self.tree._version_counter
+        versions = tuple(part.model_version for part in self.parts)
+        token = (self.tree._version_counter, versions)
+        if token != self._memo_token:
+            self._memo.clear()
+            self._memo_token = token
+            self._versions = versions
 
-    def _is_valid(self, p: int, key: tuple[int, int]) -> bool:
-        memo = self._memo[p]
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        ok = self._check_valid(p, key)
-        memo[key] = ok
-        return ok
-
-    def _check_valid(self, p: int, key: tuple[int, int]) -> bool:
-        entry = self._stamps[p].get(key)
-        if entry is None or entry.model_ver != self.parts[p].model_version:
-            return False
-        tree = self.tree
+    def _edge_nodes(self, key: tuple[int, int]) -> tuple[Node, Node] | None:
+        """``(node, toward)`` of a directed edge the tree still has."""
         try:
-            node = tree.node(key[0])
-            toward = tree.node(key[1])
-        except Exception:
-            return False
-        if node not in toward.neighbors:
-            return False
+            node = self.tree.node(key[0])
+            toward = self.tree.node(key[1])
+        except TreeError:
+            return None
+        return (node, toward) if node in toward.neighbors else None
+
+    def _stale(self, key: tuple[int, int]) -> frozenset[int] | None:
+        """The partitions ``clv(key)`` is out of date for: :data:`_VALID`
+        (none), ``None`` (all of them) or the set of those whose model
+        changed since (memoised until the tree or a model changes)."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            stale = self._memo[key] = self._check_stale(key)
+            return stale
+
+    def _check_stale(self, key: tuple[int, int]) -> frozenset[int] | None:
+        entry = self._stamps.get(key)
+        nodes = self._edge_nodes(key) if entry is not None else None
+        if nodes is None:
+            return None
+        tree = self.tree
+        node, toward = nodes
         children = tree.other_neighbors(node, toward)
         if len(children) != 2:
-            return False
+            return None
         a, b = children  # sorted by id
-        if (a.id, b.id) != (entry.child_a, entry.child_b):
-            return False
-        if tree.edge_version(node, a) != entry.ver_a:
-            return False
-        if tree.edge_version(node, b) != entry.ver_b:
-            return False
+        if (
+            (a.id, b.id) != (entry.child_a, entry.child_b)
+            or tree.edge_version(node, a) != entry.ver_a
+            or tree.edge_version(node, b) != entry.ver_b
+        ):
+            return None
+        stale = _VALID
+        if entry.model_vers != self._versions:
+            stale = frozenset(
+                p for p, (then, now) in enumerate(zip(entry.model_vers, self._versions))
+                if then != now
+            )
         for child in (a, b):
-            if not child.is_leaf and not self._is_valid(p, (child.id, node.id)):
-                return False
-        return True
+            if not child.is_leaf:
+                below = self._stale((child.id, node.id))
+                if below is None:
+                    return None
+                if below:
+                    stale = stale | below
+        return None if len(stale) == len(self.parts) else stale
+
+    def _is_valid(self, p: int, key: tuple[int, int]) -> bool:
+        stale = self._stale(key)
+        return stale is not None and p not in stale
 
     def invalidate_partition(self, p: int) -> None:
         """Drop all cached CLVs of partition ``p`` (model change)."""
         self.parts[p].bump_model()
-        self._memo[p].clear()
 
     def invalidate_all(self) -> None:
-        for p in range(self.n_partitions):
-            self.invalidate_partition(p)
+        for part in self.parts:
+            part.bump_model()
+
+    def _evict(self, keys: list[tuple[int, int]]) -> int:
+        for key in keys:
+            del self._stamps[key]
+        return sum(stack.drop(keys)[0] for stack in self.stacks)
 
     def gc(self) -> int:
-        """Drop stale cache entries; returns how many were evicted."""
+        """Drop the cache entries no partition can use any more; returns
+        how many per-partition CLVs were evicted."""
         self._fresh_memos()
-        evicted = 0
-        for p, stamps in enumerate(self._stamps):
-            store = self._clv[p]
-            dead = [k for k in stamps if not self._is_valid(p, k)]
-            for k in dead:
-                del stamps[k]
-                arrays = store.pop(k, None)
-                if arrays is not None:
-                    nbytes = arrays[0].nbytes + arrays[1].nbytes
-                    self._clv_bytes[p] -= nbytes
-                    self._clv_evicted_bytes[p] += nbytes
-                    self._clv_evictions[p] += 1
-                    evicted += 1
-        return evicted
+        return self._evict([k for k in self._stamps if self._stale(k) is None])
+
+    def _sweep(self) -> None:
+        """Keep the store bounded: SPR moves leave behind the orientations
+        of edges they removed, so once the store holds twice the
+        orientations a tree has, drop those whose edge is gone.  An edge
+        that is pruned and restored keeps its CLV in between — it is still
+        valid by its stamp — which is why this is not done on every
+        topology change."""
+        orientations = 3 * (self.tree.n_edges - 1) // 2  # 3 per inner node
+        if len(self._stamps) > 2 * orientations:
+            self._evict([k for k in self._stamps if self._edge_nodes(k) is None])
+
+    def drop_clvs(self) -> None:
+        """Forget every CLV and stamp (the tree object was replaced)."""
+        self._evict(list(self._stamps))
+        self._memo_token = None
 
     def clv_stats(self) -> list[dict[str, int]]:
         """Per-partition CLV cache accounting (for profile emission).
 
         Counts arrays, not stamps: a partition with no local patterns
         reports zero entries and zero bytes."""
-        return [
-            {
-                "partition": p,
-                "entries": len(self._clv[p]),
-                "live_bytes": self._clv_bytes[p],
-                "peak_bytes": self._clv_peak[p],
-                "evictions": self._clv_evictions[p],
-                "evicted_bytes": self._clv_evicted_bytes[p],
-            }
-            for p in range(self.n_partitions)
-        ]
+        return clv_stats(self.stacks, self.n_partitions)
 
     # ------------------------------------------------------------------ #
     # CLV computation
     # ------------------------------------------------------------------ #
-    def _side_clv(
-        self, p: int, node: Node, toward: Node
-    ) -> tuple[np.ndarray, np.ndarray | None]:
+    def _ref(self, node: Node, toward: Node) -> int | tuple[int, int]:
+        """Stack operand reference of ``node`` seen from ``toward``."""
         if node.is_leaf:
-            return self.parts[p].tip_clv(self.taxon_row[node.label]), None
-        arrays = self._clv[p].get((node.id, toward.id))
-        if arrays is None:  # pragma: no cover - traversal guarantees presence
-            raise LikelihoodError(f"missing CLV ({node.id}->{toward.id})")
-        return arrays
+            return self.taxon_row[node.label]
+        return (node.id, toward.id)
 
-    def _branch_length(self, part: PartitionData, u: Node, v: Node) -> float:
-        return float(self.tree.edge_length(u, v)[part.branch_set])
-
-    def descriptors_for_edge(self, u: Node, v: Node) -> list[TraversalDescriptor]:
-        """Per-partition descriptors of the CLV updates edge ``{u, v}``
-        still needs (what :meth:`ensure_clvs` executes)."""
+    def descriptors_for_edge(self, u: Node, v: Node) -> EdgeDescriptor:
+        """The CLV updates edge ``{u, v}`` still needs, with the partitions
+        each is needed for (what :meth:`ensure_clvs` executes)."""
         self._fresh_memos()
-        return [
-            traversal_for_edge(
-                self.tree, u, v, is_valid=lambda key, p=p: self._is_valid(p, key)
-            )
-            for p in range(self.n_partitions)
-        ]
+        ops = traversal_for_edge(
+            self.tree, u, v, is_valid=lambda key: self._stale(key) is _VALID
+        ).ops
+        masks = [self._stale((op.node, op.toward)) for op in ops]
+        return EdgeDescriptor(ops, masks, self.n_partitions)
 
-    def execute_descriptors(self, descriptors: list[TraversalDescriptor]) -> None:
-        """Run :meth:`descriptors_for_edge`'s result, one per partition."""
-        for p, desc in enumerate(descriptors):
-            self._execute_descriptor(p, desc)
-
-    def ensure_clvs(self, u: Node, v: Node) -> list[TraversalDescriptor]:
-        """Make both CLVs of edge ``{u, v}`` valid; returns the executed
-        per-partition traversal descriptors (for region accounting)."""
-        descriptors = self.descriptors_for_edge(u, v)
-        self.execute_descriptors(descriptors)
-        return descriptors
-
-    def _execute_descriptor(self, p: int, desc: TraversalDescriptor) -> None:
-        """Recompute and stamp the orientations ``desc`` lists; a partition
-        with no local patterns is stamped only."""
-        part = self.parts[p]
-        owned = part.n_patterns > 0
-        if owned:
-            eigen = part.model.eigen()
-            rates, _ = part.category_rates()
-            store = self._clv[p]
-            prof = self.profiler
-            unit = part.cost_patterns * part.n_cats
-            n_states = part.model.n_states
-            live = self._clv_bytes[p]
-            peak = self._clv_peak[p]
+    def execute_descriptors(self, descriptors: EdgeDescriptor) -> None:
+        """Run :meth:`descriptors_for_edge`'s result: recompute the listed
+        orientations on the stacks and stamp them (a partition with no
+        local patterns is stamped only)."""
+        if not descriptors.ops:
+            return
         tree = self.tree
-        stamps = self._stamps[p]
-        memo = self._memo[p]
-        for op in desc.ops:
+        prof = self.profiler
+        for op, mask in zip(descriptors.ops, descriptors.masks):
             key = (op.node, op.toward)
             node = tree.node(op.node)
             a = tree.node(op.child_a)
             b = tree.node(op.child_b)
-            if owned:
-                ta = self._branch_length(part, node, a)
-                tb = self._branch_length(part, node, b)
-                t0 = prof.begin()
-                p_a = kernel.pmatrices(eigen, ta, rates)
-                p_b = kernel.pmatrices(eigen, tb, rates)
-                prof.end(t0, "pmatrix", p, 2 * len(rates), count=2,
-                         alloc=p_a.nbytes + p_b.nbytes,
-                         n_states=n_states, site_specific=part.site_specific)
-                clv_a, scale_a = self._side_clv(p, a, node)
-                clv_b, scale_b = self._side_clv(p, b, node)
-                t0 = prof.begin()
-                arrays = kernel.newview(
-                    p_a, clv_a, scale_a, p_b, clv_b, scale_b,
-                    site_specific=part.site_specific,
-                )
-                nbytes = arrays[0].nbytes + arrays[1].nbytes
-                prof.end(t0, "newview", p, unit, alloc=nbytes,
-                         n_states=n_states, site_specific=part.site_specific)
-                old = store.get(key)
-                if old is not None:
-                    live -= old[0].nbytes + old[1].nbytes
-                store[key] = arrays
-                live += nbytes
-                if live > peak:
-                    peak = live
+            ta = tree.edge_length(node, a)
+            tb = tree.edge_length(node, b)
+            for stack in self.stacks:
+                rows = stack.rows_of(mask)
+                if rows != []:
+                    stack.newview(key, self._ref(a, node), self._ref(b, node),
+                                  ta, tb, prof, rows)
             if a.id > b.id:
                 a, b = b, a
-            stamps[key] = _Stamp(
+            self._stamps[key] = _Stamp(
                 child_a=a.id,
                 child_b=b.id,
                 ver_a=tree.edge_version(node, a),
                 ver_b=tree.edge_version(node, b),
-                model_ver=part.model_version,
+                model_vers=self._versions,
             )
-            memo[key] = True
-        if owned and desc.ops:
-            self._clv_bytes[p] = live
-            self._clv_peak[p] = peak
-            self.ledger.charge(
-                ComputeItem(
-                    op=OpKind.NEWVIEW,
-                    partition=p,
-                    n_patterns=part.cost_patterns,
-                    n_cats=part.n_cats,
-                    count=len(desc.ops),
-                    site_specific=part.site_specific,
-                )
-            )
+            self._memo[key] = _VALID
+        self._charge(OpKind.NEWVIEW, descriptors.op_counts())
+        self._sweep()
+
+    def ensure_clvs(self, u: Node, v: Node) -> EdgeDescriptor:
+        """Make both CLVs of edge ``{u, v}`` valid; returns the executed
+        descriptor (for region accounting)."""
+        descriptors = self.descriptors_for_edge(u, v)
+        self.execute_descriptors(descriptors)
+        return descriptors
+
+    def _charge(self, op: OpKind, counts: list[int] | None = None) -> None:
+        """Charge the ledger one item per partition computed (``counts[p]``
+        invocations each; one when ``None``)."""
+        charge = self.ledger.charge
+        for p, n_patterns, n_cats, site_specific in self._charges:
+            count = 1 if counts is None else counts[p]
+            if count:
+                charge(ComputeItem(op, p, n_patterns, n_cats, count, site_specific))
 
     # ------------------------------------------------------------------ #
     # evaluation
     # ------------------------------------------------------------------ #
     def evaluate(
-        self, u: Node, v: Node, ensure: bool = True
-    ) -> tuple[float, np.ndarray, list[TraversalDescriptor]]:
+        self, u: Node, v: Node
+    ) -> tuple[float, np.ndarray, EdgeDescriptor]:
         """Log likelihood at the virtual root on edge ``{u, v}``.
 
         Returns ``(total, per_partition, descriptors)``; ``per_partition``
         is the vector a distributed run reduces (``0.0`` in the slot of a
         partition with no local patterns).
         """
-        descriptors = self.ensure_clvs(u, v) if ensure else []
-        per_part = np.empty(self.n_partitions)
-        for p in range(self.n_partitions):
-            total, _ = self._evaluate_partition(p, u, v)
-            per_part[p] = total
+        descriptors = self.ensure_clvs(u, v)
+        per_part, _ = self.evaluate_local(u, v)
         return float(per_part.sum()), per_part, descriptors
 
-    def _evaluate_partition(
-        self, p: int, u: Node, v: Node
-    ) -> tuple[float, np.ndarray]:
-        part = self.parts[p]
-        if part.n_patterns == 0:
-            return 0.0, np.empty(0)
-        eigen = part.model.eigen()
-        rates, cat_w = part.category_rates()
-        prof = self.profiler
-        t = self._branch_length(part, u, v)
-        t0 = prof.begin()
-        p_root = kernel.pmatrices(eigen, t, rates)
-        prof.end(t0, "pmatrix", p, len(rates), alloc=p_root.nbytes,
-                 n_states=part.model.n_states,
-                 site_specific=part.site_specific)
-        clv_i, scale_i = self._side_clv(p, u, v)
-        clv_j, scale_j = self._side_clv(p, v, u)
-        t0 = prof.begin()
-        total, log_site = kernel.evaluate_edge(
-            p_root,
-            clv_i,
-            scale_i,
-            clv_j,
-            scale_j,
-            part.model.frequencies,
-            cat_w,
-            part.weights,
-            site_specific=part.site_specific,
-        )
-        prof.end(t0, "evaluate", p, part.cost_patterns * part.n_cats,
-                 n_states=part.model.n_states,
-                 site_specific=part.site_specific)
-        self.ledger.charge(
-            ComputeItem(
-                op=OpKind.EVALUATE,
-                partition=p,
-                n_patterns=part.cost_patterns,
-                n_cats=part.n_cats,
-                site_specific=part.site_specific,
-            )
-        )
-        return total, log_site
+    def evaluate_local(
+        self, u: Node, v: Node
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Per-partition log likelihoods and per-pattern log likelihoods
+        from the CLVs edge ``{u, v}`` already has (see :meth:`ensure_clvs`)."""
+        per_part = np.zeros(self.n_partitions)
+        site_lhs = [np.empty(0)] * self.n_partitions
+        t_root = self.tree.edge_length(u, v)
+        for stack in self.stacks:
+            totals, log_site = stack.evaluate(
+                self._ref(u, v), self._ref(v, u), t_root, self.profiler)
+            per_part[stack.members] = totals
+            for p, row in zip(stack.partitions, log_site):
+                site_lhs[p] = row
+        self._charge(OpKind.EVALUATE)
+        return per_part, site_lhs
 
     def site_log_likelihoods(
         self, u: Node, v: Node
     ) -> list[np.ndarray]:
         """Per-pattern log likelihoods per partition (PSR optimizer input)."""
         self.ensure_clvs(u, v)
-        return [self._evaluate_partition(p, u, v)[1] for p in range(self.n_partitions)]
+        return self.evaluate_local(u, v)[1]
 
     # ------------------------------------------------------------------ #
     # branch-length derivatives (Newton–Raphson support)
@@ -607,31 +559,15 @@ class PartitionedLikelihood:
         Newton iteration sequence reuses one workspace.
         """
         self.ensure_clvs(u, v)
-        sumtables: list[np.ndarray | None] = []
-        prof = self.profiler
-        for p in range(self.n_partitions):
-            part = self.parts[p]
-            if part.n_patterns == 0:
-                sumtables.append(None)
-                continue
-            eigen = part.model.eigen()
-            clv_i, _ = self._side_clv(p, u, v)
-            clv_j, _ = self._side_clv(p, v, u)
-            t0 = prof.begin()
-            table = kernel.sumtable(eigen, clv_i, clv_j)
-            prof.end(t0, "sumtable", p, part.cost_patterns * part.n_cats,
-                     alloc=table.nbytes, n_states=part.model.n_states,
-                     site_specific=part.site_specific)
-            sumtables.append(table)
-            self.ledger.charge(
-                ComputeItem(
-                    op=OpKind.SUMTABLE,
-                    partition=p,
-                    n_patterns=part.cost_patterns,
-                    n_cats=part.n_cats,
-                    site_specific=part.site_specific,
-                )
-            )
+        return self.sumtables_local(u, v)
+
+    def sumtables_local(self, u: Node, v: Node) -> BranchWorkspace:
+        """:meth:`prepare_branch` from the CLVs the edge already has."""
+        sumtables = [
+            stack.sumtable(self._ref(u, v), self._ref(v, u), self.profiler)
+            for stack in self.stacks
+        ]
+        self._charge(OpKind.SUMTABLE)
         return BranchWorkspace(
             u=u, v=v, sumtables=sumtables, edge_version=self.tree.edge_version(u, v)
         )
@@ -649,37 +585,10 @@ class PartitionedLikelihood:
             )
         d1 = np.zeros(self.n_partitions)
         d2 = np.zeros(self.n_partitions)
-        prof = self.profiler
-        for p in range(self.n_partitions):
-            part = self.parts[p]
-            table = ws.sumtables[p]
-            if table is None:
-                continue
-            eigen = part.model.eigen()
-            rates, cat_w = part.category_rates()
-            t0 = prof.begin()
-            _, dl, d2l = kernel.derivatives_from_sumtable(
-                eigen,
-                table,
-                float(t[part.branch_set]),
-                rates,
-                cat_w,
-                part.weights,
-            )
-            prof.end(t0, "derivative", p, part.cost_patterns * part.n_cats,
-                     n_states=part.model.n_states,
-                     site_specific=part.site_specific)
-            d1[p] = dl
-            d2[p] = d2l
-            self.ledger.charge(
-                ComputeItem(
-                    op=OpKind.DERIVATIVE,
-                    partition=p,
-                    n_patterns=part.cost_patterns,
-                    n_cats=part.n_cats,
-                    site_specific=part.site_specific,
-                )
-            )
+        for stack, table in zip(self.stacks, ws.sumtables):
+            d1[stack.members], d2[stack.members] = stack.derivatives(
+                table, t, self.profiler)
+        self._charge(OpKind.DERIVATIVE)
         return d1, d2
 
     # ------------------------------------------------------------------ #

@@ -1,0 +1,266 @@
+"""Partitions of one shape, stacked on a leading axis.
+
+The paper's partitioned regime is many small genes (10–1000 partitions of
+~1000 bp).  Looping over them in Python costs more than their arithmetic,
+so the partitions a process holds patterns of are grouped by what the
+kernels read off their arrays — pattern count, category count, state count
+and rate-model class — and each group is one :class:`PartitionStack`: tips,
+weights, eigensystems, rates and the CLV store all carry the partitions on
+a leading axis, and every kernel of :mod:`repro.likelihood.kernel` runs
+once per stack instead of once per partition (BEAGLE batches its operation
+queue across partitions for the same reason).  A uniform dataset is one
+stack, an irregular partition a stack of one; there is no other code path.
+
+Stacks are tree-agnostic: an operand is named by a *reference* — a taxon
+row for a tip, a directed-edge key ``(node, toward)`` for a stored CLV —
+and branch lengths arrive as ``n_branch_sets`` vectors.  Both drivers use
+them: the tree-aware
+:class:`~repro.likelihood.partitioned.PartitionedLikelihood` and the
+fork-join workers' :class:`~repro.engines.executor.DescriptorExecutor`.
+
+A zero-pattern share (a partition this process does not own) is in no
+stack: nothing is stored or computed for it.
+
+Kernel calls run between ``prof.begin()`` and ``prof.end_stack(...)``,
+which accounts a stacked region to each partition it computed: one call
+still means one ``(op, partition)`` update.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.errors import LikelihoodError
+from repro.likelihood import kernel
+from repro.model.substitution import EigenSystem, fill_eigen_caches
+
+__all__ = ["PartitionStack", "build_stacks", "clv_stats"]
+
+#: A tip (taxon row) or a stored CLV (directed-edge key).
+Ref = int | tuple[int, int]
+
+
+class PartitionStack:
+    """The partitions ``members`` of ``parts`` (one shape), stacked.
+
+    ``members`` index the owner's partition list; row ``i`` of every
+    stacked array belongs to partition ``members[i]``.
+    """
+
+    def __init__(self, members: list[int], parts: list) -> None:
+        self.members = np.asarray(members, dtype=np.intp)
+        self.partitions = tuple(members)
+        self.parts = [parts[i] for i in members]
+        first = self.parts[0]
+        g = len(members)
+        self.n_states = first.model.n_states
+        self.site_specific = first.site_specific
+        #: work units of one CLV-shaped op, per partition (ledger convention)
+        self.unit = first.cost_patterns * first.n_cats
+        # the stack's arrays are views or the only copy, never a second one
+        self.weights = (first.weights[None, :] if g == 1
+                        else np.stack([p.weights for p in self.parts]))
+        self.branch_sets = np.array([p.branch_set for p in self.parts],
+                                    dtype=np.intp)
+        rates, self.cat_weights = first.category_rates()
+        n = self.n_states
+        self.eigen = EigenSystem(np.empty((g, n)), np.empty((g, n, n)),
+                                 np.empty((g, n, n)), np.empty((g, n)))
+        self.rates = np.empty((g, len(rates)))
+        self._versions: list[int | None] = [None] * g
+        self._tips: dict[int, np.ndarray] = {}
+        #: directed edge -> (clv ``(g, patterns, cats, states)``, scale)
+        self.clvs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.live_bytes = 0
+        self.peak_bytes = 0
+        self.evictions = 0
+        self.evicted_bytes = 0
+
+    # ------------------------------------------------------------------ #
+    # stacked model state and operands
+    # ------------------------------------------------------------------ #
+    def refresh(self) -> None:
+        """Bring the stacked eigensystems and rates up to the members'
+        model versions; the changed rows are decomposed together."""
+        versions = [p.model_version for p in self.parts]
+        if versions == self._versions:
+            return
+        rows = [i for i, (new, old) in enumerate(zip(versions, self._versions))
+                if new != old]
+        fill_eigen_caches([self.parts[i].model for i in rows])
+        eigen = self.eigen
+        for i in rows:
+            part = self.parts[i]
+            mine = part.model.eigen()
+            eigen.eigenvalues[i] = mine.eigenvalues
+            eigen.left[i] = mine.left
+            eigen.right[i] = mine.right
+            eigen.frequencies[i] = mine.frequencies
+            self.rates[i] = part.category_rates()[0]
+        self._versions = versions
+
+    def tip(self, row: int) -> np.ndarray:
+        """Stacked 0/1 tip vectors of one taxon row: ``(g, patterns, states)``."""
+        tip = self._tips.get(row)
+        if tip is None:
+            masks = np.stack([p.patterns[row] for p in self.parts])
+            tip = self._tips[row] = self.parts[0].alphabet.tip_vectors(masks)
+        return tip
+
+    def side(self, ref: Ref) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(clv or tip, scale or None)`` of one operand reference."""
+        if isinstance(ref, tuple):
+            try:
+                return self.clvs[ref]
+            except KeyError:
+                raise LikelihoodError(
+                    f"missing CLV ({ref[0]}->{ref[1]})") from None
+        return self.tip(ref), None
+
+    def rows_of(self, mask: frozenset[int] | None) -> list[int] | None:
+        """Rows of the members in ``mask``; ``None`` for every row (what a
+        ``None`` mask means too), ``[]`` for no row."""
+        if mask is None:
+            return None
+        rows = [i for i, p in enumerate(self.partitions) if p in mask]
+        return None if len(rows) == len(self.partitions) else rows
+
+    # ------------------------------------------------------------------ #
+    # kernels
+    # ------------------------------------------------------------------ #
+    def newview(self, key: tuple[int, int], a: Ref, b: Ref, ta: np.ndarray,
+                tb: np.ndarray, prof, rows: list[int] | None = None) -> None:
+        """Compute and store ``clv(key)`` from the children ``a`` and ``b``
+        over branches ``ta`` and ``tb``.
+
+        With ``rows``, only those rows are computed and written into the
+        stored entry (the others are still valid there); a row's result is
+        bitwise the same either way.
+        """
+        self.refresh()
+        eigen, rates, sets = self.eigen, self.rates, self.branch_sets
+        clv_a, scale_a = self.side(a)
+        clv_b, scale_b = self.side(b)
+        partitions = self.partitions
+        if rows is not None:
+            eigen = EigenSystem(eigen.eigenvalues[rows], eigen.left[rows],
+                                eigen.right[rows], eigen.frequencies[rows])
+            rates, sets = rates[rows], sets[rows]
+            clv_a, clv_b = clv_a[rows], clv_b[rows]
+            scale_a = None if scale_a is None else scale_a[rows]
+            scale_b = None if scale_b is None else scale_b[rows]
+            partitions = tuple(partitions[i] for i in rows)
+        g = len(partitions)
+        t0 = prof.begin()
+        p_a = kernel.pmatrices(eigen, ta[sets], rates)
+        p_b = kernel.pmatrices(eigen, tb[sets], rates)
+        prof.end_stack(t0, "pmatrix", partitions, 2 * rates.shape[1], count=2,
+                       alloc=(p_a.nbytes + p_b.nbytes) // g,
+                       n_states=self.n_states, site_specific=self.site_specific)
+        t0 = prof.begin()
+        clv, scale = kernel.newview(p_a, clv_a, scale_a, p_b, clv_b, scale_b,
+                                    site_specific=self.site_specific)
+        nbytes = clv.nbytes + scale.nbytes
+        old = self.clvs.get(key)
+        if rows is None:
+            self.clvs[key] = (clv, scale)
+            self.live_bytes += nbytes
+            if old is not None:
+                self.live_bytes -= old[0].nbytes + old[1].nbytes
+            self.peak_bytes = max(self.peak_bytes, self.live_bytes)
+        else:
+            old[0][rows] = clv
+            old[1][rows] = scale
+        prof.end_stack(t0, "newview", partitions, self.unit, alloc=nbytes // g,
+                       n_states=self.n_states, site_specific=self.site_specific)
+
+    def evaluate(self, u: Ref, v: Ref, t_root: np.ndarray,
+                 prof) -> tuple[np.ndarray, np.ndarray]:
+        """Per-member log likelihoods ``(g,)`` and per-pattern values
+        ``(g, patterns)`` at the virtual root between ``u`` and ``v``."""
+        self.refresh()
+        g = len(self.partitions)
+        t0 = prof.begin()
+        p_root = kernel.pmatrices(self.eigen, t_root[self.branch_sets],
+                                  self.rates)
+        prof.end_stack(t0, "pmatrix", self.partitions, self.rates.shape[1],
+                       alloc=p_root.nbytes // g, n_states=self.n_states,
+                       site_specific=self.site_specific)
+        clv_i, scale_i = self.side(u)
+        clv_j, scale_j = self.side(v)
+        t0 = prof.begin()
+        result = kernel.evaluate_edge(
+            p_root, clv_i, scale_i, clv_j, scale_j, self.eigen.frequencies,
+            self.cat_weights, self.weights, site_specific=self.site_specific)
+        prof.end_stack(t0, "evaluate", self.partitions, self.unit,
+                       n_states=self.n_states, site_specific=self.site_specific)
+        return result
+
+    def sumtable(self, u: Ref, v: Ref, prof) -> np.ndarray:
+        """Eigen-basis sumtable ``(g, patterns, cats, states)`` of the edge."""
+        self.refresh()
+        clv_i, _ = self.side(u)
+        clv_j, _ = self.side(v)
+        t0 = prof.begin()
+        table = kernel.sumtable(self.eigen, clv_i, clv_j)
+        prof.end_stack(t0, "sumtable", self.partitions, self.unit,
+                       alloc=table.nbytes // len(self.partitions),
+                       n_states=self.n_states, site_specific=self.site_specific)
+        return table
+
+    def derivatives(self, table: np.ndarray, t: np.ndarray,
+                    prof) -> tuple[np.ndarray, np.ndarray]:
+        """Per-member first and second log-likelihood derivatives at the
+        branch lengths ``t`` (one per branch set)."""
+        self.refresh()
+        t0 = prof.begin()
+        _, d1, d2 = kernel.derivatives_from_sumtable(
+            self.eigen, table, t[self.branch_sets], self.rates,
+            self.cat_weights, self.weights)
+        prof.end_stack(t0, "derivative", self.partitions, self.unit,
+                       n_states=self.n_states, site_specific=self.site_specific)
+        return d1, d2
+
+    # ------------------------------------------------------------------ #
+    # CLV store
+    # ------------------------------------------------------------------ #
+    def drop(self, keys=None) -> tuple[int, int]:
+        """Evict the stored CLVs of ``keys`` (all when ``None``); returns
+        ``(per-partition entries, bytes)`` evicted."""
+        entries = [self.clvs.pop(k, None)
+                   for k in (list(self.clvs) if keys is None else keys)]
+        entries = [e for e in entries if e is not None]
+        nbytes = sum(clv.nbytes + scale.nbytes for clv, scale in entries)
+        self.live_bytes -= nbytes
+        self.evictions += len(entries)
+        self.evicted_bytes += nbytes
+        return len(entries) * len(self.partitions), nbytes
+
+
+def build_stacks(parts: list) -> list[PartitionStack]:
+    """Group the partitions with local patterns by array shape, in order
+    of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for i, part in enumerate(parts):
+        if part.n_patterns == 0:
+            continue
+        shape = (part.n_patterns, part.pattern_scale, part.n_cats,
+                 part.model.n_states, type(part.rate_het))
+        groups.setdefault(shape, []).append(i)
+    return [PartitionStack(members, parts) for members in groups.values()]
+
+
+def clv_stats(stacks: list[PartitionStack], n_partitions: int) -> list[dict[str, int]]:
+    """Per-partition CLV memory accounting: a partition's share of its
+    stack's arrays (their bytes over the stack's rows); zeros for a
+    partition in no stack."""
+    stats = [{"partition": p, "entries": 0, "live_bytes": 0, "peak_bytes": 0,
+              "evictions": 0, "evicted_bytes": 0} for p in range(n_partitions)]
+    for stack in stacks:
+        g = len(stack.partitions)
+        for p in stack.partitions:
+            stats[p].update(
+                entries=len(stack.clvs), live_bytes=stack.live_bytes // g,
+                peak_bytes=stack.peak_bytes // g, evictions=stack.evictions,
+                evicted_bytes=stack.evicted_bytes // g)
+    return stats

@@ -30,6 +30,7 @@ from repro.errors import ModelError
 __all__ = [
     "EigenSystem",
     "SubstitutionModel",
+    "fill_eigen_caches",
     "GTR",
     "JC69",
     "K80",
@@ -88,6 +89,60 @@ class EigenSystem:
         return clv @ self.right.T
 
 
+def _rate_matrices(rates: np.ndarray, frequencies: np.ndarray) -> np.ndarray:
+    """Normalized rate matrices ``(k, n, n)`` of ``k`` models given as rows
+    of ``rates`` ``(k, n(n-1)/2)`` and ``frequencies`` ``(k, n)``."""
+    k, n = frequencies.shape
+    r = np.zeros((k, n, n))
+    upper = np.triu_indices(n, k=1)
+    r[:, upper[0], upper[1]] = rates
+    r = r + r.transpose(0, 2, 1)
+    q = r * frequencies[:, None, :]
+    diag = np.arange(n)
+    q[:, diag, diag] = 0.0
+    # Row sums and the normalizing dot product are taken as running sums:
+    # those add in one fixed order whatever ``k`` and the memory layout are
+    # (a reduction or a BLAS dot may not), and a model must decompose to
+    # the same bits alone or stacked.
+    q[:, diag, diag] = -q.cumsum(axis=2)[:, :, -1]
+    # normalize: expected substitutions per unit time = -Σ π_i q_ii = 1
+    mu = -(frequencies * q[:, diag, diag]).cumsum(axis=1)[:, -1]
+    if np.any(mu <= 0):  # pragma: no cover - defensive
+        raise ModelError("degenerate rate matrix")
+    return q / mu[:, None, None]
+
+
+def fill_eigen_caches(models) -> None:
+    """Decompose every model of ``models`` (all of one state count) that
+    has no cached :class:`EigenSystem`, with one stacked ``eigh``.
+
+    Every step is elementwise, a per-row reduction or a per-matrix LAPACK
+    call, so a model's eigensystem is bit for bit the same whether it is
+    decomposed alone (:meth:`SubstitutionModel.eigen`) or with others —
+    what lets a likelihood decompose the models of a whole partition stack
+    at once after a parameter update.
+    """
+    todo = [m for m in models if m._eigen is None]
+    if not todo:
+        return
+    pi = np.stack([m.frequencies for m in todo])
+    q = _rate_matrices(np.stack([m.rates for m in todo]), pi)
+    sqrt_pi = np.sqrt(pi)
+    b = (sqrt_pi[:, :, None] * q) / sqrt_pi[:, None, :]
+    b = 0.5 * (b + b.transpose(0, 2, 1))  # symmetrize against round-off
+    lam, v = np.linalg.eigh(b)
+    # Clamp the (analytically zero) top eigenvalue exactly to 0 so that
+    # P(t) rows sum to one even for huge t.
+    lam = np.minimum(lam, 0.0)
+    lam[np.arange(len(todo)), np.argmax(lam, axis=1)] = 0.0
+    left = v / sqrt_pi[:, :, None]
+    right = v.transpose(0, 2, 1) * sqrt_pi[:, None, :]
+    for i, model in enumerate(todo):
+        model._eigen = EigenSystem(
+            eigenvalues=lam[i], left=left[i], right=right[i], frequencies=pi[i]
+        )
+
+
 class SubstitutionModel:
     """A GTR-family substitution model over an ``n_states`` alphabet.
 
@@ -117,10 +172,13 @@ class SubstitutionModel:
             raise ModelError(f"exchangeabilities must be >= {_MIN_RATE}")
         if np.any(frequencies < _MIN_FREQ):
             raise ModelError(f"frequencies must be >= {_MIN_FREQ}")
-        if not np.isclose(frequencies.sum(), 1.0, atol=1e-6):
-            raise ModelError(f"frequencies sum to {frequencies.sum()}, not 1")
+        total = frequencies.sum()
+        # np.isclose(total, 1.0, atol=1e-6) without its array machinery: a
+        # model is built per partition per GTR optimization step
+        if not abs(total - 1.0) <= 1e-6 + 1e-5:
+            raise ModelError(f"frequencies sum to {total}, not 1")
         self.rates = rates.copy()
-        self.frequencies = frequencies / frequencies.sum()
+        self.frequencies = frequencies / total
         self._eigen: EigenSystem | None = None
 
     @property
@@ -130,44 +188,28 @@ class SubstitutionModel:
     # ------------------------------------------------------------------ #
     def rate_matrix(self) -> np.ndarray:
         """The normalized rate matrix Q (rows sum to 0, mean rate 1)."""
-        n = self.n_states
-        r = np.zeros((n, n))
-        iu = np.triu_indices(n, k=1)
-        r[iu] = self.rates
-        r = r + r.T
-        q = r * self.frequencies[None, :]
-        np.fill_diagonal(q, 0.0)
-        np.fill_diagonal(q, -q.sum(axis=1))
-        # normalize: expected substitutions per unit time = -Σ π_i q_ii = 1
-        mu = -np.dot(self.frequencies, np.diag(q))
-        if mu <= 0:  # pragma: no cover - defensive
-            raise ModelError("degenerate rate matrix")
-        return q / mu
+        return _rate_matrices(self.rates[None, :], self.frequencies[None, :])[0]
 
     def eigen(self) -> EigenSystem:
         """Cached eigen-decomposition of the normalized rate matrix."""
         if self._eigen is None:
-            q = self.rate_matrix()
-            pi = self.frequencies
-            sqrt_pi = np.sqrt(pi)
-            b = (sqrt_pi[:, None] * q) / sqrt_pi[None, :]
-            b = 0.5 * (b + b.T)  # symmetrize against round-off
-            lam, v = np.linalg.eigh(b)
-            # Clamp the (analytically zero) top eigenvalue exactly to 0 so
-            # that P(t) rows sum to one even for huge t.
-            lam = np.minimum(lam, 0.0)
-            lam[np.argmax(lam)] = 0.0
-            left = v / sqrt_pi[:, None]
-            right = v.T * sqrt_pi[None, :]
-            self._eigen = EigenSystem(
-                eigenvalues=lam, left=left, right=right, frequencies=pi.copy()
-            )
+            fill_eigen_caches([self])
         return self._eigen
 
     # ------------------------------------------------------------------ #
     def with_rates(self, rates: np.ndarray) -> "SubstitutionModel":
-        """New model with replaced exchangeabilities (frequencies kept)."""
-        return SubstitutionModel(rates, self.frequencies)
+        """New model with replaced exchangeabilities; the frequencies are
+        kept bit for bit.
+
+        Normalizing an already normalized vector again can move it by an
+        ulp, and equal parameters must give equal likelihoods: the
+        optimizers compare a partition's likelihood before and after a
+        line search with ``<``, and a search that ends where it started
+        must read as "not worse".
+        """
+        model = SubstitutionModel(rates, self.frequencies)
+        model.frequencies = self.frequencies
+        return model
 
     def with_frequencies(self, frequencies: np.ndarray) -> "SubstitutionModel":
         """New model with replaced frequencies (exchangeabilities kept)."""

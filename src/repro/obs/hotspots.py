@@ -9,18 +9,20 @@ individual kernel operations of Felsenstein pruning:
 
 Three layers:
 
-* :class:`OpProfiler` — a per-rank *aggregating* profiler.  The kernel
-  hot loops bracket each operation with ``t0 = prof.begin()`` /
-  ``prof.end(t0, op, partition, units, ...)``; the profiler accumulates
-  wall-nanoseconds, invocation counts, pattern·category work units and
-  allocated bytes per ``(op, partition)`` key.  Aggregation (instead of
+* :class:`OpProfiler` — a per-rank *aggregating* profiler.  The
+  partition stacks bracket each kernel region with ``t0 = prof.begin()``
+  / ``prof.end_stack(t0, op, partitions, units, ...)``; the profiler
+  accumulates wall-nanoseconds, invocation counts, pattern·category work
+  units and allocated bytes, read back per ``(op, partition)`` — a region
+  that computed eight partitions is eight calls, each with an eighth of
+  its time, at the cost of one accumulator update.  Aggregation (instead of
   one span per op) keeps a long search from blowing out the tracer ring
   buffer: the whole profile flushes as a handful of summary spans.
   ``units`` uses the *same* virtual-pattern accounting as
   :class:`~repro.par.ledger.WorkLedger` (``cost_patterns × n_cats`` per
   invocation), so modeled FLOPs derived from the profile match the work
   ledger exactly.  :data:`NULL_OP_PROFILER` is the disabled path:
-  ``begin()`` returns 0 without reading a clock and ``end()`` is a
+  ``begin()`` returns 0 without reading a clock and ``end_stack()`` is a
   no-op, the same zero-cost discipline as
   :data:`~repro.obs.tracer.NULL_TRACER`.  All clock reads live here (in
   ``obs``), so the engines' hot loops contain no wall-clock calls —
@@ -109,34 +111,40 @@ class OpProfiler:
     __slots__ = ("_acc", "_meta")
 
     def __init__(self) -> None:
-        # (op, partition) -> [wall_ns, count, units, alloc_bytes]
-        self._acc: dict[tuple[str, int], list[float]] = {}
-        # (op, partition) -> (n_states, site_specific)
-        self._meta: dict[tuple[str, int], tuple[int, bool]] = {}
+        # (op, partitions) -> [wall_ns, count, units, alloc_bytes]: the time
+        # of the whole region, the other three per partition
+        self._acc: dict[tuple[str, tuple[int, ...]], list[float]] = {}
+        # (op, partitions) -> (n_states, site_specific)
+        self._meta: dict[tuple[str, tuple[int, ...]], tuple[int, bool]] = {}
 
     def begin(self) -> int:
         """Start timestamp for one kernel region."""
         return time.perf_counter_ns()
 
-    def end(
+    def end_stack(
         self,
         t0: int,
         op: str,
-        partition: int,
+        partitions: tuple[int, ...],
         units: float,
         count: int = 1,
         alloc: int = 0,
         n_states: int = 4,
         site_specific: bool = False,
     ) -> None:
-        """Account one timed kernel region.
+        """Account one timed kernel region that computed ``partitions``
+        together (a partition stack).
 
-        ``units`` is the modeled work in the op's unit (pattern·category
-        for CLV ops, matrices for ``pmatrix``); ``alloc`` the bytes of
-        arrays the region allocated (CLVs, sumtables, P matrices).
+        One call still means one ``(op, partition)`` update: every
+        partition is charged ``count`` calls, ``units`` of modeled work in
+        the op's unit (pattern·category for CLV ops, matrices for
+        ``pmatrix``) and ``alloc`` bytes of allocated arrays (CLVs,
+        sumtables, P matrices), and an even share of the elapsed time.
+        The region costs one accumulator update however many partitions it
+        covers; they are told apart when the totals are read.
         """
         now = time.perf_counter_ns()
-        key = (op, partition)
+        key = (op, partitions)
         acc = self._acc.get(key)
         if acc is None:
             self._acc[key] = [float(now - t0), float(count), float(units),
@@ -148,36 +156,56 @@ class OpProfiler:
             acc[2] += units
             acc[3] += alloc
 
+    def end(self, t0: int, op: str, partition: int, units: float,
+            count: int = 1, alloc: int = 0, n_states: int = 4,
+            site_specific: bool = False) -> None:
+        """Account one timed kernel region of a single partition."""
+        self.end_stack(t0, op, (partition,), units, count, alloc, n_states,
+                       site_specific)
+
+    def _per_partition(self) -> dict[tuple[str, int], list[float]]:
+        """Totals per ``(op, partition)``: ``[wall_ns, count, units,
+        alloc_bytes, n_states, site_specific]``."""
+        out: dict[tuple[str, int], list[float]] = {}
+        for (op, partitions), acc in self._acc.items():
+            share = acc[0] / len(partitions)
+            for partition in partitions:
+                mine = out.get((op, partition))
+                if mine is None:
+                    out[(op, partition)] = [share, *acc[1:],
+                                            *self._meta[(op, partitions)]]
+                else:
+                    mine[0] += share
+                    for i in (1, 2, 3):
+                        mine[i] += acc[i]
+        return out
+
     def records(self) -> list[dict[str, Any]]:
         """Accumulated totals as JSON-safe dicts, one per (op, partition)."""
-        out = []
-        for (op, partition), acc in sorted(self._acc.items()):
-            n_states, site_specific = self._meta[(op, partition)]
-            out.append({
-                "op": op,
-                "partition": partition,
-                "wall_ns": int(acc[0]),
-                "count": int(acc[1]),
-                "units": acc[2],
-                "alloc_bytes": acc[3],
-                "n_states": n_states,
-                "site_specific": site_specific,
-            })
-        return out
+        return [{
+            "op": op,
+            "partition": partition,
+            "wall_ns": int(acc[0]),
+            "count": int(acc[1]),
+            "units": acc[2],
+            "alloc_bytes": acc[3],
+            "n_states": acc[4],
+            "site_specific": acc[5],
+        } for (op, partition), acc in sorted(self._per_partition().items())]
 
     def units(self, op: str, partition: int | None = None) -> float:
         """Accumulated work units for one op (optionally one partition) —
         directly comparable to ``WorkLedger.pattern_ops``."""
         return sum(
             acc[2]
-            for (kind, p), acc in self._acc.items()
+            for (kind, p), acc in self._per_partition().items()
             if kind == op and (partition is None or p == partition)
         )
 
     def invocations(self, op: str, partition: int | None = None) -> int:
         return int(sum(
             acc[1]
-            for (kind, p), acc in self._acc.items()
+            for (kind, p), acc in self._per_partition().items()
             if kind == op and (partition is None or p == partition)
         ))
 
@@ -186,12 +214,13 @@ class OpProfiler:
         self._meta.clear()
 
     def __len__(self) -> int:
-        return len(self._acc)
+        return len(self._per_partition())
 
 
 class NullOpProfiler:
-    """Profiling disabled: ``begin()`` reads no clock, ``end()`` is a
-    no-op — the kernels keep their instrumentation unconditional."""
+    """Profiling disabled: ``begin()`` reads no clock, ``end()`` and
+    ``end_stack()`` are no-ops — the kernels keep their instrumentation
+    unconditional."""
 
     enabled = False
 
@@ -199,6 +228,11 @@ class NullOpProfiler:
 
     def begin(self) -> int:
         return 0
+
+    def end_stack(self, t0: int, op: str, partitions: tuple[int, ...],
+                  units: float, count: int = 1, alloc: int = 0,
+                  n_states: int = 4, site_specific: bool = False) -> None:
+        return None
 
     def end(self, t0: int, op: str, partition: int, units: float,
             count: int = 1, alloc: int = 0, n_states: int = 4,

@@ -192,7 +192,7 @@ class TracedExecutor(DescriptorExecutor):
             self.metrics.counter("clv.evictions").inc(count)
             # cumulative bytes freed so far (gauge: merge keeps the max)
             self.metrics.gauge("clv.freed_bytes").set(
-                float(sum(self._clv_evicted_bytes)))
+                float(sum(stack.evicted_bytes for stack in self.stacks)))
         self.tracer.instant("clv_evict", kind=KIND_KERNEL,
                             count=count, nbytes=nbytes)
 

@@ -177,15 +177,7 @@ def restore_into(lik, meta: dict, arrays: dict[str, np.ndarray]):
 
     # swap the restored tree into the likelihood
     lik.tree = new_tree
-    lik._memo_counter = -1
-    for p in range(lik.n_partitions):
-        lik._stamps[p].clear()
-        lik._clv[p].clear()
-        lik._memo[p].clear()
-    if hasattr(lik, "_ucache"):  # stacked implementation
-        lik._ucache.clear()
-        lik._umemo.clear()
-        lik._stack_valid = False
+    lik.drop_clvs()
 
     for i, pm in enumerate(meta["partitions"]):
         part = lik.parts[i]

@@ -111,9 +111,9 @@ class Alphabet:
     def tip_vectors(self, masks: np.ndarray) -> np.ndarray:
         """Expand bit masks into 0/1 tip conditional-likelihood rows.
 
-        Returns an array of shape ``(len(masks), n_states)`` of float64.
+        Returns a float64 array of shape ``masks.shape + (n_states,)``.
         """
-        bits = (masks[:, None] >> np.arange(self.n_states)[None, :]) & 1
+        bits = (masks[..., None] >> np.arange(self.n_states)) & 1
         return bits.astype(np.float64)
 
     def state_index(self, char: str) -> int:

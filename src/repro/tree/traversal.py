@@ -26,6 +26,7 @@ from repro.tree.topology import Node, Tree
 __all__ = [
     "TraversalOp",
     "TraversalDescriptor",
+    "EdgeDescriptor",
     "traversal_for_edge",
     "full_traversal",
     "directed_clv_keys",
@@ -66,6 +67,44 @@ class TraversalDescriptor:
         """
         per_op = 4 * 4 + 2 * 8 * n_branch_sets
         return 4 + per_op * len(self.ops)
+
+
+class EdgeDescriptor:
+    """The CLV updates one edge needs, derived once for all partitions.
+
+    ``ops`` are dependency-ordered and ``masks[i]`` is the set of
+    partitions op ``i`` must be recomputed for — ``None`` for all of them,
+    the common case; a subset when only some partitions' models changed.
+    An op's mask contains its children's, so the ops of any one partition
+    are themselves a dependency-ordered descriptor: the object reads as
+    the list of per-partition :class:`TraversalDescriptor` (built on
+    demand), and ``ops`` is the longest of them — what fork-join puts on
+    the wire.
+    """
+
+    def __init__(self, ops: list[TraversalOp],
+                 masks: list[frozenset[int] | None], n_partitions: int) -> None:
+        self.ops = ops
+        self.masks = masks
+        self.n_partitions = n_partitions
+
+    def __len__(self) -> int:
+        return self.n_partitions
+
+    def __getitem__(self, p: int) -> TraversalDescriptor:
+        if not 0 <= p < self.n_partitions:
+            raise IndexError(p)
+        return TraversalDescriptor(
+            [op for op, mask in zip(self.ops, self.masks)
+             if mask is None or p in mask])
+
+    def op_counts(self) -> list[int]:
+        """How many ops each partition takes part in."""
+        counts = [sum(mask is None for mask in self.masks)] * self.n_partitions
+        for mask in self.masks:
+            for p in mask or ():
+                counts[p] += 1
+        return counts
 
 
 def directed_clv_keys(tree: Tree) -> list[tuple[int, int]]:

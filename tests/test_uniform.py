@@ -1,15 +1,18 @@
-"""Stacked-partition (uniform) implementation vs the per-partition
-reference: must agree to float64 tolerance on every operation."""
+"""The stacked likelihood on a uniform dataset (equal pattern counts: all
+partitions in one stack) vs the per-partition reference backend of
+``reference_likelihood.py``: must agree to float64 tolerance on every
+operation, and through the optimizers and the search."""
 
 import numpy as np
 import pytest
 
-from repro.errors import LikelihoodError
+from reference_likelihood import ReferenceBackend
+
+from repro.bench import _uncompressed_likelihood
 from repro.likelihood.backend import SequentialBackend
 from repro.likelihood.optimize_branch import smooth_all_branches
 from repro.likelihood.optimize_model import optimize_model
 from repro.likelihood.partitioned import PartitionedLikelihood
-from repro.likelihood.uniform import UniformPartitionedLikelihood
 from repro.search.search import SearchConfig, hill_climb
 from repro.datasets import partitioned_workload
 
@@ -19,22 +22,16 @@ def workload():
     return partitioned_workload(6, n_taxa=10, sites_per_partition=25)
 
 
+def _copies(parts):
+    return [p.subset(np.arange(p.n_patterns)) for p in parts]
+
+
 def build_pair(workload, mode, per_partition=False):
-    """(reference backend, uniform backend) on identical uncompressed data."""
-    t1 = workload.tree.copy()
-    uni = UniformPartitionedLikelihood.build_uniform(
-        workload.alignment, t1, scheme=workload.scheme, rate_mode=mode,
-        per_partition_branches=per_partition,
-        pattern_scale=workload.pattern_scale,
-    )
-    t2 = workload.tree.copy()
-    if per_partition:
-        t2.set_n_branch_sets(len(workload.scheme))
-    ref = PartitionedLikelihood(
-        t2, [p.subset(np.arange(p.n_patterns)) for p in uni.parts],
-        uni.taxa,
-    )
-    return SequentialBackend(ref), SequentialBackend(uni)
+    """(reference backend, stacked backend) on identical uncompressed data."""
+    uni = _uncompressed_likelihood(workload, mode, per_partition)
+    assert len(uni.stacks) == 1 and len(uni.stacks[0].partitions) == 6
+    return (ReferenceBackend(uni.tree.copy(), _copies(uni.parts), uni.taxa),
+            SequentialBackend(uni))
 
 
 @pytest.mark.parametrize("mode", ["gamma", "psr", "none"])
@@ -72,7 +69,7 @@ class TestEquivalence:
             u, v = be.tree.edges()[0]
             outs.append(optimize_model(be, u, v, alpha_iterations=18,
                                        psr_candidates=6, optimize_rates=False))
-        # the stacked einsums contract in a different order, so golden-
+        # the stacked matmuls contract in a different order, so golden-
         # section comparisons of nearly-equal likelihoods may bracket into
         # different halves mid-search; once converged both reach the same
         # optimum to optimizer (not bitwise) tolerance
@@ -117,33 +114,37 @@ class TestPerPartitionBranches:
 
 
 class TestPreconditions:
-    def test_rejects_mixed_rate_models(self, workload):
-        tree = workload.tree.copy()
-        uni = UniformPartitionedLikelihood.build_uniform(
-            workload.alignment, tree, scheme=workload.scheme, rate_mode="gamma"
-        )
+    """What the uniform class refused, the one class stacks by shape."""
+
+    def test_mixed_rate_models_split_into_stacks(self, workload):
         from repro.model.rates import PerSiteRates
 
-        parts = [p.subset(np.arange(p.n_patterns)) for p in uni.parts]
+        uni = _uncompressed_likelihood(workload, "gamma")
+        parts = _copies(uni.parts)
         parts[0].rate_het = PerSiteRates(n_patterns=parts[0].n_patterns)
-        with pytest.raises(LikelihoodError, match="flavor"):
-            UniformPartitionedLikelihood(workload.tree.copy(), parts, uni.taxa)
+        lik = PartitionedLikelihood(uni.tree.copy(), parts, uni.taxa)
+        assert [s.partitions for s in lik.stacks] == [(0,), (1, 2, 3, 4, 5)]
+        ref = ReferenceBackend(lik.tree.copy(), _copies(parts), uni.taxa)
+        u, v = lik.tree.edges()[0]
+        _, per_part, _ = lik.evaluate(u, v)
+        assert np.allclose(per_part, ref.evaluate(*ref.tree.edges()[0])[1],
+                           rtol=1e-12)
 
-    def test_rejects_ragged_patterns(self, workload):
-        tree = workload.tree.copy()
-        uni = UniformPartitionedLikelihood.build_uniform(
-            workload.alignment, tree, scheme=workload.scheme, rate_mode="gamma"
-        )
-        parts = [p.subset(np.arange(p.n_patterns)) for p in uni.parts]
+    def test_ragged_patterns_split_into_stacks(self, workload):
+        uni = _uncompressed_likelihood(workload, "gamma")
+        parts = _copies(uni.parts)
         parts[0] = parts[0].subset(np.arange(3))
-        with pytest.raises(LikelihoodError, match="equal pattern counts"):
-            UniformPartitionedLikelihood(workload.tree.copy(), parts, uni.taxa)
+        lik = PartitionedLikelihood(uni.tree.copy(), parts, uni.taxa)
+        assert [s.partitions for s in lik.stacks] == [(0,), (1, 2, 3, 4, 5)]
+        ref = ReferenceBackend(lik.tree.copy(), _copies(parts), uni.taxa)
+        u, v = lik.tree.edges()[0]
+        _, per_part, _ = lik.evaluate(u, v)
+        assert np.allclose(per_part, ref.evaluate(*ref.tree.edges()[0])[1],
+                           rtol=1e-12)
 
     def test_gc_bounds_cache(self, workload):
-        tree = workload.tree.copy()
-        uni = UniformPartitionedLikelihood.build_uniform(
-            workload.alignment, tree, scheme=workload.scheme, rate_mode="none"
-        )
+        uni = _uncompressed_likelihood(workload, "none")
+        tree = uni.tree
         be = SequentialBackend(uni)
         for u, v in tree.edges():
             be.evaluate(u, v)
@@ -151,4 +152,4 @@ class TestPreconditions:
         for i in range(6):
             uni.set_gtr_rates(0, np.array([1, 1, 1, 1, 1 + i * 0.1, 1.0]))
             be.evaluate(*tree.edges()[0])
-        assert len(uni._ucache) <= 4 * 2 * tree.n_edges
+        assert uni.clv_stats()[0]["entries"] <= 3 * (len(uni.taxa) - 2)
