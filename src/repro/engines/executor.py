@@ -20,7 +20,7 @@ objects — the same stacks, kernels and accounting the tree-aware
 :class:`~repro.likelihood.partitioned.PartitionedLikelihood` uses — so a
 worker's numbers are bitwise the master's.  Every kernel call is bracketed
 with the attached op profiler (a
-:data:`~repro.obs.hotspots.NULL_OP_PROFILER` by default, whose hooks are
+:data:`~repro.obs.nullprofiler.NULL_OP_PROFILER` by default, whose hooks are
 no-ops and read no clock), and the CLV store carries live/peak byte
 accounting per partition for memory attribution.
 """
@@ -32,6 +32,7 @@ import numpy as np
 from repro.errors import CommError, LikelihoodError
 from repro.likelihood.partitioned import PartitionData
 from repro.likelihood.stack import build_stacks, clv_stats
+from repro.obs.nullprofiler import NULL_OP_PROFILER
 
 __all__ = ["DescriptorExecutor"]
 
@@ -50,10 +51,6 @@ class DescriptorExecutor:
     def __init__(self, parts: list[PartitionData], node_taxon: dict[int, int]) -> None:
         if not parts:
             raise LikelihoodError("executor needs at least one partition")
-        # Lazy import: repro.obs.hotspots initializes the repro.obs
-        # package, whose instrument module imports this module back.
-        from repro.obs.hotspots import NULL_OP_PROFILER
-
         self.parts = parts
         self.node_taxon = dict(node_taxon)
         self.profiler = NULL_OP_PROFILER

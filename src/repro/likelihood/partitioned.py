@@ -47,6 +47,7 @@ from repro.model.rates import (
     RateHeterogeneity,
 )
 from repro.model.substitution import SubstitutionModel
+from repro.obs.nullprofiler import NULL_OP_PROFILER
 from repro.par.ledger import ComputeItem, OpKind, WorkLedger
 from repro.seq.alignment import Alignment
 from repro.seq.partitions import PartitionScheme
@@ -223,10 +224,6 @@ class PartitionedLikelihood:
                     f"partition {part.name!r} wants branch set {part.branch_set} "
                     f"but tree has {tree.n_branch_sets}"
                 )
-        # Lazy import: repro.obs.hotspots initializes the repro.obs
-        # package, parts of which import back into likelihood/engines.
-        from repro.obs.hotspots import NULL_OP_PROFILER
-
         self.tree = tree
         self.parts = parts
         self.taxa = list(taxa)

@@ -40,217 +40,99 @@ multiprocess runs and closes the loop:
 * :mod:`repro.obs.hotspots` — kernel-level compute observability: the
   per-op :class:`OpProfiler` (wall time, invocations, work units and
   CLV memory per kernel op × partition), analytic FLOP/byte accounting
-  and roofline placement, behind ``repro hotspots``.
+  and roofline placement, behind ``repro hotspots``;
+* :mod:`repro.obs.nullprofiler` — the disabled profiler every likelihood
+  holds by default, in a module of its own that imports nothing.
 
 See ``docs/OBSERVABILITY.md`` for the workflow, and ``repro profile`` /
 ``repro scale`` / ``repro regress`` on the CLI for the one-command
 versions.
 """
 
-from repro.obs.analyze import (
-    CriticalPath,
-    CriticalPathStep,
-    RankBreakdown,
-    TraceAnalysis,
-    analyze_trace,
-    attribute_wait,
-    critical_path,
-    load_imbalance,
-    match_collectives,
-)
-from repro.obs.context import (
-    current_trace_id,
-    new_trace_id,
-    record_service_spans,
-    service_instant,
-    service_span,
-)
-from repro.obs.export import (
-    chrome_trace,
-    merge_job_trace,
-    merge_rank_streams,
-    rank_trace_path,
-    read_jsonl,
-    snapshot_to_prom,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.heartbeat import (
-    DEFAULT_BEAT_INTERVAL,
-    HeartbeatState,
-    HeartbeatWriter,
-    MonitoredComm,
-    heartbeat_path,
-    read_heartbeat,
-    read_heartbeats,
-)
-from repro.obs.hotspots import (
-    CLV_MEMORY_SPAN,
-    CLV_RATIO_MAX,
-    CLV_RATIO_MIN,
-    KERNEL_OP_SPAN,
-    NULL_OP_PROFILER,
-    HotspotReport,
-    NullOpProfiler,
-    OpProfiler,
-    OpStat,
-    build_hotspot_report,
-    emit_kernel_profile,
-)
-from repro.obs.instrument import TracedExecutor, TracingComm
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_snapshots,
-)
-from repro.obs.monitor import (
-    DEFAULT_BEAT_TIMEOUT,
-    DEFAULT_STALL_AFTER,
-    DEFAULT_STRAGGLER_AFTER,
-    Diagnosis,
-    Monitor,
-    MonitorThread,
-    RankHealth,
-    diagnose,
-    format_watch_table,
-    watch_loop,
-)
-from repro.obs.metrics import histogram_quantile
-from repro.obs.progress import (
-    NULL_PROGRESS,
-    NullProgress,
-    ProgressReporter,
-    ProgressStream,
-    progress_path,
-    read_progress,
-    read_progress_since,
-)
-from repro.obs.slo import (
-    JobStats,
-    SloReport,
-    collect_job_stats,
-    compute_slo,
-    percentile,
-)
-from repro.obs.reconcile import (
-    DECENTRALIZED_REL_TOL,
-    FORKJOIN_REL_TOL,
-    CategoryDelta,
-    ReconcileReport,
-    modeled_byte_totals,
-    reconcile,
-    reconcile_live_run,
-)
-from repro.obs.registry import (
-    RunRegistry,
-    compare_runs,
-    format_compare_table,
-    runs_root,
-)
-from repro.obs.regress import (
-    GateReport,
-    GateRow,
-    bench_metrics,
-    compare_to_baselines,
-    load_baselines,
-)
-from repro.obs.scaling import ScalePoint, ScalingResult, run_scaling
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
+import importlib
 
-__all__ = [
-    "TraceAnalysis",
-    "RankBreakdown",
-    "CriticalPath",
-    "CriticalPathStep",
-    "analyze_trace",
-    "attribute_wait",
-    "critical_path",
-    "load_imbalance",
-    "match_collectives",
-    "snapshot_to_prom",
-    "GateReport",
-    "GateRow",
-    "bench_metrics",
-    "compare_to_baselines",
-    "load_baselines",
-    "ScalePoint",
-    "ScalingResult",
-    "run_scaling",
-    "Span",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "merge_snapshots",
-    "histogram_quantile",
-    "TracingComm",
-    "TracedExecutor",
-    "KERNEL_OP_SPAN",
-    "CLV_MEMORY_SPAN",
-    "CLV_RATIO_MIN",
-    "CLV_RATIO_MAX",
-    "OpProfiler",
-    "NullOpProfiler",
-    "NULL_OP_PROFILER",
-    "OpStat",
-    "HotspotReport",
-    "build_hotspot_report",
-    "emit_kernel_profile",
-    "chrome_trace",
-    "merge_job_trace",
-    "merge_rank_streams",
-    "rank_trace_path",
-    "read_jsonl",
-    "write_chrome_trace",
-    "write_jsonl",
-    "CategoryDelta",
-    "ReconcileReport",
-    "modeled_byte_totals",
-    "reconcile",
-    "reconcile_live_run",
-    "DECENTRALIZED_REL_TOL",
-    "FORKJOIN_REL_TOL",
-    "DEFAULT_BEAT_INTERVAL",
-    "HeartbeatState",
-    "HeartbeatWriter",
-    "MonitoredComm",
-    "heartbeat_path",
-    "read_heartbeat",
-    "read_heartbeats",
-    "NULL_PROGRESS",
-    "NullProgress",
-    "ProgressReporter",
-    "ProgressStream",
-    "progress_path",
-    "read_progress",
-    "read_progress_since",
-    "current_trace_id",
-    "new_trace_id",
-    "record_service_spans",
-    "service_instant",
-    "service_span",
-    "JobStats",
-    "SloReport",
-    "collect_job_stats",
-    "compute_slo",
-    "percentile",
-    "DEFAULT_BEAT_TIMEOUT",
-    "DEFAULT_STALL_AFTER",
-    "DEFAULT_STRAGGLER_AFTER",
-    "Diagnosis",
-    "Monitor",
-    "MonitorThread",
-    "RankHealth",
-    "diagnose",
-    "format_watch_table",
-    "watch_loop",
-    "RunRegistry",
-    "compare_runs",
-    "format_compare_table",
-    "runs_root",
-]
+#: submodule -> the names it contributes to the package namespace.  They are
+#: resolved on first access (PEP 562), so importing one submodule — `infer`
+#: needs the trace context and the null profiler — does not import the
+#: analysis and reporting half, nor what that pulls in (`repro.perf`,
+#: `repro.engines`).  The function `reconcile` is not among them: the name
+#: is its submodule's, which the import system binds here whenever anything
+#: imports that — call `repro.obs.reconcile.reconcile`.
+_EXPORTS = {
+    "analyze": (
+        "CriticalPath", "CriticalPathStep", "RankBreakdown",
+        "TraceAnalysis", "analyze_trace", "attribute_wait", "critical_path",
+        "load_imbalance", "match_collectives",
+    ),
+    "context": (
+        "current_trace_id", "new_trace_id", "record_service_spans",
+        "service_instant", "service_span",
+    ),
+    "export": (
+        "chrome_trace", "merge_job_trace", "merge_rank_streams",
+        "rank_trace_path", "read_jsonl", "snapshot_to_prom",
+        "write_chrome_trace", "write_jsonl",
+    ),
+    "heartbeat": (
+        "DEFAULT_BEAT_INTERVAL", "HeartbeatState", "HeartbeatWriter",
+        "MonitoredComm", "heartbeat_path", "read_heartbeat",
+        "read_heartbeats",
+    ),
+    "hotspots": (
+        "CLV_MEMORY_SPAN", "CLV_RATIO_MAX", "CLV_RATIO_MIN",
+        "KERNEL_OP_SPAN", "NULL_OP_PROFILER", "HotspotReport",
+        "NullOpProfiler", "OpProfiler", "OpStat", "build_hotspot_report",
+        "emit_kernel_profile",
+    ),
+    "instrument": (
+        "TracedExecutor", "TracingComm",
+    ),
+    "metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "merge_snapshots", "histogram_quantile",
+    ),
+    "monitor": (
+        "DEFAULT_BEAT_TIMEOUT", "DEFAULT_STALL_AFTER",
+        "DEFAULT_STRAGGLER_AFTER", "Diagnosis", "Monitor", "MonitorThread",
+        "RankHealth", "diagnose", "format_watch_table", "watch_loop",
+    ),
+    "progress": (
+        "NULL_PROGRESS", "NullProgress", "ProgressReporter",
+        "ProgressStream", "progress_path", "read_progress",
+        "read_progress_since",
+    ),
+    "reconcile": (
+        "DECENTRALIZED_REL_TOL", "FORKJOIN_REL_TOL", "CategoryDelta",
+        "ReconcileReport", "modeled_byte_totals", "reconcile_live_run",
+    ),
+    "registry": (
+        "RunRegistry", "compare_runs", "format_compare_table", "runs_root",
+    ),
+    "regress": (
+        "GateReport", "GateRow", "bench_metrics", "compare_to_baselines",
+        "load_baselines",
+    ),
+    "scaling": (
+        "ScalePoint", "ScalingResult", "run_scaling",
+    ),
+    "slo": (
+        "JobStats", "SloReport", "collect_job_stats", "compute_slo",
+        "percentile",
+    ),
+    "tracer": (
+        "NULL_TRACER", "NullTracer", "Span", "Tracer",
+    ),
+}
+
+_SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_SUBMODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -21,7 +21,8 @@ Three layers:
   ``units`` uses the *same* virtual-pattern accounting as
   :class:`~repro.par.ledger.WorkLedger` (``cost_patterns × n_cats`` per
   invocation), so modeled FLOPs derived from the profile match the work
-  ledger exactly.  :data:`NULL_OP_PROFILER` is the disabled path:
+  ledger exactly.  :data:`NULL_OP_PROFILER` (defined in the leaf module
+  :mod:`repro.obs.nullprofiler`, re-exported here) is the disabled path:
   ``begin()`` returns 0 without reading a clock and ``end_stack()`` is a
   no-op, the same zero-cost discipline as
   :data:`~repro.obs.tracer.NULL_TRACER`.  All clock reads live here (in
@@ -64,6 +65,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro.obs.nullprofiler import NULL_OP_PROFILER, NullOpProfiler
 from repro.obs.tracer import KIND_KERNEL
 from repro.par.machine import HITS_CLUSTER, MachineSpec
 from repro.perf.costmodel import modeled_bytes, modeled_flops, modeled_gflops
@@ -215,48 +217,6 @@ class OpProfiler:
 
     def __len__(self) -> int:
         return len(self._per_partition())
-
-
-class NullOpProfiler:
-    """Profiling disabled: ``begin()`` reads no clock, ``end()`` and
-    ``end_stack()`` are no-ops — the kernels keep their instrumentation
-    unconditional."""
-
-    enabled = False
-
-    __slots__ = ()
-
-    def begin(self) -> int:
-        return 0
-
-    def end_stack(self, t0: int, op: str, partitions: tuple[int, ...],
-                  units: float, count: int = 1, alloc: int = 0,
-                  n_states: int = 4, site_specific: bool = False) -> None:
-        return None
-
-    def end(self, t0: int, op: str, partition: int, units: float,
-            count: int = 1, alloc: int = 0, n_states: int = 4,
-            site_specific: bool = False) -> None:
-        return None
-
-    def records(self) -> list[dict[str, Any]]:
-        return []
-
-    def units(self, op: str, partition: int | None = None) -> float:
-        return 0.0
-
-    def invocations(self, op: str, partition: int | None = None) -> int:
-        return 0
-
-    def clear(self) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: The shared disabled profiler (default on every executor/likelihood).
-NULL_OP_PROFILER = NullOpProfiler()
 
 
 def emit_kernel_profile(

@@ -638,3 +638,50 @@ class TestReconcileArithmetic:
         doc = report.to_dict()
         assert json.loads(json.dumps(doc)) == doc
         assert doc["worst_rel_error"] == pytest.approx(0.5)
+
+
+class TestLazyPackage:
+    """``repro.obs`` resolves its re-exports on first access, so a plain
+    ``infer`` never imports the analysis and reporting half."""
+
+    def test_every_export_resolves_to_its_submodule(self):
+        import importlib
+
+        import repro.obs
+
+        assert len(repro.obs.__all__) == 92 == len(set(repro.obs.__all__))
+        # a re-export named like a submodule would read as either, depending
+        # on what was imported first
+        assert not set(repro.obs.__all__) & set(repro.obs._EXPORTS)
+        for module, names in repro.obs._EXPORTS.items():
+            submodule = importlib.import_module(f"repro.obs.{module}")
+            for name in names:
+                assert getattr(repro.obs, name) is getattr(submodule, name)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.obs.no_such_name
+
+    def test_infer_setup_leaves_the_report_half_unimported(self):
+        """What ``infer`` does before its search — import the CLI, build a
+        likelihood — in a fresh interpreter."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "\n".join([
+            "import sys",
+            "import repro.cli",
+            "import repro.obs.context",
+            "from repro.datasets import partitioned_workload",
+            "workload = partitioned_workload(2, n_taxa=5, sites_per_partition=12)",
+            "lik = workload.build_likelihood('gamma')",
+            "u, v = lik.tree.edges()[0]",
+            "lik.evaluate(u, v)",
+            "unwanted = ('repro.obs.analyze', 'repro.obs.slo', 'repro.obs.regress',",
+            "            'repro.obs.scaling', 'repro.obs.monitor', 'repro.obs.hotspots',",
+            "            'repro.perf', 'repro.serve', 'repro.analysis', 'repro.supervise')",
+            "loaded = [m for m in sys.modules if m.startswith(unwanted)]",
+            "assert not loaded, loaded",
+        ])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={"PYTHONPATH": str(src)}, timeout=120)
