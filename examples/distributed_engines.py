@@ -10,15 +10,19 @@ Runs the identical search three ways on a small dataset:
    master broadcasting traversal descriptors to tree-agnostic workers;
 
 then compares trees, likelihoods and per-category communication bytes.
+Both distributed runs are one :class:`~repro.engines.launch.RunConfig`
+handed to :func:`~repro.engines.launch.launch`; they differ in the
+``engine`` field only.
 
 Run:  python examples/distributed_engines.py
 """
 
-import numpy as np
+from dataclasses import replace
 
 from repro.engines.launch import (
-    run_decentralized,
-    run_forkjoin,
+    RunConfig,
+    first_survivor,
+    launch,
     run_sequential_reference,
 )
 from repro.likelihood.partitioned import PartitionedLikelihood
@@ -45,8 +49,9 @@ def main() -> None:
     print(f"  logl = {ref.logl:.4f}")
 
     print("de-centralized (ExaML) on 3 processes ...")
-    replicas = run_decentralized(lik.parts, lik.taxa, newick, n_ranks=3,
-                                 config=config)
+    run = RunConfig("decentralized", lik.parts, lik.taxa, newick, n_ranks=3,
+                    config=config)
+    replicas = launch(run)
     consistent = all(
         r.newick == replicas[0].newick and r.logl == replicas[0].logl
         for r in replicas
@@ -58,7 +63,7 @@ def main() -> None:
     })
 
     print("fork-join (RAxML-Light) on 3 processes ...")
-    fj = run_forkjoin(lik.parts, lik.taxa, newick, n_ranks=3, config=config)
+    fj = first_survivor(launch(replace(run, engine="forkjoin")))
     print(f"  logl = {fj.logl:.4f}")
     print("  master bytes by purpose:", {
         k: v for k, v in sorted(fj.bytes_by_tag.items())

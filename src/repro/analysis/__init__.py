@@ -3,7 +3,7 @@
 The decentralized engine relies on every rank running a bitwise-
 identical replica of the tree search (PAPER.md).  This package checks,
 at review time, the code properties that invariant depends on; the
-runtime complement is :class:`repro.par.sanitize.SanitizingComm`.
+runtime complement is :class:`repro.par.sanitize.ReplicaSanitizer`.
 
 Entry points: :func:`analyze_paths` (CLI + tests) and the rule catalog
 in :data:`RULES`.  See ``docs/DETERMINISM.md`` for the rule catalog

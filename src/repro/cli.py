@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -195,13 +196,19 @@ def _cmd_infer(args: argparse.Namespace) -> int:
                   file=sys.stderr)
 
     if args.engine != "sequential":
-        from repro.engines.launch import run_decentralized, run_forkjoin
+        from repro.engines.launch import RunConfig, first_survivor, launch
         from repro.errors import MasterLostError
         from repro.par.faultcomm import FaultPlan
 
-        plan = (FaultPlan.parse(args.inject_failure)
-                if args.inject_failure else None)
-        start_newick = write_newick(tree)
+        run_cfg = RunConfig(
+            args.engine, lik.parts, lik.taxa, write_newick(tree), args.ranks,
+            config=config, dist_kind=args.dist,
+            fault_plan=(FaultPlan.parse(args.inject_failure)
+                        if args.inject_failure else None),
+            detect_timeout=args.detect_timeout, sanitize=args.sanitize,
+            beat_interval=args.beat_interval, cancellable=args.cancellable,
+            trace_dir=trace_dir, trace_id=trace_id,
+        )
 
         if args.supervise:
             # The escalation ladder owns the whole run lifecycle: per-
@@ -218,16 +225,11 @@ def _cmd_infer(args: argparse.Namespace) -> int:
             work_dir = (registry.root / run_id / "supervise"
                         if registry is not None else None)
             supervisor = Supervisor(
-                policy, engine=args.engine, work_dir=work_dir,
-                registry=registry, run_id=run_id, rng=args.seed,
-                detect_timeout=args.detect_timeout, monitor=args.monitor,
-                cancellable=args.cancellable,
-                trace_dir=trace_dir, trace_id=trace_id,
+                policy, work_dir=work_dir, registry=registry, run_id=run_id,
+                rng=args.seed, monitor=args.monitor,
                 log=lambda msg: print(msg, file=sys.stderr),
             )
-            outcome = supervisor.run(
-                lik.parts, lik.taxa, start_newick, args.ranks,
-                config=config, dist_kind=args.dist, fault_plan=plan)
+            outcome = supervisor.run(run_cfg)
             if registry is not None:
                 result = ({"logl": outcome.result.logl,
                            "iterations": outcome.result.iterations,
@@ -300,41 +302,18 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         status, res = "failed", None
         failure = None
         try:
-            if args.engine == "decentralized":
-                replicas = run_decentralized(
-                    lik.parts, lik.taxa, start_newick, n_ranks=args.ranks,
-                    config=config, dist_kind=args.dist, fault_plan=plan,
-                    detect_timeout=args.detect_timeout,
-                    sanitize=args.sanitize,
-                    monitor_dir=monitor_dir,
-                    beat_interval=args.beat_interval,
-                    cancellable=args.cancellable,
-                    trace_dir=trace_dir, trace_id=trace_id,
+            results = launch(replace(run_cfg, monitor_dir=monitor_dir))
+            res = first_survivor(results)
+            if res.failed_ranks:
+                print(
+                    f"rank(s) {list(res.failed_ranks)} failed; recovered "
+                    f"in-run ({res.recoveries} recovery round(s), "
+                    f"{sum(r is not None for r in results)} survivor(s))",
+                    file=sys.stderr,
                 )
-                survivors = [r for r in replicas if r is not None]
-                if not survivors:
-                    raise SystemExit("no surviving replicas")
-                res = survivors[0]
-                if res.failed_ranks:
-                    print(
-                        f"rank(s) {list(res.failed_ranks)} failed; recovered "
-                        f"in-run ({res.recoveries} recovery round(s), "
-                        f"{len(survivors)} survivor(s))",
-                        file=sys.stderr,
-                    )
-            else:
-                res = run_forkjoin(
-                    lik.parts, lik.taxa, start_newick, n_ranks=args.ranks,
-                    config=config, dist_kind=args.dist, fault_plan=plan,
-                    detect_timeout=args.detect_timeout,
-                    monitor_dir=monitor_dir,
-                    beat_interval=args.beat_interval,
-                    cancellable=args.cancellable,
-                    trace_dir=trace_dir, trace_id=trace_id,
-                )
-                if res.restarts:
-                    print(f"worker failure: restarted {res.restarts} time(s) "
-                          f"from checkpoint", file=sys.stderr)
+            if res.restarts:
+                print(f"worker failure: restarted {res.restarts} time(s) "
+                      f"from checkpoint", file=sys.stderr)
             status = "cancelled" if res.cancelled else "completed"
         except MasterLostError as exc:
             # Typed catastrophic outcome: record *why* the run failed
@@ -502,22 +481,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Live 2-engine profiling: trace, export, reconcile."""
+def _traced_runs(args: argparse.Namespace):
+    """The live loop ``profile`` and ``hotspots`` share.
+
+    Per requested engine: a fresh likelihood (the search mutates model
+    state), one launch traced into ``<trace-out>/<engine>``, the rank
+    streams merged.  Yields ``(cfg, results, merged spans, wall seconds,
+    number of rank streams)``.
+    """
     import time
 
-    from repro.engines.launch import run_decentralized, run_forkjoin
+    from repro.engines.launch import RunConfig, launch
     from repro.likelihood.partitioned import PartitionedLikelihood
-    from repro.obs.export import (
-        merge_rank_streams,
-        rank_trace_path,
-        write_chrome_trace,
-    )
-    from repro.obs.reconcile import (
-        DECENTRALIZED_REL_TOL,
-        FORKJOIN_REL_TOL,
-        reconcile_live_run,
-    )
+    from repro.obs.export import merge_rank_streams, rank_trace_path
     from repro.search.search import SearchConfig
     from repro.seq.partitions import read_partition_file
     from repro.tree.newick import write_newick
@@ -530,6 +506,63 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                           radius_max=args.radius)
     engines = (["decentralized", "forkjoin"] if args.engine == "both"
                else [args.engine])
+    for engine in engines:
+        lik = PartitionedLikelihood.build(
+            alignment, tree, scheme=scheme, rate_mode=args.model,
+            per_partition_branches=args.per_partition_branches,
+        )
+        cfg = RunConfig(
+            engine, lik.parts, lik.taxa, write_newick(tree), args.ranks,
+            config=config, dist_kind=args.dist,
+            n_branch_sets=lik.n_branch_sets,
+            trace_dir=Path(args.trace_out) / engine,
+        )
+        # replicheck: ignore[R004] -- driver-side wall-clock benchmarking in the CLI process, outside any replica
+        t0 = time.perf_counter()
+        results = launch(cfg)
+        # replicheck: ignore[R004] -- driver-side wall-clock benchmarking in the CLI process, outside any replica
+        wall_s = time.perf_counter() - t0
+        rank_paths = [rank_trace_path(cfg.trace_dir, r)
+                      for r in range(args.ranks)]
+        rank_paths = [p for p in rank_paths if p.exists()]
+        yield cfg, results, merge_rank_streams(rank_paths), wall_s, len(rank_paths)
+
+
+def _register_bench(args: argparse.Namespace, command: str, bench: dict,
+                    trace_root: Path, **extra) -> None:
+    """Register a completed ``profile``/``hotspots`` run with its bench
+    snapshot: every such run feeds the registry's rolling baseline pool,
+    so ``repro regress`` has history without any CI bookkeeping."""
+    from repro.obs.registry import RunRegistry
+
+    registry = RunRegistry()
+    run_id = registry.register({
+        "command": command,
+        "engine": args.engine,
+        "ranks": args.ranks,
+        "dist": args.dist,
+        "seed": args.seed,
+        "alignment": str(args.alignment),
+        "config": {"iterations": args.iterations,
+                   "radius": args.radius, "model": args.model},
+        "status": "completed",
+        **extra,
+        "trace_dir": str(trace_root),
+    })
+    registry.record_bench(run_id, bench)
+    print(f"run {run_id} registered with bench snapshot under "
+          f"{registry.root}", file=sys.stderr)
+
+
+def _cmd_profile(args: argparse.Namespace) -> int:
+    """Live 2-engine profiling: trace, export, reconcile."""
+    from repro.obs.export import write_chrome_trace
+    from repro.obs.reconcile import (
+        DECENTRALIZED_REL_TOL,
+        FORKJOIN_REL_TOL,
+        reconcile_live_run,
+    )
+
     trace_root = Path(args.trace_out)
     bench: dict = {
         "kind": "obs_profile",
@@ -540,46 +573,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     }
     all_within = True
 
-    for engine in engines:
-        # fresh likelihood per engine: the search mutates model state
-        lik = PartitionedLikelihood.build(
-            alignment, tree, scheme=scheme, rate_mode=args.model,
-            per_partition_branches=args.per_partition_branches,
-        )
-        newick = write_newick(tree)
-        trace_dir = trace_root / engine
-        # replicheck: ignore[R004] -- driver-side wall-clock benchmarking in the CLI process, outside any replica
-        t0 = time.perf_counter()
-        if engine == "decentralized":
-            replicas = run_decentralized(
-                lik.parts, lik.taxa, newick, n_ranks=args.ranks,
-                config=config, dist_kind=args.dist,
-                n_branch_sets=lik.n_branch_sets, trace_dir=trace_dir,
-            )
-            # a non-root replica measures exactly one payload per
-            # allreduce (the model's convention); see obs.reconcile
-            measured_rank = 1 if args.ranks > 1 else 0
-            res = replicas[measured_rank]
-        else:
-            res = run_forkjoin(
-                lik.parts, lik.taxa, newick, n_ranks=args.ranks,
-                config=config, dist_kind=args.dist,
-                n_branch_sets=lik.n_branch_sets, trace_dir=trace_dir,
-            )
-            measured_rank = 0
-        # replicheck: ignore[R004] -- driver-side wall-clock benchmarking in the CLI process, outside any replica
-        wall_s = time.perf_counter() - t0
-
-        rank_paths = [rank_trace_path(trace_dir, r)
-                      for r in range(args.ranks)]
-        rank_paths = [p for p in rank_paths if p.exists()]
-        merged = merge_rank_streams(rank_paths)
+    for cfg, results, merged, wall_s, n_streams in _traced_runs(args):
+        engine = cfg.engine
+        # a non-root replica measures exactly one payload per allreduce
+        # (the model's convention); see obs.reconcile
+        measured_rank = (1 if engine == "decentralized" and args.ranks > 1
+                         else 0)
+        res = results[measured_rank]
         chrome_path = None
         if args.trace_format == "chrome":
-            chrome_path = trace_dir / "trace.chrome.json"
+            chrome_path = Path(cfg.trace_dir) / "trace.chrome.json"
             write_chrome_trace(merged, chrome_path)
         print(f"[{engine}] {args.ranks} ranks, {wall_s:.2f}s wall, "
-              f"{len(merged)} spans from {len(rank_paths)} rank stream(s)"
+              f"{len(merged)} spans from {n_streams} rank stream(s)"
               + (f" -> {chrome_path}" if chrome_path else ""),
               file=sys.stderr)
 
@@ -601,16 +607,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "logl": res.logl,
             "bytes_by_tag": dict(res.bytes_by_tag),
             "n_spans": len(merged),
-            "trace_dir": str(trace_dir),
+            "trace_dir": cfg.trace_dir,
             "wait_share": analysis.wait_share,
             "imbalance": analysis.imbalance,
             "dropped_spans": analysis.dropped_spans,
         }
         if args.reconcile:
             report = reconcile_live_run(
-                lik.parts, lik.taxa, newick, config, engine,
+                cfg.parts, cfg.taxa, cfg.start_newick, cfg.config, engine,
                 res.bytes_by_tag, measured_calls_by_tag=res.calls_by_tag,
-                n_branch_sets=lik.n_branch_sets,
+                n_branch_sets=cfg.n_branch_sets,
                 measured_rank=measured_rank,
             )
             tolerance = args.tolerance
@@ -640,28 +646,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         Path(args.bench_out).write_text(json.dumps(bench, indent=2) + "\n")
         print(f"bench record written to {args.bench_out}", file=sys.stderr)
     if not args.no_register:
-        # every profile run feeds the registry's rolling baseline pool,
-        # so `repro regress` has history without any CI bookkeeping
-        from repro.obs.registry import RunRegistry
-
-        registry = RunRegistry()
-        run_id = registry.register({
-            "command": "profile",
-            "engine": args.engine,
-            "ranks": args.ranks,
-            "dist": args.dist,
-            "seed": args.seed,
-            "alignment": str(args.alignment),
-            "config": {"iterations": args.iterations,
-                       "radius": args.radius, "model": args.model},
-            "status": "completed",
-            "result": {"logl": {e: v["logl"]
-                                for e, v in bench["engines"].items()}},
-            "trace_dir": str(trace_root),
-        })
-        registry.record_bench(run_id, bench)
-        print(f"run {run_id} registered with bench snapshot under "
-              f"{registry.root}", file=sys.stderr)
+        _register_bench(args, "profile", bench, trace_root, result={
+            "logl": {e: v["logl"] for e, v in bench["engines"].items()}})
     if args.reconcile and not all_within:
         print("reconciliation failed: measured bytes deviate from the "
               "comm model beyond tolerance", file=sys.stderr)
@@ -671,8 +657,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_hotspots(args: argparse.Namespace) -> int:
     """Kernel-level hotspots: ranked per-op table, roofline, CLV memory."""
-    import time
-
     from repro.obs.export import merge_rank_streams
     from repro.obs.hotspots import build_hotspot_report
     from repro.par.machine import HITS_CLUSTER
@@ -697,54 +681,11 @@ def _cmd_hotspots(args: argparse.Namespace) -> int:
         return _finish_hotspots(args, {"offline": report}, problems,
                                 trace_root=trace_dir)
 
-    from repro.engines.launch import run_decentralized, run_forkjoin
-    from repro.likelihood.partitioned import PartitionedLikelihood
-    from repro.obs.export import rank_trace_path
-    from repro.search.search import SearchConfig
-    from repro.seq.partitions import read_partition_file
-    from repro.tree.newick import write_newick
-    from repro.tree.random_trees import random_topology
-
-    alignment = _load_alignment(args.alignment)
-    scheme = read_partition_file(args.partitions) if args.partitions else None
-    tree = random_topology(alignment.taxa, rng=args.seed)
-    config = SearchConfig(max_iterations=args.iterations,
-                          radius_max=args.radius)
-    engines = (["decentralized", "forkjoin"] if args.engine == "both"
-               else [args.engine])
-    trace_root = Path(args.trace_out)
     reports: dict = {}
     problems: list[str] = []
 
-    for engine in engines:
-        # fresh likelihood per engine: the search mutates model state
-        lik = PartitionedLikelihood.build(
-            alignment, tree, scheme=scheme, rate_mode=args.model,
-            per_partition_branches=args.per_partition_branches,
-        )
-        newick = write_newick(tree)
-        trace_dir = trace_root / engine
-        # replicheck: ignore[R004] -- driver-side wall-clock benchmarking in the CLI process, outside any replica
-        t0 = time.perf_counter()
-        if engine == "decentralized":
-            run_decentralized(
-                lik.parts, lik.taxa, newick, n_ranks=args.ranks,
-                config=config, dist_kind=args.dist,
-                n_branch_sets=lik.n_branch_sets, trace_dir=trace_dir,
-            )
-        else:
-            run_forkjoin(
-                lik.parts, lik.taxa, newick, n_ranks=args.ranks,
-                config=config, dist_kind=args.dist,
-                n_branch_sets=lik.n_branch_sets, trace_dir=trace_dir,
-            )
-        # replicheck: ignore[R004] -- driver-side wall-clock benchmarking in the CLI process, outside any replica
-        wall_s = time.perf_counter() - t0
-
-        rank_paths = [rank_trace_path(trace_dir, r)
-                      for r in range(args.ranks)]
-        merged = merge_rank_streams([p for p in rank_paths if p.exists()])
-
+    for cfg, _results, merged, wall_s, _n_streams in _traced_runs(args):
+        engine = cfg.engine
         # Analytic raw CLV bytes across the whole run (all ranks' shares
         # together are the full pattern set): (n_taxa−2) inner-node CLVs
         # × Σ_p patterns·cats·states·8.  The profiled cache keys CLVs by
@@ -752,9 +693,9 @@ def _cmd_hotspots(args: argparse.Namespace) -> int:
         # rather than an exact target (see docs/OBSERVABILITY.md).  The
         # model's virtual units only match real allocations when the
         # workload is unscaled (pattern_scale == 1), which holds here.
-        modeled_clv = (len(lik.taxa) - 2) * sum(
+        modeled_clv = (len(cfg.taxa) - 2) * sum(
             p.n_patterns * p.n_cats * p.model.n_states * 8.0
-            for p in lik.parts
+            for p in cfg.parts
         )
         report = build_hotspot_report(
             merged, machine=HITS_CLUSTER,
@@ -771,7 +712,8 @@ def _cmd_hotspots(args: argparse.Namespace) -> int:
         print(report.format_markdown(top=args.top))
         print()
 
-    return _finish_hotspots(args, reports, problems, trace_root=trace_root)
+    return _finish_hotspots(args, reports, problems,
+                            trace_root=Path(args.trace_out))
 
 
 def _finish_hotspots(args: argparse.Namespace, reports: dict,
@@ -806,24 +748,7 @@ def _finish_hotspots(args: argparse.Namespace, reports: dict,
         Path(args.bench_out).write_text(json.dumps(bench, indent=2) + "\n")
         print(f"bench record written to {args.bench_out}", file=sys.stderr)
     if not args.no_register and args.from_trace is None:
-        from repro.obs.registry import RunRegistry
-
-        registry = RunRegistry()
-        run_id = registry.register({
-            "command": "hotspots",
-            "engine": args.engine,
-            "ranks": args.ranks,
-            "dist": args.dist,
-            "seed": args.seed,
-            "alignment": str(args.alignment),
-            "config": {"iterations": args.iterations,
-                       "radius": args.radius, "model": args.model},
-            "status": "completed",
-            "trace_dir": str(trace_root),
-        })
-        registry.record_bench(run_id, bench)
-        print(f"run {run_id} registered with bench snapshot under "
-              f"{registry.root}", file=sys.stderr)
+        _register_bench(args, "hotspots", bench, trace_root)
     if problems:
         for problem in problems:
             print(f"hotspots check failed: {problem}", file=sys.stderr)
@@ -959,6 +884,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Seeded chaos campaign over the supervised engines."""
+    from repro.engines.launch import RunConfig
     from repro.search.search import SearchConfig
     from repro.supervise.chaos import run_campaign
     from repro.supervise.policy import RecoveryPolicy
@@ -994,12 +920,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         backoff_base_s=0.05, backoff_max_s=0.5,
         attempt_timeout_s=args.attempt_timeout)
     report = run_campaign(
-        parts, taxa, newick,
-        n_runs=args.runs, seed=args.seed, n_ranks=args.ranks,
-        engine=args.engine, dist_kind=args.dist, config=config,
-        policy=policy, out_dir=args.out,
-        detect_timeout=args.detect_timeout, max_faults=args.max_faults,
-        monitor=args.monitor,
+        RunConfig(args.engine, parts, taxa, newick, args.ranks,
+                  config=config, dist_kind=args.dist,
+                  detect_timeout=args.detect_timeout),
+        n_runs=args.runs, seed=args.seed, policy=policy, out_dir=args.out,
+        max_faults=args.max_faults, monitor=args.monitor,
         log=lambda msg: print(msg, file=sys.stderr),
     )
     print(report.format_table())
@@ -1372,6 +1297,30 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
+def _add_traced_run_flags(parser: argparse.ArgumentParser, engine_default: str,
+                          engine_help: str, trace_out: str,
+                          trace_help: str) -> None:
+    """The flags :func:`_traced_runs` reads (``profile``, ``hotspots``)."""
+    parser.add_argument("-q", "--partitions",
+                        help="RAxML-style partition file")
+    parser.add_argument("-m", "--model", choices=["gamma", "psr", "none"],
+                        default="gamma")
+    parser.add_argument("-M", dest="per_partition_branches",
+                        action="store_true")
+    parser.add_argument("-n", "--iterations", type=int, default=1)
+    parser.add_argument("-r", "--radius", type=int, default=2)
+    parser.add_argument("-s", "--seed", type=int, default=42)
+    parser.add_argument("--engine",
+                        choices=["decentralized", "forkjoin", "both"],
+                        default=engine_default, help=engine_help)
+    parser.add_argument("--ranks", type=int, default=2,
+                        help="process count (default 2)")
+    parser.add_argument("--dist", choices=["cyclic", "mps"],
+                        default="cyclic")
+    parser.add_argument("--trace-out", default=trace_out, metavar="DIR",
+                        help=trace_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.obs.monitor import (
         DEFAULT_BEAT_TIMEOUT,
@@ -1549,27 +1498,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="live multi-process run with span tracing, Chrome-trace "
              "export and model-vs-measured reconciliation")
     prof.add_argument("alignment", help="FASTA/PHYLIP/binary alignment")
-    prof.add_argument("-q", "--partitions",
-                      help="RAxML-style partition file")
-    prof.add_argument("-m", "--model", choices=["gamma", "psr", "none"],
-                      default="gamma")
-    prof.add_argument("-M", dest="per_partition_branches",
-                      action="store_true")
-    prof.add_argument("-n", "--iterations", type=int, default=1)
-    prof.add_argument("-r", "--radius", type=int, default=2)
-    prof.add_argument("-s", "--seed", type=int, default=42)
-    prof.add_argument("--engine",
-                      choices=["decentralized", "forkjoin", "both"],
-                      default="both",
-                      help="which engine(s) to profile (default both)")
-    prof.add_argument("--ranks", type=int, default=2,
-                      help="process count (default 2)")
-    prof.add_argument("--dist", choices=["cyclic", "mps"],
-                      default="cyclic")
-    prof.add_argument("--trace-out", default="trace", metavar="DIR",
-                      help="directory for per-rank JSONL and merged "
-                           "traces (one subdir per engine; default "
-                           "./trace)")
+    _add_traced_run_flags(
+        prof, "both", "which engine(s) to profile (default both)", "trace",
+        "directory for per-rank JSONL and merged traces (one subdir per "
+        "engine; default ./trace)")
     prof.add_argument("--trace-format", choices=["jsonl", "chrome"],
                       default="chrome",
                       help="'chrome' additionally writes a merged "
@@ -1609,29 +1541,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="re-analyze an existing trace directory "
                           "instead of running live (no memory "
                           "reconciliation, no registry entry)")
-    hot.add_argument("-q", "--partitions",
-                     help="RAxML-style partition file")
-    hot.add_argument("-m", "--model", choices=["gamma", "psr", "none"],
-                     default="gamma")
-    hot.add_argument("-M", dest="per_partition_branches",
-                     action="store_true")
-    hot.add_argument("-n", "--iterations", type=int, default=1)
-    hot.add_argument("-r", "--radius", type=int, default=2)
-    hot.add_argument("-s", "--seed", type=int, default=42)
-    hot.add_argument("--engine",
-                     choices=["decentralized", "forkjoin", "both"],
-                     default="decentralized",
-                     help="which engine(s) to profile (default "
-                          "decentralized — the only one gated on the "
-                          "CLV memory band)")
-    hot.add_argument("--ranks", type=int, default=2,
-                     help="process count (default 2)")
-    hot.add_argument("--dist", choices=["cyclic", "mps"],
-                     default="cyclic")
-    hot.add_argument("--trace-out", default="trace_hotspots",
-                     metavar="DIR",
-                     help="directory for per-rank JSONL traces (one "
-                          "subdir per engine; default ./trace_hotspots)")
+    _add_traced_run_flags(
+        hot, "decentralized",
+        "which engine(s) to profile (default decentralized — the only one "
+        "gated on the CLV memory band)", "trace_hotspots",
+        "directory for per-rank JSONL traces (one subdir per engine; "
+        "default ./trace_hotspots)")
     hot.add_argument("--top", type=int, default=None, metavar="N",
                      help="show only the N hottest ops")
     hot.add_argument("--report-out", metavar="PATH",

@@ -85,6 +85,8 @@ class DecentralizedBackend(SequentialBackend):
     bitwise-identical results on every replica.
     """
 
+    runtime = None  # the rank's RankRuntime once attached; survives recovery
+
     def __init__(self, comm: Comm, lik: PartitionedLikelihood) -> None:
         super().__init__(lik)
         self.comm = comm
@@ -214,9 +216,8 @@ def recover_decentralized(
         backend.lik.tree, new_parts, backend.lik.taxa
     )
     new_backend = DecentralizedBackend(new_comm, new_lik)
-    # observability attachments survive the failure with the search state
-    for attr in ("tracer", "progress"):
-        value = getattr(backend, attr, None)
-        if value is not None:
-            setattr(new_backend, attr, value)
+    # the rank's runtime (tracer, progress, profiler, cancel poll)
+    # survives the failure with the search state
+    if backend.runtime is not None:
+        backend.runtime.attach(new_backend)
     return new_backend, report

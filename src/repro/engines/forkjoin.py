@@ -7,7 +7,7 @@ Two artifacts live here:
   descriptor broadcast for every likelihood region, parameter broadcasts,
   and master-rooted reductions.  This regenerates Table I and feeds the
   runtime synthesizer.
-* :func:`forkjoin_master` / :func:`forkjoin_worker` — a *real* distributed
+* :class:`ForkJoinMasterBackend` / :func:`forkjoin_worker` — a *real* distributed
   implementation over any :class:`~repro.par.comm.Comm`: rank 0 owns the
   tree and the search, workers own site data and execute broadcast
   descriptors without ever seeing a tree (exactly the paper's Figure 1
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engines.events import EventLog, Region, RegionKind
+from repro.engines.runtime import RankRuntime
 from repro.errors import CommError
 from repro.likelihood.backend import PartitionInfo, choose_psr_rates
 from repro.likelihood.partitioned import PartitionedLikelihood
@@ -36,7 +37,6 @@ __all__ = [
     "CAT_BL_OPT",
     "CAT_LIKELIHOOD",
     "CAT_MODEL",
-    "forkjoin_master",
     "forkjoin_worker",
     "ForkJoinMasterBackend",
 ]
@@ -326,124 +326,106 @@ class ForkJoinMasterBackend:
         self.comm.bcast((_CMD_STOP,), root=0, tag="control")
 
 
-def forkjoin_master(comm: Comm, lik: PartitionedLikelihood) -> ForkJoinMasterBackend:
-    """Build the master-side backend (rank 0)."""
-    return ForkJoinMasterBackend(comm, lik)
-
-
 def forkjoin_worker(
     comm: Comm,
     parts: list,
     node_taxon: dict[int, int],
     n_branch_sets: int,
-    tracer=None,
-    metrics=None,
-    progress=None,
-    profiler=None,
+    runtime: RankRuntime | None = None,
 ) -> None:
     """Worker loop: execute master commands on local data until STOP.
 
     ``parts`` are the rank's local :class:`PartitionData` shares;
     ``node_taxon`` maps the master tree's leaf node ids to global taxon
-    rows (sent once during setup).  With a ``tracer``, the lock-step
-    executor emits kernel spans and op counters (see :mod:`repro.obs`).
-    With a ``progress`` reporter, the worker's heartbeat state counts
-    executed commands (as ``iteration``) so the live monitor can tell a
-    worker that stopped draining commands from one that never got any.
-    With a ``profiler`` (:class:`~repro.obs.hotspots.OpProfiler`), per-op
-    kernel totals accumulate and flush as summary spans when the loop
-    exits (STOP or error).
+    rows (sent once during setup).  ``runtime`` is the rank's
+    :class:`~repro.engines.runtime.RankRuntime` (default: the disabled
+    one).  With tracing on, the lock-step executor emits kernel spans and
+    op counters (see :mod:`repro.obs`) and per-op kernel totals accumulate
+    in the runtime's profiler, flushed with the executor's CLV accounting
+    when the launcher closes the runtime.  With monitoring on, the
+    worker's heartbeat state counts executed commands (as ``iteration``)
+    so the live monitor can tell a worker that stopped draining commands
+    from one that never got any.
     """
     from repro.engines.executor import DescriptorExecutor
     from repro.model.rates import PerSiteRates as _PSR
 
-    if tracer is not None and tracer.enabled:
+    runtime = runtime or RankRuntime()
+    if runtime.tracer.enabled:
         from repro.obs.instrument import TracedExecutor
 
-        executor = TracedExecutor(parts, node_taxon, tracer, metrics,
-                                  profiler=profiler)
+        executor = TracedExecutor(parts, node_taxon, runtime.tracer,
+                                  runtime.metrics, profiler=runtime.profiler)
     else:
         executor = DescriptorExecutor(parts, node_taxon)
-    if progress is None:
-        from repro.obs.progress import NULL_PROGRESS
-
-        progress = NULL_PROGRESS
+    runtime.clv_source = executor
+    progress = runtime.progress
     progress.status(phase="worker")
-    branch_sets = np.array([p.branch_set for p in parts], dtype=np.intp)
     handle: list[np.ndarray] | None = None
-    root_edge: tuple[int, int] | None = None
     psr_tables: dict[int, list[np.ndarray]] = {}
     n_commands = 0
 
-    try:
-        while True:
-            msg = comm.bcast(None, root=0, tag="command")
-            cmd = msg[0]
-            n_commands += 1
-            if n_commands % 64 == 0:
-                # cheap liveness signal: two attribute writes per 64 commands
-                progress.status(iteration=n_commands)
-            if cmd == _CMD_STOP:
-                progress.status(iteration=n_commands)
-                return
-            if cmd in (_CMD_EVALUATE, _CMD_BRANCH_SETUP, _CMD_TRAVERSE):
-                _, wire, u_id, v_id, t_root = msg
-                executor.run_ops(wire)
-                root_edge = (u_id, v_id)
-                if cmd == _CMD_EVALUATE:
-                    per_part, _ = executor.evaluate(u_id, v_id, t_root)
-                    comm.reduce(per_part, ReduceOp.SUM, root=0,
-                                tag=CAT_LIKELIHOOD)
-                elif cmd == _CMD_BRANCH_SETUP:
-                    handle = executor.sumtables(u_id, v_id)
-                    comm.barrier(tag=CAT_TRAVERSAL)
-                else:  # plain traverse: inside a PSR scan, collect site logls
-                    _, site_lhs = executor.evaluate(u_id, v_id, t_root)
-                    for i, part in enumerate(parts):
-                        if isinstance(part.rate_het, _PSR):
-                            psr_tables.setdefault(i, []).append(site_lhs[i])
-            elif cmd == _CMD_DERIVATIVE:
-                if handle is None:
-                    raise CommError("derivative before branch setup")
-                local = executor.derivatives(handle, msg[1], n_branch_sets)
-                comm.reduce(local, ReduceOp.SUM, root=0, tag=CAT_BL_OPT)
-            elif cmd == _CMD_ALPHAS:
-                for p, alpha in sorted(msg[1].items()):
-                    parts[p].rate_het.alpha = alpha
-                    parts[p].bump_model()
-            elif cmd == _CMD_GTR:
-                for p, r in sorted(msg[1].items()):
-                    parts[p].model = parts[p].model.with_rates(
-                        np.asarray(r, float))
-                    parts[p].bump_model()
-            elif cmd == _CMD_PSR_SCAN:
-                rate = msg[1]
-                for part in parts:
+    while True:
+        msg = comm.bcast(None, root=0, tag="command")
+        cmd = msg[0]
+        n_commands += 1
+        if n_commands % 64 == 0:
+            # cheap liveness signal: two attribute writes per 64 commands
+            progress.status(iteration=n_commands)
+        if cmd == _CMD_STOP:
+            progress.status(iteration=n_commands)
+            return
+        if cmd in (_CMD_EVALUATE, _CMD_BRANCH_SETUP, _CMD_TRAVERSE):
+            _, wire, u_id, v_id, t_root = msg
+            executor.run_ops(wire)
+            if cmd == _CMD_EVALUATE:
+                per_part, _ = executor.evaluate(u_id, v_id, t_root)
+                comm.reduce(per_part, ReduceOp.SUM, root=0,
+                            tag=CAT_LIKELIHOOD)
+            elif cmd == _CMD_BRANCH_SETUP:
+                handle = executor.sumtables(u_id, v_id)
+                comm.barrier(tag=CAT_TRAVERSAL)
+            else:  # plain traverse: inside a PSR scan, collect site logls
+                _, site_lhs = executor.evaluate(u_id, v_id, t_root)
+                for i, part in enumerate(parts):
                     if isinstance(part.rate_het, _PSR):
-                        part.rate_het.set_rates(np.full(part.n_patterns, rate))
-                        part.bump_model()
-            elif cmd == _CMD_PSR_FINALIZE:
-                candidates = msg[1]
-                sums = np.zeros(2 * len(psr_tables))
-                chosen: dict[int, np.ndarray] = {}
-                for k, i in enumerate(sorted(psr_tables)):
-                    rates_i = choose_psr_rates(
-                        candidates, np.vstack(psr_tables[i]))
-                    chosen[i] = rates_i
-                    w = parts[i].weights
-                    sums[2 * k] = float(np.dot(w, rates_i))
-                    sums[2 * k + 1] = float(w.sum())
-                comm.reduce(sums, ReduceOp.SUM, root=0, tag=CAT_MODEL)
-                factors = comm.bcast(None, root=0, tag=CAT_MODEL)
-                for k, i in enumerate(sorted(psr_tables)):
-                    parts[i].rate_het.set_rates(chosen[i] / factors[k])
-                    parts[i].bump_model()
-                psr_tables.clear()
-            else:
-                raise CommError(f"unknown fork-join command {cmd!r}")
-    finally:
-        if profiler is not None and profiler.enabled and tracer is not None:
-            from repro.obs.hotspots import emit_kernel_profile
-
-            emit_kernel_profile(profiler, tracer, metrics,
-                                clv_sources=(executor,))
+                        psr_tables.setdefault(i, []).append(site_lhs[i])
+        elif cmd == _CMD_DERIVATIVE:
+            if handle is None:
+                raise CommError("derivative before branch setup")
+            local = executor.derivatives(handle, msg[1], n_branch_sets)
+            comm.reduce(local, ReduceOp.SUM, root=0, tag=CAT_BL_OPT)
+        elif cmd == _CMD_ALPHAS:
+            for p, alpha in sorted(msg[1].items()):
+                parts[p].rate_het.alpha = alpha
+                parts[p].bump_model()
+        elif cmd == _CMD_GTR:
+            for p, r in sorted(msg[1].items()):
+                parts[p].model = parts[p].model.with_rates(
+                    np.asarray(r, float))
+                parts[p].bump_model()
+        elif cmd == _CMD_PSR_SCAN:
+            rate = msg[1]
+            for part in parts:
+                if isinstance(part.rate_het, _PSR):
+                    part.rate_het.set_rates(np.full(part.n_patterns, rate))
+                    part.bump_model()
+        elif cmd == _CMD_PSR_FINALIZE:
+            candidates = msg[1]
+            sums = np.zeros(2 * len(psr_tables))
+            chosen: dict[int, np.ndarray] = {}
+            for k, i in enumerate(sorted(psr_tables)):
+                rates_i = choose_psr_rates(
+                    candidates, np.vstack(psr_tables[i]))
+                chosen[i] = rates_i
+                w = parts[i].weights
+                sums[2 * k] = float(np.dot(w, rates_i))
+                sums[2 * k + 1] = float(w.sum())
+            comm.reduce(sums, ReduceOp.SUM, root=0, tag=CAT_MODEL)
+            factors = comm.bcast(None, root=0, tag=CAT_MODEL)
+            for k, i in enumerate(sorted(psr_tables)):
+                parts[i].rate_het.set_rates(chosen[i] / factors[k])
+                parts[i].bump_model()
+            psr_tables.clear()
+        else:
+            raise CommError(f"unknown fork-join command {cmd!r}")

@@ -12,8 +12,9 @@ tests assert that
   zeros; up to the rounding of summing pattern shares, ~1e-10, under
   cyclic).
 
-Both launchers can inject rank failures (``fault_plan``) to exercise the
-live fault-tolerance paths:
+:func:`launch` is the one entry: it takes a :class:`RunConfig` and
+returns the per-rank results.  Both engines can inject rank failures
+(``fault_plan``) to exercise the live fault-tolerance paths:
 
 * **de-centralized** — survivors detect the failure, agree on the failed
   set, shrink the communicator, re-split the replicated data and resume
@@ -26,7 +27,7 @@ live fault-tolerance paths:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -39,12 +40,11 @@ from repro.engines.forkjoin import (
     ForkJoinMasterBackend,
     forkjoin_worker,
 )
+from repro.engines.runtime import RankRuntime
 from repro.errors import CommError, MasterLostError, QuorumLostError, RankFailureError
 from repro.likelihood.partitioned import PartitionData, PartitionedLikelihood
-from repro.obs.progress import NULL_PROGRESS
-from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.par.comm import Comm
-from repro.par.faultcomm import FaultInjectingComm, FaultPlan
+from repro.par.faultcomm import FaultPlan
 from repro.par.mpcomm import run_mpi
 from repro.search.search import SearchConfig, hill_climb
 from repro.tree.newick import parse_newick, write_newick
@@ -52,6 +52,9 @@ from repro.tree.topology import Tree
 
 __all__ = [
     "DistributedResult",
+    "RunConfig",
+    "launch",
+    "first_survivor",
     "run_decentralized",
     "run_forkjoin",
     "run_sequential_reference",
@@ -84,6 +87,85 @@ class DistributedResult:
     cancelled: bool = False
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    """One distributed search: engine, data, search and instrumentation.
+
+    What :func:`repro.engines.launch.launch` takes, what ``run_mpi`` hands
+    each rank, and what the CLI, the scaling harness, the supervisor (one
+    ``dataclasses.replace`` per attempt) and the chaos campaign construct:
+    every launcher option is declared here and nowhere else.
+
+    ``engine`` is ``"decentralized"`` (the ExaML scheme: replicas, in-run
+    recovery) or ``"forkjoin"`` (the RAxML-Light scheme: master/workers,
+    restart from checkpoint).  ``parts`` is the *full* partition data;
+    every rank cuts its own share by ``dist_kind``.
+
+    Faults: ``fault_plan`` injects rank failures (on a fork-join restart
+    it applies to the first attempt only — the restart models a
+    replacement node); ``detect_timeout`` bounds how long an in-mesh
+    receive waits on a silent peer.  ``min_ranks`` (decentralized) is the
+    quorum below which in-run recovery raises
+    :class:`~repro.errors.QuorumLostError` instead of resuming;
+    ``max_restarts`` (fork-join) caps restarts after a worker loss.
+    ``resume_from`` restores the search from a checkpoint before it
+    starts; ``timeout`` bounds each mesh launch.
+
+    Instrumentation, each off by default and then free (a rank gets the
+    raw communicator): ``trace_dir`` makes every rank trace its
+    collectives and kernels and write ``trace_dir/trace-rank<R>.jsonl``
+    (ring of ``trace_capacity`` spans, stamped with ``trace_id``);
+    ``monitor_dir`` runs the heartbeat/progress side channel, one beat
+    per ``beat_interval`` seconds; ``sanitize`` (decentralized)
+    cross-checks every collective across ranks first; ``cancellable``
+    turns SIGTERM into a cooperative checkpoint-stop.
+
+    The three path fields are normalised to ``str``.
+    """
+
+    engine: str
+    parts: list[PartitionData]
+    taxa: list[str]
+    start_newick: str
+    n_ranks: int
+    config: SearchConfig = field(default_factory=SearchConfig)
+    dist_kind: str = "cyclic"
+    n_branch_sets: int = 1
+    fault_plan: FaultPlan | None = None
+    detect_timeout: float | None = None
+    max_restarts: int = 1
+    trace_dir: str | Path | None = None
+    trace_capacity: int | None = None
+    trace_id: str = ""
+    sanitize: bool = False
+    monitor_dir: str | Path | None = None
+    beat_interval: float | None = None
+    min_ranks: int = 1
+    resume_from: str | Path | None = None
+    timeout: float | None = None
+    cancellable: bool = False
+
+    def __post_init__(self) -> None:
+        if self.engine not in ("decentralized", "forkjoin"):
+            raise CommError(f"RunConfig.engine: unknown engine {self.engine!r}")
+        if self.engine == "forkjoin":
+            if self.sanitize:
+                raise CommError(
+                    "RunConfig.sanitize needs engine='decentralized': fork-join "
+                    "collectives are master/worker-asymmetric by design")
+            if self.min_ranks != 1:
+                raise CommError(
+                    "RunConfig.min_ranks needs engine='decentralized': a "
+                    "fork-join mesh never shrinks, it restarts")
+        elif self.max_restarts != 1:
+            raise CommError(
+                "RunConfig.max_restarts needs engine='forkjoin': the "
+                "decentralized engine recovers in-run and never restarts")
+        for name in ("trace_dir", "monitor_dir", "resume_from"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, str(value) if value else None)
+
+
 def _rebuild_tree(newick: str, n_branch_sets: int) -> Tree:
     tree = parse_newick(newick, n_branch_sets)
     if n_branch_sets > 1:
@@ -91,622 +173,268 @@ def _rebuild_tree(newick: str, n_branch_sets: int) -> Tree:
     return tree
 
 
-def _maybe_inject(comm: Comm, payload: dict[str, Any]) -> Comm:
-    plan: FaultPlan | None = payload.get("fault_plan")
-    if plan is not None and comm.size > 1:
-        return FaultInjectingComm(comm, plan)
-    return comm
+def _node_taxon(tree: Tree, taxa: list[str]) -> dict[int, int]:
+    """Leaf node id → global taxon row: how tree-agnostic workers find
+    the tip data a descriptor refers to."""
+    taxon_row = {label: i for i, label in enumerate(taxa)}
+    return {leaf.id: taxon_row[leaf.label] for leaf in tree.leaves()}
 
 
-def _maybe_sanitize(comm: Comm, payload: dict[str, Any]) -> Comm:
-    """Innermost wrapper (fault injection and tracing stack on top): the
-    injector must count application collectives, not the sanitizer's
-    control rounds, and spans should time the checked call as one unit."""
-    if payload.get("sanitize") and comm.size > 1:
-        from repro.par.sanitize import SanitizingComm
+def _restore(lik: PartitionedLikelihood, resume_from: str) -> Tree:
+    """Restore ``lik`` from a checkpoint; returns the restored tree."""
+    from repro.search.checkpoint import load_checkpoint, restore_into
 
-        return SanitizingComm(comm)
-    return comm
+    meta, arrays = load_checkpoint(resume_from)
+    restore_into(lik, meta, arrays)
+    return lik.tree
 
 
-def _prepare_trace_dir(trace_dir: str | Path | None) -> str | None:
-    """Create the trace directory in the parent, before ranks fork."""
-    if trace_dir is None:
+def _rank_main(comm: Comm, cfg: RunConfig) -> DistributedResult | None:
+    """What every rank of either engine runs: one runtime life cycle
+    around the engine's body, then the result — built after
+    ``runtime.close``, so its metrics snapshot and trace path describe
+    the stream as flushed."""
+    runtime = RankRuntime(cfg, comm.rank)
+    comm = runtime.open(comm)
+    runtime.progress.event("run_start", engine=cfg.engine, ranks=comm.size,
+                           dist=cfg.dist_kind)
+    body = _decentral_rank if cfg.engine == "decentralized" else _forkjoin_rank
+    ok = False
+    try:
+        outcome = body(comm, cfg, runtime)
+        ok = True
+    finally:
+        runtime.close(ok)
+    if outcome is None:  # a fork-join worker: tree-agnostic by design
         return None
-    path = Path(trace_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return str(path)
-
-
-def _make_telemetry(comm: Comm, payload: dict[str, Any], world_rank: int):
-    """Build the live-telemetry side channel for one rank.
-
-    Returns ``(comm, heartbeat_writer, progress_reporter)``.  When
-    ``monitor_dir`` is unset this is the zero-cost path: no wrapper, no
-    thread, no files — just the shared :data:`NULL_PROGRESS`.
-
-    The monitored wrapper must sit *inside* fault injection (see the
-    call sites): an injected hang then fires before the heartbeat state
-    records the call, so the hung rank observably never *entered* call
-    ``K`` while its peers freeze *inside* ``K`` — the asymmetry
-    :func:`repro.obs.monitor.diagnose` keys on.  It also sits *outside*
-    the sanitizer, whose control rounds bypass it, keeping the
-    heartbeat call numbering aligned with the injector's.
-    """
-    monitor_dir = payload.get("monitor_dir")
-    if not monitor_dir:
-        return comm, None, NULL_PROGRESS
-    from repro.obs.heartbeat import (
-        DEFAULT_BEAT_INTERVAL,
-        HeartbeatState,
-        HeartbeatWriter,
-        MonitoredComm,
+    search, backend, recovery = outcome
+    return DistributedResult(
+        logl=search.logl,
+        newick=write_newick(backend.tree, lengths=False),
+        iterations=search.iterations,
+        bytes_by_tag=dict(backend.comm.bytes_by_tag),
+        calls_by_tag=dict(backend.comm.calls_by_tag),
+        metrics=runtime.snapshot,
+        trace_path=runtime.trace_path,
+        monitor_dir=cfg.monitor_dir,
+        progress_path=runtime.progress_path,
+        cancelled=search.cancelled,
+        **recovery,
     )
-    from repro.obs.progress import ProgressReporter, ProgressStream, progress_path
-
-    state = HeartbeatState(world_rank)
-    comm = MonitoredComm(comm, state)
-    stream = ProgressStream(progress_path(monitor_dir, world_rank),
-                            world_rank)
-    reporter = ProgressReporter(state, stream)
-    writer = HeartbeatWriter(
-        monitor_dir, state,
-        interval=payload.get("beat_interval") or DEFAULT_BEAT_INTERVAL,
-    ).start()
-    return comm, writer, reporter
 
 
-def _close_telemetry(writer, progress, ok: bool) -> None:
-    """Final beat + stream close; terminal phase tells the monitor (and
-    `repro watch`) whether the rank finished or unwound on an error."""
-    if writer is None:
-        return
-    final = "done" if ok else "failed"
-    progress.event("run_end", ok=ok)
-    progress.close(final_phase=final)
-    writer.stop(final_phase=final)
-
-
-def _arm_cancellation(backend, payload: dict[str, Any]) -> None:
-    """Attach the cooperative stop poll for a cancellable launch.
-
-    Decentralized backends agree on the stop collectively (every replica
-    polls the same ``allreduce(MAX)`` site, so skewed signal delivery
-    cannot desynchronize the collective sequence); the fork-join master
-    decides locally — its workers are command-driven and stop when it
-    broadcasts the normal end-of-search STOP.  Must be re-attached after
-    in-run recovery replaces the backend (like tracer/progress).
-    """
-    if not payload.get("cancellable"):
-        return
-    from repro.engines.cancel import cancel_requested, make_agree_stop
-
-    if isinstance(backend, DecentralizedBackend):
-        backend.agree_stop = make_agree_stop(lambda: backend.comm)
-    else:
-        backend.agree_stop = cancel_requested
-
-
-def _install_cancel_handler(payload: dict[str, Any]) -> None:
-    """Child-rank half of cooperative cancellation: SIGTERM sets a flag."""
-    if payload.get("cancellable"):
-        from repro.engines.cancel import install_sigterm_flag
-
-        install_sigterm_flag()
-
-
-def _make_obs(payload: dict[str, Any], world_rank: int):
-    """Build (tracer, metrics, profiler) for one rank; the null tracer
-    (no metrics, no profiler, and — crucially — no comm wrapper) when
-    tracing is off.
-
-    The launch's ``trace_id`` (an end-to-end lifecycle identity minted
-    by e.g. the serve daemon) rides on the tracer so the flushed stream
-    merges with the daemon's service spans under one id.  The op
-    profiler accumulates per-kernel-op totals that flush as summary
-    spans into the same stream."""
-    if not payload.get("trace_dir"):
-        return NULL_TRACER, None, None
-    from repro.obs.hotspots import OpProfiler
-    from repro.obs.metrics import MetricsRegistry
-
-    capacity = payload.get("trace_capacity")
-    trace_id = payload.get("trace_id") or ""
-    tracer = (Tracer(rank=world_rank, capacity=capacity, trace_id=trace_id)
-              if capacity else Tracer(rank=world_rank, trace_id=trace_id))
-    return tracer, MetricsRegistry(), OpProfiler()
-
-
-def _emit_profile(profiler, tracer, metrics, source) -> None:
-    """Flush a rank's kernel profile (plus its CLV owner's memory
-    accounting) into the trace stream before ``_flush_trace`` runs."""
-    if profiler is None or not tracer.enabled:
-        return
-    from repro.obs.hotspots import emit_kernel_profile
-
-    emit_kernel_profile(profiler, tracer, metrics,
-                        clv_sources=() if source is None else (source,))
-
-
-def _wrap_tracing(comm: Comm, tracer, metrics) -> Comm:
-    if not tracer.enabled:
-        return comm
-    from repro.obs.instrument import TracingComm
-
-    return TracingComm(comm, tracer, metrics)
-
-
-def _flush_trace(tracer, payload: dict[str, Any],
-                 world_rank: int) -> str | None:
-    """Write this rank's span stream to ``trace_dir``; rank files are
-    keyed by *original* world rank so shrinks don't collide names.
-
-    A ring-buffer overflow is recorded *in the stream itself* as a
-    trailing ``trace_truncated`` meta record, so any later analysis of
-    the merged trace can warn that this rank's early spans are missing
-    instead of silently under-attributing its time."""
-    if not tracer.enabled:
-        return None
-    from repro.obs.export import rank_trace_path, span_to_dict, write_jsonl
-
-    records = [span_to_dict(s) for s in tracer.spans()]
-    if tracer.dropped:
-        t_ns = records[-1]["t1_ns"] if records else 0
-        records.append({
-            "name": "trace_truncated", "kind": "meta", "rank": world_rank,
-            "t0_ns": t_ns, "t1_ns": t_ns,
-            "attrs": {"dropped_spans": int(tracer.dropped)},
-        })
-    if getattr(tracer, "trace_id", ""):
-        for record in records:
-            record["trace_id"] = tracer.trace_id
-    path = rank_trace_path(payload["trace_dir"], world_rank)
-    write_jsonl(records, path)
-    return str(path)
-
-
-def _obs_snapshot(metrics, tracer) -> dict[str, Any]:
-    if metrics is None:
-        return {}
-    metrics.gauge("trace.spans").set(len(tracer))
-    metrics.gauge("trace.dropped_spans").set(tracer.dropped)
-    return metrics.snapshot()
-
-
-def _decentral_rank(comm: Comm, payload: dict[str, Any]) -> DistributedResult:
-    world0 = comm.rank  # original world rank: names the trace stream
-    _install_cancel_handler(payload)
-    tracer, metrics, profiler = _make_obs(payload, world0)
-    comm, hb_writer, progress = _make_telemetry(
-        _maybe_sanitize(comm, payload), payload, world0)
-    comm = _wrap_tracing(_maybe_inject(comm, payload), tracer, metrics)
-    tree = _rebuild_tree(payload["newick"], payload["n_branch_sets"])
-    local_parts = split_local_data(
-        payload["parts"], comm.rank, comm.size, payload["dist_kind"]
-    )
-    lik = PartitionedLikelihood(tree, local_parts, payload["taxa"])
-    if profiler is not None:
-        lik.profiler = profiler
-    resume_from = payload.get("resume_from")
-    if resume_from:
+def _decentral_rank(comm: Comm, cfg: RunConfig, runtime: RankRuntime):
+    tracer, progress = runtime.tracer, runtime.progress
+    tree = _rebuild_tree(cfg.start_newick, cfg.n_branch_sets)
+    local_parts = split_local_data(cfg.parts, comm.rank, comm.size, cfg.dist_kind)
+    lik = PartitionedLikelihood(tree, local_parts, cfg.taxa)
+    if cfg.resume_from:
         # Supervised restart: every replica restores the identical
         # checkpointed state locally (no broadcast needed — the whole
         # point of the de-centralized scheme), then resumes the climb.
-        from repro.search.checkpoint import load_checkpoint, restore_into
-
-        meta, arrays = load_checkpoint(resume_from)
-        restore_into(lik, meta, arrays)
-        tree = lik.tree
+        _restore(lik, cfg.resume_from)
     backend = DecentralizedBackend(comm, lik)
-    backend.tracer = tracer
-    backend.progress = progress
-    _arm_cancellation(backend, payload)
-    progress.event("run_start", engine="decentralized", ranks=comm.size,
-                   dist=payload["dist_kind"])
+    runtime.attach(backend)
 
-    min_ranks = int(payload.get("min_ranks") or 1)
     all_failed: list[int] = []
     recoveries = 0
-    ok = False
-    try:
-        while True:
-            try:
-                result = hill_climb(backend, payload["config"])
-                break
-            except RankFailureError as exc:
-                # Section V, live: agree → shrink → redistribute → resume.
-                # The tree and model in `backend` are this replica's full
-                # copy of the search state; only the data share is rebuilt.
-                failed_set = {int(r) for r in exc.failed_ranks}
-                tracer.instant(
-                    "rank_failure", kind="recovery",
-                    failed=sorted(failed_set),
-                )
-                progress.event("rank_failure", failed=sorted(failed_set))
-                progress.status(phase="recover", in_collective=False)
-                with tracer.span("recover", kind="recovery"):
-                    # Recovery itself may be hit by further failures
-                    # (a second rank dying inside agree/shrink): retry
-                    # with the union of every failed set observed so
-                    # far until a round completes on the survivors.
-                    while True:
-                        try:
-                            # replicheck: ignore[R003] -- recovery starts with comm.agree so every rank converges on the failed set before any survivor-side collective is issued
-                            backend, report = recover_decentralized(
-                                backend, failed_set, payload["parts"],
-                                payload["dist_kind"],
-                            )
-                            break
-                        except RankFailureError as again:
-                            failed_set |= {int(r)
-                                           for r in again.failed_ranks}
-                tracer.instant(
-                    "redistribute", kind="recovery",
-                    bytes_moved=report.bytes_moved,
-                    survivors=report.survivors,
-                )
-                all_failed.extend(comm.world_ranks(report.failed_ranks))
-                comm = backend.comm
-                backend.tracer = tracer
-                backend.progress = progress
-                if profiler is not None:
-                    # recovery rebuilt the likelihood around the new share
-                    backend.lik.profiler = profiler
-                _arm_cancellation(backend, payload)
-                recoveries += 1
-                if metrics is not None:
-                    metrics.counter("recovery.rounds").inc()
-                if comm.size < min_ranks:
-                    # Graceful degradation has a floor: the shrunk mesh
-                    # could finish, but the policy judges it too narrow.
-                    # Not a RankFailureError — the in-mesh loop must not
-                    # "recover" from it; the remedy (tier-2 restart at a
-                    # different width) belongs to the supervisor.
-                    progress.event("quorum_lost", survivors=comm.size,
-                                   min_ranks=min_ranks)
-                    raise QuorumLostError(
-                        comm.size, min_ranks,
-                        failed_ranks=sorted(set(all_failed)))
-                tracer.instant("resume", kind="recovery")
-                progress.event(
-                    "recovery", failed=sorted(set(all_failed)),
-                    survivors=report.survivors,
-                    bytes_moved=report.bytes_moved, round=recoveries,
-                )
-                progress.status(phase="resume", recoveries=recoveries)
-        ok = True
-    finally:
-        _emit_profile(profiler, tracer, metrics, backend.lik)
-        trace_path = _flush_trace(tracer, payload, world0)
-        _close_telemetry(hb_writer, progress, ok)
-
-    return DistributedResult(
-        logl=result.logl,
-        newick=write_newick(backend.tree, lengths=False),
-        iterations=result.iterations,
-        bytes_by_tag=dict(getattr(comm, "bytes_by_tag", {})),
-        failed_ranks=tuple(sorted(set(all_failed))),
-        recoveries=recoveries,
-        calls_by_tag=dict(getattr(comm, "calls_by_tag", {})),
-        metrics=_obs_snapshot(metrics, tracer),
-        trace_path=trace_path,
-        monitor_dir=payload.get("monitor_dir"),
-        progress_path=(str(progress.stream.path)
-                       if progress.stream is not None else None),
-        cancelled=result.cancelled,
-    )
-
-
-def run_decentralized(
-    parts: list[PartitionData],
-    taxa: list[str],
-    start_newick: str,
-    n_ranks: int,
-    config: SearchConfig | None = None,
-    dist_kind: str = "cyclic",
-    n_branch_sets: int = 1,
-    fault_plan: FaultPlan | None = None,
-    detect_timeout: float | None = None,
-    trace_dir: str | Path | None = None,
-    trace_capacity: int | None = None,
-    trace_id: str = "",
-    sanitize: bool = False,
-    monitor_dir: str | Path | None = None,
-    beat_interval: float | None = None,
-    min_ranks: int = 1,
-    resume_from: str | Path | None = None,
-    timeout: float | None = None,
-    cancellable: bool = False,
-) -> list[DistributedResult]:
-    """Run the ExaML scheme on ``n_ranks`` real processes.
-
-    With a ``fault_plan``, injected rank deaths are survived in-run: the
-    returned list holds ``None`` at failed ranks and the survivors'
-    results record the failure and recovery (``failed_ranks`` in the
-    original rank numbering, ``recoveries``).
-
-    With ``sanitize=True``, every collective is cross-checked across
-    ranks first (:class:`~repro.par.sanitize.SanitizingComm`); replica
-    divergence raises
-    :class:`~repro.errors.ReplicaDivergenceError` on every rank instead
-    of silently drifting or deadlocking.
-
-    With ``trace_dir``, every rank traces its collectives (spans +
-    counters, see :mod:`repro.obs`) and writes
-    ``trace_dir/trace-rank<R>.jsonl`` before returning; each surviving
-    result carries its metrics snapshot and trace path.
-
-    With ``monitor_dir``, every rank additionally runs the live
-    telemetry side channel (:mod:`repro.obs.heartbeat` /
-    :mod:`repro.obs.progress`): a heartbeat status file rewritten every
-    ``beat_interval`` seconds plus a streamed progress-event JSONL, so
-    a parent-side :class:`~repro.obs.monitor.Monitor` (or ``repro
-    watch``) can observe — and diagnose stalls in — the run while it
-    executes.
-
-    ``min_ranks`` is the supervising policy's quorum: in-run recovery
-    shrinks and resumes (graceful degradation) only while at least this
-    many survivors remain; one fewer raises
-    :class:`~repro.errors.QuorumLostError` instead of resuming.
-    ``resume_from`` restores every replica from a checkpoint before the
-    search starts (the supervised tier-1 restart path); ``timeout``
-    bounds the whole launch (the supervisor's per-attempt wall-clock
-    budget).
-    """
-    payload = {
-        "parts": parts,
-        "taxa": taxa,
-        "newick": start_newick,
-        "config": config or SearchConfig(),
-        "dist_kind": dist_kind,
-        "n_branch_sets": n_branch_sets,
-        "fault_plan": fault_plan,
-        "trace_dir": _prepare_trace_dir(trace_dir),
-        "trace_capacity": trace_capacity,
-        "trace_id": trace_id,
-        "sanitize": sanitize,
-        "monitor_dir": _prepare_trace_dir(monitor_dir),
-        "beat_interval": beat_interval,
-        "min_ranks": min_ranks,
-        "resume_from": str(resume_from) if resume_from else None,
-        "cancellable": cancellable,
-    }
-    kwargs: dict[str, Any] = {}
-    if timeout is not None:
-        kwargs["timeout"] = timeout
-    return run_mpi(
-        n_ranks,
-        _decentral_rank,
-        [payload] * n_ranks,
-        detect_timeout=detect_timeout,
-        allow_failures=fault_plan is not None,
-        forward_sigterm=cancellable,
-        **kwargs,
-    )
-
-
-def _forkjoin_rank(comm: Comm, payload: dict[str, Any]) -> DistributedResult | None:
-    world0 = comm.rank
-    _install_cancel_handler(payload)
-    tracer, metrics, profiler = _make_obs(payload, world0)
-    comm, hb_writer, progress = _make_telemetry(comm, payload, world0)
-    comm = _wrap_tracing(_maybe_inject(comm, payload), tracer, metrics)
-    local_parts = split_local_data(
-        payload["parts"], comm.rank, comm.size, payload["dist_kind"]
-    )
-    # Flush in a finally: a RankFailureError unwinding a collective must
-    # still leave this rank's trace (with the error-flagged span) on disk.
-    ok = False
-    lik = None  # the master's full-copy likelihood (workers keep None)
-    try:
-        resume_from = payload.get("resume_from")
-        progress.event("run_start", engine="forkjoin", ranks=comm.size,
-                       dist=payload["dist_kind"])
-        if comm.rank == 0:
-            tree = _rebuild_tree(payload["newick"], payload["n_branch_sets"])
-            lik = PartitionedLikelihood(tree, local_parts, payload["taxa"])
-            if profiler is not None:
-                lik.profiler = profiler
-            backend = ForkJoinMasterBackend(comm, lik)
-            backend.tracer = tracer
-            backend.progress = progress
-            _arm_cancellation(backend, payload)
-            if resume_from:
-                from repro.search.checkpoint import load_checkpoint, restore_into
-
-                meta, arrays = load_checkpoint(resume_from)
-                restore_into(lik, meta, arrays)
-                backend.tree = lik.tree
-                tree = lik.tree
-        node_taxon = payload["node_taxon"]
-        if resume_from:
-            # The restored tree was re-parsed from the checkpoint's
-            # newick: after SPR moves its leaf node ids no longer match
-            # the start tree's, so the node_taxon map every rank was
-            # launched with is stale.  The master rebuilds it from the
-            # restored tree and every rank receives it here — the same
-            # collective at the same call site — before any descriptor
-            # references a leaf.
-            refreshed = None
-            if comm.rank == 0:
-                taxon_row = {label: i
-                             for i, label in enumerate(payload["taxa"])}
-                refreshed = {leaf.id: taxon_row[leaf.label]
-                             for leaf in tree.leaves()}
-            node_taxon = comm.bcast(refreshed, root=0, tag=CAT_TRAVERSAL)
-        # replicheck: ignore[R003] -- master/worker command protocol: the master's set_* calls broadcast commands that the workers' command loop answers with the matching collectives
-        if comm.rank == 0:
-            if resume_from:
-                from repro.model.rates import DiscreteGamma
-
-                # Workers restarted with pristine model parameters; push the
-                # restored ones through the regular broadcast commands so the
-                # mesh is consistent before the search resumes.
-                alphas = {
-                    p: lik.get_alpha(p)
-                    for p in range(lik.n_partitions)
-                    if isinstance(lik.parts[p].rate_het, DiscreteGamma)
-                }
-                if alphas:
-                    backend.set_alphas(alphas)
-                backend.set_gtr_rates(
-                    {p: lik.parts[p].model.rates
-                     for p in range(lik.n_partitions)}
-                )
-            result = hill_climb(backend, payload["config"])
-            ok = True
-            return DistributedResult(
-                logl=result.logl,
-                newick=write_newick(tree, lengths=False),
-                iterations=result.iterations,
-                bytes_by_tag=dict(getattr(comm, "bytes_by_tag", {})),
-                restarts=payload.get("restarts", 0),
-                cancelled=result.cancelled,
-                calls_by_tag=dict(getattr(comm, "calls_by_tag", {})),
-                metrics=_obs_snapshot(metrics, tracer),
-                monitor_dir=payload.get("monitor_dir"),
-                progress_path=(str(progress.stream.path)
-                               if progress.stream is not None else None),
+    while True:
+        try:
+            result = hill_climb(backend, cfg.config)
+            break
+        except RankFailureError as exc:
+            # Section V, live: agree → shrink → redistribute → resume.
+            # The tree and model in `backend` are this replica's full
+            # copy of the search state; only the data share is rebuilt.
+            failed_set = {int(r) for r in exc.failed_ranks}
+            tracer.instant("rank_failure", kind="recovery",
+                           failed=sorted(failed_set))
+            progress.event("rank_failure", failed=sorted(failed_set))
+            progress.status(phase="recover", in_collective=False)
+            with tracer.span("recover", kind="recovery"):
+                # Recovery itself may be hit by further failures
+                # (a second rank dying inside agree/shrink): retry
+                # with the union of every failed set observed so
+                # far until a round completes on the survivors.
+                while True:
+                    try:
+                        # replicheck: ignore[R003] -- recovery starts with comm.agree so every rank converges on the failed set before any survivor-side collective is issued
+                        backend, report = recover_decentralized(
+                            backend, failed_set, cfg.parts, cfg.dist_kind,
+                        )
+                        break
+                    except RankFailureError as again:
+                        failed_set |= {int(r) for r in again.failed_ranks}
+            tracer.instant(
+                "redistribute", kind="recovery",
+                bytes_moved=report.bytes_moved,
+                survivors=report.survivors,
             )
-        forkjoin_worker(
-            comm, local_parts, node_taxon,
-            payload["n_branch_sets"], tracer=tracer, metrics=metrics,
-            progress=progress, profiler=profiler,
-        )
-        ok = True
+            all_failed.extend(comm.world_ranks(report.failed_ranks))
+            # the rebuilt backend already carries the runtime
+            comm = backend.comm
+            recoveries += 1
+            if runtime.metrics is not None:
+                runtime.metrics.counter("recovery.rounds").inc()
+            if comm.size < cfg.min_ranks:
+                # Graceful degradation has a floor: the shrunk mesh
+                # could finish, but the policy judges it too narrow.
+                # Not a RankFailureError — the in-mesh loop must not
+                # "recover" from it; the remedy (tier-2 restart at a
+                # different width) belongs to the supervisor.
+                progress.event("quorum_lost", survivors=comm.size,
+                               min_ranks=cfg.min_ranks)
+                raise QuorumLostError(
+                    comm.size, cfg.min_ranks,
+                    failed_ranks=sorted(set(all_failed)))
+            tracer.instant("resume", kind="recovery")
+            progress.event(
+                "recovery", failed=sorted(set(all_failed)),
+                survivors=report.survivors,
+                bytes_moved=report.bytes_moved, round=recoveries,
+            )
+            progress.status(phase="resume", recoveries=recoveries)
+    return result, backend, {"failed_ranks": tuple(sorted(set(all_failed))),
+                             "recoveries": recoveries}
+
+
+def _forkjoin_rank(comm: Comm, cfg: RunConfig, runtime: RankRuntime):
+    local_parts = split_local_data(cfg.parts, comm.rank, comm.size, cfg.dist_kind)
+    # Every rank derives the leaf map from the start tree it was launched
+    # with (set-up only: the worker loop itself never sees a tree).
+    tree = _rebuild_tree(cfg.start_newick, cfg.n_branch_sets)
+    node_taxon = _node_taxon(tree, cfg.taxa)
+    if comm.rank == 0:
+        lik = PartitionedLikelihood(tree, local_parts, cfg.taxa)
+        backend = ForkJoinMasterBackend(comm, lik)
+        runtime.attach(backend)
+        if cfg.resume_from:
+            tree = backend.tree = _restore(lik, cfg.resume_from)
+    if cfg.resume_from:
+        # The restored tree was re-parsed from the checkpoint's newick:
+        # after SPR moves its leaf node ids no longer match the start
+        # tree's, so the start tree's leaf map is stale.  The master
+        # rebuilds it from the restored tree and every rank receives it
+        # here — the same collective at the same call site — before any
+        # descriptor references a leaf.
+        refreshed = _node_taxon(tree, cfg.taxa) if comm.rank == 0 else None
+        node_taxon = comm.bcast(refreshed, root=0, tag=CAT_TRAVERSAL)
+    # replicheck: ignore[R003] -- master/worker command protocol: the master's set_* calls broadcast commands that the workers' command loop answers with the matching collectives
+    if comm.rank > 0:
+        forkjoin_worker(comm, local_parts, node_taxon, cfg.n_branch_sets,
+                        runtime)
         return None
-    finally:
-        # Workers emit their profile inside forkjoin_worker (they own the
-        # executor); the master emits here for its reduction-side kernels.
-        if lik is not None:
-            _emit_profile(profiler, tracer, metrics, lik)
-        _flush_trace(tracer, payload, world0)
-        _close_telemetry(hb_writer, progress, ok)
+    if cfg.resume_from:
+        from repro.model.rates import DiscreteGamma
+
+        # Workers restarted with pristine model parameters; push the
+        # restored ones through the regular broadcast commands so the
+        # mesh is consistent before the search resumes.
+        alphas = {
+            p: lik.get_alpha(p)
+            for p in range(lik.n_partitions)
+            if isinstance(lik.parts[p].rate_het, DiscreteGamma)
+        }
+        if alphas:
+            backend.set_alphas(alphas)
+        backend.set_gtr_rates(
+            {p: lik.parts[p].model.rates
+             for p in range(lik.n_partitions)}
+        )
+    return hill_climb(backend, cfg.config), backend, {}
 
 
-def run_forkjoin(
-    parts: list[PartitionData],
-    taxa: list[str],
-    start_newick: str,
-    n_ranks: int,
-    config: SearchConfig | None = None,
-    dist_kind: str = "cyclic",
-    n_branch_sets: int = 1,
-    fault_plan: FaultPlan | None = None,
-    detect_timeout: float | None = None,
-    max_restarts: int = 1,
-    trace_dir: str | Path | None = None,
-    trace_capacity: int | None = None,
-    trace_id: str = "",
-    monitor_dir: str | Path | None = None,
-    beat_interval: float | None = None,
-    resume_from: str | Path | None = None,
-    timeout: float | None = None,
-    cancellable: bool = False,
-) -> DistributedResult:
-    """Run the RAxML-Light scheme on ``n_ranks`` real processes.
+def _run_mesh(cfg: RunConfig) -> list[DistributedResult | None]:
+    """One ``run_mpi`` launch of ``cfg``.  Only a replica mesh outlives an
+    injected death (dead ranks then yield ``None``); a fork-join mesh that
+    loses a rank raises."""
+    budget = {} if cfg.timeout is None else {"timeout": cfg.timeout}
+    return run_mpi(
+        cfg.n_ranks, _rank_main, [cfg] * cfg.n_ranks,
+        detect_timeout=cfg.detect_timeout,
+        allow_failures=(cfg.engine == "decentralized"
+                        and cfg.fault_plan is not None),
+        forward_sigterm=cfg.cancellable, **budget,
+    )
 
-    Returns the master's result (workers return nothing — they are
-    tree-agnostic by design).
 
-    Fault handling is the paper's contrast case: a failure aborts the
-    whole run.  A *master* failure is unrecoverable in-run (the only
-    copy of the search state dies with rank 0 — "catastrophic") and
-    raises the typed :class:`~repro.errors.MasterLostError` naming the
-    latest durable checkpoint when one exists, so a supervising layer
-    can distinguish "restartable from checkpoint" from "restart from
-    scratch".  A *worker* failure restarts the run — from the last
-    periodic checkpoint when ``config.checkpoint_every``/
-    ``checkpoint_path`` are set, from scratch otherwise — at most
-    ``max_restarts`` times.  Injection only applies to the first attempt
-    (the restart models a replacement node).
-
-    ``resume_from`` starts the *first* attempt from a checkpoint (the
-    supervised restart path); ``timeout`` bounds each attempt's
-    wall-clock (the supervisor's per-attempt budget).
-    """
-    tree = _rebuild_tree(start_newick, n_branch_sets)
-    taxon_row = {label: i for i, label in enumerate(taxa)}
-    node_taxon = {
-        leaf.id: taxon_row[leaf.label] for leaf in tree.leaves()  # type: ignore[index]
-    }
-    config = config or SearchConfig()
-    payload = {
-        "parts": parts,
-        "taxa": taxa,
-        "newick": start_newick,
-        "config": config,
-        "dist_kind": dist_kind,
-        "n_branch_sets": n_branch_sets,
-        "node_taxon": node_taxon,
-        "fault_plan": fault_plan,
-        "trace_dir": _prepare_trace_dir(trace_dir),
-        "trace_capacity": trace_capacity,
-        "trace_id": trace_id,
-        "monitor_dir": _prepare_trace_dir(monitor_dir),
-        "beat_interval": beat_interval,
-        "cancellable": cancellable,
-    }
-    if resume_from:
-        payload["resume_from"] = str(resume_from)
-
-    def _latest_checkpoint() -> Path | None:
-        ckpt = Path(config.checkpoint_path) if config.checkpoint_path else None
-        if ckpt is not None and ckpt.suffix != ".npz":
-            ckpt = ckpt.with_name(ckpt.name + ".npz")  # np.savez suffixing
-        return ckpt if ckpt is not None and ckpt.exists() else None
-
-    run_kwargs: dict[str, Any] = {}
-    if timeout is not None:
-        run_kwargs["timeout"] = timeout
+def _launch_forkjoin(cfg: RunConfig) -> list[DistributedResult | None]:
+    """Fork-join launch with the paper's contrast-case fault handling: a
+    failure aborts the whole run.  A *master* failure is unrecoverable
+    in-run (the only copy of the search state dies with rank 0 —
+    "catastrophic") and raises the typed
+    :class:`~repro.errors.MasterLostError` naming the latest durable
+    checkpoint, if any; a *worker* failure restarts the run from that
+    checkpoint (else from scratch), at most ``cfg.max_restarts`` times."""
+    ckpt = Path(cfg.config.checkpoint_path) if cfg.config.checkpoint_path else None
+    if ckpt is not None and ckpt.suffix != ".npz":
+        ckpt = ckpt.with_name(ckpt.name + ".npz")  # np.savez suffixing
     restarts = 0
     while True:
         try:
-            results = run_mpi(
-                n_ranks,
-                _forkjoin_rank,
-                [payload] * n_ranks,
-                detect_timeout=detect_timeout,
-                forward_sigterm=cancellable,
-                **run_kwargs,
-            )
+            results = _run_mesh(cfg)
             break
         except RankFailureError as exc:
             from repro.engines.fault import forkjoin_failure_outcome
 
-            ckpt = _latest_checkpoint()
+            latest = str(ckpt) if ckpt is not None and ckpt.exists() else None
             outcome = forkjoin_failure_outcome(
-                sorted(exc.failed_ranks),
-                checkpoint=str(ckpt) if ckpt else None,
-            )
+                sorted(exc.failed_ranks), checkpoint=latest)
             if 0 in exc.failed_ranks:
                 # Typed, not a generic unrecoverable failure: the state
                 # is gone, not corrupt — a supervisor can restart from
                 # the checkpoint the error names.
                 raise MasterLostError(
-                    exc.failed_ranks,
-                    checkpoint=str(ckpt) if ckpt else None,
+                    exc.failed_ranks, checkpoint=latest,
                     message=f"fork-join run unrecoverable: {outcome.reason}",
                 ) from exc
-            if restarts >= max_restarts:
+            if restarts >= cfg.max_restarts:
                 raise CommError(
                     f"fork-join run failed after {restarts} restart(s): "
                     f"{outcome.reason}"
                 ) from exc
             restarts += 1
-            payload = dict(payload)
-            payload["fault_plan"] = None  # the failed node was replaced
-            payload["restarts"] = restarts
-            if ckpt is not None:
-                payload["resume_from"] = str(ckpt)
-    master = results[0]
-    if master is None:
-        raise CommError("fork-join master returned no result")
-    if payload["trace_dir"]:
-        from repro.obs.export import rank_trace_path
+            # the failed node was replaced: no injection on the new mesh
+            cfg = replace(cfg, fault_plan=None,
+                          resume_from=latest or cfg.resume_from)
+    results[0].restarts = restarts
+    return results
 
-        master.trace_path = str(rank_trace_path(payload["trace_dir"], 0))
-    return master
+
+def launch(cfg: RunConfig) -> list[DistributedResult | None]:
+    """Run ``cfg.engine`` on ``cfg.n_ranks`` real processes.
+
+    Returns one entry per original rank.  Decentralized: every replica's
+    result, ``None`` at ranks an injected fault killed — the survivors'
+    results record the failure and recovery (``failed_ranks`` in the
+    original rank numbering, ``recoveries``).  Fork-join: the master's
+    result at index 0, ``None`` for the workers.
+    """
+    for directory in (cfg.trace_dir, cfg.monitor_dir):
+        if directory:  # created in the parent, before ranks fork
+            Path(directory).mkdir(parents=True, exist_ok=True)
+    return _launch_forkjoin(cfg) if cfg.engine == "forkjoin" else _run_mesh(cfg)
+
+
+def first_survivor(results: list[DistributedResult | None]) -> DistributedResult:
+    """The lowest-ranked result of a launch: the fork-join master's, or
+    the first surviving replica's (replicas end bitwise identical)."""
+    for result in results:
+        if result is not None:
+            return result
+    raise CommError("no surviving replicas")
+
+
+def run_decentralized(*data: Any, **options: Any) -> list[DistributedResult | None]:
+    """Shorthand for ``launch(RunConfig("decentralized", *data,
+    **options))``: every replica's result."""
+    return launch(RunConfig("decentralized", *data, **options))
+
+
+def run_forkjoin(*data: Any, **options: Any) -> DistributedResult:
+    """Shorthand for ``launch(RunConfig("forkjoin", *data, **options))``:
+    the master's result."""
+    return first_survivor(launch(RunConfig("forkjoin", *data, **options)))
 
 
 def run_sequential_reference(

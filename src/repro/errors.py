@@ -56,7 +56,7 @@ class ReplicaDivergenceError(CommError):
     """The ranks' replicas issued inconsistent collectives.
 
     Raised on *every* rank by
-    :class:`~repro.par.sanitize.SanitizingComm` when a cross-rank check
+    :class:`~repro.par.sanitize.ReplicaSanitizer` when a cross-rank check
     finds the ranks disagreeing about the collective they are in — the
     verb, its Table-I tag, the reduce op, the payload shape, or the hash
     of the previous collective's (rank-symmetric) result.  Divergence is

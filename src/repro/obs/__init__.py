@@ -8,9 +8,10 @@ multiprocess runs and closes the loop:
   a zero-cost null tracer;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms for collective
   calls, payload bytes, kernel ops, failures and recoveries;
-* :mod:`repro.obs.instrument` — :class:`TracingComm` /
-  :class:`TracedExecutor` wrappers that instrument any communicator and
-  the lock-step worker kernel without touching semantics;
+* :mod:`repro.obs.instrument` — the :class:`TraceInterceptor` for
+  :class:`~repro.par.comm.InterceptingComm` and the
+  :class:`TracedExecutor`, which instrument any communicator and the
+  lock-step worker kernel without touching semantics;
 * :mod:`repro.obs.export` — per-rank JSONL streams, cross-rank merging,
   Chrome-trace/Perfetto JSON, Prometheus text exposition;
 * :mod:`repro.obs.reconcile` — measured-vs-modeled byte reconciliation
@@ -23,7 +24,7 @@ multiprocess runs and closes the loop:
   ``BENCH_*.json`` records;
 * :mod:`repro.obs.heartbeat` — per-rank heartbeat side channel (status
   files rewritten by a background thread, decoupled from the
-  collective path) plus the :class:`MonitoredComm` wrapper;
+  collective path) plus the :class:`HeartbeatInterceptor`;
 * :mod:`repro.obs.progress` — structured in-run progress events
   streamed as JSONL while the search executes;
 * :mod:`repro.obs.monitor` — parent-side stall diagnosis (hung rank vs
@@ -74,8 +75,8 @@ _EXPORTS = {
         "write_chrome_trace", "write_jsonl",
     ),
     "heartbeat": (
-        "DEFAULT_BEAT_INTERVAL", "HeartbeatState", "HeartbeatWriter",
-        "MonitoredComm", "heartbeat_path", "read_heartbeat",
+        "DEFAULT_BEAT_INTERVAL", "HeartbeatInterceptor", "HeartbeatState",
+        "HeartbeatWriter", "heartbeat_path", "read_heartbeat",
         "read_heartbeats",
     ),
     "hotspots": (
@@ -85,7 +86,7 @@ _EXPORTS = {
         "emit_kernel_profile",
     ),
     "instrument": (
-        "TracedExecutor", "TracingComm",
+        "TraceInterceptor", "TracedExecutor",
     ),
     "metrics": (
         "Counter", "Gauge", "Histogram", "MetricsRegistry",

@@ -7,7 +7,7 @@ the heartbeat channel answers "what is happening *right now* — is rank
 * a :class:`HeartbeatState` — a small mutable record of where the rank
   is (search phase, iteration, current logL, collective call index,
   whether it is currently inside a collective), updated by the search
-  driver and by the :class:`MonitoredComm` wrapper;
+  driver and by the :class:`HeartbeatInterceptor` on the communicator;
 * a :class:`HeartbeatWriter` — a **background daemon thread** that
   samples the state every ``interval`` seconds and atomically rewrites
   the rank's status file (``hb-rank<N>.json`` under the monitor
@@ -26,7 +26,7 @@ beat and collective-entry times across ranks without synchronization
 (the same timebase the tracer uses).
 
 When monitoring is off none of this exists: no thread is spawned, no
-file is created, and the communicator is not wrapped — the zero-cost
+file is created, and the communicator is not intercepted — the zero-cost
 discipline of :data:`~repro.obs.tracer.NULL_TRACER`.
 """
 
@@ -37,19 +37,19 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 try:
     import resource
 except ImportError:  # pragma: no cover - non-POSIX platforms
     resource = None  # type: ignore[assignment]
 
-from repro.par.comm import Comm, ReduceOp
+from repro.par.comm import Comm, CommCall, Interceptor
 
 __all__ = [
     "HeartbeatState",
     "HeartbeatWriter",
-    "MonitoredComm",
+    "HeartbeatInterceptor",
     "heartbeat_path",
     "read_heartbeat",
     "read_heartbeats",
@@ -71,7 +71,7 @@ class HeartbeatState:
     """Mutable per-rank progress record, sampled by the writer thread.
 
     Writers are the rank's own threads (the search driver and the
-    communicator wrapper); the only cross-thread reader is the writer
+    heartbeat interceptor); the only cross-thread reader is the writer
     thread's :meth:`snapshot`.  Individual attribute writes are atomic
     under the GIL and the record is advisory telemetry, so no lock is
     taken on the update path; ``updated_ns`` marks the last *state
@@ -98,9 +98,9 @@ class HeartbeatState:
         self.newton_iters = 0
         self.checkpoints = 0
         #: Collective call index (counts application collectives on the
-        #: monitored interface; the numbering :class:`MonitoredComm`,
-        #: ``SanitizingComm`` and ``FaultInjectingComm`` share, since all
-        #: three tick once per top-level call on the same stream).
+        #: monitored interface; the numbering :class:`HeartbeatInterceptor`
+        #: and ``FaultInjector`` share, since both tick once per top-level
+        #: call on the same stream).
         self.calls = 0
         self.verb = ""
         self.tag = ""
@@ -235,139 +235,51 @@ def read_heartbeats(monitor_dir: str | Path) -> dict[int, dict[str, Any]]:
     return out
 
 
-class MonitoredComm(Comm):
-    """Communicator wrapper that reports each collective to the state.
+class HeartbeatInterceptor(Interceptor):
+    """Reports each collective to the rank's :class:`HeartbeatState`.
 
-    Purely observational: every call delegates 1:1 to the wrapped
-    communicator (delivery order, reduction order and fault behaviour
-    untouched), bracketed by two attribute updates on the rank-local
-    :class:`HeartbeatState` — enter (bump the call index, mark
+    Purely observational: every call is bracketed by two attribute
+    updates on the rank-local state — enter (bump the call index, mark
     ``in_collective``) and exit.  No extra messages are sent, so a
     monitored run has byte-for-byte identical ``bytes_by_tag`` /
     ``calls_by_tag`` to an unmonitored one.
 
-    In the launcher's wrapper stack this sits *inside* fault injection:
-    an injected hang fires before the state records the call, so a hung
-    rank's heartbeat shows it never *entered* call ``K`` while its
-    peers' heartbeats show them waiting *inside* ``K`` — the asymmetry
-    :func:`repro.obs.monitor.diagnose` keys on.
+    It sits *inside* fault injection (see
+    :meth:`repro.engines.runtime.RankRuntime.open`): a hung rank's
+    heartbeat shows it never *entered* call ``K`` while its peers' show
+    them waiting *inside* ``K``.
+
+    Shrink rule: the interceptor rides on with the same state object
+    (and call numbering), so the monitor sees one continuous life per
+    rank through the failure.
     """
 
-    def __init__(self, inner: Comm, state: HeartbeatState) -> None:
-        self.inner = inner
+    def __init__(self, state: HeartbeatState) -> None:
         self.state = state
 
-    # -- delegation ---------------------------------------------------- #
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
-    @property
-    def bytes_by_tag(self):
-        return self.inner.bytes_by_tag
-
-    @property
-    def calls_by_tag(self):
-        return self.inner.calls_by_tag
-
-    def world_rank(self, rank: int) -> int:
-        return self.inner.world_rank(rank)
-
-    def world_ranks(self, ranks) -> tuple[int, ...]:
-        return self.inner.world_ranks(ranks)
-
-    # -- observed collectives ------------------------------------------ #
-    def _enter(self, verb: str, tag: str) -> None:
+    def call(self, base: Comm, c: CommCall, proceed: Callable[[], Any]) -> Any:
         s = self.state
         s.calls += 1
-        s.verb = verb
-        s.tag = tag
+        s.verb = c.verb
+        s.tag = c.tag
         s.entered_ns = time.perf_counter_ns()
         s.in_collective = True
         s.updated_ns = s.entered_ns
-
-    def _exit(self) -> None:
-        s = self.state
-        s.in_collective = False
-        s.updated_ns = time.perf_counter_ns()
-
-    def bcast(self, obj: Any, root: int = 0, tag: str = "generic") -> Any:
-        self._enter("bcast", tag)
         try:
-            return self.inner.bcast(obj, root, tag)
+            return proceed()
         finally:
-            self._exit()
+            s.in_collective = False
+            s.updated_ns = time.perf_counter_ns()
 
-    def reduce(self, obj: Any, op: ReduceOp = ReduceOp.SUM, root: int = 0,
-               tag: str = "generic") -> Any:
-        self._enter("reduce", tag)
-        try:
-            return self.inner.reduce(obj, op, root, tag)
-        finally:
-            self._exit()
-
-    def allreduce(self, obj: Any, op: ReduceOp = ReduceOp.SUM,
-                  tag: str = "generic") -> Any:
-        self._enter("allreduce", tag)
-        try:
-            return self.inner.allreduce(obj, op, tag)
-        finally:
-            self._exit()
-
-    def barrier(self, tag: str = "generic") -> None:
-        self._enter("barrier", tag)
-        try:
-            return self.inner.barrier(tag)
-        finally:
-            self._exit()
-
-    def gather(self, obj: Any, root: int = 0, tag: str = "generic"):
-        self._enter("gather", tag)
-        try:
-            return self.inner.gather(obj, root, tag)
-        finally:
-            self._exit()
-
-    def scatter(self, objs: list[Any] | None, root: int = 0,
-                tag: str = "generic") -> Any:
-        self._enter("scatter", tag)
-        try:
-            return self.inner.scatter(objs, root, tag)
-        finally:
-            self._exit()
-
-    def send(self, obj: Any, dest: int, tag: str = "generic") -> None:
-        self._enter("send", tag)
-        try:
-            return self.inner.send(obj, dest, tag)
-        finally:
-            self._exit()
-
-    def recv(self, source: int, tag: str = "generic") -> Any:
-        self._enter("recv", tag)
-        try:
-            return self.inner.recv(source, tag)
-        finally:
-            self._exit()
-
-    # -- recovery (delegated; monitoring continues across the shrink) -- #
-    def agree(self, failed) -> frozenset[int]:
+    def agree(self, base: Comm, failed, proceed):
         self.state.update(phase="recover", in_collective=False)
-        return self.inner.agree(failed)
+        return proceed()
 
-    def shrink(self, failed) -> "MonitoredComm":
-        """Shrink the wrapped communicator; the same state (and call
-        numbering) carries across, so the monitor sees one continuous
-        life per rank through the failure."""
-        shrunk = self.inner.shrink(failed)
+    def shrink(self, base: Comm, failed, proceed):
+        shrunk = proceed()
         self.state.update(
             failed_ranks=tuple(sorted(
-                set(self.state.failed_ranks)
-                | set(self.inner.world_ranks(failed))
+                set(self.state.failed_ranks) | set(base.world_ranks(failed))
             )),
         )
-        return MonitoredComm(shrunk, self.state)
+        return shrunk

@@ -1,21 +1,18 @@
-"""Instrumentation wrappers: spans + counters without semantic changes.
+"""Instrumentation: spans + counters without semantic changes.
 
-:class:`TracingComm` wraps any :class:`~repro.par.comm.Comm`
-(:class:`~repro.par.seqcomm.SequentialComm`,
-:class:`~repro.par.mpcomm.MPComm`,
-:class:`~repro.par.faultcomm.FaultInjectingComm`, …) and emits one span
-per collective — carrying the Table-I ``tag`` as its category and the
-payload size in bytes — plus counters in a
+:class:`TraceInterceptor` is the :class:`~repro.par.comm.Interceptor`
+that emits one span per collective — carrying the Table-I ``tag`` as its
+category and the payload size in bytes — plus counters in a
 :class:`~repro.obs.metrics.MetricsRegistry`.  Delivery order, reduction
-order and fault behaviour are untouched: every call delegates 1:1 to the
-wrapped communicator, so rank-ordered determinism (and therefore replica
-consistency) is preserved.
+order and fault behaviour are untouched: it only brackets the call, so
+rank-ordered determinism (and therefore replica consistency) is
+preserved.
 
 Failure semantics: a :class:`~repro.errors.RankFailureError` unwinding a
 collective closes the open span with ``error=True`` and bumps the
 ``comm.failures.detected`` counter.  The ULFM-style recovery verbs
-(:meth:`agree`, :meth:`shrink`) appear as explicit ``recovery`` spans, so
-a merged trace shows the full detect → agree → shrink timeline.
+(``agree``, ``shrink``) appear as explicit ``recovery`` spans, so a
+merged trace shows the full detect → agree → shrink timeline.
 
 :class:`TracedExecutor` is the instrumented lock-step worker kernel: the
 same tree-agnostic :class:`~repro.engines.executor.DescriptorExecutor`,
@@ -25,64 +22,39 @@ batch is timed and counted (``kernel.ops.*``).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.engines.executor import DescriptorExecutor
 from repro.errors import RankFailureError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import KIND_COMM, KIND_KERNEL, KIND_RECOVERY, Tracer
-from repro.par.comm import Comm, ReduceOp, payload_nbytes
+from repro.par.comm import Comm, CommCall, Interceptor, payload_nbytes
 
-__all__ = ["TracingComm", "TracedExecutor"]
+__all__ = ["TraceInterceptor", "TracedExecutor"]
 
 
-class TracingComm(Comm):
-    """Span- and counter-emitting wrapper around any communicator."""
+class TraceInterceptor(Interceptor):
+    """Span- and counter-emitting interceptor.
 
-    def __init__(
-        self,
-        inner: Comm,
-        tracer: Tracer,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        self.inner = inner
+    Shrink rule: the interceptor rides on with the same tracer and
+    metrics — the observability story continues across the failure.
+    """
+
+    def __init__(self, tracer: Tracer,
+                 metrics: MetricsRegistry | None = None) -> None:
         self.tracer = tracer
         self.metrics = metrics
 
-    # -- delegation -------------------------------------------------------- #
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
-    @property
-    def bytes_by_tag(self):
-        return self.inner.bytes_by_tag
-
-    @property
-    def calls_by_tag(self):
-        return self.inner.calls_by_tag
-
-    def world_rank(self, rank: int) -> int:
-        return self.inner.world_rank(rank)
-
-    def world_ranks(self, ranks) -> tuple[int, ...]:
-        return self.inner.world_ranks(ranks)
-
-    # -- traced collectives ------------------------------------------------ #
-    def _traced(self, name: str, tag: str, obj: Any, call) -> Any:
-        """Run ``call()`` under a span; count calls/bytes per collective
+    def call(self, base: Comm, c: CommCall, proceed: Callable[[], Any]) -> Any:
+        """Run the call under a span; count calls/bytes per collective
         and per tag.  ``nbytes`` is the payload this rank contributes, or
         — for pure receives (non-root bcast/scatter, recv) — the payload
         it obtains."""
-        nbytes = payload_nbytes(obj)
-        with self.tracer.span(name, kind=KIND_COMM, category=tag,
+        nbytes = payload_nbytes(c.obj)
+        with self.tracer.span(c.verb, kind=KIND_COMM, category=c.tag,
                               nbytes=nbytes) as span:
             try:
-                result = call()
+                result = proceed()
             except RankFailureError:
                 if self.metrics is not None:
                     self.metrics.counter("comm.failures.detected").inc()
@@ -93,74 +65,34 @@ class TracingComm(Comm):
                     span.nbytes = nbytes
         if self.metrics is not None:
             m = self.metrics
-            m.counter(f"comm.calls.{name}").inc()
-            m.counter(f"comm.bytes.{name}").inc(nbytes)
-            m.counter(f"comm.calls.tag.{tag}").inc()
-            m.counter(f"comm.bytes.tag.{tag}").inc(nbytes)
-            m.histogram(f"comm.payload_nbytes.{name}").observe(nbytes)
+            m.counter(f"comm.calls.{c.verb}").inc()
+            m.counter(f"comm.bytes.{c.verb}").inc(nbytes)
+            m.counter(f"comm.calls.tag.{c.tag}").inc()
+            m.counter(f"comm.bytes.tag.{c.tag}").inc(nbytes)
+            m.histogram(f"comm.payload_nbytes.{c.verb}").observe(nbytes)
         return result
 
-    def bcast(self, obj: Any, root: int = 0, tag: str = "generic") -> Any:
-        return self._traced("bcast", tag, obj,
-                            lambda: self.inner.bcast(obj, root, tag))
-
-    def reduce(self, obj: Any, op: ReduceOp = ReduceOp.SUM, root: int = 0,
-               tag: str = "generic") -> Any:
-        return self._traced("reduce", tag, obj,
-                            lambda: self.inner.reduce(obj, op, root, tag))
-
-    def allreduce(self, obj: Any, op: ReduceOp = ReduceOp.SUM,
-                  tag: str = "generic") -> Any:
-        return self._traced("allreduce", tag, obj,
-                            lambda: self.inner.allreduce(obj, op, tag))
-
-    def barrier(self, tag: str = "generic") -> None:
-        return self._traced("barrier", tag, None,
-                            lambda: self.inner.barrier(tag))
-
-    def gather(self, obj: Any, root: int = 0, tag: str = "generic"):
-        return self._traced("gather", tag, obj,
-                            lambda: self.inner.gather(obj, root, tag))
-
-    def scatter(self, objs: list[Any] | None, root: int = 0,
-                tag: str = "generic") -> Any:
-        return self._traced("scatter", tag, objs,
-                            lambda: self.inner.scatter(objs, root, tag))
-
-    def send(self, obj: Any, dest: int, tag: str = "generic") -> None:
-        return self._traced("send", tag, obj,
-                            lambda: self.inner.send(obj, dest, tag))
-
-    def recv(self, source: int, tag: str = "generic") -> Any:
-        return self._traced("recv", tag, None,
-                            lambda: self.inner.recv(source, tag))
-
-    # -- recovery (explicit trace events) ---------------------------------- #
-    def agree(self, failed) -> frozenset[int]:
+    def agree(self, base: Comm, failed, proceed):
         with self.tracer.span("agree", kind=KIND_RECOVERY,
                               suspected=sorted(int(r) for r in failed)) as s:
-            agreed = self.inner.agree(failed)
+            agreed = proceed()
             if s is not None:
                 s.attrs["agreed"] = sorted(agreed)
         if self.metrics is not None:
             self.metrics.counter("recovery.agree_rounds").inc()
         return agreed
 
-    def shrink(self, failed) -> "TracingComm":
-        """Shrink the wrapped communicator; tracing (same tracer, same
-        metrics — the observability story continues across the failure)
-        survives on the renumbered communicator."""
-        failed_world = self.inner.world_ranks(failed)
+    def shrink(self, base: Comm, failed, proceed):
         with self.tracer.span("shrink", kind=KIND_RECOVERY,
-                              failed_world=list(failed_world)) as s:
-            shrunk = self.inner.shrink(failed)
+                              failed_world=list(base.world_ranks(failed))) as s:
+            shrunk = proceed()
             if s is not None:
                 s.attrs["new_size"] = shrunk.size
                 s.attrs["new_rank"] = shrunk.rank
         if self.metrics is not None:
             self.metrics.counter("recovery.shrinks").inc()
             self.metrics.gauge("comm.size").set(shrunk.size)
-        return TracingComm(shrunk, self.tracer, self.metrics)
+        return shrunk
 
 
 class TracedExecutor(DescriptorExecutor):

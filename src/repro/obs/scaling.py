@@ -224,7 +224,7 @@ def run_scaling(
     share one.  Speedup/efficiency are relative to the smallest rank
     count measured for the same (engine, dist).
     """
-    from repro.engines.launch import run_decentralized, run_forkjoin
+    from repro.engines.launch import RunConfig, first_survivor, launch
 
     ranks_sorted = sorted(set(int(n) for n in ranks_list))
     if not ranks_sorted or ranks_sorted[0] < 1:
@@ -237,26 +237,14 @@ def run_scaling(
             for n in ranks_sorted:
                 lik = build_likelihood()
                 trace_dir = trace_root / f"{engine}-{dist}-r{n}"
+                cfg = RunConfig(
+                    engine, lik.parts, lik.taxa, start_newick, n,
+                    config=config, dist_kind=dist,
+                    n_branch_sets=lik.n_branch_sets, trace_dir=trace_dir,
+                    trace_capacity=trace_capacity,
+                )
                 t0 = time.perf_counter()
-                if engine == "decentralized":
-                    replicas = run_decentralized(
-                        lik.parts, lik.taxa, start_newick, n_ranks=n,
-                        config=config, dist_kind=dist,
-                        n_branch_sets=lik.n_branch_sets,
-                        trace_dir=trace_dir,
-                        trace_capacity=trace_capacity,
-                    )
-                    res = next(r for r in replicas if r is not None)
-                elif engine == "forkjoin":
-                    res = run_forkjoin(
-                        lik.parts, lik.taxa, start_newick, n_ranks=n,
-                        config=config, dist_kind=dist,
-                        n_branch_sets=lik.n_branch_sets,
-                        trace_dir=trace_dir,
-                        trace_capacity=trace_capacity,
-                    )
-                else:
-                    raise ValueError(f"unknown engine {engine!r}")
+                res = first_survivor(launch(cfg))
                 harness_s = time.perf_counter() - t0
 
                 merged = _merged_trace(trace_dir, n)

@@ -15,18 +15,31 @@ Reductions over float arrays are performed in **fixed rank order**.  The
 paper stresses that ``MPI_Allreduce`` must yield bitwise-identical values
 on every rank, otherwise the replicated search algorithms diverge; rank-
 ordered summation gives us that property on every backend.
+
+Cross-cutting checks on that stream (span tracing, fault injection,
+heartbeats, the replica sanitizer) are :class:`Interceptor` objects driven
+by the one wrapper, :class:`InterceptingComm`.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.errors import CommError
 
-__all__ = ["ReduceOp", "Comm", "payload_nbytes"]
+__all__ = [
+    "ReduceOp",
+    "Comm",
+    "CommCall",
+    "Interceptor",
+    "InterceptingComm",
+    "payload_nbytes",
+]
 
 
 class ReduceOp(enum.Enum):
@@ -96,6 +109,10 @@ def payload_nbytes(obj: Any) -> int:
 class Comm:
     """Abstract communicator.  Ranks are ``0 .. size-1``."""
 
+    #: Payload bytes / collective calls this rank issued per ``tag``.
+    bytes_by_tag: dict[str, int]
+    calls_by_tag: dict[str, int]
+
     @property
     def rank(self) -> int:
         raise NotImplementedError
@@ -159,3 +176,125 @@ class Comm:
         raise CommError(
             f"{type(self).__name__} cannot shrink (no rank can fail)"
         )
+
+
+# -- interception ------------------------------------------------------------ #
+
+
+@dataclass(frozen=True)
+class CommCall:
+    """One verb as an :class:`Interceptor` sees it, before it runs.
+
+    ``obj`` is the payload this rank contributes (``None`` for ``barrier``
+    and ``recv``); ``op`` and ``root`` are ``None`` for verbs without one.
+    """
+
+    verb: str
+    tag: str
+    obj: Any = None
+    op: ReduceOp | None = None
+    root: int | None = None
+
+
+class Interceptor:
+    """One cross-cutting concern on a rank's collective stream.
+
+    Every hook receives the *base* communicator (the real one under the
+    wrapper) and ``proceed``, which runs the rest of the chain — the
+    interceptors further in, then the base verb — and returns its result.
+    A hook that sends messages of its own sends them on ``base``, so no
+    other interceptor sees or counts them.
+    """
+
+    def call(self, base: Comm, c: CommCall, proceed: Callable[[], Any]) -> Any:
+        """Around one of the eight verbs."""
+        return proceed()
+
+    def agree(self, base: Comm, failed, proceed: Callable[[], frozenset[int]]) -> frozenset[int]:
+        """Around ``agree``; ``failed`` is in ``base``'s numbering."""
+        return proceed()
+
+    def shrink(self, base: Comm, failed, proceed: Callable[[], Comm]) -> Comm:
+        """Around ``shrink``; ``proceed`` returns the shrunk base."""
+        return proceed()
+
+    def after_shrink(self) -> "Interceptor":
+        """The interceptor that rides on the shrunk communicator: this one,
+        state and all, unless a subclass must start afresh."""
+        return self
+
+
+class InterceptingComm(Comm):
+    """The one communicator wrapper: ``base`` seen through ``interceptors``.
+
+    The tuple is ordered outermost first, and the order is contract: the
+    first interceptor's hook opens first and closes last around every
+    verb, ``agree`` and ``shrink``.  Delivery order, reduction order and
+    byte accounting are ``base``'s own; a shrink re-wraps the survivor
+    communicator with each interceptor's :meth:`Interceptor.after_shrink`.
+    """
+
+    def __init__(self, base: Comm, interceptors: Sequence[Interceptor]) -> None:
+        self.base = base
+        self.interceptors = tuple(interceptors)
+        # the same dict objects, so the wrapper reads what the base counts
+        self.bytes_by_tag = base.bytes_by_tag
+        self.calls_by_tag = base.calls_by_tag
+
+    @property
+    def rank(self) -> int:
+        return self.base.rank
+
+    @property
+    def size(self) -> int:
+        return self.base.size
+
+    def world_rank(self, rank: int) -> int:
+        return self.base.world_rank(rank)
+
+    def _through(self, hook: str, subject: Any, innermost: Callable[[], Any]) -> Any:
+        """Run ``innermost`` inside every interceptor's ``hook``."""
+        proceed = innermost
+        for interceptor in reversed(self.interceptors):
+            proceed = partial(getattr(interceptor, hook), self.base, subject, proceed)
+        return proceed()
+
+    def _verb(self, c: CommCall, *args: Any) -> Any:
+        return self._through("call", c, partial(getattr(self.base, c.verb), *args))
+
+    def bcast(self, obj: Any, root: int = 0, tag: str = "generic") -> Any:
+        return self._verb(CommCall("bcast", tag, obj, root=root), obj, root, tag)
+
+    def reduce(
+        self, obj: Any, op: ReduceOp = ReduceOp.SUM, root: int = 0,
+        tag: str = "generic",
+    ) -> Any:
+        return self._verb(CommCall("reduce", tag, obj, op, root), obj, op, root, tag)
+
+    def allreduce(
+        self, obj: Any, op: ReduceOp = ReduceOp.SUM, tag: str = "generic"
+    ) -> Any:
+        return self._verb(CommCall("allreduce", tag, obj, op), obj, op, tag)
+
+    def barrier(self, tag: str = "generic") -> None:
+        return self._verb(CommCall("barrier", tag), tag)
+
+    def gather(self, obj: Any, root: int = 0, tag: str = "generic") -> list[Any] | None:
+        return self._verb(CommCall("gather", tag, obj, root=root), obj, root, tag)
+
+    def scatter(self, objs: list[Any] | None, root: int = 0, tag: str = "generic") -> Any:
+        return self._verb(CommCall("scatter", tag, objs, root=root), objs, root, tag)
+
+    def send(self, obj: Any, dest: int, tag: str = "generic") -> None:
+        return self._verb(CommCall("send", tag, obj), obj, dest, tag)
+
+    def recv(self, source: int, tag: str = "generic") -> Any:
+        return self._verb(CommCall("recv", tag), source, tag)
+
+    def agree(self, failed) -> frozenset[int]:
+        return self._through("agree", failed, partial(self.base.agree, failed))
+
+    def shrink(self, failed) -> "InterceptingComm":
+        shrunk = self._through("shrink", failed, partial(self.base.shrink, failed))
+        return InterceptingComm(
+            shrunk, [i.after_shrink() for i in self.interceptors])

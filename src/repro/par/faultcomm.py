@@ -1,6 +1,6 @@
 """Deterministic rank-failure injection for the multiprocess backend.
 
-:class:`FaultInjectingComm` wraps any :class:`~repro.par.comm.Comm` and
+:class:`FaultInjector` is an :class:`~repro.par.comm.Interceptor` that
 kills (or hangs) the process at a scheduled point, so the fault-tolerance
 machinery can be exercised reproducibly:
 
@@ -19,7 +19,7 @@ communicator operations — deterministic because the engines are
 deterministic), or a seeded per-call probability, which is equally
 reproducible under a fixed seed.
 
-The wrapper counts *top-level* calls on the interface it wraps (an
+The injector counts *top-level* calls on the intercepted interface (an
 ``allreduce`` is one call even though the underlying implementation
 composes a reduce and a bcast).
 """
@@ -34,12 +34,12 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.errors import CommError
-from repro.par.comm import Comm, ReduceOp
+from repro.par.comm import Comm, CommCall, Interceptor
 
 __all__ = [
     "FaultSpec",
     "FaultPlan",
-    "FaultInjectingComm",
+    "FaultInjector",
     "FAULT_EXIT_CODE",
     "MODE_DIE",
     "MODE_HANG",
@@ -195,54 +195,40 @@ def _default_fire(mode: str, hang_seconds: float) -> None:
     os._exit(FAULT_EXIT_CODE)
 
 
-class FaultInjectingComm(Comm):
-    """A communicator that dies on schedule.
+class FaultInjector(Interceptor):
+    """Dies on schedule.
 
-    Delegates everything to ``inner``; before each top-level call it
-    advances the per-rank call counter and fires the plan if a trigger
-    matches.  ``plan_rank`` pins the identity used for trigger matching
-    to the rank's *original* (world) number, so schedules stay meaningful
-    across :meth:`shrink` renumbering.  ``on_fire`` exists for in-process
-    tests (the default really exits).
+    Before each top-level call it advances the per-rank call counter and
+    fires the plan if a trigger matches.  ``plan_rank`` pins the identity
+    used for trigger matching to the rank's *original* (world) number, so
+    schedules stay meaningful across shrink renumbering.  ``on_fire``
+    exists for in-process tests (the default really exits).
+
+    Shrink rule: the injector itself rides on (the inherited
+    :meth:`after_shrink`), with its plan identity and both running
+    counters, so later triggers for this rank still fire after recovery.
     """
 
     def __init__(
         self,
-        inner: Comm,
         plan: FaultPlan,
-        plan_rank: int | None = None,
-        calls: int = 0,
-        recovery_calls: int = 0,
+        plan_rank: int,
         on_fire: Callable[[str, float], None] = _default_fire,
     ) -> None:
-        self.inner = inner
         self.plan = plan
-        self.plan_rank = inner.rank if plan_rank is None else plan_rank
-        self.calls = calls
+        self.plan_rank = plan_rank
+        self.calls = 0
         #: Recovery-scoped counter: 0 until this rank's first ``agree``,
         #: then every recovery step and post-resume collective counts.
-        self.recovery_calls = recovery_calls
+        self.recovery_calls = 0
         self._on_fire = on_fire
         self._rng = (
-            np.random.default_rng(plan.seed + self.plan_rank)
+            np.random.default_rng(plan.seed + plan_rank)
             if plan.probability > 0.0
             else None
         )
 
-    # -- trigger ----------------------------------------------------------- #
-    def _tick(self) -> None:
-        self.calls += 1
-        if self.recovery_calls:
-            self.recovery_calls += 1
-        mode = self._firing_mode()
-        if mode is not None:
-            self._on_fire(mode, self.plan.hang_seconds)
-
-    def _tick_recovery(self) -> None:
-        """Advance only the recovery counter (``agree``/``shrink`` are
-        control operations, not application collectives — the primary
-        call counter must stay aligned with the undisturbed schedule)."""
-        self.recovery_calls += 1
+    def _fire_if_due(self) -> None:
         mode = self._firing_mode()
         if mode is not None:
             self._on_fire(mode, self.plan.hang_seconds)
@@ -260,79 +246,22 @@ class FaultInjectingComm(Comm):
                 return MODE_DIE
         return None
 
-    # -- delegation -------------------------------------------------------- #
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
+    def call(self, base: Comm, c: CommCall, proceed: Callable[[], Any]) -> Any:
+        self.calls += 1
+        if self.recovery_calls:
+            self.recovery_calls += 1
+        self._fire_if_due()
+        return proceed()
 
-    @property
-    def size(self) -> int:
-        return self.inner.size
+    def _recovery_step(self, base: Comm, failed, proceed: Callable[[], Any]) -> Any:
+        """Advance only the recovery counter (``agree``/``shrink`` are
+        control operations, not application collectives — the primary
+        call counter must stay aligned with the undisturbed schedule)."""
+        self.recovery_calls += 1
+        self._fire_if_due()
+        return proceed()
 
-    @property
-    def bytes_by_tag(self):
-        return self.inner.bytes_by_tag
-
-    @property
-    def calls_by_tag(self):
-        return self.inner.calls_by_tag
-
-    def world_rank(self, rank: int) -> int:
-        return self.inner.world_rank(rank)
-
-    def world_ranks(self, ranks) -> tuple[int, ...]:
-        return self.inner.world_ranks(ranks)
-
-    def send(self, obj: Any, dest: int, tag: str = "generic") -> None:
-        self._tick()
-        self.inner.send(obj, dest, tag)
-
-    def recv(self, source: int, tag: str = "generic") -> Any:
-        self._tick()
-        return self.inner.recv(source, tag)
-
-    def bcast(self, obj: Any, root: int = 0, tag: str = "generic") -> Any:
-        self._tick()
-        return self.inner.bcast(obj, root, tag)
-
-    def reduce(self, obj: Any, op: ReduceOp = ReduceOp.SUM, root: int = 0,
-               tag: str = "generic") -> Any:
-        self._tick()
-        return self.inner.reduce(obj, op, root, tag)
-
-    def allreduce(self, obj: Any, op: ReduceOp = ReduceOp.SUM,
-                  tag: str = "generic") -> Any:
-        self._tick()
-        return self.inner.allreduce(obj, op, tag)
-
-    def barrier(self, tag: str = "generic") -> None:
-        self._tick()
-        self.inner.barrier(tag)
-
-    def gather(self, obj: Any, root: int = 0, tag: str = "generic"):
-        self._tick()
-        return self.inner.gather(obj, root, tag)
-
-    def scatter(self, objs: list[Any] | None, root: int = 0,
-                tag: str = "generic") -> Any:
-        self._tick()
-        return self.inner.scatter(objs, root, tag)
-
-    # -- recovery (wrapper preserved, recovery-scoped triggers fire) ------- #
-    def agree(self, failed) -> frozenset[int]:
-        """Entering agreement is recovery call 1: a ``when="recovery"``
-        spec with ``at_call=1`` takes this rank down mid-consensus."""
-        self._tick_recovery()
-        return self.inner.agree(failed)
-
-    def shrink(self, failed) -> "FaultInjectingComm":
-        """Shrink the inner communicator; the wrapper (with its original
-        plan identity and running call counters) survives, so later
-        triggers for this rank still fire after recovery.  Entering the
-        shrink is recovery call 2 — the fault-during-shrink point."""
-        self._tick_recovery()
-        shrunk = self.inner.shrink(failed)
-        return FaultInjectingComm(
-            shrunk, self.plan, plan_rank=self.plan_rank, calls=self.calls,
-            recovery_calls=self.recovery_calls, on_fire=self._on_fire,
-        )
+    #: Entering agreement is recovery call 1 (a ``when="recovery"`` spec
+    #: with ``at_call=1`` takes this rank down mid-consensus); entering the
+    #: shrink is call 2 — the fault-during-shrink point.
+    agree = shrink = _recovery_step

@@ -1,9 +1,10 @@
 """Runtime replica sanitizer: cross-rank collective-consistency checks.
 
-:class:`SanitizingComm` is the dynamic complement to the replicheck
-static analyzer (:mod:`repro.analysis`).  Wrapped around any
-communicator, it prepends every collective with a small control round
-that cross-checks what each rank *thinks* it is doing:
+:class:`ReplicaSanitizer` is the dynamic complement to the replicheck
+static analyzer (:mod:`repro.analysis`).  An
+:class:`~repro.par.comm.Interceptor` on any communicator, it prepends
+every collective with a small control round that cross-checks what each
+rank *thinks* it is doing:
 
 1. each rank builds a record of the impending call — call index, verb,
    Table-I ``tag``, reduce op, root, a structural payload signature
@@ -12,7 +13,8 @@ that cross-checks what each rank *thinks* it is doing:
    previous collective's rank-symmetric result, and the application
    call site;
 2. the records are gathered at rank 0 (tag ``__sanitize__``) and a
-   verdict is broadcast back;
+   verdict is broadcast back — on the base communicator, so no other
+   interceptor sees or counts the control round;
 3. on a mismatch *every* rank raises
    :class:`~repro.errors.ReplicaDivergenceError` naming the first
    diverging collective and the minority ranks — *before* entering the
@@ -38,10 +40,10 @@ Scope and limits:
 Fault-tolerance interaction: the check rounds use the same
 failure-aware primitives as the payload collectives, so a rank death
 during a check surfaces as the usual
-:class:`~repro.errors.RankFailureError` and recovery proceeds.  On
-:meth:`shrink`, the rewrapped sanitizer resets its call counter and
-result hash — survivors may have been torn out of adjacent collectives,
-so the pre-failure chain must not poison the first post-recovery check.
+:class:`~repro.errors.RankFailureError` and recovery proceeds.  A
+shrink restarts the call counter and the result hash — survivors may
+have been torn out of adjacent collectives, so the pre-failure chain
+must not poison the first post-recovery check.
 """
 
 from __future__ import annotations
@@ -49,14 +51,14 @@ from __future__ import annotations
 import hashlib
 import pickle
 import sys
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.errors import RankFailureError, ReplicaDivergenceError
-from repro.par.comm import Comm, ReduceOp
+from repro.par.comm import Comm, CommCall, Interceptor
 
-__all__ = ["SanitizingComm", "SANITIZE_TAG"]
+__all__ = ["ReplicaSanitizer", "SANITIZE_TAG"]
 
 #: Tag carried by the sanitizer's own control rounds — visible in
 #: ``bytes_by_tag``/``calls_by_tag`` so its overhead is accountable (and
@@ -72,6 +74,20 @@ _NO_HASH = "-"
 # reported but NOT compared: identical code on every rank means it only
 # adds context, and line numbers must not decide divergence.
 _COMPARED = ("index", "verb", "tag", "op", "root", "sig", "prev")
+
+# Checked verb -> (payload signature compared?, result rank-symmetric?).
+# A bcast/scatter payload exists on the root only, so its signature is not
+# compared; reduce/gather/scatter results differ per rank by design, so
+# they do not chain into the next check.  ``send``/``recv`` are absent:
+# point-to-point traffic is legitimately rank-asymmetric.
+_CHECKED = {
+    "bcast": (False, True),
+    "reduce": (True, False),
+    "allreduce": (True, True),
+    "barrier": (True, True),
+    "gather": (True, False),
+    "scatter": (False, False),
+}
 
 
 def _stable_hash(obj: Any) -> str:
@@ -152,145 +168,71 @@ def _format_records(records: list[dict]) -> str:
     return "\n".join(lines)
 
 
-class SanitizingComm(Comm):
-    """Cross-rank collective-consistency checking wrapper."""
+class ReplicaSanitizer(Interceptor):
+    """Cross-rank collective-consistency check before every collective."""
 
-    def __init__(self, inner: Comm) -> None:
-        self.inner = inner
+    def __init__(self) -> None:
         self.calls = 0
         self._prev = _NO_HASH
 
-    # -- delegation -------------------------------------------------------- #
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
+    def after_shrink(self) -> "ReplicaSanitizer":
+        """Shrink rule: a fresh call counter and result chain (survivors
+        may have been torn out of *adjacent* collectives, so neither is
+        comparable across the failure)."""
+        return ReplicaSanitizer()
 
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
-    @property
-    def bytes_by_tag(self):
-        return self.inner.bytes_by_tag
-
-    @property
-    def calls_by_tag(self):
-        return self.inner.calls_by_tag
-
-    def world_rank(self, rank: int) -> int:
-        return self.inner.world_rank(rank)
-
-    def world_ranks(self, ranks) -> tuple[int, ...]:
-        return self.inner.world_ranks(ranks)
-
-    # -- the check --------------------------------------------------------- #
-    def _check(self, verb: str, tag: str, op: ReduceOp | None,
-               root: int | None, sig: str) -> int:
-        """One control round; returns this collective's call index."""
+    def _check(self, base: Comm, c: CommCall, sig: str) -> None:
+        """One control round on ``base`` for the impending call ``c``."""
         index = self.calls
         self.calls += 1
-        if self.inner.size <= 1:
-            return index
+        if base.size <= 1:
+            return
         record = {
             "index": index,
-            "verb": verb,
-            "tag": tag,
-            "op": op.value if op is not None else "-",
-            "root": root if root is not None else "-",
+            "verb": c.verb,
+            "tag": c.tag,
+            "op": c.op.value if c.op is not None else "-",
+            "root": c.root if c.root is not None else "-",
             "sig": sig,
             "prev": self._prev,
             "site": _call_site(),
         }
-        try:
-            records = self.inner.gather(record, root=0, tag=SANITIZE_TAG)
-            verdict = None
-            if self.inner.rank == 0:
-                keys = [tuple(r[k] for k in _COMPARED) for r in records]
-                if len(set(keys)) > 1:
-                    counts: dict[tuple, int] = {}
-                    for key in keys:
-                        counts[key] = counts.get(key, 0) + 1
-                    majority = max(counts, key=lambda k: counts[k])
-                    verdict = {
-                        "index": index,
-                        "diverging": [r for r, key in enumerate(keys)
-                                      if key != majority],
-                        "details": _format_records(records),
-                    }
-            verdict = self.inner.bcast(verdict, root=0, tag=SANITIZE_TAG)
-        except RankFailureError:
-            # A peer died mid-check; the chain up to here is unusable for
-            # the survivors' next comparison.
-            self._prev = _NO_HASH
-            raise
+        records = base.gather(record, root=0, tag=SANITIZE_TAG)
+        verdict = None
+        if base.rank == 0:
+            keys = [tuple(r[k] for k in _COMPARED) for r in records]
+            if len(set(keys)) > 1:
+                counts: dict[tuple, int] = {}
+                for key in keys:
+                    counts[key] = counts.get(key, 0) + 1
+                majority = max(counts, key=lambda k: counts[k])
+                verdict = {
+                    "index": index,
+                    "diverging": [r for r, key in enumerate(keys)
+                                  if key != majority],
+                    "details": _format_records(records),
+                }
+        verdict = base.bcast(verdict, root=0, tag=SANITIZE_TAG)
         if verdict is not None:
             raise ReplicaDivergenceError(
                 call_index=verdict["index"],
                 diverging_ranks=verdict["diverging"],
                 details=verdict["details"],
             )
-        return index
 
-    def _run(self, call, symmetric_result: bool) -> Any:
-        """Run the payload collective; chain rank-symmetric results into
-        the next check via their hash."""
+    def call(self, base: Comm, c: CommCall, proceed: Callable[[], Any]) -> Any:
+        """Check, run the payload collective, and chain a rank-symmetric
+        result into the next check via its hash."""
+        if c.verb not in _CHECKED:
+            return proceed()
+        compare_sig, symmetric_result = _CHECKED[c.verb]
         try:
-            result = call()
+            self._check(base, c, _payload_sig(c.obj) if compare_sig else _NO_HASH)
+            result = proceed()
         except RankFailureError:
+            # A peer died mid-check or mid-collective; the chain up to
+            # here is unusable for the survivors' next comparison.
             self._prev = _NO_HASH
             raise
         self._prev = _stable_hash(result) if symmetric_result else _NO_HASH
         return result
-
-    # -- checked collectives ------------------------------------------------ #
-    def bcast(self, obj: Any, root: int = 0, tag: str = "generic") -> Any:
-        # Payload signature is root-only by design — not compared.
-        self._check("bcast", tag, None, root, _NO_HASH)
-        return self._run(lambda: self.inner.bcast(obj, root, tag),
-                         symmetric_result=True)
-
-    def reduce(self, obj: Any, op: ReduceOp = ReduceOp.SUM, root: int = 0,
-               tag: str = "generic") -> Any:
-        self._check("reduce", tag, op, root, _payload_sig(obj))
-        return self._run(lambda: self.inner.reduce(obj, op, root, tag),
-                         symmetric_result=False)
-
-    def allreduce(self, obj: Any, op: ReduceOp = ReduceOp.SUM,
-                  tag: str = "generic") -> Any:
-        self._check("allreduce", tag, op, None, _payload_sig(obj))
-        return self._run(lambda: self.inner.allreduce(obj, op, tag),
-                         symmetric_result=True)
-
-    def barrier(self, tag: str = "generic") -> None:
-        self._check("barrier", tag, None, None, "none")
-        return self._run(lambda: self.inner.barrier(tag),
-                         symmetric_result=True)
-
-    def gather(self, obj: Any, root: int = 0, tag: str = "generic"):
-        self._check("gather", tag, None, root, _payload_sig(obj))
-        return self._run(lambda: self.inner.gather(obj, root, tag),
-                         symmetric_result=False)
-
-    def scatter(self, objs: list[Any] | None, root: int = 0,
-                tag: str = "generic") -> Any:
-        self._check("scatter", tag, None, root, _NO_HASH)
-        return self._run(lambda: self.inner.scatter(objs, root, tag),
-                         symmetric_result=False)
-
-    # -- unchecked passthrough --------------------------------------------- #
-    # Point-to-point and recovery verbs are legitimately rank-asymmetric.
-    def send(self, obj: Any, dest: int, tag: str = "generic") -> None:
-        return self.inner.send(obj, dest, tag)
-
-    def recv(self, source: int, tag: str = "generic") -> Any:
-        return self.inner.recv(source, tag)
-
-    def agree(self, failed) -> frozenset[int]:
-        return self.inner.agree(failed)
-
-    def shrink(self, failed) -> "SanitizingComm":
-        """Shrink the wrapped communicator; sanitizing survives on the
-        renumbered communicator with a fresh call counter and result
-        chain (survivors may have been torn out of *adjacent*
-        collectives, so neither is comparable across the failure)."""
-        return SanitizingComm(self.inner.shrink(failed))

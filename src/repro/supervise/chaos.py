@@ -22,7 +22,7 @@ the complete escalation story as artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -37,8 +37,8 @@ from repro.par.faultcomm import (
     FaultPlan,
     FaultSpec,
 )
+from repro.engines.launch import RunConfig, first_survivor, launch
 from repro.rng import ensure_rng
-from repro.search.search import SearchConfig
 from repro.supervise.policy import RecoveryPolicy
 from repro.supervise.supervisor import TIER_FAIL, Supervisor
 
@@ -205,46 +205,38 @@ def _chaos_policy() -> RecoveryPolicy:
 
 
 def run_campaign(
-    parts: list,
-    taxa: list[str],
-    start_newick: str,
+    cfg: RunConfig,
     *,
     n_runs: int = 20,
     seed: int = 0,
-    n_ranks: int = 3,
-    engine: str = "decentralized",
-    dist_kind: str = "cyclic",
-    config: SearchConfig | None = None,
     policy: RecoveryPolicy | None = None,
-    n_branch_sets: int = 1,
     out_dir: str | Path | None = None,
-    detect_timeout: float = 6.0,
     max_faults: int = 3,
     hang_seconds: float = 2.0,
     logl_tol: float = DEFAULT_LOGL_TOL,
     monitor: bool = False,
     log: Callable[[str], None] | None = None,
 ) -> ChaosReport:
-    """Run ``n_runs`` seeded chaos runs and check the invariant on each.
+    """Run ``n_runs`` seeded chaos runs of ``cfg`` and check the invariant
+    on each.  ``cfg`` is the undisturbed run; every chaos run is the same
+    configuration under a drawn ``fault_plan``.
 
-    ``hang_seconds`` must stay *under* ``detect_timeout``: a slow fault
-    then resolves before bounded-receive detection fires (a transient
-    straggler, not a false-positive failure), while a hang still turns
-    into a detectable death when the hung process exits.
+    ``hang_seconds`` must stay *under* ``cfg.detect_timeout``: a slow
+    fault then resolves before bounded-receive detection fires (a
+    transient straggler, not a false-positive failure), while a hang
+    still turns into a detectable death when the hung process exits.
 
     Returns the :class:`ChaosReport`; when ``out_dir`` is given the
     report JSON, every run's registry manifest (with its attempt chain)
     and the supervisors' work dirs are left there as artifacts.
     """
-    if hang_seconds >= detect_timeout:
+    if cfg.detect_timeout is None or hang_seconds >= cfg.detect_timeout:
         raise ValueError(
             "hang_seconds must be < detect_timeout (a longer sleep turns "
             "the benign slow fault into a false-positive rank failure)")
     emit = log or (lambda msg: None)
     rng = ensure_rng(seed)
-    config = config or SearchConfig(
-        max_iterations=10, radius_max=2, model_opt=False,
-        epsilon=1e-6, branch_passes=3)
+    engine, n_ranks, dist_kind = cfg.engine, cfg.n_ranks, cfg.dist_kind
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -254,11 +246,14 @@ def run_campaign(
 
         registry = RunRegistry(out / "runs")
 
+    # The bitwise target every chaos run must reproduce.  A single
+    # undisturbed run of the same engine at the same width suffices for
+    # *every* tier (including degraded tier-2 widths): the engines are
+    # replica-exact across rank counts and distributions — that is the
+    # consistency contract the repo's tier-1 tests enforce.
     emit(f"[chaos] reference run: undisturbed {engine} on {n_ranks} "
          f"rank(s) ({dist_kind})")
-    reference = _undisturbed_reference(
-        parts, taxa, start_newick, n_ranks, config, dist_kind, engine,
-        n_branch_sets, detect_timeout)
+    reference = first_survivor(launch(replace(cfg, fault_plan=None)))
 
     report = ChaosReport(
         seed=seed, engine=engine, n_ranks=n_ranks, dist_kind=dist_kind,
@@ -278,15 +273,12 @@ def run_campaign(
                 "fault_schedule": schedule,
             })
         supervisor = Supervisor(
-            policy or _chaos_policy(), engine=engine,
+            policy or _chaos_policy(),
             work_dir=(out / f"run{index:03d}" if out is not None else None),
-            registry=registry, run_id=run_id, rng=rng,
-            detect_timeout=detect_timeout, monitor=monitor, log=log,
+            registry=registry, run_id=run_id, rng=rng, monitor=monitor,
+            log=log,
         )
-        outcome = supervisor.run(
-            parts, taxa, start_newick, n_ranks, config=config,
-            dist_kind=dist_kind, n_branch_sets=n_branch_sets,
-            fault_plan=plan)
+        outcome = supervisor.run(replace(cfg, fault_plan=plan))
 
         matched = clean = None
         logl = None
@@ -324,26 +316,3 @@ def run_campaign(
         (out / REPORT_FILENAME).write_text(
             json.dumps(report.to_dict(), indent=2) + "\n")
     return report
-
-
-def _undisturbed_reference(
-    parts, taxa, start_newick, n_ranks, config, dist_kind, engine,
-    n_branch_sets, detect_timeout,
-):
-    """The bitwise target every chaos run must reproduce.  A single
-    undisturbed run of the same engine at the same width suffices for
-    *every* tier (including degraded tier-2 widths): the engines are
-    replica-exact across rank counts and distributions — that is the
-    consistency contract the repo's tier-1 tests enforce."""
-    from repro.engines.launch import run_decentralized, run_forkjoin
-
-    if engine == "decentralized":
-        replicas = run_decentralized(
-            parts, taxa, start_newick, n_ranks=n_ranks, config=config,
-            dist_kind=dist_kind, n_branch_sets=n_branch_sets,
-            detect_timeout=detect_timeout)
-        return replicas[0]
-    return run_forkjoin(
-        parts, taxa, start_newick, n_ranks=n_ranks, config=config,
-        dist_kind=dist_kind, n_branch_sets=n_branch_sets,
-        detect_timeout=detect_timeout)

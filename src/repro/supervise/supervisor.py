@@ -42,13 +42,12 @@ import numpy as np
 
 from repro.engines.launch import (
     DistributedResult,
-    run_decentralized,
-    run_forkjoin,
+    RunConfig,
+    first_survivor,
+    launch,
 )
 from repro.errors import CommError, MasterLostError
-from repro.par.faultcomm import FaultPlan
 from repro.rng import ensure_rng
-from repro.search.search import SearchConfig
 from repro.supervise.policy import RecoveryPolicy
 
 __all__ = [
@@ -127,55 +126,51 @@ class Supervisor:
         self,
         policy: RecoveryPolicy | None = None,
         *,
-        engine: str = "decentralized",
         work_dir: str | Path | None = None,
         registry: Any = None,
         run_id: str | None = None,
         rng: np.random.Generator | int | None = None,
-        detect_timeout: float | None = None,
         monitor: bool = True,
-        cancellable: bool = False,
-        trace_dir: str | Path | None = None,
-        trace_id: str = "",
         sleep: Callable[[float], None] = time.sleep,
         log: Callable[[str], None] | None = None,
     ) -> None:
-        if engine not in ("decentralized", "forkjoin"):
-            raise ValueError(f"unsupported engine {engine!r}")
         self.policy = policy or RecoveryPolicy()
-        self.engine = engine
         self.work_dir = Path(work_dir) if work_dir is not None else None
         self.registry = registry
         self.run_id = run_id
         self.rng = ensure_rng(rng)
-        self.detect_timeout = detect_timeout
         self.monitor = monitor
-        self.cancellable = cancellable
-        #: With ``trace_dir``, every attempt traces its ranks into
-        #: ``trace_dir/attempt<K>/`` (restarts must not overwrite the
-        #: spans of the mesh that died), all stamped with ``trace_id``.
-        self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        self.trace_id = trace_id
         self._sleep = sleep
         self._log = log or (lambda msg: None)
 
     # -- the ladder ---------------------------------------------------- #
-    def run(
-        self,
-        parts: list,
-        taxa: list[str],
-        start_newick: str,
-        n_ranks: int,
-        config: SearchConfig | None = None,
-        dist_kind: str = "cyclic",
-        n_branch_sets: int = 1,
-        fault_plan: FaultPlan | None = None,
-    ) -> SupervisedOutcome:
+    def attempt_config(
+        self, base: RunConfig, attempt: int, *, ranks: int, dist: str,
+        fault_plan: Any, work_dir: Path, resume: Path | None,
+    ) -> RunConfig:
+        """Attempt ``attempt``'s launch: ``base`` with the ladder's current
+        width, distribution and fault plan, resumed from ``resume``, its
+        heartbeats under ``work_dir/attempt<K>/monitor`` and — when the
+        run is traced — its spans under ``base.trace_dir/attempt<K>``
+        (restarts must not overwrite the spans of the mesh that died)."""
+        return replace(
+            base, n_ranks=ranks, dist_kind=dist, fault_plan=fault_plan,
+            resume_from=resume,
+            monitor_dir=(work_dir / f"attempt{attempt}" / "monitor"
+                         if self.monitor else None),
+            trace_dir=(Path(base.trace_dir) / f"attempt{attempt}"
+                       if base.trace_dir else None),
+        )
+
+    def run(self, cfg: RunConfig) -> SupervisedOutcome:
+        """Supervise the search ``cfg`` describes.  The policy owns
+        ``timeout`` (the per-attempt budget) and ``min_ranks`` (the
+        quorum); ``monitor_dir`` and ``resume_from`` are set per attempt."""
         policy = self.policy
         work_dir = self.work_dir or Path(
             tempfile.mkdtemp(prefix="repro-supervised-"))
         work_dir.mkdir(parents=True, exist_ok=True)
-        config = config or SearchConfig()
+        config = cfg.config
         if not config.checkpoint_every:
             # Tier 1 is only as good as its checkpoints: force periodic
             # ones into the supervisor's work dir when the caller set
@@ -185,9 +180,12 @@ class Supervisor:
         ckpt = Path(config.checkpoint_path)  # type: ignore[arg-type]
         if ckpt.suffix != ".npz":
             ckpt = ckpt.with_name(ckpt.name + ".npz")  # np.savez suffixing
+        base = replace(cfg, config=config, timeout=policy.attempt_timeout_s)
+        if cfg.engine == "decentralized":  # only a replica mesh shrinks in-run
+            base = replace(base, min_ranks=policy.min_ranks)
 
         tier = TIER_IN_MESH
-        ranks, dist, plan = n_ranks, dist_kind, fault_plan
+        ranks, dist, plan = cfg.n_ranks, cfg.dist_kind, cfg.fault_plan
         attempts: list[AttemptRecord] = []
         first_diagnosis: dict[str, Any] | None = None
         verdict = detail = ""
@@ -197,14 +195,17 @@ class Supervisor:
                 backoff = policy.backoff_s(attempt, self.rng)
                 self._log(f"[supervise] attempt {attempt} (tier {tier}): "
                           f"backing off {backoff:.2f}s, then relaunching "
-                          f"{self.engine} on {ranks} rank(s) ({dist})")
+                          f"{cfg.engine} on {ranks} rank(s) ({dist})")
                 self._sleep(backoff)
             resume = ckpt if ckpt.exists() else None
+            attempt_cfg = self.attempt_config(
+                base, attempt, ranks=ranks, dist=dist, fault_plan=plan,
+                work_dir=work_dir, resume=resume)
             monitor_thread = None
             if self.monitor:
                 from repro.obs.monitor import MonitorThread
 
-                monitor_dir = work_dir / f"attempt{attempt}" / "monitor"
+                monitor_dir = Path(attempt_cfg.monitor_dir)
                 monitor_dir.mkdir(parents=True, exist_ok=True)
                 monitor_thread = MonitorThread(monitor_dir).start()
                 if self.registry is not None and self.run_id is not None:
@@ -212,17 +213,10 @@ class Supervisor:
                     # `repro watch <run-id>` follows across relaunches
                     self.registry.update(self.run_id,
                                          monitor_dir=str(monitor_dir))
-            else:
-                monitor_dir = None
-            trace_dir = None
-            if self.trace_dir is not None:
-                trace_dir = self.trace_dir / f"attempt{attempt}"
             result = None
             stall = None
             try:
-                result = self._launch(
-                    parts, taxa, start_newick, ranks, dist, config,
-                    n_branch_sets, plan, resume, monitor_dir, trace_dir)
+                result = first_survivor(launch(attempt_cfg))
                 verdict, detail = "ok", ""
                 if result.cancelled:
                     # A cooperative stop is terminal: the ladder must
@@ -249,7 +243,7 @@ class Supervisor:
                     detail = stall.message
 
             record = AttemptRecord(
-                attempt=attempt, tier=tier, engine=self.engine, ranks=ranks,
+                attempt=attempt, tier=tier, engine=cfg.engine, ranks=ranks,
                 dist=dist, verdict=verdict, backoff_s=backoff, detail=detail,
                 resumed_from=str(resume) if resume else None,
             )
@@ -295,28 +289,6 @@ class Supervisor:
             diagnosis=first_diagnosis, error=error)
 
     # -- helpers ------------------------------------------------------- #
-    def _launch(
-        self, parts, taxa, newick, ranks, dist, config, n_branch_sets,
-        plan, resume, monitor_dir, trace_dir=None,
-    ) -> DistributedResult:
-        kwargs: dict[str, Any] = dict(
-            config=config, dist_kind=dist, n_branch_sets=n_branch_sets,
-            fault_plan=plan, detect_timeout=self.detect_timeout,
-            monitor_dir=monitor_dir, resume_from=resume,
-            timeout=self.policy.attempt_timeout_s,
-            cancellable=self.cancellable,
-            trace_dir=trace_dir, trace_id=self.trace_id,
-        )
-        if self.engine == "decentralized":
-            replicas = run_decentralized(
-                parts, taxa, newick, n_ranks=ranks,
-                min_ranks=self.policy.min_ranks, **kwargs)
-            survivors = [r for r in replicas if r is not None]
-            if not survivors:
-                raise CommError("no surviving replicas")
-            return survivors[0]
-        return run_forkjoin(parts, taxa, newick, n_ranks=ranks, **kwargs)
-
     def _record(self, record: AttemptRecord) -> None:
         if self.registry is not None and self.run_id is not None:
             self.registry.record_attempt(self.run_id, record.to_dict())

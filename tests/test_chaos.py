@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.datasets import partitioned_workload
+from repro.engines.launch import RunConfig
 from repro.obs.registry import RunRegistry
 from repro.par.faultcomm import MODE_DIE, MODE_HANG, WHEN_RECOVERY
 from repro.rng import ensure_rng
@@ -95,8 +96,8 @@ class TestReportShape:
 
     def test_hang_must_stay_under_detection(self):
         with pytest.raises(ValueError, match="hang_seconds"):
-            run_campaign([], [], "();", hang_seconds=6.0,
-                         detect_timeout=6.0)
+            run_campaign(RunConfig("decentralized", [], [], "();", 3,
+                                   detect_timeout=6.0), hang_seconds=6.0)
 
 
 class TestLiveCampaign:
@@ -106,16 +107,17 @@ class TestLiveCampaign:
         lik = wl.build_likelihood("gamma")
         out = tmp_path_factory.mktemp("chaos")
         report = run_campaign(
-            lik.parts, lik.taxa, write_newick(wl.tree),
-            n_runs=3, seed=5, n_ranks=2, engine="decentralized",
-            config=SearchConfig(max_iterations=10, radius_max=2,
-                                model_opt=False, epsilon=1e-6,
-                                branch_passes=3),
+            RunConfig("decentralized", lik.parts, lik.taxa,
+                      write_newick(wl.tree), 2,
+                      config=SearchConfig(max_iterations=10, radius_max=2,
+                                          model_opt=False, epsilon=1e-6,
+                                          branch_passes=3),
+                      detect_timeout=6.0),
+            n_runs=3, seed=5,
             policy=RecoveryPolicy(max_attempts=3, backoff_base_s=0.01,
                                   backoff_max_s=0.05,
                                   attempt_timeout_s=120.0),
-            out_dir=out, detect_timeout=6.0, max_faults=2,
-            hang_seconds=2.0,
+            out_dir=out, max_faults=2, hang_seconds=2.0,
         )
         return report, out
 

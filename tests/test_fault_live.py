@@ -20,10 +20,10 @@ import pytest
 from repro.datasets import partitioned_workload
 from repro.engines.launch import run_decentralized, run_forkjoin
 from repro.errors import CommError, RankFailureError
-from repro.par.comm import ReduceOp
+from repro.par.comm import InterceptingComm, ReduceOp
 from repro.par.faultcomm import (
     FAULT_EXIT_CODE,
-    FaultInjectingComm,
+    FaultInjector,
     FaultPlan,
     FaultSpec,
 )
@@ -302,10 +302,10 @@ def _firing_calls(plan, plan_rank, n_calls=200):
     comm = SequentialComm()
 
     def record(mode, hang_seconds):
-        fired.append((wrapper.calls, mode))
+        fired.append((injector.calls, mode))
 
-    wrapper = FaultInjectingComm(comm, plan, plan_rank=plan_rank,
-                                 on_fire=record)
+    injector = FaultInjector(plan, plan_rank, on_fire=record)
+    wrapper = InterceptingComm(comm, [injector])
     for _ in range(n_calls):
         wrapper.barrier()
     return fired
@@ -364,11 +364,14 @@ class TestFaultPlan:
                 return _ShrinkableStub()
 
         plan = FaultPlan.kill(rank=3, at_call=10)
-        wrapper = FaultInjectingComm(_ShrinkableStub(), plan, plan_rank=3,
-                                     on_fire=lambda m, h: None)
+        wrapper = InterceptingComm(
+            _ShrinkableStub(),
+            [FaultInjector(plan, 3, on_fire=lambda m, h: None)])
         for _ in range(4):
             wrapper.barrier()
         shrunk = wrapper.shrink(frozenset())
-        assert isinstance(shrunk, FaultInjectingComm)
-        assert shrunk.plan_rank == 3
-        assert shrunk.calls == 4  # later triggers still line up post-shrink
+        assert isinstance(shrunk, InterceptingComm)
+        (carried,) = shrunk.interceptors
+        assert isinstance(carried, FaultInjector)
+        assert carried.plan_rank == 3
+        assert carried.calls == 4  # later triggers still line up post-shrink

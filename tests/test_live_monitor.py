@@ -17,11 +17,12 @@ import time
 import pytest
 
 from repro.datasets import partitioned_workload
-from repro.engines.launch import _make_telemetry, run_decentralized
+from repro.engines.launch import RunConfig, run_decentralized
+from repro.engines.runtime import RankRuntime
 from repro.obs.heartbeat import (
+    HeartbeatInterceptor,
     HeartbeatState,
     HeartbeatWriter,
-    MonitoredComm,
     heartbeat_path,
     read_heartbeat,
     read_heartbeats,
@@ -41,6 +42,7 @@ from repro.obs.progress import (
     progress_path,
     read_progress,
 )
+from repro.par.comm import InterceptingComm
 from repro.par.faultcomm import FaultPlan
 from repro.par.seqcomm import SequentialComm
 from repro.search.search import SearchConfig
@@ -92,7 +94,8 @@ class TestHeartbeatChannel:
 
     def test_monitored_comm_brackets_every_call(self):
         state = HeartbeatState(0)
-        comm = MonitoredComm(SequentialComm(), state)
+        comm = InterceptingComm(SequentialComm(),
+                                [HeartbeatInterceptor(state)])
         assert state.calls == 0
         comm.allreduce(1.0, tag="log likelihood")
         assert state.calls == 1
@@ -114,7 +117,7 @@ class TestHeartbeatChannel:
                 raise RuntimeError("boom")
 
         state = HeartbeatState(0)
-        comm = MonitoredComm(Boom(), state)
+        comm = InterceptingComm(Boom(), [HeartbeatInterceptor(state)])
         with pytest.raises(RuntimeError):
             comm.allreduce(1.0)
         assert state.calls == 1
@@ -464,10 +467,11 @@ class TestLiveMonitoredRuns:
         parts, taxa, newick = setup
         before = threading.active_count()
         comm = SequentialComm()
-        out_comm, writer, progress = _make_telemetry(comm, {}, 0)
-        assert out_comm is comm  # not wrapped
-        assert writer is None  # no heartbeat thread
-        assert progress is NULL_PROGRESS  # the shared no-op singleton
+        runtime = RankRuntime(
+            RunConfig("decentralized", parts, taxa, newick, 1), 0)
+        assert runtime.open(comm) is comm  # not wrapped
+        assert runtime._heartbeat is None  # no heartbeat thread
+        assert runtime.progress is NULL_PROGRESS  # the shared no-op singleton
         assert threading.active_count() == before
 
         plain = run_decentralized(parts, taxa, newick, n_ranks=2,

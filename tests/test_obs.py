@@ -23,7 +23,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.instrument import TracingComm
+from repro.obs.instrument import TraceInterceptor
 from repro.obs.metrics import (
     MetricsRegistry,
     histogram_quantile,
@@ -36,7 +36,7 @@ from repro.obs.reconcile import (
     reconcile,
 )
 from repro.obs.tracer import NULL_TRACER, Span, Tracer
-from repro.par.comm import ReduceOp, payload_nbytes
+from repro.par.comm import InterceptingComm, ReduceOp, payload_nbytes
 from repro.par.seqcomm import SequentialComm
 
 
@@ -344,7 +344,7 @@ class TestPromExport:
 
 
 # ---------------------------------------------------------------------- #
-# instrumentation: TracingComm over a real communicator
+# instrumentation: TraceInterceptor over a real communicator
 # ---------------------------------------------------------------------- #
 
 
@@ -353,7 +353,8 @@ class TestTracingComm:
     def traced(self):
         tracer = Tracer(rank=0)
         metrics = MetricsRegistry()
-        comm = TracingComm(SequentialComm(), tracer, metrics)
+        comm = InterceptingComm(SequentialComm(),
+                                [TraceInterceptor(tracer, metrics)])
         return comm, tracer, metrics
 
     def test_results_identical_to_inner(self, traced):
@@ -655,6 +656,7 @@ class TestLazyPackage:
         assert not set(repro.obs.__all__) & set(repro.obs._EXPORTS)
         for module, names in repro.obs._EXPORTS.items():
             submodule = importlib.import_module(f"repro.obs.{module}")
+            # replicheck: ignore[R002] -- names is a tuple literal of _EXPORTS, not a set
             for name in names:
                 assert getattr(repro.obs, name) is getattr(submodule, name)
         with pytest.raises(AttributeError, match="no_such_name"):

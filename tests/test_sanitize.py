@@ -1,4 +1,4 @@
-"""SanitizingComm: runtime cross-rank collective-consistency checks.
+"""ReplicaSanitizer: runtime cross-rank collective-consistency checks.
 
 The dynamic half of replicheck.  These tests fork real processes:
 
@@ -27,10 +27,10 @@ from repro.engines.decentral import DecentralizedBackend
 from repro.engines.launch import run_decentralized
 from repro.errors import CommError, ReplicaDivergenceError
 from repro.likelihood.partitioned import PartitionedLikelihood
-from repro.par.comm import ReduceOp
+from repro.par.comm import InterceptingComm, ReduceOp
 from repro.par.faultcomm import FaultPlan
 from repro.par.mpcomm import run_mpi
-from repro.par.sanitize import SANITIZE_TAG, SanitizingComm
+from repro.par.sanitize import SANITIZE_TAG, ReplicaSanitizer
 from repro.par.seqcomm import SequentialComm
 from repro.search.search import SearchConfig, hill_climb
 from repro.tree.newick import parse_newick, write_newick
@@ -45,6 +45,11 @@ def setup():
 
 
 QUICK = SearchConfig(max_iterations=2, radius_max=2, model_opt=False)
+
+
+def sanitizing(comm):
+    """``comm`` under a fresh sanitizer, as ``sanitize=True`` installs it."""
+    return InterceptingComm(comm, [ReplicaSanitizer()])
 
 
 def first_diverging_call(message: str) -> int:
@@ -91,11 +96,11 @@ class TestConsistentRun:
             assert SANITIZE_TAG not in res.bytes_by_tag
 
     def test_sequential_comm_passthrough(self):
-        comm = SanitizingComm(SequentialComm())
+        comm = sanitizing(SequentialComm())
         assert comm.allreduce(3.0, tag="x") == 3.0
         assert comm.bcast("obj", root=0) == "obj"
         assert comm.gather(1, root=0) == [1]
-        assert comm.calls == 3
+        assert comm.interceptors[0].calls == 3
 
 
 # --------------------------------------------------------------------- #
@@ -103,7 +108,7 @@ class TestConsistentRun:
 # --------------------------------------------------------------------- #
 
 def _diverge_tag(comm, _):
-    comm = SanitizingComm(comm)
+    comm = sanitizing(comm)
     comm.allreduce(1.0, tag="model parameters")
     tag = ("model parameters" if comm.rank == 0
            else "traversal descriptor")
@@ -112,7 +117,7 @@ def _diverge_tag(comm, _):
 
 
 def _diverge_verb(comm, _):
-    comm = SanitizingComm(comm)
+    comm = sanitizing(comm)
     comm.allreduce(1.0, tag="a")
     # replicheck: ignore[R003] -- this IS the bad pattern: the sanitizer under test must detect the verb mismatch
     if comm.rank == 0:
@@ -123,25 +128,25 @@ def _diverge_verb(comm, _):
 
 
 def _diverge_op(comm, _):
-    comm = SanitizingComm(comm)
+    comm = sanitizing(comm)
     op = ReduceOp.SUM if comm.rank == 0 else ReduceOp.MAX
     comm.allreduce(1.0, op=op, tag="a")
     return "unreachable"
 
 
 def _diverge_shape(comm, _):
-    comm = SanitizingComm(comm)
+    comm = sanitizing(comm)
     payload = np.zeros(3 if comm.rank == 0 else 4)
     comm.allreduce(payload, tag="a")
     return "unreachable"
 
 
 def _diverge_prev_result(comm, _):
-    comm = SanitizingComm(comm)
+    comm = sanitizing(comm)
     total = comm.allreduce(1.0, tag="a")
     if comm.rank == 1:
         total += 1e-9  # simulate a bitwise result drift on one rank
-    comm._prev = __import__(
+    comm.interceptors[0]._prev = __import__(
         "repro.par.sanitize", fromlist=["_stable_hash"]
     )._stable_hash(total)
     comm.allreduce(2.0, tag="a")
@@ -185,7 +190,7 @@ class TestStructuralDivergence:
 # --------------------------------------------------------------------- #
 
 def _divergent_rng_stream(comm, payload):
-    comm = SanitizingComm(comm)
+    comm = sanitizing(comm)
     # rank 1 is forced onto a different RNG stream: its replica builds a
     # different starting topology, so its collective sequence drifts
     # from rank 0's during branch smoothing (Newton iteration counts

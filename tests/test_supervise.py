@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from repro.datasets import partitioned_workload
-from repro.engines.launch import run_decentralized, run_forkjoin
+from repro.engines.launch import RunConfig, run_decentralized, run_forkjoin
 from repro.errors import CommError, MasterLostError
 from repro.obs.registry import RunRegistry, format_attempt_chain
+from repro.par.comm import InterceptingComm
 from repro.par.faultcomm import (
-    FaultInjectingComm,
+    FaultInjector,
     FaultPlan,
     FaultSpec,
 )
@@ -160,8 +161,8 @@ class _AgreeableComm(SequentialComm):
 
 class TestRecoveryScopedFaults:
     def _wrap(self, plan, fired):
-        return FaultInjectingComm(_AgreeableComm(), plan, plan_rank=0,
-                                  on_fire=lambda m, h: fired.append(m))
+        return InterceptingComm(_AgreeableComm(), [FaultInjector(
+            plan, 0, on_fire=lambda m, h: fired.append(m))])
 
     def test_recovery_spec_is_silent_during_normal_calls(self):
         fired: list[str] = []
@@ -218,9 +219,11 @@ class TestSupervisorLive:
                                              tmp_path):
         parts, taxa, newick = setup
         sup = Supervisor(quick_policy(), work_dir=tmp_path, rng=0,
-                         detect_timeout=20.0, monitor=False)
-        out = sup.run(parts, taxa, newick, 4, config=CONVERGED,
-                      fault_plan=FaultPlan.kill(rank=2, at_call=25))
+                         monitor=False)
+        out = sup.run(RunConfig(
+            "decentralized", parts, taxa, newick, 4, config=CONVERGED,
+            detect_timeout=20.0,
+            fault_plan=FaultPlan.kill(rank=2, at_call=25)))
         assert out.ok and out.tier == TIER_IN_MESH
         assert len(out.attempts) == 1 and out.attempts[0].verdict == "ok"
         assert out.result.newick == decentral_ref.newick
@@ -232,9 +235,11 @@ class TestSupervisorLive:
         # graceful degradation is still allowed to finish.
         parts, taxa, newick = setup
         sup = Supervisor(quick_policy(min_ranks=3), work_dir=tmp_path,
-                         rng=0, detect_timeout=20.0, monitor=False)
-        out = sup.run(parts, taxa, newick, 4, config=CONVERGED,
-                      fault_plan=FaultPlan.kill(rank=2, at_call=25))
+                         rng=0, monitor=False)
+        out = sup.run(RunConfig(
+            "decentralized", parts, taxa, newick, 4, config=CONVERGED,
+            detect_timeout=20.0,
+            fault_plan=FaultPlan.kill(rank=2, at_call=25)))
         assert out.ok and out.tier == TIER_IN_MESH
         assert len(out.attempts) == 1
         assert out.result.newick == decentral_ref.newick
@@ -249,10 +254,11 @@ class TestSupervisorLive:
         reg = RunRegistry(tmp_path / "runs")
         run_id = reg.register({"command": "infer"})
         sup = Supervisor(quick_policy(min_ranks=3), work_dir=tmp_path,
-                         registry=reg, run_id=run_id, rng=0,
-                         detect_timeout=20.0, monitor=False)
-        out = sup.run(parts, taxa, newick, 3, config=CONVERGED,
-                      fault_plan=FaultPlan.kill(rank=1, at_call=25))
+                         registry=reg, run_id=run_id, rng=0, monitor=False)
+        out = sup.run(RunConfig(
+            "decentralized", parts, taxa, newick, 3, config=CONVERGED,
+            detect_timeout=20.0,
+            fault_plan=FaultPlan.kill(rank=1, at_call=25)))
         assert out.ok and out.tier == TIER_DEGRADE
         first, second = out.attempts
         assert first.verdict == "quorum_lost"
@@ -303,10 +309,11 @@ class TestForkJoinMasterDeath:
         # supervisor restart from the checkpoint it forced — the result
         # must match the undisturbed run exactly.
         parts, taxa, newick = setup
-        sup = Supervisor(quick_policy(), engine="forkjoin",
-                         work_dir=tmp_path, rng=7, monitor=False)
-        out = sup.run(parts, taxa, newick, 3, config=CONVERGED,
-                      fault_plan=FaultPlan.kill(rank=0, at_call=late_kill))
+        sup = Supervisor(quick_policy(), work_dir=tmp_path, rng=7,
+                         monitor=False)
+        out = sup.run(RunConfig(
+            "forkjoin", parts, taxa, newick, 3, config=CONVERGED,
+            fault_plan=FaultPlan.kill(rank=0, at_call=late_kill)))
         assert out.ok and out.tier == TIER_RESTART
         first, second = out.attempts
         assert first.verdict == "master_lost"
