@@ -46,6 +46,7 @@ from repro.likelihood.partitioned import PartitionData, PartitionedLikelihood
 from repro.par.comm import Comm
 from repro.par.faultcomm import FaultPlan
 from repro.par.mpcomm import run_mpi
+from repro.search.checkpoint import checkpoint_file
 from repro.search.search import SearchConfig, hill_climb
 from repro.tree.newick import parse_newick, write_newick
 from repro.tree.topology import Tree
@@ -366,9 +367,8 @@ def _launch_forkjoin(cfg: RunConfig) -> list[DistributedResult | None]:
     :class:`~repro.errors.MasterLostError` naming the latest durable
     checkpoint, if any; a *worker* failure restarts the run from that
     checkpoint (else from scratch), at most ``cfg.max_restarts`` times."""
-    ckpt = Path(cfg.config.checkpoint_path) if cfg.config.checkpoint_path else None
-    if ckpt is not None and ckpt.suffix != ".npz":
-        ckpt = ckpt.with_name(ckpt.name + ".npz")  # np.savez suffixing
+    ckpt = (checkpoint_file(cfg.config.checkpoint_path)
+            if cfg.config.checkpoint_path else None)
     restarts = 0
     while True:
         try:

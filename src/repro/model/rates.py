@@ -16,10 +16,12 @@ The paper's RAxML family implements exactly two schemes:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.special import gammainc, gammaincinv
 
 from repro.errors import ModelError
+from repro.model._incgamma import gammainc, gammaincinv
 
 __all__ = [
     "RateHeterogeneity",
@@ -39,45 +41,46 @@ PSR_MIN = 0.001
 PSR_MAX = 30.0
 
 
-def _gamma_quantiles(q: np.ndarray, alpha: float) -> np.ndarray:
-    """Quantiles of Gamma(shape=α, scale=1/α).
-
-    The arithmetic of ``scipy.stats.gamma.ppf(q, a=α, scale=1/α)``,
-    bit for bit, without importing ``scipy.stats`` (half of this
-    program's start-up time when it was used for this one call).
-    """
-    return gammaincinv(alpha, q) * (1.0 / alpha)
-
-
 def discrete_gamma_rates(alpha: float, n_cats: int, method: str = "mean") -> np.ndarray:
     """Discretize Gamma(α, α) into ``n_cats`` equiprobable categories.
 
     ``method='mean'`` uses the category means (Yang 1994 eq. 10); ``'median'``
     uses the quantile midpoints rescaled to mean one.  Returns rates of
     shape ``(n_cats,)`` with weighted mean exactly 1.
+
+    The result is a pure function of ``(alpha, n_cats, method)`` and is
+    memoised on it (the model optimiser proposes one α to every
+    partition in lockstep), so the array is read-only: copy to modify.
     """
-    if not ALPHA_MIN <= alpha <= ALPHA_MAX:
+    alpha = float(alpha)
+    if not ALPHA_MIN <= alpha <= ALPHA_MAX:  # False for NaN too
         raise ModelError(f"alpha {alpha} outside [{ALPHA_MIN}, {ALPHA_MAX}]")
     if n_cats < 1:
         raise ModelError("need at least one rate category")
+    if method not in ("mean", "median"):
+        raise ModelError(f"unknown discretization method {method!r}")
+    return _discrete_gamma_rates(alpha, int(n_cats), method)
+
+
+@lru_cache(maxsize=256)
+def _discrete_gamma_rates(alpha: float, n_cats: int, method: str) -> np.ndarray:
     if n_cats == 1:
-        return np.ones(1)
-    if method == "mean":
-        # category boundaries at quantiles i/k of Gamma(shape=α, scale=1/α)
-        qs = _gamma_quantiles(np.arange(1, n_cats) / n_cats, alpha)
-        bounds = np.concatenate([[0.0], qs, [np.inf]])
+        rates = np.ones(1)
+    elif method == "mean":
+        # category boundaries b_i at the quantiles i/k of Gamma(shape=α,
+        # scale=1/α); α·b_i is that quantile of Gamma(shape=α, scale=1)
+        cuts = [gammaincinv(alpha, i / n_cats) for i in range(1, n_cats)]
         # mean of Gamma(α, α) over [a,b] × k:
         #   k * (I(α+1, αb) − I(α+1, αa)), I = regularized lower inc. gamma
-        upper = gammainc(alpha + 1.0, alpha * bounds[1:])
-        lower = gammainc(alpha + 1.0, alpha * bounds[:-1])
-        rates = n_cats * (upper - lower)
-    elif method == "median":
-        qs = _gamma_quantiles((np.arange(n_cats) + 0.5) / n_cats, alpha)
-        rates = qs * n_cats / qs.sum()
+        cdf = np.array([0.0, *(gammainc(alpha + 1.0, x) for x in cuts), 1.0])
+        rates = n_cats * np.diff(cdf)
     else:
-        raise ModelError(f"unknown discretization method {method!r}")
-    if np.any(rates <= 0):  # pragma: no cover - defensive
+        qs = np.array([gammaincinv(alpha, (i + 0.5) / n_cats)
+                       for i in range(n_cats)])
+        rates = qs * n_cats / qs.sum()
+    if not np.all(rates > 0):
         raise ModelError(f"non-positive gamma rates for alpha={alpha}")
+    rates.flags.writeable = False
     return rates
 
 
@@ -145,9 +148,11 @@ class DiscreteGamma(RateHeterogeneity):
 
     @alpha.setter
     def alpha(self, value: float) -> None:
-        rates = discrete_gamma_rates(float(value), self.n_cats, self.method)
-        self._alpha = float(value)
-        self._rates = rates
+        value = float(value)
+        if value == self._alpha and self._rates is not None:
+            return
+        self._rates = discrete_gamma_rates(value, self.n_cats, self.method)
+        self._alpha = value
 
     def category_rates(self, n_patterns: int) -> tuple[np.ndarray, np.ndarray]:
         assert self._rates is not None

@@ -23,9 +23,17 @@ from repro.errors import CheckpointError
 from repro.model.rates import DiscreteGamma, NoRateHeterogeneity, PerSiteRates
 from repro.tree.newick import parse_newick, write_newick
 
-__all__ = ["save_checkpoint", "load_checkpoint", "restore_into"]
+__all__ = ["checkpoint_file", "save_checkpoint", "load_checkpoint", "restore_into"]
 
 FORMAT_VERSION = 1
+
+
+def checkpoint_file(path) -> Path:
+    """The file a checkpoint written to ``path`` lands in: ``path`` itself
+    when it ends in ``.npz``, else ``path`` + ``.npz`` (as ``np.savez``
+    names a bare path)."""
+    path = Path(path)
+    return path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
 
 
 def save_checkpoint(path, lik, iteration: int, radius: int, logl: float) -> None:
@@ -78,9 +86,7 @@ def save_checkpoint(path, lik, iteration: int, radius: int, logl: float) -> None
     # Atomic write: a crash mid-write (the very event checkpoints guard
     # against) must never leave a torn archive where the previous good
     # checkpoint used to be.  Write a sibling, fsync, then rename over.
-    final = Path(path)
-    if final.suffix != ".npz":  # np.savez appends .npz for bare paths
-        final = final.with_name(final.name + ".npz")
+    final = checkpoint_file(path)
     tmp = final.with_name(final.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:

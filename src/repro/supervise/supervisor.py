@@ -48,6 +48,7 @@ from repro.engines.launch import (
 )
 from repro.errors import CommError, MasterLostError
 from repro.rng import ensure_rng
+from repro.search.checkpoint import checkpoint_file
 from repro.supervise.policy import RecoveryPolicy
 
 __all__ = [
@@ -177,9 +178,7 @@ class Supervisor:
             # none, so every retry resumes instead of redoing.
             config = replace(config, checkpoint_every=1,
                              checkpoint_path=str(work_dir / "supervised.ckpt"))
-        ckpt = Path(config.checkpoint_path)  # type: ignore[arg-type]
-        if ckpt.suffix != ".npz":
-            ckpt = ckpt.with_name(ckpt.name + ".npz")  # np.savez suffixing
+        ckpt = checkpoint_file(config.checkpoint_path)
         base = replace(cfg, config=config, timeout=policy.attempt_timeout_s)
         if cfg.engine == "decentralized":  # only a replica mesh shrinks in-run
             base = replace(base, min_ranks=policy.min_ranks)
