@@ -614,9 +614,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         }
         if args.reconcile:
             report = reconcile_live_run(
-                cfg.parts, cfg.taxa, cfg.start_newick, cfg.config, engine,
-                res.bytes_by_tag, measured_calls_by_tag=res.calls_by_tag,
-                n_branch_sets=cfg.n_branch_sets,
+                cfg, res.bytes_by_tag, measured_calls_by_tag=res.calls_by_tag,
                 measured_rank=measured_rank,
             )
             tolerance = args.tolerance

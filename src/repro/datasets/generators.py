@@ -28,7 +28,6 @@ from repro.seq.simulate import simulate_partitioned_alignment, simulate_alignmen
 from repro.tree.random_trees import random_topology, yule_tree
 from repro.tree.topology import Tree
 from repro.likelihood.partitioned import PartitionedLikelihood
-from repro.par.ledger import WorkLedger
 
 __all__ = [
     "PaperWorkload",
@@ -61,7 +60,6 @@ class PaperWorkload:
         rate_mode: str,
         per_partition_branches: bool = False,
         n_cats: int = 4,
-        ledger: WorkLedger | None = None,
     ) -> PartitionedLikelihood:
         """Assemble the likelihood over a fresh copy of the starting tree."""
         tree = self.tree.copy()

@@ -21,12 +21,12 @@ from repro.engines.forkjoin import (
     CAT_BL_OPT,
     CAT_LIKELIHOOD,
     CAT_MODEL,
+    COMBINE_TAG,
     CommEvent,
 )
-from repro.likelihood.backend import SequentialBackend, choose_psr_rates
+from repro.likelihood.backend import SequentialBackend
 from repro.likelihood.partitioned import PartitionedLikelihood
 from repro.par.comm import Comm, ReduceOp
-from repro.tree.topology import Node
 
 __all__ = [
     "DecentralizedCommModel",
@@ -81,8 +81,12 @@ class DecentralizedBackend(SequentialBackend):
 
     Every rank constructs this around its *local* data share and runs the
     identical, deterministic search; the only inter-rank interaction is
-    the three allreduce sites below.  Rank-ordered reductions guarantee
-    bitwise-identical results on every replica.
+    the allreduce at the three combine sites.  Rank-ordered reductions
+    guarantee bitwise-identical results on every replica.  Everything
+    else — traversals, ``set_alphas`` / ``set_gtr_rates`` /
+    ``set_branch_length``, the PSR scan — is purely local: every replica
+    executes the same deterministic update, the whole point of the
+    de-centralized scheme.
     """
 
     runtime = None  # the rank's RankRuntime once attached; survives recovery
@@ -96,55 +100,8 @@ class DecentralizedBackend(SequentialBackend):
         """All replicas hold identical state; one writer suffices."""
         return self.comm.rank == 0
 
-    def evaluate(self, u: Node, v: Node) -> tuple[float, np.ndarray]:
-        self.lik.ensure_clvs(u, v)
-        local, _ = self.lik.evaluate_local(u, v)
-        per_part = self.comm.allreduce(local, ReduceOp.SUM, tag=CAT_LIKELIHOOD)
-        return float(per_part.sum()), per_part
-
-    def derivatives(self, handle, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d1p, d2p = self.lik.branch_derivatives(handle, t)
-        branch_sets = np.array([p.branch_set for p in self.lik.parts], dtype=np.intp)
-        local = np.vstack(
-            [
-                np.bincount(branch_sets, weights=d1p, minlength=self.n_branch_sets),
-                np.bincount(branch_sets, weights=d2p, minlength=self.n_branch_sets),
-            ]
-        )
-        summed = self.comm.allreduce(local, ReduceOp.SUM, tag=CAT_BL_OPT)
-        d1 = np.zeros(self.n_partitions)
-        d2 = np.zeros(self.n_partitions)
-        first: dict[int, int] = {}
-        for i, bs in enumerate(branch_sets):
-            first.setdefault(int(bs), i)
-        for bs, i in first.items():
-            d1[i] = summed[0][bs]
-            d2[i] = summed[1][bs]
-        return d1, d2
-
-    def optimize_psr(self, u: Node, v: Node, candidates: np.ndarray) -> None:
-        from repro.likelihood.backend import psr_scan_table
-
-        tables = psr_scan_table(self.lik, u, v, candidates)
-        if not tables:
-            return
-        psr_parts = sorted(tables)
-        sums = np.zeros(2 * len(psr_parts))
-        chosen: dict[int, np.ndarray] = {}
-        for k, i in enumerate(psr_parts):
-            rates_i = choose_psr_rates(candidates, tables[i])
-            chosen[i] = rates_i
-            w = self.lik.parts[i].weights
-            sums[2 * k] = float(np.dot(w, rates_i))
-            sums[2 * k + 1] = float(w.sum())
-        totals = self.comm.allreduce(sums, ReduceOp.SUM, tag=CAT_MODEL)
-        for k, i in enumerate(psr_parts):
-            factor = totals[2 * k] / totals[2 * k + 1]
-            self.lik.set_psr_rates(i, chosen[i] / factor)
-
-    # set_alphas / set_gtr_rates / set_branch_length are purely local:
-    # every replica executes the same deterministic update — the whole
-    # point of the de-centralized scheme (inherited from SequentialBackend).
+    def _combine(self, kind: RegionKind, local: np.ndarray) -> np.ndarray:
+        return self.comm.allreduce(local, ReduceOp.SUM, tag=COMBINE_TAG[kind])
 
 
 def recover_decentralized(

@@ -11,36 +11,15 @@ data distribution.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ReproError
+from repro.likelihood.backend import RegionKind
 from repro.par.ledger import OpKind
 
 __all__ = ["RegionKind", "Region", "EventLog"]
-
-
-class RegionKind(enum.Enum):
-    """What triggered the region (maps onto Table I's four row categories)."""
-
-    #: conditional-likelihood (re)computation only (barrier-terminated)
-    TRAVERSE = "traverse"
-    #: log-likelihood at the virtual root (reduction of per-partition logls)
-    EVALUATE = "evaluate"
-    #: traversal + sumtable construction before Newton–Raphson
-    BRANCH_SETUP = "branch_setup"
-    #: one Newton–Raphson iteration (derivative exchange)
-    DERIVATIVE = "derivative"
-    #: new Γ shape parameters for all partitions
-    PARAM_ALPHA = "param_alpha"
-    #: new GTR exchangeabilities for all partitions
-    PARAM_GTR = "param_gtr"
-    #: PSR finalize: per-partition rate renormalization
-    PARAM_PSR = "param_psr"
-    #: one PSR candidate-rate scan step (full traversal + per-site logls)
-    PSR_SCAN = "psr_scan"
 
 
 @dataclass
@@ -107,11 +86,6 @@ class EventLog:
         if kind is None:
             return len(self.regions)
         return sum(1 for r in self.regions if r.kind is kind)
-
-    def compact(self) -> "EventLog":
-        """Collapse runs of identical regions — kept as the full stream by
-        default; the runtime synthesizer vectorizes instead."""
-        return self
 
     def validate(self) -> None:
         for r in self.regions:

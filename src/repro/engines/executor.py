@@ -31,7 +31,13 @@ import numpy as np
 
 from repro.errors import CommError, LikelihoodError
 from repro.likelihood.partitioned import PartitionData
-from repro.likelihood.stack import build_stacks, clv_stats
+from repro.likelihood.stack import (
+    build_stacks,
+    clv_stats,
+    derivatives_of_stacks,
+    evaluate_stacks,
+    fold_by_set,
+)
 from repro.obs.nullprofiler import NULL_OP_PROFILER
 
 __all__ = ["DescriptorExecutor"]
@@ -55,6 +61,8 @@ class DescriptorExecutor:
         self.node_taxon = dict(node_taxon)
         self.profiler = NULL_OP_PROFILER
         self.stacks = build_stacks(parts)
+        self.branch_sets = np.array([part.branch_set for part in parts],
+                                    dtype=np.intp)
 
     @property
     def n_partitions(self) -> int:
@@ -85,15 +93,9 @@ class DescriptorExecutor:
         self, u_id: int, v_id: int, t_root: np.ndarray
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Local per-partition log likelihoods (and per-site values)."""
-        per_part = np.zeros(self.n_partitions)
-        site_lhs = [np.empty(0)] * self.n_partitions
-        u, v = self._ref(u_id, v_id), self._ref(v_id, u_id)
-        for stack in self.stacks:
-            totals, log_site = stack.evaluate(u, v, t_root, self.profiler)
-            per_part[stack.members] = totals
-            for p, row in zip(stack.partitions, log_site):
-                site_lhs[p] = row
-        return per_part, site_lhs
+        return evaluate_stacks(
+            self.stacks, self.n_partitions, self._ref(u_id, v_id),
+            self._ref(v_id, u_id), t_root, self.profiler)
 
     def sumtables(self, u_id: int, v_id: int) -> list[np.ndarray]:
         """One sumtable per partition stack."""
@@ -104,16 +106,9 @@ class DescriptorExecutor:
         self, tables: list[np.ndarray], t: np.ndarray, n_branch_sets: int
     ) -> np.ndarray:
         """Per-branch-set summed (d1, d2) stacked as a ``(2, sets)`` array."""
-        d1 = np.zeros(self.n_partitions)
-        d2 = np.zeros(self.n_partitions)
-        for stack, table in zip(self.stacks, tables):
-            d1[stack.members], d2[stack.members] = stack.derivatives(
-                table, t, self.profiler)
-        # summed in partition order; a partition without local patterns
-        # adds an exact 0.0
-        sets = [part.branch_set for part in self.parts]
-        return np.vstack([np.bincount(sets, weights=d1, minlength=n_branch_sets),
-                          np.bincount(sets, weights=d2, minlength=n_branch_sets)])
+        d1, d2 = derivatives_of_stacks(
+            self.stacks, self.n_partitions, tables, t, self.profiler)
+        return fold_by_set(d1, d2, self.branch_sets, n_branch_sets)
 
     # -- CLV store accounting ------------------------------------------- #
     def clv_stats(self) -> list[dict[str, int]]:

@@ -23,11 +23,9 @@ import numpy as np
 from repro.engines.events import EventLog, Region, RegionKind
 from repro.engines.runtime import RankRuntime
 from repro.errors import CommError
-from repro.likelihood.backend import PartitionInfo, choose_psr_rates
+from repro.likelihood.backend import SequentialBackend, choose_psr_rates
 from repro.likelihood.partitioned import PartitionedLikelihood
-from repro.model.rates import PerSiteRates
 from repro.par.comm import Comm, ReduceOp
-from repro.tree.topology import Node
 from repro.tree.traversal import EdgeDescriptor
 
 __all__ = [
@@ -161,6 +159,7 @@ _CMD_ALPHAS = "alphas"
 _CMD_GTR = "gtr"
 _CMD_PSR_SCAN = "psr_scan"
 _CMD_PSR_FINALIZE = "psr_finalize"
+_CMD_PSR_FACTORS = "psr_factors"
 _CMD_STOP = "stop"
 
 
@@ -183,144 +182,54 @@ def _wire_descriptor(tree, descriptors: EdgeDescriptor) -> list[tuple]:
     return wire
 
 
-class ForkJoinMasterBackend:
+#: Table-I category of the master's broadcast, per command.
+_COMMAND_TAG = {
+    _CMD_TRAVERSE: CAT_TRAVERSAL,
+    _CMD_EVALUATE: CAT_TRAVERSAL,
+    _CMD_BRANCH_SETUP: CAT_TRAVERSAL,
+    _CMD_DERIVATIVE: CAT_BL_OPT,
+    _CMD_ALPHAS: CAT_MODEL,
+    _CMD_GTR: CAT_MODEL,
+    _CMD_PSR_SCAN: CAT_MODEL,
+    _CMD_PSR_FINALIZE: CAT_MODEL,
+    _CMD_PSR_FACTORS: CAT_MODEL,
+}
+#: Table-I category of the reduction at each of the three combine sites
+#: (fork-join's ``reduce`` and the de-centralized ``allreduce`` alike).
+COMBINE_TAG = {
+    RegionKind.EVALUATE: CAT_LIKELIHOOD,
+    RegionKind.DERIVATIVE: CAT_BL_OPT,
+    RegionKind.PARAM_PSR: CAT_MODEL,
+}
+
+
+class ForkJoinMasterBackend(SequentialBackend):
     """Master (rank 0): owns the tree and the search state, broadcasts
-    descriptors/parameters, reduces results.  Implements the
-    :class:`~repro.likelihood.backend.LikelihoodBackend` protocol so the
-    unmodified search drives a genuinely distributed fork-join run."""
+    descriptors/parameters, reduces results — so the unmodified search
+    drives a genuinely distributed fork-join run.  ``lik`` is the master's
+    own data share."""
 
     def __init__(self, comm: Comm, lik: PartitionedLikelihood) -> None:
         if comm.rank != 0:
             raise CommError("the fork-join master must be rank 0")
+        super().__init__(lik)
         self.comm = comm
-        self.lik = lik  # the master's own data share
-        self.tree = lik.tree
 
-    @property
-    def n_partitions(self) -> int:
-        return self.lik.n_partitions
+    def _announce(self, command: str, *payload) -> None:
+        tag = _COMMAND_TAG[command]
+        if tag == CAT_TRAVERSAL:
+            descriptors, u, v = payload
+            payload = (_wire_descriptor(self.tree, descriptors), u.id, v.id,
+                       self.tree.edge_length(u, v).copy())
+        # the factors answer the workers' pending receive: no command word
+        message = payload[0] if command == _CMD_PSR_FACTORS else (command, *payload)
+        self.comm.bcast(message, root=0, tag=tag)
 
-    @property
-    def n_branch_sets(self) -> int:
-        return self.lik.n_branch_sets
+    def _combine(self, kind: RegionKind, local: np.ndarray) -> np.ndarray:
+        return self.comm.reduce(local, ReduceOp.SUM, root=0, tag=COMBINE_TAG[kind])
 
-    def partition_info(self) -> list[PartitionInfo]:
-        from repro.likelihood.backend import _partition_info_from
-
-        return _partition_info_from(self.lik)
-
-    def _branch_sets(self) -> np.ndarray:
-        return np.array([p.branch_set for p in self.lik.parts], dtype=np.intp)
-
-    def _bcast_traversal(self, cmd: str, u: Node, v: Node) -> None:
-        # The master stamps validity for every partition, owned or not, so
-        # one descriptor list serves both the wire and its own share.
-        descriptors = self.lik.descriptors_for_edge(u, v)
-        wire = _wire_descriptor(self.tree, descriptors)
-        t_root = self.tree.edge_length(u, v).copy()
-        self.comm.bcast((cmd, wire, u.id, v.id, t_root), root=0, tag=CAT_TRAVERSAL)
-        self.lik.execute_descriptors(descriptors)
-
-    def evaluate(self, u: Node, v: Node) -> tuple[float, np.ndarray]:
-        self._bcast_traversal(_CMD_EVALUATE, u, v)
-        local, _ = self.lik.evaluate_local(u, v)
-        per_part = self.comm.reduce(local, ReduceOp.SUM, root=0, tag=CAT_LIKELIHOOD)
-        assert per_part is not None
-        return float(per_part.sum()), per_part
-
-    def begin_branch(self, u: Node, v: Node):
-        self._bcast_traversal(_CMD_BRANCH_SETUP, u, v)
-        handle = self.lik.sumtables_local(u, v)
+    def _sync(self) -> None:
         self.comm.barrier(tag=CAT_TRAVERSAL)
-        return handle
-
-    def derivatives(self, handle, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        self.comm.bcast((_CMD_DERIVATIVE, t.copy()), root=0, tag=CAT_BL_OPT)
-        d1p, d2p = self.lik.branch_derivatives(handle, t)
-        branch_sets = self._branch_sets()
-        local = np.vstack(
-            [
-                np.bincount(branch_sets, weights=d1p, minlength=self.n_branch_sets),
-                np.bincount(branch_sets, weights=d2p, minlength=self.n_branch_sets),
-            ]
-        )
-        summed = self.comm.reduce(local, ReduceOp.SUM, root=0, tag=CAT_BL_OPT)
-        assert summed is not None
-        # Re-express per-set totals in per-partition shape for the shared
-        # Newton code (which sums by branch set): put each set's total on
-        # the set's first partition, zero elsewhere.
-        d1 = np.zeros(self.n_partitions)
-        d2 = np.zeros(self.n_partitions)
-        first: dict[int, int] = {}
-        for i, bs in enumerate(branch_sets):
-            first.setdefault(int(bs), i)
-        for bs, i in first.items():
-            d1[i] = summed[0][bs]
-            d2[i] = summed[1][bs]
-        return d1, d2
-
-    def set_branch_length(self, u: Node, v: Node, t: np.ndarray) -> None:
-        # Master-local: updated lengths travel inside the next descriptor.
-        self.tree.set_edge_length(u, v, t)
-
-    def set_alphas(self, alphas: dict[int, float]) -> None:
-        self.comm.bcast((_CMD_ALPHAS, dict(alphas)), root=0, tag=CAT_MODEL)
-        for p, alpha in sorted(alphas.items()):
-            self.lik.set_alpha(p, alpha)
-
-    def set_gtr_rates(self, rates: dict[int, np.ndarray]) -> None:
-        self.comm.bcast(
-            (_CMD_GTR, {k: np.asarray(v).copy() for k, v in rates.items()}),
-            root=0,
-            tag=CAT_MODEL,
-        )
-        for p, r in sorted(rates.items()):
-            self.lik.set_gtr_rates(p, r)
-
-    def get_alpha(self, p: int) -> float:
-        return self.lik.get_alpha(p)
-
-    def get_gtr_rates(self, p: int) -> np.ndarray:
-        return self.lik.parts[p].model.rates.copy()
-
-    def optimize_psr(self, u: Node, v: Node, candidates: np.ndarray) -> None:
-        psr_parts = [
-            i
-            for i, part in enumerate(self.lik.parts)
-            if isinstance(part.rate_het, PerSiteRates)
-        ]
-        if not psr_parts:
-            return
-        tables: dict[int, list[np.ndarray]] = {i: [] for i in psr_parts}
-        for rate in candidates:
-            self.comm.bcast((_CMD_PSR_SCAN, float(rate)), root=0, tag=CAT_MODEL)
-            for i in psr_parts:
-                self.lik.set_psr_rates(
-                    i, np.full(self.lik.parts[i].n_patterns, float(rate))
-                )
-            self._bcast_traversal(_CMD_TRAVERSE, u, v)
-            _, site_lhs = self.lik.evaluate_local(u, v)
-            for i in psr_parts:
-                tables[i].append(site_lhs[i])
-        # choose the master's local rates, then exchange normalization sums
-        self.comm.bcast((_CMD_PSR_FINALIZE, np.asarray(candidates).copy()),
-                        root=0, tag=CAT_MODEL)
-        sums = np.zeros(2 * len(psr_parts))
-        chosen: dict[int, np.ndarray] = {}
-        for k, i in enumerate(psr_parts):
-            rates_i = choose_psr_rates(candidates, np.vstack(tables[i]))
-            chosen[i] = rates_i
-            w = self.lik.parts[i].weights
-            sums[2 * k] = float(np.dot(w, rates_i))
-            sums[2 * k + 1] = float(w.sum())
-        totals = self.comm.reduce(sums, ReduceOp.SUM, root=0, tag=CAT_MODEL)
-        assert totals is not None
-        factors = np.array(
-            [totals[2 * k] / totals[2 * k + 1] for k in range(len(psr_parts))]
-        )
-        self.comm.bcast(factors, root=0, tag=CAT_MODEL)
-        for k, i in enumerate(psr_parts):
-            self.lik.set_psr_rates(i, chosen[i] / factors[k])
 
     def finish(self) -> None:
         self.comm.bcast((_CMD_STOP,), root=0, tag="control")
@@ -411,20 +320,11 @@ def forkjoin_worker(
                     part.rate_het.set_rates(np.full(part.n_patterns, rate))
                     part.bump_model()
         elif cmd == _CMD_PSR_FINALIZE:
-            candidates = msg[1]
-            sums = np.zeros(2 * len(psr_tables))
-            chosen: dict[int, np.ndarray] = {}
-            for k, i in enumerate(sorted(psr_tables)):
-                rates_i = choose_psr_rates(
-                    candidates, np.vstack(psr_tables[i]))
-                chosen[i] = rates_i
-                w = parts[i].weights
-                sums[2 * k] = float(np.dot(w, rates_i))
-                sums[2 * k + 1] = float(w.sum())
+            chosen, sums = choose_psr_rates(parts, msg[1], psr_tables)
             comm.reduce(sums, ReduceOp.SUM, root=0, tag=CAT_MODEL)
             factors = comm.bcast(None, root=0, tag=CAT_MODEL)
-            for k, i in enumerate(sorted(psr_tables)):
-                parts[i].rate_het.set_rates(chosen[i] / factors[k])
+            for i, factor in zip(sorted(psr_tables), factors):
+                parts[i].rate_het.set_rates(chosen[i] / factor)
                 parts[i].bump_model()
             psr_tables.clear()
         else:

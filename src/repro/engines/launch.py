@@ -42,6 +42,7 @@ from repro.engines.forkjoin import (
 )
 from repro.engines.runtime import RankRuntime
 from repro.errors import CommError, MasterLostError, QuorumLostError, RankFailureError
+from repro.likelihood.backend import SequentialBackend
 from repro.likelihood.partitioned import PartitionData, PartitionedLikelihood
 from repro.par.comm import Comm
 from repro.par.faultcomm import FaultPlan
@@ -58,6 +59,7 @@ __all__ = [
     "first_survivor",
     "run_decentralized",
     "run_forkjoin",
+    "replay",
     "run_sequential_reference",
 ]
 
@@ -437,6 +439,19 @@ def run_forkjoin(*data: Any, **options: Any) -> DistributedResult:
     return first_survivor(launch(RunConfig("forkjoin", *data, **options)))
 
 
+def replay(cfg: RunConfig, backend_cls: type = SequentialBackend):
+    """``cfg``'s search on this process over the full data, driven through
+    ``backend_cls`` — the sequential reference both engines must
+    reproduce, or (on a :class:`~repro.engines.recording.RecordingBackend`)
+    the region stream the analytic models price.  Returns ``(search
+    result, backend)``; the caller's partitions are not touched."""
+    tree = _rebuild_tree(cfg.start_newick, cfg.n_branch_sets)
+    # private copies: optimization must not mutate the caller's partitions
+    parts = [p.subset(np.arange(p.n_patterns)) for p in cfg.parts]
+    backend = backend_cls(PartitionedLikelihood(tree, parts, list(cfg.taxa)))
+    return hill_climb(backend, cfg.config), backend
+
+
 def run_sequential_reference(
     parts: list[PartitionData],
     taxa: list[str],
@@ -445,17 +460,8 @@ def run_sequential_reference(
     n_branch_sets: int = 1,
 ) -> DistributedResult:
     """The single-rank reference both engines must reproduce."""
-    from repro.likelihood.backend import SequentialBackend
-
-    tree = _rebuild_tree(start_newick, n_branch_sets)
-    # private copies: optimization must not mutate the caller's partitions
-    parts = [p.subset(np.arange(p.n_patterns)) for p in parts]
-    lik = PartitionedLikelihood(tree, parts, taxa)
-    backend = SequentialBackend(lik)
-    result = hill_climb(backend, config or SearchConfig())
-    return DistributedResult(
-        logl=result.logl,
-        newick=write_newick(tree, lengths=False),
-        iterations=result.iterations,
-        bytes_by_tag={},
-    )
+    result, backend = replay(RunConfig(
+        "decentralized", parts, taxa, start_newick, 1,
+        config or SearchConfig(), n_branch_sets=n_branch_sets))
+    return DistributedResult(result.logl, write_newick(backend.tree, lengths=False),
+                             result.iterations, {})

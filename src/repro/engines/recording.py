@@ -6,8 +6,8 @@ execute the identical search — they differ only in what each region
 communicates.  The :class:`RecordingBackend` therefore wraps a full-data
 :class:`~repro.likelihood.partitioned.PartitionedLikelihood`, executes all
 kernels exactly like the sequential reference (same numbers, same final
-tree), and appends one :class:`~repro.engines.events.Region` per backend
-call.
+tree), and appends one :class:`~repro.engines.events.Region` per region
+the backend closes.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engines.events import EventLog, Region, RegionKind
-from repro.likelihood.backend import SequentialBackend, choose_psr_rates
+from repro.likelihood.backend import SequentialBackend
 from repro.likelihood.partitioned import PartitionedLikelihood
-from repro.model.rates import PerSiteRates
-from repro.tree.topology import Node
 from repro.tree.traversal import EdgeDescriptor
 
 __all__ = ["RecordingBackend"]
@@ -44,67 +42,13 @@ class RecordingBackend(SequentialBackend):
         super().__init__(lik)
         self.log = log if log is not None else EventLog()
 
-    # -- helpers -------------------------------------------------------- #
-    def _record(self, kind: RegionKind, ops: float | np.ndarray = 0.0) -> None:
+    def _region(self, kind: RegionKind,
+                descriptors: EdgeDescriptor | None = None) -> None:
         self.log.append(
             Region(
                 kind=kind,
                 n_partitions=self.lik.n_partitions,
                 n_branch_sets=self.lik.n_branch_sets,
-                newview_ops=ops,
+                newview_ops=0.0 if descriptors is None else _ops_summary(descriptors),
             )
         )
-
-    # -- instrumented backend API --------------------------------------- #
-    def evaluate(self, u: Node, v: Node) -> tuple[float, np.ndarray]:
-        total, per_part, descriptors = self.lik.evaluate(u, v)
-        self._record(RegionKind.EVALUATE, _ops_summary(descriptors))
-        return total, per_part
-
-    def begin_branch(self, u: Node, v: Node):
-        descriptors = self.lik.ensure_clvs(u, v)
-        self._record(RegionKind.BRANCH_SETUP, _ops_summary(descriptors))
-        return self.lik.prepare_branch(u, v)
-
-    def derivatives(self, handle, t: np.ndarray):
-        d1, d2 = self.lik.branch_derivatives(handle, t)
-        self._record(RegionKind.DERIVATIVE)
-        return d1, d2
-
-    def set_alphas(self, alphas: dict[int, float]) -> None:
-        super().set_alphas(alphas)
-        self._record(RegionKind.PARAM_ALPHA)
-
-    def set_gtr_rates(self, rates: dict[int, np.ndarray]) -> None:
-        super().set_gtr_rates(rates)
-        self._record(RegionKind.PARAM_GTR)
-
-    def optimize_psr(self, u: Node, v: Node, candidates: np.ndarray) -> None:
-        # Scan: one region per candidate rate (each is a full traversal plus
-        # a per-site likelihood computation that stays rank-local).
-        lik = self.lik
-        psr_parts = [
-            i
-            for i, part in enumerate(lik.parts)
-            if isinstance(part.rate_het, PerSiteRates)
-        ]
-        if not psr_parts:
-            return
-        tables: dict[int, list[np.ndarray]] = {i: [] for i in psr_parts}
-        for rate in candidates:
-            for i in psr_parts:
-                lik.set_psr_rates(i, np.full(lik.parts[i].n_patterns, float(rate)))
-            descriptors = lik.ensure_clvs(u, v)
-            site_lhs = lik.site_log_likelihoods(u, v)
-            self._record(RegionKind.PSR_SCAN, _ops_summary(descriptors))
-            for i in psr_parts:
-                tables[i].append(site_lhs[i])
-        for i in psr_parts:
-            rates = choose_psr_rates(candidates, np.vstack(tables[i]))
-            part = lik.parts[i]
-            rate_het = part.rate_het
-            assert isinstance(rate_het, PerSiteRates)
-            rate_het.set_rates(rates)
-            rate_het.normalize(part.weights)
-            lik.invalidate_partition(i)
-        self._record(RegionKind.PARAM_PSR)

@@ -1,41 +1,56 @@
-"""The likelihood-backend protocol and its sequential reference.
+"""The likelihood-backend protocol and its one implementation.
 
 The tree search and the parameter optimizers are written against this
 small protocol.  **Each method call corresponds to exactly one parallel
-region** (or to a purely local action), which is what lets the two engines
-implement the paper's two communication schemes without touching the
-search logic:
+region** (or to a purely local action), and the paper's engines run the
+identical search: they differ only in what a region communicates.  So
+:class:`SequentialBackend` is the only body of the protocol — local
+kernels on its :class:`PartitionedLikelihood`, with four hook points that
+default to "one process, nothing to do" — and an engine is the hooks it
+overrides:
 
-==================  =========================   =========================
-method              fork-join (RAxML-Light)     de-centralized (ExaML)
-==================  =========================   =========================
-``evaluate``        bcast descriptor+params,    local traversal,
-                    workers compute, reduce     allreduce p doubles
-``begin_branch``    bcast descriptor, barrier   local traversal
-``derivatives``     bcast t, reduce 2/2p dbl    allreduce 2/2p doubles
-``set_*`` params    bcast parameter arrays      local (replicas replay the
-                                                same deterministic update)
-``optimize_psr``    bcast candidates, workers   local scan, allreduce the
-                    scan+choose locally         normalization sums
-==================  =========================   =========================
+=============  ==========  ===========  ==================  ======================
+hook           sequential  recording    de-centralized      fork-join master
+                                        (ExaML)             (RAxML-Light)
+=============  ==========  ===========  ==================  ======================
+``_announce``  nothing     nothing      nothing: replicas   bcast the command —
+                                        replay the same     wire descriptor, ``t``,
+                                        local update        parameters, PSR rate /
+                                                            candidates / factors
+``_combine``   identity    identity     allreduce           reduce to the master
+``_sync``      nothing     nothing      nothing             barrier
+``_region``    nothing     append one   nothing             nothing
+                           ``Region``
+=============  ==========  ===========  ==================  ======================
 
-:class:`SequentialBackend` is the single-rank reference implementation all
-engines are tested against: every engine must produce *numerically
-identical* likelihoods, parameters and trees.
+``_combine`` is called at the three sites where the search needs a global
+quantity: the per-partition log likelihoods (``evaluate``), the
+``(2, n_branch_sets)`` derivative sums (``derivatives``) and the PSR
+normalization sums (``optimize_psr``).  Every engine must produce
+*numerically identical* likelihoods, parameters and trees.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from typing import Any, Protocol
 
 import numpy as np
 
 from repro.likelihood.partitioned import BranchWorkspace, PartitionedLikelihood
+from repro.likelihood.stack import fold_by_set
 from repro.model.rates import DiscreteGamma, PerSiteRates
 from repro.tree.topology import Node, Tree
+from repro.tree.traversal import EdgeDescriptor
 
-__all__ = ["PartitionInfo", "LikelihoodBackend", "SequentialBackend", "psr_scan_table"]
+__all__ = [
+    "PartitionInfo",
+    "RegionKind",
+    "LikelihoodBackend",
+    "SequentialBackend",
+    "choose_psr_rates",
+]
 
 
 @dataclass(frozen=True)
@@ -49,6 +64,28 @@ class PartitionInfo:
     site_specific: bool
     has_gamma: bool
     cost_patterns: float
+
+
+class RegionKind(enum.Enum):
+    """What triggered a parallel region (maps onto Table I's four row
+    categories)."""
+
+    #: conditional-likelihood (re)computation only (barrier-terminated)
+    TRAVERSE = "traverse"
+    #: log-likelihood at the virtual root (reduction of per-partition logls)
+    EVALUATE = "evaluate"
+    #: traversal + sumtable construction before Newton–Raphson
+    BRANCH_SETUP = "branch_setup"
+    #: one Newton–Raphson iteration (derivative exchange)
+    DERIVATIVE = "derivative"
+    #: new Γ shape parameters for all partitions
+    PARAM_ALPHA = "param_alpha"
+    #: new GTR exchangeabilities for all partitions
+    PARAM_GTR = "param_gtr"
+    #: PSR finalize: per-partition rate renormalization
+    PARAM_PSR = "param_psr"
+    #: one PSR candidate-rate scan step (full traversal + per-site logls)
+    PSR_SCAN = "psr_scan"
 
 
 class LikelihoodBackend(Protocol):
@@ -70,7 +107,8 @@ class LikelihoodBackend(Protocol):
 
     def derivatives(
         self, handle: Any, t: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]: ...
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """First and second derivative sums **per branch set** at ``t``."""
 
     def set_branch_length(self, u: Node, v: Node, t: np.ndarray) -> None: ...
 
@@ -87,68 +125,55 @@ class LikelihoodBackend(Protocol):
     def finish(self) -> None: ...
 
 
-def _partition_info_from(lik: PartitionedLikelihood) -> list[PartitionInfo]:
-    out = []
-    for i, part in enumerate(lik.parts):
-        out.append(
-            PartitionInfo(
-                index=i,
-                name=part.name,
-                branch_set=part.branch_set,
-                n_cats=part.n_cats,
-                site_specific=part.site_specific,
-                has_gamma=isinstance(part.rate_het, DiscreteGamma),
-                cost_patterns=part.cost_patterns,
-            )
-        )
-    return out
-
-
-def psr_scan_table(
-    lik: PartitionedLikelihood, u: Node, v: Node, candidates: np.ndarray
-) -> dict[int, np.ndarray]:
-    """Per-site log likelihood under each constant candidate rate.
-
-    For every PSR partition returns an array ``(len(candidates),
-    n_patterns)``.  This is the compute-heavy half of PSR optimization
-    (one full traversal per candidate); choosing the argmax per site and
-    normalizing is cheap and is done by the caller.
-    """
-    psr_parts = [
-        i for i, part in enumerate(lik.parts) if isinstance(part.rate_het, PerSiteRates)
-    ]
-    tables: dict[int, list[np.ndarray]] = {i: [] for i in psr_parts}
-    saved = {i: lik.parts[i].rate_het.rates.copy() for i in psr_parts}
-    for rate in candidates:
-        for i in psr_parts:
-            lik.set_psr_rates(i, np.full(lik.parts[i].n_patterns, float(rate)))
-        site_lhs = lik.site_log_likelihoods(u, v)
-        for i in psr_parts:
-            tables[i].append(site_lhs[i])
-    for i in psr_parts:  # restore so a failed caller leaves state intact
-        lik.set_psr_rates(i, saved[i])
-    return {i: np.vstack(rows) for i, rows in tables.items()}
-
-
 def choose_psr_rates(
-    candidates: np.ndarray, table: np.ndarray
-) -> np.ndarray:
-    """Argmax per site over the candidate scan table."""
-    best = np.asarray(candidates, dtype=np.float64)[np.argmax(table, axis=0)]
-    return best
+    parts: list, candidates: np.ndarray, tables: dict[int, list[np.ndarray]]
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """Close a PSR scan on the local patterns.
+
+    ``tables[i]`` holds partition ``i``'s per-pattern log likelihoods, one
+    row per candidate rate.  Returns each PSR partition's argmax rate per
+    pattern and the normalization sums to combine across ranks —
+    ``(Σ w·rate, Σ w)`` per PSR partition, in partition order.
+    """
+    chosen: dict[int, np.ndarray] = {}
+    sums = np.zeros(2 * len(tables))
+    for k, i in enumerate(sorted(tables)):
+        chosen[i] = candidates[np.argmax(np.vstack(tables[i]), axis=0)]
+        weights = parts[i].weights
+        sums[2 * k] = float(np.dot(weights, chosen[i]))
+        sums[2 * k + 1] = float(weights.sum())
+    return chosen, sums
 
 
 class SequentialBackend:
-    """Single-rank backend: drives a full-data :class:`PartitionedLikelihood`.
+    """The backend: drives a :class:`PartitionedLikelihood` over this
+    process's data.
 
-    This is both the correctness oracle for the engines and the
-    ``size == 1`` execution path of the library.
+    As is, it is the single-rank program — the correctness oracle for the
+    engines and the ``size == 1`` execution path of the library.  The
+    engines subclass it and override hooks only (see the module table).
     """
 
     def __init__(self, lik: PartitionedLikelihood) -> None:
         self.lik = lik
         self.tree = lik.tree
 
+    # -- hooks: what an engine does at a region boundary ------------------ #
+    def _announce(self, command: str, *payload: Any) -> None:
+        """Before a region's compute: tell the other ranks what to run."""
+
+    def _combine(self, kind: RegionKind, local: np.ndarray) -> np.ndarray:
+        """Sum ``local`` over the ranks."""
+        return local
+
+    def _sync(self) -> None:
+        """After branch set-up: wait for the other ranks."""
+
+    def _region(self, kind: RegionKind,
+                descriptors: EdgeDescriptor | None = None) -> None:
+        """A region of ``kind`` ended (``descriptors``: what it traversed)."""
+
+    # -- facts ------------------------------------------------------------ #
     @property
     def n_partitions(self) -> int:
         return self.lik.n_partitions
@@ -158,30 +183,18 @@ class SequentialBackend:
         return self.lik.n_branch_sets
 
     def partition_info(self) -> list[PartitionInfo]:
-        return _partition_info_from(self.lik)
-
-    def evaluate(self, u: Node, v: Node) -> tuple[float, np.ndarray]:
-        total, per_part, _ = self.lik.evaluate(u, v)
-        return total, per_part
-
-    def begin_branch(self, u: Node, v: Node) -> BranchWorkspace:
-        return self.lik.prepare_branch(u, v)
-
-    def derivatives(
-        self, handle: BranchWorkspace, t: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self.lik.branch_derivatives(handle, t)
-
-    def set_branch_length(self, u: Node, v: Node, t: np.ndarray) -> None:
-        self.tree.set_edge_length(u, v, t)
-
-    def set_alphas(self, alphas: dict[int, float]) -> None:
-        for p, alpha in sorted(alphas.items()):
-            self.lik.set_alpha(p, alpha)
-
-    def set_gtr_rates(self, rates: dict[int, np.ndarray]) -> None:
-        for p, r in sorted(rates.items()):
-            self.lik.set_gtr_rates(p, r)
+        return [
+            PartitionInfo(
+                index=i,
+                name=part.name,
+                branch_set=part.branch_set,
+                n_cats=part.n_cats,
+                site_specific=part.site_specific,
+                has_gamma=isinstance(part.rate_het, DiscreteGamma),
+                cost_patterns=part.cost_patterns,
+            )
+            for i, part in enumerate(self.lik.parts)
+        ]
 
     def get_alpha(self, p: int) -> float:
         return self.lik.get_alpha(p)
@@ -189,16 +202,89 @@ class SequentialBackend:
     def get_gtr_rates(self, p: int) -> np.ndarray:
         return self.lik.parts[p].model.rates.copy()
 
+    # -- regions ---------------------------------------------------------- #
+    def _traverse(self, command: str, u: Node, v: Node) -> EdgeDescriptor:
+        """Bring both CLVs of edge ``{u, v}`` up to date.  The validity
+        stamps cover every partition, owned or not, so one descriptor
+        serves the announcement and this process's own share."""
+        descriptors = self.lik.descriptors_for_edge(u, v)
+        self._announce(command, descriptors, u, v)
+        self.lik.execute_descriptors(descriptors)
+        return descriptors
+
+    def evaluate(self, u: Node, v: Node) -> tuple[float, np.ndarray]:
+        descriptors = self._traverse("evaluate", u, v)
+        local, _ = self.lik.evaluate_local(u, v)
+        per_part = self._combine(RegionKind.EVALUATE, local)
+        self._region(RegionKind.EVALUATE, descriptors)
+        return float(per_part.sum()), per_part
+
+    def begin_branch(self, u: Node, v: Node) -> BranchWorkspace:
+        descriptors = self._traverse("branch_setup", u, v)
+        handle = self.lik.sumtables_local(u, v)
+        self._sync()
+        self._region(RegionKind.BRANCH_SETUP, descriptors)
+        return handle
+
+    def derivatives(
+        self, handle: BranchWorkspace, t: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        self._announce("derivative", t)
+        lik = self.lik
+        local = fold_by_set(*lik.branch_derivatives(handle, t),
+                            lik.branch_sets, lik.n_branch_sets)
+        d1, d2 = self._combine(RegionKind.DERIVATIVE, local)
+        self._region(RegionKind.DERIVATIVE)
+        return d1, d2
+
+    def set_branch_length(self, u: Node, v: Node, t: np.ndarray) -> None:
+        # Local everywhere: under fork-join the updated lengths travel
+        # inside the next descriptor.
+        self.tree.set_edge_length(u, v, t)
+
+    def set_alphas(self, alphas: dict[int, float]) -> None:
+        self._announce("alphas", alphas)
+        for p, alpha in sorted(alphas.items()):
+            self.lik.set_alpha(p, alpha)
+        self._region(RegionKind.PARAM_ALPHA)
+
+    def set_gtr_rates(self, rates: dict[int, np.ndarray]) -> None:
+        self._announce("gtr", rates)
+        for p, r in sorted(rates.items()):
+            self.lik.set_gtr_rates(p, r)
+        self._region(RegionKind.PARAM_GTR)
+
     def optimize_psr(self, u: Node, v: Node, candidates: np.ndarray) -> None:
-        tables = psr_scan_table(self.lik, u, v, candidates)
-        for p, table in sorted(tables.items()):
-            rates = choose_psr_rates(candidates, table)
-            part = self.lik.parts[p]
-            rate_het = part.rate_het
-            assert isinstance(rate_het, PerSiteRates)
-            rate_het.set_rates(rates)
-            rate_het.normalize(part.weights)
-            self.lik.invalidate_partition(p)
+        lik = self.lik
+        psr_parts = [
+            i for i, part in enumerate(lik.parts)
+            if isinstance(part.rate_het, PerSiteRates)
+        ]
+        if not psr_parts:
+            return
+        candidates = np.asarray(candidates, dtype=np.float64)
+        # Scan: one region per candidate rate — a full traversal plus the
+        # per-pattern log likelihoods, which stay rank-local.
+        tables: dict[int, list[np.ndarray]] = {i: [] for i in psr_parts}
+        for rate in map(float, candidates):
+            self._announce("psr_scan", rate)
+            for i in psr_parts:
+                lik.set_psr_rates(i, np.full(lik.parts[i].n_patterns, rate))
+            descriptors = self._traverse("traverse", u, v)
+            _, site_lhs = lik.evaluate_local(u, v)
+            self._region(RegionKind.PSR_SCAN, descriptors)
+            for i in psr_parts:
+                tables[i].append(site_lhs[i])
+        # Finalize: the argmax per pattern is local; keeping the weighted
+        # mean rate at one needs the global sums.
+        self._announce("psr_finalize", candidates)
+        chosen, sums = choose_psr_rates(lik.parts, candidates, tables)
+        totals = self._combine(RegionKind.PARAM_PSR, sums)
+        factors = totals[0::2] / totals[1::2]
+        self._announce("psr_factors", factors)
+        for i, factor in zip(psr_parts, factors):
+            lik.set_psr_rates(i, chosen[i] / factor)
+        self._region(RegionKind.PARAM_PSR)
 
     def finish(self) -> None:  # nothing to tear down
         return None

@@ -285,7 +285,7 @@ def derivatives_from_sumtable(
 # --------------------------------------------------------------------- #
 #
 # The work unit is one pattern·category — the same virtual-pattern unit
-# the work ledger and the cost model charge in — except for ``pmatrix``,
+# the region log and the cost model charge in — except for ``pmatrix``,
 # whose work is independent of the pattern count under category rates:
 # its unit is one transition *matrix*.  Modeled FLOPs are the analytic
 # minimum of the operation for ``n = n_states`` — what a per-category

@@ -25,13 +25,6 @@ BL_MIN = 1.0e-6
 BL_MAX = 60.0
 
 
-def _aggregate_by_set(
-    values: np.ndarray, branch_sets: np.ndarray, n_sets: int
-) -> np.ndarray:
-    """Sum per-partition derivative contributions into branch-set totals."""
-    return np.bincount(branch_sets, weights=values, minlength=n_sets)
-
-
 def optimize_branch(
     backend,
     u,
@@ -50,9 +43,6 @@ def optimize_branch(
         raise LikelihoodError("invalid Newton parameters")
     tree = backend.tree
     n_sets = backend.n_branch_sets
-    branch_sets = np.array(
-        [info.branch_set for info in backend.partition_info()], dtype=np.intp
-    )
     handle = backend.begin_branch(u, v)
     t = tree.edge_length(u, v).copy()
     t = np.clip(t, BL_MIN, BL_MAX)
@@ -62,9 +52,7 @@ def optimize_branch(
 
     for _ in range(max_iter):
         iters_run += 1
-        d1p, d2p = backend.derivatives(handle, t)
-        d1 = _aggregate_by_set(d1p, branch_sets, n_sets)
-        d2 = _aggregate_by_set(d2p, branch_sets, n_sets)
+        d1, d2 = backend.derivatives(handle, t)
 
         new_t = t.copy()
         concave = d2 < 0.0

@@ -27,7 +27,7 @@ share of a partition it does not own, see :mod:`repro.dist`) keeps its
 replicated model state and takes part in the validity stamps — the
 fork-join master derives the wire descriptor from them — but is in no
 stack: no tip vectors, P matrices, CLVs or sumtables are built for it, no
-kernel runs, nothing is charged to the ledger or the profiler, and its
+kernel runs, nothing reaches the profiler, and its
 slot of every per-partition result is an exact ``0.0``.
 """
 
@@ -38,7 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import LikelihoodError, ModelError, TreeError
-from repro.likelihood.stack import PartitionStack, build_stacks, clv_stats
+from repro.likelihood.stack import (
+    PartitionStack,
+    build_stacks,
+    clv_stats,
+    derivatives_of_stacks,
+    evaluate_stacks,
+)
 from repro.model.frequencies import smooth_frequencies
 from repro.model.rates import (
     DiscreteGamma,
@@ -48,7 +54,6 @@ from repro.model.rates import (
 )
 from repro.model.substitution import SubstitutionModel
 from repro.obs.nullprofiler import NULL_OP_PROFILER
-from repro.par.ledger import ComputeItem, OpKind, WorkLedger
 from repro.seq.alignment import Alignment
 from repro.seq.partitions import PartitionScheme
 from repro.tree.topology import Node, Tree
@@ -200,8 +205,6 @@ class PartitionedLikelihood:
         Per-partition data; all must share the global taxon order.
     taxa:
         Global taxon order (labels ↔ pattern rows).
-    ledger:
-        Optional cumulative :class:`WorkLedger`.
     """
 
     def __init__(
@@ -209,7 +212,6 @@ class PartitionedLikelihood:
         tree: Tree,
         parts: list[PartitionData],
         taxa: list[str],
-        ledger: WorkLedger | None = None,
     ) -> None:
         if not parts:
             raise LikelihoodError("need at least one partition")
@@ -228,15 +230,11 @@ class PartitionedLikelihood:
         self.parts = parts
         self.taxa = list(taxa)
         self.taxon_row = {label: i for i, label in enumerate(taxa)}
-        self.ledger = ledger if ledger is not None else WorkLedger()
         self.profiler = NULL_OP_PROFILER
         self.stacks: list[PartitionStack] = build_stacks(parts)
-        # what one region charges the ledger, per partition computed
-        self._charges = [
-            (p, part.cost_patterns, part.n_cats, part.site_specific)
-            for stack in self.stacks
-            for p, part in zip(stack.partitions, stack.parts)
-        ]
+        #: branch set of every partition (what derivatives are folded by)
+        self.branch_sets = np.array([part.branch_set for part in parts],
+                                    dtype=np.intp)
         # one validity stamp per directed edge, for all partitions; the
         # arrays it vouches for are in the stacks
         self._stamps: dict[tuple[int, int], _Stamp] = {}
@@ -264,7 +262,6 @@ class PartitionedLikelihood:
         models: list[SubstitutionModel] | None = None,
         per_partition_branches: bool = False,
         pattern_scale: float = 1.0,
-        ledger: WorkLedger | None = None,
     ) -> "PartitionedLikelihood":
         """Assemble a likelihood from an alignment and a partition scheme.
 
@@ -314,7 +311,7 @@ class PartitionedLikelihood:
                     alphabet=alignment.alphabet,
                 )
             )
-        return cls(tree, parts, alignment.taxa, ledger)
+        return cls(tree, parts, alignment.taxa)
 
     # ------------------------------------------------------------------ #
     # properties
@@ -487,7 +484,6 @@ class PartitionedLikelihood:
                 model_vers=self._versions,
             )
             self._memo[key] = _VALID
-        self._charge(OpKind.NEWVIEW, descriptors.op_counts())
         self._sweep()
 
     def ensure_clvs(self, u: Node, v: Node) -> EdgeDescriptor:
@@ -496,15 +492,6 @@ class PartitionedLikelihood:
         descriptors = self.descriptors_for_edge(u, v)
         self.execute_descriptors(descriptors)
         return descriptors
-
-    def _charge(self, op: OpKind, counts: list[int] | None = None) -> None:
-        """Charge the ledger one item per partition computed (``counts[p]``
-        invocations each; one when ``None``)."""
-        charge = self.ledger.charge
-        for p, n_patterns, n_cats, site_specific in self._charges:
-            count = 1 if counts is None else counts[p]
-            if count:
-                charge(ComputeItem(op, p, n_patterns, n_cats, count, site_specific))
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -527,17 +514,9 @@ class PartitionedLikelihood:
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Per-partition log likelihoods and per-pattern log likelihoods
         from the CLVs edge ``{u, v}`` already has (see :meth:`ensure_clvs`)."""
-        per_part = np.zeros(self.n_partitions)
-        site_lhs = [np.empty(0)] * self.n_partitions
-        t_root = self.tree.edge_length(u, v)
-        for stack in self.stacks:
-            totals, log_site = stack.evaluate(
-                self._ref(u, v), self._ref(v, u), t_root, self.profiler)
-            per_part[stack.members] = totals
-            for p, row in zip(stack.partitions, log_site):
-                site_lhs[p] = row
-        self._charge(OpKind.EVALUATE)
-        return per_part, site_lhs
+        return evaluate_stacks(
+            self.stacks, self.n_partitions, self._ref(u, v), self._ref(v, u),
+            self.tree.edge_length(u, v), self.profiler)
 
     def site_log_likelihoods(
         self, u: Node, v: Node
@@ -564,7 +543,6 @@ class PartitionedLikelihood:
             stack.sumtable(self._ref(u, v), self._ref(v, u), self.profiler)
             for stack in self.stacks
         ]
-        self._charge(OpKind.SUMTABLE)
         return BranchWorkspace(
             u=u, v=v, sumtables=sumtables, edge_version=self.tree.edge_version(u, v)
         )
@@ -580,13 +558,8 @@ class PartitionedLikelihood:
             raise LikelihoodError(
                 f"t shape {t.shape} != ({self.n_branch_sets},)"
             )
-        d1 = np.zeros(self.n_partitions)
-        d2 = np.zeros(self.n_partitions)
-        for stack, table in zip(self.stacks, ws.sumtables):
-            d1[stack.members], d2[stack.members] = stack.derivatives(
-                table, t, self.profiler)
-        self._charge(OpKind.DERIVATIVE)
-        return d1, d2
+        return derivatives_of_stacks(
+            self.stacks, self.n_partitions, ws.sumtables, t, self.profiler)
 
     # ------------------------------------------------------------------ #
     # model parameter setters

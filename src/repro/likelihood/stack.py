@@ -34,7 +34,8 @@ from repro.errors import LikelihoodError
 from repro.likelihood import kernel
 from repro.model.substitution import EigenSystem, fill_eigen_caches
 
-__all__ = ["PartitionStack", "build_stacks", "clv_stats"]
+__all__ = ["PartitionStack", "build_stacks", "clv_stats", "evaluate_stacks",
+           "derivatives_of_stacks", "fold_by_set"]
 
 #: A tip (taxon row) or a stored CLV (directed-edge key).
 Ref = int | tuple[int, int]
@@ -55,7 +56,7 @@ class PartitionStack:
         g = len(members)
         self.n_states = first.model.n_states
         self.site_specific = first.site_specific
-        #: work units of one CLV-shaped op, per partition (ledger convention)
+        #: work units of one CLV-shaped op, per partition (cost-model convention)
         self.unit = first.cost_patterns * first.n_cats
         # the stack's arrays are views or the only copy, never a second one
         self.weights = (first.weights[None, :] if g == 1
@@ -248,6 +249,45 @@ def build_stacks(parts: list) -> list[PartitionStack]:
                  part.model.n_states, type(part.rate_het))
         groups.setdefault(shape, []).append(i)
     return [PartitionStack(members, parts) for members in groups.values()]
+
+
+def evaluate_stacks(
+    stacks: list[PartitionStack], n_partitions: int, u: Ref, v: Ref,
+    t_root: np.ndarray, prof,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-partition log likelihoods and per-pattern log likelihoods at
+    the virtual root between ``u`` and ``v``; ``0.0`` and an empty vector
+    for a partition in no stack."""
+    per_part = np.zeros(n_partitions)
+    site_lhs = [np.empty(0)] * n_partitions
+    for stack in stacks:
+        totals, log_site = stack.evaluate(u, v, t_root, prof)
+        per_part[stack.members] = totals
+        for p, row in zip(stack.partitions, log_site):
+            site_lhs[p] = row
+    return per_part, site_lhs
+
+
+def derivatives_of_stacks(
+    stacks: list[PartitionStack], n_partitions: int,
+    tables: list[np.ndarray], t: np.ndarray, prof,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-partition first and second log-likelihood derivatives from one
+    sumtable per stack; both ``0.0`` for a partition in no stack."""
+    d1 = np.zeros(n_partitions)
+    d2 = np.zeros(n_partitions)
+    for stack, table in zip(stacks, tables):
+        d1[stack.members], d2[stack.members] = stack.derivatives(table, t, prof)
+    return d1, d2
+
+
+def fold_by_set(d1: np.ndarray, d2: np.ndarray, branch_sets,
+                n_sets: int) -> np.ndarray:
+    """Per-partition derivatives summed per branch set, stacked as the
+    ``(2, n_sets)`` array that goes on the wire.  Summed in partition
+    order; a partition without local patterns adds an exact ``0.0``."""
+    return np.vstack([np.bincount(branch_sets, weights=d1, minlength=n_sets),
+                      np.bincount(branch_sets, weights=d2, minlength=n_sets)])
 
 
 def clv_stats(stacks: list[PartitionStack], n_partitions: int) -> list[dict[str, int]]:

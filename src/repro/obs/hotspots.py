@@ -18,10 +18,10 @@ Three layers:
   its time, at the cost of one accumulator update.  Aggregation (instead of
   one span per op) keeps a long search from blowing out the tracer ring
   buffer: the whole profile flushes as a handful of summary spans.
-  ``units`` uses the *same* virtual-pattern accounting as
-  :class:`~repro.par.ledger.WorkLedger` (``cost_patterns × n_cats`` per
-  invocation), so modeled FLOPs derived from the profile match the work
-  ledger exactly.  :data:`NULL_OP_PROFILER` (defined in the leaf module
+  ``units`` uses the *same* virtual-pattern accounting as the region log
+  the performance model prices (``cost_patterns × n_cats`` per
+  invocation, see :meth:`repro.engines.events.Region.kernel_ops`), so
+  modeled FLOPs derived from the profile match the modeled work exactly.  :data:`NULL_OP_PROFILER` (defined in the leaf module
   :mod:`repro.obs.nullprofiler`, re-exported here) is the disabled path:
   ``begin()`` returns 0 without reading a clock and ``end_stack()`` is a
   no-op, the same zero-cost discipline as
@@ -94,7 +94,7 @@ CLV_MEMORY_SPAN = "clv_memory"
 CLV_RATIO_MIN = 0.3
 CLV_RATIO_MAX = 3.5
 
-#: Ops whose work unit is one pattern·category (ledger convention); the
+#: Ops whose work unit is one pattern·category (cost-model convention); the
 #: machine's ``op_cost_ns`` constants price exactly these, so only they
 #: get a modeled-throughput column.  ``pmatrix`` units are transition
 #: *matrices* (its work does not scale with patterns under Γ).
@@ -197,7 +197,8 @@ class OpProfiler:
 
     def units(self, op: str, partition: int | None = None) -> float:
         """Accumulated work units for one op (optionally one partition) —
-        directly comparable to ``WorkLedger.pattern_ops``."""
+        directly comparable to the work a recorded region stream implies
+        (``Region.kernel_ops() × cost_patterns × n_cats``)."""
         return sum(
             acc[2]
             for (kind, p), acc in self._per_partition().items()
@@ -377,7 +378,7 @@ class HotspotReport:
 
         * time shares must sum to 1 over the ranked ops,
         * each op's carried FLOPs must equal the analytic per-unit
-          formula times its ledger units — *exactly* (same floats, same
+          formula times its work units — *exactly* (same floats, same
           accounting; any drift means the formulas and the profiler
           disagree),
         * with ``check_memory`` and a modeled footprint, the CLV ratio

@@ -172,15 +172,9 @@ def _comm_model(engine: str):
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def modeled_byte_totals(
-    parts,
-    taxa,
-    start_newick: str,
-    config,
-    engine: str = "decentralized",
-    n_branch_sets: int = 1,
-):
-    """Replay the search on full data, price it with the engine's model.
+def modeled_byte_totals(cfg):
+    """Replay ``cfg``'s search on full data, price it with the model of
+    ``cfg.engine``.
 
     Returns ``(byte_totals, call_counts, log)`` where ``call_counts`` maps
     each category to the number of collectives the model assigns to it.
@@ -189,27 +183,17 @@ def modeled_byte_totals(
     so region streams — and therefore predicted bytes — are comparable
     call for call.
     """
+    from repro.engines.launch import replay
     from repro.engines.recording import RecordingBackend
-    from repro.likelihood.partitioned import PartitionedLikelihood
-    from repro.search.search import hill_climb
-    from repro.tree.newick import parse_newick
 
-    tree = parse_newick(start_newick, n_branch_sets)
-    if n_branch_sets > 1:
-        tree.set_n_branch_sets(n_branch_sets)
-    # private copies: the replay must not disturb the caller's partitions
-    parts = [p.subset(np.arange(p.n_patterns)) for p in parts]
-    lik = PartitionedLikelihood(tree, parts, list(taxa))
-    backend = RecordingBackend(lik)
-    hill_climb(backend, config)
-
-    model = _comm_model(engine)
-    totals = model.byte_totals(backend.log)
+    log = replay(cfg, RecordingBackend)[1].log
+    model = _comm_model(cfg.engine)
+    totals = model.byte_totals(log)
     calls: dict[str, int] = {cat: 0 for cat in totals}
-    for region in backend.log:
+    for region in log:
         for ev in model.region_events(region):
             calls[ev.category] = calls.get(ev.category, 0) + 1
-    return totals, calls, backend.log
+    return totals, calls, log
 
 
 def reconcile(
@@ -252,24 +236,18 @@ def reconcile(
 
 
 def reconcile_live_run(
-    parts,
-    taxa,
-    start_newick: str,
-    config,
-    engine: str,
+    cfg,
     measured_bytes_by_tag: dict[str, float],
     measured_calls_by_tag: dict[str, int] | None = None,
-    n_branch_sets: int = 1,
     measured_rank: int | None = None,
 ) -> ReconcileReport:
-    """One-call reconciliation: replay + model + compare."""
-    totals, calls, _log = modeled_byte_totals(
-        parts, taxa, start_newick, config, engine, n_branch_sets
-    )
+    """One-call reconciliation of a live run of ``cfg`` (a
+    :class:`~repro.engines.launch.RunConfig`): replay + model + compare."""
+    totals, calls, _log = modeled_byte_totals(cfg)
     return reconcile(
         measured_bytes_by_tag,
         totals,
-        engine,
+        cfg.engine,
         measured_calls_by_tag=measured_calls_by_tag,
         modeled_calls=calls,
         measured_rank=measured_rank,

@@ -322,14 +322,17 @@ def _attach_predictions(
     ranks_sorted: list[int],
     dist_kinds: Sequence[str],
 ) -> None:
+    from repro.engines.launch import RunConfig
     from repro.perf.scaling import predict_scaling, predicted_ordering
 
     engines = sorted({p.engine for p in result.points})
     for dist in dist_kinds:
         lik = build_likelihood()
         pred = predict_scaling(
-            lik.parts, lik.taxa, start_newick, config, ranks_sorted,
-            dist_kind=dist, n_branch_sets=lik.n_branch_sets,
+            RunConfig("decentralized", lik.parts, lik.taxa, start_newick,
+                      ranks_sorted[0], config=config, dist_kind=dist,
+                      n_branch_sets=lik.n_branch_sets),
+            ranks_sorted,
         )
         ordering = predicted_ordering(pred)
         doc = pred.to_dict()

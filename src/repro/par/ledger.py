@@ -1,22 +1,16 @@
-"""Work accounting for the performance model.
+"""The kinds of likelihood kernel work.
 
-Every likelihood kernel invocation is described by a :class:`ComputeItem`:
-which operation ran, on which partition, over how many (virtual) site
-patterns and rate categories.  The engines attach these items to the
-parallel region that triggered them; the performance model later converts
-items into per-rank seconds for any data distribution and machine.
-
-Virtual pattern counts make the scaled workloads work: a partition that
-computes on 1,000 real patterns standing in for 1,000,000 charges the
-ledger with the full 1,000,000 (see ``DESIGN.md``, substitutions).
+The vocabulary the region log (:mod:`repro.engines.events`), the cost
+model (:mod:`repro.perf.costmodel`) and the machine specs share: a
+recorded region says how many invocations of each kind it implies, the
+cost model prices a kind per (virtual) pattern·category unit.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
-__all__ = ["OpKind", "ComputeItem", "WorkLedger"]
+__all__ = ["OpKind"]
 
 
 class OpKind(enum.Enum):
@@ -34,70 +28,3 @@ class OpKind(enum.Enum):
     PMATRIX = "pmatrix"
     #: PSR per-site rate scan (per candidate rate, includes its traversal)
     PSR_SCAN = "psr_scan"
-
-
-@dataclass(frozen=True)
-class ComputeItem:
-    """One batch of kernel work on one partition.
-
-    ``n_patterns`` is the *virtual* pattern count (real count × scale) and
-    ``count`` the number of identical kernel invocations batched here
-    (e.g. 5 NEWVIEW ops of a traversal).
-    """
-
-    op: OpKind
-    partition: int
-    n_patterns: float
-    n_cats: int
-    count: int = 1
-    #: PSR kernels build one P matrix per site; the cost model charges a
-    #: machine-specific multiplier for such items.
-    site_specific: bool = False
-
-    @property
-    def pattern_ops(self) -> float:
-        """Total pattern·category units of work in this item."""
-        return self.n_patterns * self.n_cats * self.count
-
-
-@dataclass
-class WorkLedger:
-    """Cumulative kernel-work account (used for whole-run statistics).
-
-    The engines additionally keep per-region item lists; this ledger is
-    the global aggregate a run reports at the end.
-    """
-
-    totals: dict[tuple[OpKind, int], tuple[float, int]] = field(default_factory=dict)
-
-    def charge(self, item: ComputeItem) -> None:
-        key = (item.op, item.partition)
-        pats, cnt = self.totals.get(key, (0.0, 0))
-        self.totals[key] = (pats + item.pattern_ops, cnt + item.count)
-
-    def charge_many(self, items: list[ComputeItem]) -> None:
-        for item in items:
-            self.charge(item)
-
-    def pattern_ops(self, op: OpKind | None = None) -> float:
-        """Total pattern·category work, optionally filtered by op kind."""
-        return sum(
-            pats
-            for (kind, _), (pats, _) in self.totals.items()
-            if op is None or kind is op
-        )
-
-    def invocations(self, op: OpKind | None = None) -> int:
-        return sum(
-            cnt
-            for (kind, _), (_, cnt) in self.totals.items()
-            if op is None or kind is op
-        )
-
-    def clear(self) -> None:
-        self.totals.clear()
-
-    def merge(self, other: "WorkLedger") -> None:
-        for key, (pats, cnt) in other.totals.items():
-            mine = self.totals.get(key, (0.0, 0))
-            self.totals[key] = (mine[0] + pats, mine[1] + cnt)

@@ -131,8 +131,8 @@ def _op_name(op: OpKind | str) -> str:
 def modeled_flops(op: OpKind | str, units: float, n_states: int = 4) -> float:
     """Analytic FLOPs for ``units`` work units of kernel op ``op``.
 
-    Units follow the work-ledger convention (pattern·category; transition
-    matrices for ``pmatrix``), so feeding ``WorkLedger.pattern_ops`` or an
+    Units are pattern·category (transition matrices for ``pmatrix``), so
+    feeding the units a recorded region stream implies or an
     :class:`~repro.obs.hotspots.OpProfiler`'s accumulated units here gives
     identical totals by construction.
     """

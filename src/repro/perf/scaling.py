@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.dist.distributions import auto_distribution
 from repro.par.machine import HITS_CLUSTER, MachineSpec
 from repro.perf.costmodel import WorkloadMeta
@@ -70,43 +68,31 @@ class PredictedScaling:
 
 
 def predict_scaling(
-    parts,
-    taxa,
-    start_newick: str,
-    config,
+    cfg,
     ranks_list: list[int],
-    dist_kind: str = "cyclic",
-    n_branch_sets: int = 1,
     machine: MachineSpec = HITS_CLUSTER,
 ) -> PredictedScaling:
-    """Replay the search once, price both engines at every rank count."""
+    """Replay the search of ``cfg`` (a
+    :class:`~repro.engines.launch.RunConfig`) once, price both engines at
+    every rank count under ``cfg.dist_kind``."""
     from repro.engines.decentral import DecentralizedCommModel
     from repro.engines.forkjoin import ForkJoinCommModel
+    from repro.engines.launch import replay
     from repro.engines.recording import RecordingBackend
-    from repro.likelihood.partitioned import PartitionedLikelihood
-    from repro.search.search import hill_climb
-    from repro.tree.newick import parse_newick
 
-    tree = parse_newick(start_newick, n_branch_sets)
-    if n_branch_sets > 1:
-        tree.set_n_branch_sets(n_branch_sets)
-    # private copies: the replay must not disturb the caller's partitions
-    parts = [p.subset(np.arange(p.n_patterns)) for p in parts]
-    lik = PartitionedLikelihood(tree, parts, list(taxa))
-    backend = RecordingBackend(lik)
-    hill_climb(backend, config)
-    meta = WorkloadMeta.from_likelihood(lik)
+    backend = replay(cfg, RecordingBackend)[1]
+    meta = WorkloadMeta.from_likelihood(backend.lik)
 
     models = {
         "decentralized": DecentralizedCommModel(),
         "forkjoin": ForkJoinCommModel(),
     }
-    out = PredictedScaling(dist_kind=dist_kind, machine=machine.name)
+    out = PredictedScaling(dist_kind=cfg.dist_kind, machine=machine.name)
     for engine, model in models.items():
         per_ranks: dict[int, RuntimeReport] = {}
         for n in sorted(set(ranks_list)):
             dist = auto_distribution(
-                meta.cost_patterns, n, use_mps=(dist_kind == "mps")
+                meta.cost_patterns, n, use_mps=(cfg.dist_kind == "mps")
             )
             per_ranks[n] = simulate_runtime(
                 backend.log, model, meta, machine, dist, engine_name=engine

@@ -96,6 +96,13 @@ class ReferenceBackend:
         ]
 
     def derivatives(self, handle, t) -> tuple[np.ndarray, np.ndarray]:
+        """Per branch set, as the protocol asks."""
+        sets = [part.branch_set for part in self.parts]
+        d1, d2 = self.partition_derivatives(handle, t)
+        return (np.bincount(sets, weights=d1, minlength=self.n_branch_sets),
+                np.bincount(sets, weights=d2, minlength=self.n_branch_sets))
+
+    def partition_derivatives(self, handle, t) -> tuple[np.ndarray, np.ndarray]:
         d1 = np.zeros(self.n_partitions)
         d2 = np.zeros(self.n_partitions)
         for i, (part, table) in enumerate(zip(self.parts, handle)):

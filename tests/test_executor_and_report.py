@@ -1,4 +1,4 @@
-"""Worker-kernel executor, report formatting and ledger tests."""
+"""Worker-kernel executor, report formatting and work-accounting tests."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,13 @@ from repro.engines.events import EventLog, Region, RegionKind
 from repro.engines.executor import DescriptorExecutor
 from repro.errors import CommError
 from repro.likelihood.partitioned import PartitionedLikelihood
-from repro.par.ledger import ComputeItem, OpKind, WorkLedger
+from repro.engines.recording import RecordingBackend
+from repro.obs.hotspots import OpProfiler
 from repro.perf.report import format_runtime_table, format_table1, table1_rows
 from repro.perf.runtime_sim import RuntimeReport
 from repro.tree.traversal import full_traversal
+
+from region_work import region_work
 
 
 @pytest.fixture()
@@ -73,30 +76,20 @@ class TestDescriptorExecutor:
 
 
 class TestWorkLedger:
-    def test_charge_and_query(self):
-        ledger = WorkLedger()
-        ledger.charge(ComputeItem(OpKind.NEWVIEW, 0, 100.0, 4, count=3))
-        ledger.charge(ComputeItem(OpKind.EVALUATE, 0, 100.0, 4))
-        assert ledger.pattern_ops(OpKind.NEWVIEW) == 100 * 4 * 3
-        assert ledger.invocations() == 4
-        assert ledger.invocations(OpKind.EVALUATE) == 1
-
-    def test_merge_and_clear(self):
-        a, b = WorkLedger(), WorkLedger()
-        a.charge(ComputeItem(OpKind.NEWVIEW, 0, 10.0, 1))
-        b.charge(ComputeItem(OpKind.NEWVIEW, 0, 5.0, 1))
-        a.merge(b)
-        assert a.pattern_ops() == 15.0
-        a.clear()
-        assert a.pattern_ops() == 0.0
+    """The work a likelihood call does, accounted twice: by the kernels
+    (op profiler) and by the region the backend records for it."""
 
     def test_likelihood_charges_ledger(self, sim_dataset):
         aln, true_tree, _ = sim_dataset
         lik = PartitionedLikelihood.build(aln, true_tree.copy(), rate_mode="gamma")
+        lik.profiler = prof = OpProfiler()
+        backend = RecordingBackend(lik)
         u, v = lik.tree.edges()[0]
-        lik.evaluate(u, v)
-        assert lik.ledger.invocations(OpKind.NEWVIEW) > 0
-        assert lik.ledger.invocations(OpKind.EVALUATE) == 1
+        backend.evaluate(u, v)
+        work = region_work(backend.log, lik.parts)
+        assert prof.invocations("newview") == work["newview"][1] > 0
+        assert prof.invocations("evaluate") == work["evaluate"][1] == 1
+        assert prof.units("newview") == work["newview"][0]
 
 
 class TestReportFormatting:

@@ -5,9 +5,9 @@ The load-bearing claims, in test form:
 * the analytic FLOP/byte-per-unit formulas match hand-derived counts
   for the DNA kernels and scale correctly with the state count;
 * an :class:`OpProfiler` attached to a real likelihood accumulates
-  *exactly* the work the :class:`~repro.par.ledger.WorkLedger` charges
-  (same virtual-pattern accounting, float-equal on pattern_scale = 1
-  workloads);
+  *exactly* the work the recorded region stream of the same search
+  implies (same virtual-pattern accounting, float-equal on
+  pattern_scale = 1 workloads);
 * the disabled :class:`NullOpProfiler` path reads no clock and records
   nothing (the kernels keep their hooks unconditional);
 * profile emission → merged span records → :func:`build_hotspot_report`
@@ -23,6 +23,7 @@ import pytest
 from repro.datasets import partitioned_workload
 from repro.engines.executor import DescriptorExecutor
 from repro.engines.launch import run_decentralized
+from repro.engines.recording import RecordingBackend
 from repro.errors import LikelihoodError
 from repro.likelihood.backend import SequentialBackend
 from repro.likelihood.kernel import bytes_per_unit, flops_per_unit
@@ -49,12 +50,12 @@ from repro.search.search import SearchConfig, hill_climb
 from repro.tree.newick import write_newick
 from repro.tree.traversal import full_traversal
 
-PATTERN_OPS = ("newview", "evaluate", "sumtable", "derivative")
+from region_work import PATTERN_OPS, region_work
 
 
 def exact_workload(n_partitions=2, n_taxa=8, sites=30):
     """A workload whose cost patterns equal its real patterns
-    (pattern_scale = 1), so ledger and profiler totals are integers and
+    (pattern_scale = 1), so region-log and profiler totals are integers and
     float-exact comparison is legitimate."""
     return partitioned_workload(
         n_partitions, n_taxa=n_taxa, sites_per_partition=sites,
@@ -190,14 +191,13 @@ class TestProfilerLedgerAgreement:
         lik = wl.build_likelihood("gamma")
         prof = OpProfiler()
         lik.profiler = prof
-        hill_climb(SequentialBackend(lik),
-                   SearchConfig(max_iterations=1, radius_max=2))
+        backend = RecordingBackend(lik)
+        hill_climb(backend, SearchConfig(max_iterations=1, radius_max=2))
+        work = region_work(backend.log, lik.parts)
         for op in PATTERN_OPS:
-            kind = OpKind(op)
-            assert prof.units(op) == lik.ledger.pattern_ops(kind)
-            assert prof.invocations(op) == lik.ledger.invocations(kind)
+            assert (prof.units(op), prof.invocations(op)) == work[op]
             assert prof.invocations(op) > 0
-        # pmatrix is profiled too (in matrix units, not ledger-charged)
+        # pmatrix is profiled too (in matrix units, no region implies it)
         assert prof.invocations("pmatrix") > 0
 
     def test_per_partition_attribution(self):

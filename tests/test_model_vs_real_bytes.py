@@ -19,7 +19,7 @@ from repro.engines.forkjoin import (
     CAT_TRAVERSAL,
     ForkJoinCommModel,
 )
-from repro.engines.launch import run_decentralized, run_forkjoin
+from repro.engines.launch import RunConfig, launch, run_forkjoin
 from repro.engines.recording import RecordingBackend
 from repro.obs.reconcile import (
     DECENTRALIZED_REL_TOL,
@@ -96,14 +96,12 @@ class TestDecentralizedReconciliation:
         wl = partitioned_workload(4, n_taxa=8, sites_per_partition=30)
         lik = wl.build_likelihood("gamma")
         newick = write_newick(wl.tree)
-        cfg = SearchConfig(max_iterations=1, radius_max=2,
-                           alpha_iterations=6)
-        replicas = run_decentralized(lik.parts, lik.taxa, newick,
-                                     n_ranks=2, config=cfg)
-        measured = replicas[1]  # non-root: exactly one payload/allreduce
+        cfg = RunConfig("decentralized", lik.parts, lik.taxa, newick, 2,
+                        SearchConfig(max_iterations=1, radius_max=2,
+                                     alpha_iterations=6))
+        measured = launch(cfg)[1]  # non-root: exactly one payload/allreduce
         return reconcile_live_run(
-            lik.parts, lik.taxa, newick, cfg, "decentralized",
-            measured.bytes_by_tag,
+            cfg, measured.bytes_by_tag,
             measured_calls_by_tag=measured.calls_by_tag,
             measured_rank=1,
         )
@@ -134,12 +132,11 @@ class TestForkJoinReconciliation:
         real, _ = measured_and_modeled
         wl = partitioned_workload(4, n_taxa=8, sites_per_partition=30)
         lik = wl.build_likelihood("gamma")
-        cfg = SearchConfig(max_iterations=1, radius_max=2,
-                           alpha_iterations=6)
-        report = reconcile_live_run(
-            lik.parts, lik.taxa, write_newick(wl.tree), cfg, "forkjoin",
-            real, measured_rank=0,
-        )
+        cfg = RunConfig("forkjoin", lik.parts, lik.taxa,
+                        write_newick(wl.tree), 2,
+                        SearchConfig(max_iterations=1, radius_max=2,
+                                     alpha_iterations=6))
+        report = reconcile_live_run(cfg, real, measured_rank=0)
         assert report.within(FORKJOIN_REL_TOL)
         assert report.worst_rel_error > 0  # genuinely inexact: framing
         # the unpriced STOP broadcast surfaces instead of vanishing

@@ -41,13 +41,14 @@ from repro.model.substitution import JC69
 from repro.obs.export import rank_trace_path, read_jsonl
 from repro.obs.hotspots import KERNEL_OP_SPAN, OpProfiler
 from repro.par.faultcomm import FaultPlan
-from repro.par.ledger import OpKind
 from repro.par.mpcomm import run_mpi
 from repro.search.search import SearchConfig, hill_climb
 from repro.seq.partitions import PartitionScheme
 from repro.seq.simulate import simulate_partitioned_alignment
 from repro.tree.newick import write_newick
 from repro.tree.random_trees import random_topology, yule_tree
+
+from region_work import region_work
 
 KERNEL_OPS = ("pmatrix", "newview", "evaluate", "sumtable", "derivative")
 
@@ -180,8 +181,8 @@ class TestZeroPatternShares:
             psr.normalize(np.empty(0))
 
     def test_likelihood_skips_the_share(self):
-        """No kernel, no ledger charge, no profiler record, no CLV entry —
-        but the orientation is stamped valid like every other partition."""
+        """No kernel, no profiler record, no CLV entry — but the
+        orientation is stamped valid like every other partition."""
         parts, taxa, newick, nbs = _workload("gamma", False)
         local = split_local_data(parts, 1, 2, "mps")
         mine = [j for j, p in enumerate(local) if p.n_patterns]
@@ -196,26 +197,33 @@ class TestZeroPatternShares:
         d1, d2 = lik.branch_derivatives(ws, tree.edge_length(u, v))
         for j in range(N_PARTS):
             stats = lik.clv_stats()[j]
-            charged = sum(units for (_, p), (units, _)
-                          in lik.ledger.totals.items() if p == j)
             calls = sum(lik.profiler.invocations(op, j) for op in KERNEL_OPS)
             assert len(descriptors[j]) == len(descriptors[0])
             assert lik._is_valid(j, (u.id, v.id))
             if j in mine:
                 assert per_part[j] < 0.0 and d2[j] != 0.0
                 assert stats["entries"] > 0 and stats["live_bytes"] > 0
-                assert charged > 0 and calls > 0
+                assert calls > 0
             else:
                 assert per_part[j] == 0.0 and d1[j] == 0.0 and d2[j] == 0.0
                 assert all(j not in stack.partitions for stack in lik.stacks)
                 assert stats == {"partition": j, "entries": 0,
                                  "live_bytes": 0, "peak_bytes": 0,
                                  "evictions": 0, "evicted_bytes": 0}
-                assert charged == 0 and calls == 0
-        # profiler and ledger still agree float-exactly on this rank
-        for op in ("newview", "evaluate", "sumtable", "derivative"):
-            assert lik.profiler.units(op) == lik.ledger.pattern_ops(OpKind(op))
+                assert calls == 0
+                assert not any(r["partition"] == j
+                               for r in lik.profiler.records())
         assert total == per_part.sum()
+        # the profiler and the region stream a recording of the same three
+        # calls implies still agree float-exactly on this rank
+        again = PartitionedLikelihood(_rebuild_tree(newick, nbs), local, taxa)
+        again.profiler = OpProfiler()
+        recorder = RecordingBackend(again)
+        _probe(recorder)
+        for op, work in region_work(recorder.log, local).items():
+            assert (again.profiler.units(op),
+                    again.profiler.invocations(op)) == work
+            assert again.profiler.units(op) == lik.profiler.units(op)
 
     def test_gc_counts_arrays_not_stamps(self):
         parts, taxa, newick, nbs = _workload("gamma", False)
@@ -265,11 +273,6 @@ def _probe_sequential(parts, taxa, newick, nbs):
     return _probe(SequentialBackend(PartitionedLikelihood(tree, parts, taxa)))
 
 
-def _by_branch_set(parts, d):
-    sets = np.array([p.branch_set for p in parts])
-    return np.bincount(sets, weights=d, minlength=sets.max() + 1)
-
-
 def _launch_probe(engine, dist, ranks, parts, taxa, newick, nbs):
     tree = _rebuild_tree(newick, nbs)
     row = {label: i for i, label in enumerate(taxa)}
@@ -299,14 +302,14 @@ class TestReducedVector:
                                          newick, nbs)
         # x + 0.0 + ... : the owner's value survives the collective intact
         assert np.array_equal(per_part, ref_ll)
+        # derivatives arrive per branch set from every backend
+        assert d1.shape == d2.shape == ref_d1.shape == (nbs,)
         if minus_m:  # one partition per branch set: same again
-            assert np.array_equal(_by_branch_set(parts, d1), ref_d1)
-            assert np.array_equal(_by_branch_set(parts, d2), ref_d2)
+            assert np.array_equal(d1, ref_d1)
+            assert np.array_equal(d2, ref_d2)
         else:        # the joint sum is taken in another order
-            assert _by_branch_set(parts, d1) == pytest.approx(
-                _by_branch_set(parts, ref_d1), rel=1e-12, abs=1e-9)
-            assert _by_branch_set(parts, d2) == pytest.approx(
-                _by_branch_set(parts, ref_d2), rel=1e-12, abs=1e-9)
+            assert d1 == pytest.approx(ref_d1, rel=1e-12, abs=1e-9)
+            assert d2 == pytest.approx(ref_d2, rel=1e-12, abs=1e-9)
 
     def test_cyclic_with_more_ranks_than_patterns(self, engine, ranks,
                                                   rate_mode, minus_m):

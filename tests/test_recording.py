@@ -1,16 +1,36 @@
 """Recording-backend tests: the region stream faithfully mirrors the
-operations the search performs."""
+operations the search performs, and every backend — each of them the one
+:class:`SequentialBackend` body plus hooks — runs the same program."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import bench
+from repro.engines.decentral import DecentralizedBackend
 from repro.engines.events import RegionKind
+from repro.engines.forkjoin import (
+    CAT_BL_OPT,
+    CAT_LIKELIHOOD,
+    CAT_MODEL,
+    CAT_TRAVERSAL,
+    ForkJoinMasterBackend,
+)
 from repro.engines.recording import RecordingBackend
 from repro.likelihood.backend import SequentialBackend
 from repro.likelihood.optimize_branch import optimize_branch, smooth_all_branches
-from repro.likelihood.optimize_model import optimize_alphas, optimize_psr
+from repro.likelihood.optimize_model import (
+    default_psr_candidates,
+    optimize_alphas,
+    optimize_psr,
+)
 from repro.likelihood.partitioned import PartitionedLikelihood
+from repro.model.rates import PerSiteRates
+from repro.par.seqcomm import SequentialComm
 from repro.search.search import SearchConfig, hill_climb
+
+from test_stack import _inner_edge, _parts, _tree
 
 
 @pytest.fixture()
@@ -82,3 +102,116 @@ class TestRegionStream:
         smooth_all_branches(recorder, passes=1)
         recorder.log.validate()
         assert len(recorder.log) > 0
+
+
+# --------------------------------------------------------------------- #
+# the Table-I region stream, pinned
+# --------------------------------------------------------------------- #
+#: ``record_partitioned(10, mode, -M)`` as captured before the backends
+#: were folded into one body: region count, count per kind, total
+#: descriptor length, bytes per Table-I category under either scheme.
+STREAM_PINS = {
+    ("gamma", False): (
+        6973,
+        {"evaluate": 616, "branch_setup": 1122, "derivative": 5202,
+         "param_alpha": 33},
+        7158.0,
+        {CAT_BL_OPT: 83232.0, CAT_LIKELIHOOD: 49280.0, CAT_MODEL: 0.0},
+        {CAT_BL_OPT: 124848.0, CAT_LIKELIHOOD: 49280.0, CAT_MODEL: 2640.0,
+         CAT_TRAVERSAL: 1266760.0}),
+    ("gamma", True): (
+        9584,
+        {"evaluate": 661, "branch_setup": 1121, "derivative": 7769,
+         "param_alpha": 33},
+        7231.0,
+        {CAT_BL_OPT: 1243040.0, CAT_LIKELIHOOD: 52880.0, CAT_MODEL: 0.0},
+        {CAT_BL_OPT: 1864560.0, CAT_LIKELIHOOD: 52880.0, CAT_MODEL: 2640.0,
+         CAT_TRAVERSAL: 1279784.0}),
+    ("psr", False): (
+        6885,
+        {"evaluate": 597, "branch_setup": 1092, "derivative": 5169,
+         "param_psr": 3, "psr_scan": 24},
+        7229.0,
+        {CAT_BL_OPT: 82704.0, CAT_LIKELIHOOD: 47760.0, CAT_MODEL: 480.0},
+        {CAT_BL_OPT: 124056.0, CAT_LIKELIHOOD: 47760.0, CAT_MODEL: 912.0,
+         CAT_TRAVERSAL: 1279156.0}),
+    ("psr", True): (
+        9845,
+        {"evaluate": 628, "branch_setup": 1137, "derivative": 8053,
+         "param_psr": 3, "psr_scan": 24},
+        6816.0,
+        {CAT_BL_OPT: 1288480.0, CAT_LIKELIHOOD: 50240.0, CAT_MODEL: 480.0},
+        {CAT_BL_OPT: 1932720.0, CAT_LIKELIHOOD: 50240.0, CAT_MODEL: 912.0,
+         CAT_TRAVERSAL: 1206772.0}),
+}
+
+
+@pytest.mark.skipif(bench.FULL, reason="pins are the default-size recordings")
+@pytest.mark.parametrize("mode,minus_m", sorted(STREAM_PINS))
+def test_table1_region_stream_is_pinned(mode, minus_m):
+    """A recorder that drops, adds or reorders a region moves one of these."""
+    log = bench.record_partitioned(10, mode, minus_m).log
+    n_regions, kinds, ops, examl_bytes, light_bytes = STREAM_PINS[mode, minus_m]
+    assert len(log) == n_regions
+    assert {k.value: log.count(k) for k in RegionKind if log.count(k)} == kinds
+    assert sum(r.max_ops() for r in log) == ops
+    assert bench.EXAML.byte_totals(log) == examl_bytes
+    assert bench.RAXML_LIGHT.byte_totals(log) == light_bytes
+
+
+# --------------------------------------------------------------------- #
+# one rank of any engine is the sequential program
+# --------------------------------------------------------------------- #
+BACKENDS = {
+    "sequential": SequentialBackend,
+    "recording": RecordingBackend,
+    "decentralized": lambda lik: DecentralizedBackend(SequentialComm(), lik),
+    "forkjoin": lambda lik: ForkJoinMasterBackend(SequentialComm(), lik),
+}
+
+
+def _one_rank_run(make, seed, g, mode, minus_m):
+    """Every protocol region once, then a 1-iteration search."""
+    rng = np.random.default_rng(seed)
+    taxa = [f"t{i}" for i in range(6)]
+    parts = _parts(rng, g, 9, mode, 4, len(taxa), minus_m)
+    tree = _tree(rng, taxa, g if minus_m else 1)
+    backend = make(PartitionedLikelihood(tree, parts, taxa))
+    u, v = _inner_edge(tree)
+    total, per_part = backend.evaluate(u, v)
+    d1, d2 = backend.derivatives(backend.begin_branch(u, v),
+                                 tree.edge_length(u, v) * 1.3)
+    assert d1.shape == d2.shape == (tree.n_branch_sets,)
+    backend.optimize_psr(u, v, default_psr_candidates(5))
+    rates = [p.rate_het.rates.copy() for p in parts
+             if isinstance(p.rate_het, PerSiteRates)]
+    result = hill_climb(backend, SearchConfig(
+        max_iterations=1, radius_max=2, alpha_iterations=3, psr_candidates=4,
+        optimize_gtr=True, gtr_iterations=2))
+    lengths = [tree.edge_length(a, b) for a, b in tree.edges()]
+    return backend, (total, per_part, d1, d2, *rates, result.logl,
+                     *lengths), [(a.id, b.id) for a, b in tree.edges()]
+
+
+@given(st.integers(0, 2**31), st.sampled_from([1, 3, 5]),
+       st.sampled_from(["gamma", "psr", "none"]), st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_one_rank_of_any_engine_is_the_sequential_program(seed, g, mode, minus_m):
+    """The paper's premise, bitwise: likelihoods, per-set derivatives, PSR
+    rates, the searched tree and its logL do not depend on the hooks."""
+    runs = {name: _one_rank_run(make, seed, g, mode, minus_m)
+            for name, make in BACKENDS.items()}
+    _, want, want_edges = runs["sequential"]
+    for name, (_, got, edges) in runs.items():
+        assert edges == want_edges, name
+        assert len(got) == len(want)
+        for mine, theirs in zip(got, want):
+            assert np.array_equal(mine, theirs), name
+    # ... and the replica's collectives are the ones the de-centralized
+    # model assigns to the recorded stream, call for call, byte for byte
+    log = runs["recording"][0].log
+    comm = runs["decentralized"][0].comm
+    assert dict(comm.bytes_by_tag) == {
+        cat: nbytes for cat, nbytes in bench.EXAML.byte_totals(log).items()
+        if nbytes}
+    assert sum(comm.calls_by_tag.values()) == bench.EXAML.region_count(log)

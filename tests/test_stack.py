@@ -130,7 +130,7 @@ class TestAgainstReference:
                 assert np.allclose(mine, want, rtol=1e-12, atol=0)
             t = lik.tree.edge_length(u, v) * 1.3
             d1, d2 = lik.branch_derivatives(lik.prepare_branch(u, v), t)
-            ref_d1, ref_d2 = ref.derivatives(ref.begin_branch(ru, rv), t)
+            ref_d1, ref_d2 = ref.partition_derivatives(ref.begin_branch(ru, rv), t)
             # a derivative is a weighted sum of terms of either sign: the
             # tolerance is relative to the weights, not to the total
             scale = sum(p.weights.sum() for p in lik.parts)
@@ -259,7 +259,6 @@ class TestPartialMask:
         for p in range(5):
             assert prof.invocations("newview", p) == (n_ops if p == 2 else 0)
             assert prof.invocations("pmatrix", p) == (2 * n_ops if p == 2 else 0)
-        assert lik.ledger.totals  # charged for partition 2 only
         assert len(lik.descriptors_for_edge(u, v).ops) == 0
 
         # a fresh likelihood over the same state recomputes every row
@@ -404,14 +403,18 @@ class TestStackedAccounting:
                    if r["op"] == "newview") == pytest.approx(stacked, abs=3)
 
     def test_profiler_and_ledger_agree_on_a_stacked_search(self):
-        from repro.par.ledger import OpKind
+        """The second side is the region stream a recording of the same
+        search implies (what the performance model prices)."""
+        from region_work import PATTERN_OPS, region_work
+        from repro.engines.recording import RecordingBackend
 
         lik, _ = _setup(4, 5, 32, "gamma", 4, False)
         lik.profiler = prof = OpProfiler()
-        hill_climb(SequentialBackend(lik), SearchConfig(max_iterations=1, radius_max=2))
-        for op in ("newview", "evaluate", "sumtable", "derivative"):
-            assert prof.units(op) == lik.ledger.pattern_ops(OpKind(op))
-            assert prof.invocations(op) == lik.ledger.invocations(OpKind(op))
+        backend = RecordingBackend(lik)
+        hill_climb(backend, SearchConfig(max_iterations=1, radius_max=2))
+        work = region_work(backend.log, lik.parts)
+        for op in PATTERN_OPS:
+            assert (prof.units(op), prof.invocations(op)) == work[op]
         assert prof.invocations("pmatrix") == (
             2 * prof.invocations("newview") + prof.invocations("evaluate"))
         stats = lik.clv_stats()
