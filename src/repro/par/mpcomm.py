@@ -11,10 +11,20 @@ consistency tests execute both schemes on 2–4 ranks and compare against
 the sequential reference); the performance model uses the lock-step
 simulator instead.
 
+A receive is **spin, yield, then park**: it polls the pipe without
+blocking for ``SPIN_BUDGET``, giving up the core between polls, and only
+then sleeps in the bounded ``conn.poll``.  The paper's collectives are
+tiny and frequent (8·p or 16·sets bytes, 10^5–10^6 per run) and its MPI
+runtime busy-polls inside them; here a parked peer has to be woken by the
+sender's write, and that wake-up, not the bytes, is what a collective on
+this backend costs.  One waiting primitive (:meth:`MPComm._recv_raw`)
+serves every collective, ``barrier``, ``agree``, ``shrink`` and the
+fork-join worker's command wait, so all of them wait this way.
+
 Fault tolerance (paper Section V, ULFM-style)
 ---------------------------------------------
 Every receive is bounded: a peer whose pipe reaches EOF (process death)
-or that stays silent past ``detect_timeout`` raises
+or that stays silent past ``SPIN_BUDGET + detect_timeout`` raises
 :class:`~repro.errors.RankFailureError` instead of hanging the mesh.
 The rank that detects a failure inside a collective notifies the other
 participants, so the whole mesh surfaces the failure within one
@@ -42,6 +52,7 @@ import threading
 import time
 import traceback
 from collections import defaultdict
+from multiprocessing.connection import wait
 from typing import Any, Callable
 
 from repro.errors import CommError, RankFailureError
@@ -52,6 +63,7 @@ __all__ = [
     "run_mpi",
     "DEFAULT_DETECT_TIMEOUT",
     "DEPENDENT_WAIT_SCALE",
+    "SPIN_BUDGET",
 ]
 
 #: Default seconds a receive may stay silent before the peer is declared dead.
@@ -70,6 +82,23 @@ DEFAULT_DETECT_TIMEOUT = 60.0
 #: ``repro infer --monitor`` showed rank 1 blaming rank 0 two
 #: milliseconds before rank 0's own notice arrived).
 DEPENDENT_WAIT_SCALE = 2.0
+
+#: Seconds a receive polls without blocking, yielding the core between
+#: polls, before it parks in ``conn.poll`` — about what parking costs on
+#: the 2-vCPU VM this was set on: a send to a parked peer (the write that
+#: wakes it) takes 250–400 µs there against 30–70 µs to one still
+#: polling.  In situ (the e2e benchmark's ``genes_dec2``, 554 allreduces
+#: per rank) a rank spends 0.20–0.61 s in its sends and receives when
+#: every wait parks and 0.09–0.18 s with this budget, under which 1–50 of
+#: the 554 receives still outlast it and park.  End to end, 500, 1000 and
+#: 2000 µs read the same; 0 / 100 / 200 µs keep none / little / most of
+#: the gain.  A longer wait is a real one (imbalance, a hung or dead
+#: peer) and is slept through.  The ``sched_yield`` is why no guard on
+#: core count is needed: with more ranks than cores the waiter hands its
+#: core to the rank it waits for (4 ranks on 2 cores: 1.47 → 1.31 s
+#: decentralized, 1.44 → 1.17 s fork-join, against always parking).
+#: Table and recipe: docs/PERFORMANCE_MODEL.md, "What a collective costs".
+SPIN_BUDGET = 500e-6
 
 _FAILURE = "__rank_failure__"
 _AGREE_REQ = "__agree_req__"
@@ -134,8 +163,10 @@ class MPComm(Comm):
                   timeout_scale: float = 1.0) -> Any:
         """Receive from ``source`` with death/silence detection.
 
-        Raises :class:`RankFailureError` on pipe EOF, on OS-level pipe
-        errors, on silence past ``detect_timeout * timeout_scale``, and
+        Polls without blocking for ``SPIN_BUDGET`` (yielding the core
+        between polls), then parks.  Raises :class:`RankFailureError` on
+        pipe EOF and on OS-level pipe errors in either phase, on silence
+        past the budget plus ``detect_timeout * timeout_scale``, and
         (when ``intercept``) on an incoming peer failure notice.
         Dependent waits pass ``timeout_scale=DEPENDENT_WAIT_SCALE`` so a
         direct detection one hop away is always relayed (as a failure
@@ -143,6 +174,11 @@ class MPComm(Comm):
         """
         conn = self._conns[source]
         try:
+            # replicheck: ignore[R004] -- the clock decides how long a receive waits before parking, never what it returns; reduction order stays a pure function of (size, rank)
+            spin_until = time.monotonic() + SPIN_BUDGET
+            # replicheck: ignore[R004] -- same wait-length-only clock: expiry moves the wait from polling to the park below, nothing else
+            while not conn.poll(0) and time.monotonic() < spin_until:
+                os.sched_yield()
             if self._detect_timeout is not None and not conn.poll(
                 self._detect_timeout * timeout_scale
             ):
@@ -550,43 +586,46 @@ def run_mpi(
             # between fork and here did not — deliver it once now
             _relay(signal.SIGTERM, None)
     try:
-        # Poll all ranks round-robin so one rank's early crash surfaces
-        # immediately instead of deadlocking its peers until the timeout.
+        # Wait on every pending rank's result pipe at once, so one rank's
+        # early crash surfaces immediately instead of deadlocking its
+        # peers until the timeout.
         # replicheck: ignore[R004] -- run_mpi is the parent orchestrator, not a replica; failure detection is intentionally time-based
         deadline = time.monotonic() + timeout
         # replicheck: ignore[R004] -- parent-side liveness tracking, not replica control flow
         last_progress = time.monotonic()
         while pending:
-            progressed = False
-            for r in sorted(pending):
+            waiting = sorted(pending)
+            ready = wait([result_pipes[r][0] for r in waiting], 0.05)
+            progressed = bool(ready)
+            for r in waiting:
                 recv_end = result_pipes[r][0]
-                if recv_end.poll(0.05):
-                    progressed = True
-                    try:
-                        status, value, _bytes = recv_end.recv()
-                    except (EOFError, OSError):
-                        # the rank died without reporting
-                        failed.add(r)
-                        pending.discard(r)
-                        continue
-                    if status == "failure_notice":
-                        # survivors agreed these ranks are out of the
-                        # mesh; reap hung ones instead of waiting out
-                        # their silence (r itself still owes a result)
-                        for x in value:
-                            x = int(x)
-                            failed.add(x)
-                            if x in pending and procs[x].is_alive():
-                                procs[x].terminate()
-                        continue
+                if recv_end not in ready:
+                    continue
+                try:
+                    status, value, _bytes = recv_end.recv()
+                except (EOFError, OSError):
+                    # the rank died without reporting
+                    failed.add(r)
                     pending.discard(r)
-                    if status == "ok":
-                        results[r] = value
-                    elif status == "failed":
-                        # a survivor aborted because of dead peers
-                        failed.update(int(x) for x in value)
-                    else:
-                        errors.append(f"rank {r}:\n{value}")
+                    continue
+                if status == "failure_notice":
+                    # survivors agreed these ranks are out of the
+                    # mesh; reap hung ones instead of waiting out
+                    # their silence (r itself still owes a result)
+                    for x in value:
+                        x = int(x)
+                        failed.add(x)
+                        if x in pending and procs[x].is_alive():
+                            procs[x].terminate()
+                    continue
+                pending.discard(r)
+                if status == "ok":
+                    results[r] = value
+                elif status == "failed":
+                    # a survivor aborted because of dead peers
+                    failed.update(int(x) for x in value)
+                else:
+                    errors.append(f"rank {r}:\n{value}")
             # replicheck: ignore[R004] -- parent-side hang detection deadline, not replica control flow
             now = time.monotonic()
             if progressed:

@@ -1,12 +1,18 @@
 """Virtual-MPI layer tests: payload sizing, deterministic reductions,
 the sequential backend, and the real multiprocessing backend."""
 
+import multiprocessing as mp
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from repro.errors import CommError
+from repro.errors import CommError, RankFailureError
+from repro.par import mpcomm
 from repro.par.comm import ReduceOp, apply_reduce, payload_nbytes
-from repro.par.mpcomm import run_mpi
+from repro.par.mpcomm import MPComm, run_mpi
 from repro.par.seqcomm import SequentialComm
 
 
@@ -96,6 +102,42 @@ def _collective_worker(comm, payload):
     return out
 
 
+def _contribution(rank, i):
+    return np.random.default_rng(1000 * rank + i).random(6)
+
+
+def _sequence_worker(comm, rounds):
+    """The four collectives the engines use, under the paper's tags."""
+    out = []
+    for i in range(rounds):
+        x = _contribution(comm.rank, i)
+        total = comm.allreduce(x, tag="likelihoods")
+        head = comm.bcast(x if comm.rank == 0 else None, tag="traversal")
+        peak = comm.reduce(x, ReduceOp.MAX, tag="branch_length")
+        comm.barrier(tag="control")
+        out.append((total, head, peak))
+    return out, dict(comm.bytes_by_tag), dict(comm.calls_by_tag)
+
+
+# ``_sequence_worker`` x200 at commit c445688 (root, every other rank);
+# the same on 2 and on 3 ranks
+PARENT_BYTES = (
+    {"likelihoods": 19200, "traversal": 9600, "branch_length": 9600},
+    {"likelihoods": 9600, "branch_length": 9600},
+)
+PARENT_CALLS = (
+    {"likelihoods": 400, "traversal": 200, "branch_length": 200,
+     "control": 200},
+    {"likelihoods": 200, "branch_length": 200, "control": 200},
+)
+
+
+def _pair(detect_timeout, size=2):
+    """Rank 0 of a mesh whose rank 1 is the returned raw pipe end."""
+    ours, theirs = mp.get_context("fork").Pipe(duplex=True)
+    return MPComm(0, size, {1: ours}, detect_timeout=detect_timeout), theirs
+
+
 class TestMPComm:
     def test_collectives_three_ranks(self):
         results = run_mpi(3, _collective_worker)
@@ -136,3 +178,89 @@ class TestMPComm:
             run_mpi(2, _collective_worker, payloads=[1])
         with pytest.raises(CommError):
             run_mpi(0, _collective_worker)
+
+    # -- spin, yield, then park: every failure arm of a receive still fires -- #
+    def test_silent_peer_detected_at_the_timeout(self):
+        comm, peer = _pair(detect_timeout=0.3)
+        t0 = time.monotonic()
+        with pytest.raises(RankFailureError, match="silent") as exc:
+            comm.recv(1)
+        waited = time.monotonic() - t0
+        peer.close()
+        assert exc.value.failed_ranks == frozenset({1})
+        assert 0.3 <= waited <= mpcomm.SPIN_BUDGET + 0.3 + 0.5
+
+    def test_peer_exit_inside_the_spin_window_raises_at_once(self, monkeypatch):
+        # a window far longer than the test, so the EOF can only have been
+        # seen by the non-blocking polls, not by the park that follows them
+        monkeypatch.setattr(mpcomm, "SPIN_BUDGET", 20.0)
+        comm, peer = _pair(detect_timeout=30.0)
+        proc = mp.get_context("fork").Process(target=time.sleep, args=(0.1,))
+        proc.start()
+        peer.close()  # the forked peer now holds the only other end
+        t0 = time.monotonic()
+        with pytest.raises(RankFailureError, match="lost connection"):
+            comm.recv(1)
+        waited = time.monotonic() - t0
+        proc.join(timeout=10)
+        assert not proc.is_alive()
+        assert waited < 5.0
+
+    def test_failure_notice_inside_the_spin_window_is_intercepted(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(mpcomm, "SPIN_BUDGET", 20.0)
+        comm, peer = _pair(detect_timeout=30.0, size=3)
+        timer = threading.Timer(
+            0.1, peer.send, args=((mpcomm._FAILURE, (2,)),))
+        timer.start()
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(RankFailureError, match="peer reported") as exc:
+                comm.recv(1)
+        finally:
+            timer.join(timeout=10)
+            peer.close()
+        assert exc.value.failed_ranks == frozenset({2})
+        assert time.monotonic() - t0 < 5.0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs os.sched_setaffinity")
+    def test_four_ranks_on_one_core(self):
+        """More ranks than cores: a waiting rank must hand its core to the
+        rank it waits for (the yield between polls), and what comes back is
+        still the rank-ordered reduction."""
+        rounds = 200
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(allowed)})
+        try:
+            t0 = time.monotonic()
+            results = run_mpi(4, _sequence_worker, payloads=[rounds] * 4,
+                              timeout=120)
+            elapsed = time.monotonic() - t0
+        finally:
+            os.sched_setaffinity(0, allowed)
+        assert elapsed < 60.0
+        for i in range(rounds):
+            xs = [_contribution(r, i) for r in range(4)]
+            total = apply_reduce(ReduceOp.SUM, xs)
+            peak = apply_reduce(ReduceOp.MAX, xs)
+            for r, (out, _bytes, _calls) in enumerate(results):
+                got_total, got_head, got_peak = out[i]
+                assert np.array_equal(got_total, total)  # bitwise
+                assert np.array_equal(got_head, xs[0])
+                if r == 0:
+                    assert np.array_equal(got_peak, peak)
+                else:
+                    assert got_peak is None
+
+    @pytest.mark.parametrize("n_ranks", [2, 3])
+    def test_accounting_is_the_parents(self, n_ranks):
+        """Waiting differently moves no byte: per-tag totals of a fixed
+        sequence, captured at the commit before the spin existed."""
+        rounds = 200
+        results = run_mpi(n_ranks, _sequence_worker,
+                          payloads=[rounds] * n_ranks)
+        for r, (_out, bytes_by_tag, calls_by_tag) in enumerate(results):
+            assert bytes_by_tag == PARENT_BYTES[r > 0]
+            assert calls_by_tag == PARENT_CALLS[r > 0]
