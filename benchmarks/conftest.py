@@ -1,8 +1,8 @@
 """Shared benchmark fixtures.
 
-The expensive part of every benchmark is the instrumented search that
-produces the region stream; it runs once per workload per session (cached
-in :mod:`repro.bench`).  The timed portion is the artifact synthesis —
+The expensive part of every benchmark is the search whose region log the
+artifacts price; it runs once per workload per session (cached in
+:mod:`repro.bench`).  The timed portion is the artifact synthesis —
 pricing the stream for each engine and machine configuration — which is
 what a user regenerating the paper's tables actually iterates on.
 """

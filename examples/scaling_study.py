@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Scaling study on the paper's cluster model.
 
-Records one instrumented search on a partitioned workload and prices it
+Runs one search on a partitioned workload and prices its region log
 for both engines across rank counts and distributions — a miniature of
 the paper's whole evaluation section, including a fault-tolerance drill.
 
@@ -15,7 +15,7 @@ from repro.perf.report import table1_rows
 
 
 def main() -> None:
-    print("recording instrumented search (100 partitions, Γ) ...")
+    print("searching (100 partitions, Γ) ...")
     run = record_partitioned(100, "gamma")
     print(f"  {len(run.log)} parallel regions, final logl {run.result.logl:.0f}")
 

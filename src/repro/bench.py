@@ -3,9 +3,10 @@
 Every figure/table benchmark follows the same recipe:
 
 1. generate the paper's workload (:mod:`repro.datasets`);
-2. run the *real* search once under the instrumented backend, producing
-   the engine-neutral region stream (both engines execute the identical
-   algorithm, so one recording serves both — the paper's premise);
+2. run the *real* search once on a
+   :class:`~repro.likelihood.backend.SequentialBackend`, whose log is the
+   engine-neutral region stream (both engines execute the identical
+   algorithm, so one log serves both — the paper's premise);
 3. synthesize per-engine runtimes / byte breakdowns for the machine
    configurations the paper reports.
 
@@ -30,9 +31,8 @@ from repro.datasets import (
 )
 from repro.dist.distributions import DataDistribution, auto_distribution
 from repro.engines.decentral import DecentralizedCommModel
-from repro.engines.events import EventLog
 from repro.engines.forkjoin import ForkJoinCommModel
-from repro.engines.recording import RecordingBackend
+from repro.likelihood.backend import EventLog, SequentialBackend
 from repro.likelihood.partitioned import PartitionData, PartitionedLikelihood
 from repro.model.rates import PerSiteRates
 from repro.par.machine import HITS_CLUSTER, MachineSpec
@@ -60,7 +60,7 @@ _CACHE: dict[tuple, "RecordedRun"] = {}
 
 @dataclass
 class RecordedRun:
-    """One instrumented search: workload + region stream + outcome."""
+    """One search: workload + its region log + outcome."""
 
     workload: PaperWorkload
     log: EventLog
@@ -136,14 +136,14 @@ def record_partitioned(
     rate_mode: str,
     per_partition_branches: bool = False,
 ) -> RecordedRun:
-    """Instrumented search on one of the Figure 4 / Table I datasets."""
+    """The search on one of the Figure 4 / Table I datasets."""
     key = ("part", n_partitions, rate_mode, per_partition_branches, FULL)
     if key in _CACHE:
         return _CACHE[key]
     sites = 40 if FULL else 24
     workload = partitioned_workload(n_partitions, sites_per_partition=sites)
     lik = _uncompressed_likelihood(workload, rate_mode, per_partition_branches)
-    backend = RecordingBackend(lik)
+    backend = SequentialBackend(lik)
     result = hill_climb(backend, _search_config(rate_mode))
     run = RecordedRun(
         workload=workload,
@@ -158,7 +158,7 @@ def record_partitioned(
 
 
 def record_large_unpartitioned(rate_mode: str) -> RecordedRun:
-    """Instrumented search on the Figure 3 dataset (150 × 20M bp virtual)."""
+    """The search on the Figure 3 dataset (150 × 20M bp virtual)."""
     key = ("large", rate_mode, FULL)
     if key in _CACHE:
         return _CACHE[key]
@@ -166,7 +166,7 @@ def record_large_unpartitioned(rate_mode: str) -> RecordedRun:
         real_sites=800 if FULL else 400
     )
     lik = _uncompressed_likelihood(workload, rate_mode)
-    backend = RecordingBackend(lik)
+    backend = SequentialBackend(lik)
     config = SearchConfig(
         max_iterations=2 if FULL else 1,
         radius_max=2,

@@ -8,8 +8,8 @@ Commands mirror the RAxML-Light/ExaML workflow the paper describes:
   distribution for the simulated-performance report);
 * ``simulate`` — generate a benchmark alignment along a random tree;
 * ``convert``  — convert alignments between FASTA/PHYLIP/binary formats;
-* ``report``   — run an instrumented search and print the Table-I style
-  communication breakdown plus simulated runtimes for both engines;
+* ``report``   — run a search and price its region log: the Table-I
+  style communication breakdown plus simulated runtimes for both engines;
 * ``profile``  — run the engines live on real processes with span tracing
   on, export per-rank JSONL + a merged Chrome/Perfetto trace, and
   reconcile measured collective bytes against the analytic comm models
@@ -441,8 +441,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.engines.recording import RecordingBackend
     from repro.bench import EXAML, RAXML_LIGHT
+    from repro.likelihood.backend import SequentialBackend
     from repro.likelihood.partitioned import PartitionedLikelihood
     from repro.perf.costmodel import WorkloadMeta
     from repro.perf.report import table1_rows
@@ -460,7 +460,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         alignment, tree, scheme=scheme, rate_mode=args.model,
         per_partition_branches=args.per_partition_branches,
     )
-    backend = RecordingBackend(lik)
+    backend = SequentialBackend(lik)
     hill_climb(backend, SearchConfig(max_iterations=args.iterations,
                                      radius_max=args.radius))
 
@@ -613,10 +613,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "dropped_spans": analysis.dropped_spans,
         }
         if args.reconcile:
-            report = reconcile_live_run(
-                cfg, res.bytes_by_tag, measured_calls_by_tag=res.calls_by_tag,
-                measured_rank=measured_rank,
-            )
+            report = reconcile_live_run(engine, res,
+                                        measured_rank=measured_rank)
             tolerance = args.tolerance
             if tolerance is None:
                 tolerance = (DECENTRALIZED_REL_TOL
@@ -1507,10 +1505,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default); 'jsonl' keeps only the per-rank "
                            "streams")
     prof.add_argument("--reconcile", action="store_true",
-                      help="replay the run on the analytic comm model "
-                           "and compare measured vs modeled bytes per "
-                           "Table-I category; non-zero exit if out of "
-                           "tolerance")
+                      help="price the measuring rank's own region log "
+                           "with the analytic comm model and compare "
+                           "measured vs modeled bytes per Table-I "
+                           "category; non-zero exit if out of tolerance")
     prof.add_argument("--tolerance", type=float, default=None,
                       metavar="REL",
                       help="max relative byte error for --reconcile "

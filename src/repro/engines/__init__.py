@@ -1,25 +1,26 @@
 """The paper's two parallelization schemes.
 
-* :mod:`repro.engines.events` — abstract parallel-region records emitted
-  by an instrumented run of the (shared) search algorithm;
-* :mod:`repro.engines.recording` — the instrumented backend that produces
-  them;
 * :mod:`repro.engines.forkjoin` — the RAxML-Light scheme: communication
   mapping for the simulator plus a real master/worker implementation over
   a :class:`~repro.par.comm.Comm`;
 * :mod:`repro.engines.decentral` — the ExaML scheme: communication mapping
   plus a real replicated implementation;
+* :mod:`repro.engines.launch` — :func:`~repro.engines.launch.launch`, the
+  one entry that runs either scheme on forked processes from a
+  :class:`~repro.engines.launch.RunConfig`;
 * :mod:`repro.engines.fault` — rank-failure recovery on top of the
   decentralized scheme (the paper's Section V future work).
 
-Because both engines execute *exactly the same* search, a single recorded
-region stream describes both runs; the engines differ only in what each
-region communicates — which is precisely the paper's claim, made
-executable.
+Both engines execute *exactly the same* search, and every backend counts
+the parallel regions it closes (:class:`Region`, :class:`EventLog`,
+defined with the backend in :mod:`repro.likelihood.backend` and
+re-exported here): the sequential program, each replica and the
+fork-join master end with equal logs, and the engines differ only in
+what each region communicates — which is precisely the paper's claim,
+made executable.
 """
 
-from repro.engines.events import Region, RegionKind, EventLog
-from repro.engines.recording import RecordingBackend
+from repro.likelihood.backend import EventLog, Region, RegionKind
 from repro.engines.forkjoin import ForkJoinCommModel
 from repro.engines.decentral import DecentralizedCommModel
 
@@ -27,7 +28,6 @@ __all__ = [
     "Region",
     "RegionKind",
     "EventLog",
-    "RecordingBackend",
     "ForkJoinCommModel",
     "DecentralizedCommModel",
 ]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engines.events import EventLog, Region, RegionKind
 from repro.engines.forkjoin import (
     CAT_BL_OPT,
     CAT_LIKELIHOOD,
@@ -24,7 +23,7 @@ from repro.engines.forkjoin import (
     COMBINE_TAG,
     CommEvent,
 )
-from repro.likelihood.backend import SequentialBackend
+from repro.likelihood.backend import EventLog, Region, RegionKind, SequentialBackend
 from repro.likelihood.partitioned import PartitionedLikelihood
 from repro.par.comm import Comm, ReduceOp
 
@@ -91,8 +90,9 @@ class DecentralizedBackend(SequentialBackend):
 
     runtime = None  # the rank's RankRuntime once attached; survives recovery
 
-    def __init__(self, comm: Comm, lik: PartitionedLikelihood) -> None:
-        super().__init__(lik)
+    def __init__(self, comm: Comm, lik: PartitionedLikelihood,
+                 log: EventLog | None = None) -> None:
+        super().__init__(lik, log)
         self.comm = comm
 
     @property
@@ -126,7 +126,7 @@ def recover_decentralized(
        accounting), and
     4. rebuild the local :class:`PartitionedLikelihood` around the
        *current* replicated tree, carrying over the replicated model
-       state, ready to **resume** the hill-climb.
+       state and the region log, ready to **resume** the hill-climb.
 
     Per-site PSR rates are data-share state, not replicated state: after
     redistribution they restart from their initial values identically on
@@ -172,7 +172,7 @@ def recover_decentralized(
     new_lik = PartitionedLikelihood(
         backend.lik.tree, new_parts, backend.lik.taxa
     )
-    new_backend = DecentralizedBackend(new_comm, new_lik)
+    new_backend = DecentralizedBackend(new_comm, new_lik, backend.log)
     # the rank's runtime (tracer, progress, profiler, cancel poll)
     # survives the failure with the search state
     if backend.runtime is not None:

@@ -20,10 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engines.events import EventLog, Region, RegionKind
 from repro.engines.runtime import RankRuntime
 from repro.errors import CommError
-from repro.likelihood.backend import SequentialBackend, choose_psr_rates
+from repro.likelihood.backend import (
+    EventLog,
+    Region,
+    RegionKind,
+    SequentialBackend,
+    choose_psr_rates,
+)
 from repro.likelihood.partitioned import PartitionedLikelihood
 from repro.par.comm import Comm, ReduceOp
 from repro.tree.traversal import EdgeDescriptor

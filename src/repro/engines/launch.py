@@ -42,7 +42,7 @@ from repro.engines.forkjoin import (
 )
 from repro.engines.runtime import RankRuntime
 from repro.errors import CommError, MasterLostError, QuorumLostError, RankFailureError
-from repro.likelihood.backend import SequentialBackend
+from repro.likelihood.backend import EventLog, SequentialBackend
 from repro.likelihood.partitioned import PartitionData, PartitionedLikelihood
 from repro.par.comm import Comm
 from repro.par.faultcomm import FaultPlan
@@ -57,9 +57,6 @@ __all__ = [
     "RunConfig",
     "launch",
     "first_survivor",
-    "run_decentralized",
-    "run_forkjoin",
-    "replay",
     "run_sequential_reference",
 ]
 
@@ -88,6 +85,9 @@ class DistributedResult:
     #: True when the run stopped at a cooperative cancellation point
     #: (SIGTERM under ``cancellable=True``) instead of finishing.
     cancelled: bool = False
+    #: The parallel regions this rank's backend ran (a replica's log runs
+    #: on through in-run recovery; a fork-join restart begins a new one).
+    log: EventLog = field(default_factory=EventLog)
 
 
 @dataclass(frozen=True)
@@ -222,6 +222,7 @@ def _rank_main(comm: Comm, cfg: RunConfig) -> DistributedResult | None:
         monitor_dir=cfg.monitor_dir,
         progress_path=runtime.progress_path,
         cancelled=search.cancelled,
+        log=backend.log,
         **recovery,
     )
 
@@ -427,31 +428,6 @@ def first_survivor(results: list[DistributedResult | None]) -> DistributedResult
     raise CommError("no surviving replicas")
 
 
-def run_decentralized(*data: Any, **options: Any) -> list[DistributedResult | None]:
-    """Shorthand for ``launch(RunConfig("decentralized", *data,
-    **options))``: every replica's result."""
-    return launch(RunConfig("decentralized", *data, **options))
-
-
-def run_forkjoin(*data: Any, **options: Any) -> DistributedResult:
-    """Shorthand for ``launch(RunConfig("forkjoin", *data, **options))``:
-    the master's result."""
-    return first_survivor(launch(RunConfig("forkjoin", *data, **options)))
-
-
-def replay(cfg: RunConfig, backend_cls: type = SequentialBackend):
-    """``cfg``'s search on this process over the full data, driven through
-    ``backend_cls`` — the sequential reference both engines must
-    reproduce, or (on a :class:`~repro.engines.recording.RecordingBackend`)
-    the region stream the analytic models price.  Returns ``(search
-    result, backend)``; the caller's partitions are not touched."""
-    tree = _rebuild_tree(cfg.start_newick, cfg.n_branch_sets)
-    # private copies: optimization must not mutate the caller's partitions
-    parts = [p.subset(np.arange(p.n_patterns)) for p in cfg.parts]
-    backend = backend_cls(PartitionedLikelihood(tree, parts, list(cfg.taxa)))
-    return hill_climb(backend, cfg.config), backend
-
-
 def run_sequential_reference(
     parts: list[PartitionData],
     taxa: list[str],
@@ -459,9 +435,13 @@ def run_sequential_reference(
     config: SearchConfig | None = None,
     n_branch_sets: int = 1,
 ) -> DistributedResult:
-    """The single-rank reference both engines must reproduce."""
-    result, backend = replay(RunConfig(
-        "decentralized", parts, taxa, start_newick, 1,
-        config or SearchConfig(), n_branch_sets=n_branch_sets))
+    """The single-rank reference both engines must reproduce: the search
+    on this process over the full data, with the region log it ran.  The
+    caller's partitions are not touched."""
+    tree = _rebuild_tree(start_newick, n_branch_sets)
+    # private copies: optimization must not mutate the caller's partitions
+    own = [p.subset(np.arange(p.n_patterns)) for p in parts]
+    backend = SequentialBackend(PartitionedLikelihood(tree, own, list(taxa)))
+    result = hill_climb(backend, config or SearchConfig())
     return DistributedResult(result.logl, write_newick(backend.tree, lengths=False),
-                             result.iterations, {})
+                             result.iterations, {}, log=backend.log)

@@ -1,43 +1,51 @@
-"""The likelihood-backend protocol and its one implementation.
+"""The likelihood-backend protocol, its one implementation, and the log
+of parallel regions every run of it keeps.
 
 The tree search and the parameter optimizers are written against this
 small protocol.  **Each method call corresponds to exactly one parallel
 region** (or to a purely local action), and the paper's engines run the
 identical search: they differ only in what a region communicates.  So
 :class:`SequentialBackend` is the only body of the protocol — local
-kernels on its :class:`PartitionedLikelihood`, with four hook points that
-default to "one process, nothing to do" — and an engine is the hooks it
-overrides:
+kernels on its :class:`PartitionedLikelihood`, with three hook points
+that default to "one process, nothing to do" — and an engine is the
+hooks it overrides:
 
-=============  ==========  ===========  ==================  ======================
-hook           sequential  recording    de-centralized      fork-join master
-                                        (ExaML)             (RAxML-Light)
-=============  ==========  ===========  ==================  ======================
-``_announce``  nothing     nothing      nothing: replicas   bcast the command —
-                                        replay the same     wire descriptor, ``t``,
-                                        local update        parameters, PSR rate /
-                                                            candidates / factors
-``_combine``   identity    identity     allreduce           reduce to the master
-``_sync``      nothing     nothing      nothing             barrier
-``_region``    nothing     append one   nothing             nothing
-                           ``Region``
-=============  ==========  ===========  ==================  ======================
+=============  ==========  ==================  ======================
+hook           sequential  de-centralized      fork-join master
+                           (ExaML)             (RAxML-Light)
+=============  ==========  ==================  ======================
+``_announce``  nothing     nothing: replicas   bcast the command —
+                           replay the same     wire descriptor, ``t``,
+                           local update        parameters, PSR rate /
+                                               candidates / factors
+``_combine``   identity    allreduce           reduce to the master
+``_sync``      nothing     nothing             barrier
+=============  ==========  ==================  ======================
 
 ``_combine`` is called at the three sites where the search needs a global
 quantity: the per-partition log likelihoods (``evaluate``), the
 ``(2, n_branch_sets)`` derivative sums (``derivatives``) and the PSR
 normalization sums (``optimize_psr``).  Every engine must produce
 *numerically identical* likelihoods, parameters and trees.
+
+Every backend counts its regions: the body adds one :class:`Region` to
+the backend's :class:`EventLog` as it closes each region, whatever the
+hooks.  So the sequential program, each de-centralized replica and the
+fork-join master each hold the run's region stream (paper, Section
+III-A), and the communication models of :mod:`repro.engines` price that
+stream — the regions the run executed, not a second search.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Any, Iterable, Iterator, Protocol
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.likelihood.partitioned import BranchWorkspace, PartitionedLikelihood
 from repro.likelihood.stack import fold_by_set
 from repro.model.rates import DiscreteGamma, PerSiteRates
@@ -47,6 +55,8 @@ from repro.tree.traversal import EdgeDescriptor
 __all__ = [
     "PartitionInfo",
     "RegionKind",
+    "Region",
+    "EventLog",
     "LikelihoodBackend",
     "SequentialBackend",
     "choose_psr_rates",
@@ -86,6 +96,139 @@ class RegionKind(enum.Enum):
     PARAM_PSR = "param_psr"
     #: one PSR candidate-rate scan step (full traversal + per-site logls)
     PSR_SCAN = "psr_scan"
+
+
+#: Region kinds that bring CLVs up to date (they carry a descriptor).
+_TRAVERSING = frozenset({RegionKind.TRAVERSE, RegionKind.EVALUATE,
+                         RegionKind.BRANCH_SETUP, RegionKind.PSR_SCAN})
+
+
+@dataclass(frozen=True)
+class Region:
+    """One parallel region in engine-neutral form.
+
+    ``newview_ops`` is the traversal-descriptor length — the number of CLV
+    updates — either one ``int`` (identical for every partition, the
+    common case) or a tuple of ``n_partitions`` ints; any other number or
+    sequence is stored as one of the two.  Frozen and hashable, so a log
+    counts equal regions instead of storing them.
+    """
+
+    kind: RegionKind
+    n_partitions: int
+    n_branch_sets: int
+    newview_ops: int | tuple[int, ...] = 0
+
+    def __post_init__(self) -> None:
+        ops: Any = self.newview_ops
+        if type(ops) is not int:
+            object.__setattr__(
+                self, "newview_ops",
+                tuple(map(int, ops)) if hasattr(ops, "__iter__") else int(ops))
+
+    def max_ops(self) -> float:
+        """Descriptor length as broadcast (max across partitions)."""
+        ops = self.newview_ops
+        if isinstance(ops, tuple):
+            return float(max(ops, default=0))
+        return float(ops)
+
+    def ops_vector(self) -> np.ndarray:
+        """Per-partition CLV-update counts as a dense vector."""
+        if isinstance(self.newview_ops, tuple):
+            return np.array(self.newview_ops, dtype=np.float64)
+        return np.full(self.n_partitions, float(self.newview_ops))
+
+    def kernel_ops(self) -> dict:
+        """Kernel invocations per partition implied by this region:
+        :class:`~repro.par.ledger.OpKind` → a count or a per-partition
+        vector."""
+        from repro.par.ledger import OpKind  # pricing only: off the run path
+
+        out: dict[OpKind, float | np.ndarray] = {}
+        if self.kind in _TRAVERSING:
+            out[OpKind.NEWVIEW] = (self.ops_vector()
+                                   if isinstance(self.newview_ops, tuple)
+                                   else float(self.newview_ops))
+        if self.kind in (RegionKind.EVALUATE, RegionKind.PSR_SCAN):
+            out[OpKind.EVALUATE] = 1.0
+        if self.kind is RegionKind.BRANCH_SETUP:
+            out[OpKind.SUMTABLE] = 1.0
+        if self.kind is RegionKind.DERIVATIVE:
+            out[OpKind.DERIVATIVE] = 1.0
+        return out
+
+
+class EventLog:
+    """The region stream of one search run, as a multiset.
+
+    A search repeats a few dozen region shapes thousands of times, so the
+    log counts each distinct :class:`Region` rather than storing it
+    again: its size follows the shapes, not the run's length.  It reads as
+    the stream it counts — ``len`` is the number of regions, iteration
+    yields every region (entries in order of first appearance, each as
+    often as it occurred) — so a consumer that sums over the regions of a
+    run reads it unchanged.  Two logs are equal when they count the same
+    regions.
+    """
+
+    def __init__(self, regions: Iterable[Region] = ()) -> None:
+        self.counts: Counter[Region] = Counter(regions)
+        self._shapes: dict[tuple, Region] = {}  # add()'s fields -> Region
+
+    def append(self, region: Region) -> None:
+        self.counts[region] += 1
+
+    def add(self, kind: RegionKind, n_partitions: int, n_branch_sets: int,
+            newview_ops: int | tuple[int, ...]) -> None:
+        """Count one region of these (canonical) fields — the backend's
+        path: one :class:`Region` is built per distinct shape, not per
+        region."""
+        key = (kind, n_partitions, n_branch_sets, newview_ops)
+        region = self._shapes.get(key)
+        if region is None:
+            region = self._shapes[key] = Region(*key)
+        self.counts[region] += 1
+
+    def __len__(self) -> int:
+        return self.counts.total()
+
+    def __iter__(self) -> Iterator[Region]:
+        return self.counts.elements()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        return self.counts == other.counts
+
+    def __repr__(self) -> str:
+        return f"EventLog({len(self)} regions, {len(self.counts)} distinct)"
+
+    def count(self, kind: RegionKind | None = None) -> int:
+        if kind is None:
+            return len(self)
+        return sum(n for r, n in self.counts.items() if r.kind is kind)
+
+    def validate(self) -> None:
+        for r in self.counts:
+            if r.n_partitions < 1 or r.n_branch_sets < 1:
+                raise ReproError("malformed region")
+            if (isinstance(r.newview_ops, tuple)
+                    and len(r.newview_ops) != r.n_partitions):
+                raise ReproError("per-partition op vector has wrong shape")
+
+
+def _newview_ops(descriptors: EdgeDescriptor | None) -> int | tuple[int, ...]:
+    """A region's CLV updates: one number when every partition takes part
+    in the same ops, else one per partition."""
+    if descriptors is None:
+        return 0
+    masks = descriptors.masks
+    if masks.count(None) == len(masks):  # every op for every partition
+        return len(masks)
+    counts = descriptors.op_counts()
+    first = counts[0]
+    return first if counts.count(first) == len(counts) else tuple(counts)
 
 
 class LikelihoodBackend(Protocol):
@@ -152,11 +295,15 @@ class SequentialBackend:
     As is, it is the single-rank program — the correctness oracle for the
     engines and the ``size == 1`` execution path of the library.  The
     engines subclass it and override hooks only (see the module table).
+    ``log`` counts every region the backend closes; pass one to continue
+    it (a replica rebuilt after a rank failure continues its own).
     """
 
-    def __init__(self, lik: PartitionedLikelihood) -> None:
+    def __init__(self, lik: PartitionedLikelihood,
+                 log: EventLog | None = None) -> None:
         self.lik = lik
         self.tree = lik.tree
+        self.log = EventLog() if log is None else log
 
     # -- hooks: what an engine does at a region boundary ------------------ #
     def _announce(self, command: str, *payload: Any) -> None:
@@ -169,9 +316,12 @@ class SequentialBackend:
     def _sync(self) -> None:
         """After branch set-up: wait for the other ranks."""
 
-    def _region(self, kind: RegionKind,
+    def _record(self, kind: RegionKind,
                 descriptors: EdgeDescriptor | None = None) -> None:
         """A region of ``kind`` ended (``descriptors``: what it traversed)."""
+        lik = self.lik
+        self.log.add(kind, lik.n_partitions, lik.n_branch_sets,
+                     _newview_ops(descriptors))
 
     # -- facts ------------------------------------------------------------ #
     @property
@@ -216,14 +366,14 @@ class SequentialBackend:
         descriptors = self._traverse("evaluate", u, v)
         local, _ = self.lik.evaluate_local(u, v)
         per_part = self._combine(RegionKind.EVALUATE, local)
-        self._region(RegionKind.EVALUATE, descriptors)
+        self._record(RegionKind.EVALUATE, descriptors)
         return float(per_part.sum()), per_part
 
     def begin_branch(self, u: Node, v: Node) -> BranchWorkspace:
         descriptors = self._traverse("branch_setup", u, v)
         handle = self.lik.sumtables_local(u, v)
         self._sync()
-        self._region(RegionKind.BRANCH_SETUP, descriptors)
+        self._record(RegionKind.BRANCH_SETUP, descriptors)
         return handle
 
     def derivatives(
@@ -234,7 +384,7 @@ class SequentialBackend:
         local = fold_by_set(*lik.branch_derivatives(handle, t),
                             lik.branch_sets, lik.n_branch_sets)
         d1, d2 = self._combine(RegionKind.DERIVATIVE, local)
-        self._region(RegionKind.DERIVATIVE)
+        self._record(RegionKind.DERIVATIVE)
         return d1, d2
 
     def set_branch_length(self, u: Node, v: Node, t: np.ndarray) -> None:
@@ -246,13 +396,13 @@ class SequentialBackend:
         self._announce("alphas", alphas)
         for p, alpha in sorted(alphas.items()):
             self.lik.set_alpha(p, alpha)
-        self._region(RegionKind.PARAM_ALPHA)
+        self._record(RegionKind.PARAM_ALPHA)
 
     def set_gtr_rates(self, rates: dict[int, np.ndarray]) -> None:
         self._announce("gtr", rates)
         for p, r in sorted(rates.items()):
             self.lik.set_gtr_rates(p, r)
-        self._region(RegionKind.PARAM_GTR)
+        self._record(RegionKind.PARAM_GTR)
 
     def optimize_psr(self, u: Node, v: Node, candidates: np.ndarray) -> None:
         lik = self.lik
@@ -272,7 +422,7 @@ class SequentialBackend:
                 lik.set_psr_rates(i, np.full(lik.parts[i].n_patterns, rate))
             descriptors = self._traverse("traverse", u, v)
             _, site_lhs = lik.evaluate_local(u, v)
-            self._region(RegionKind.PSR_SCAN, descriptors)
+            self._record(RegionKind.PSR_SCAN, descriptors)
             for i in psr_parts:
                 tables[i].append(site_lhs[i])
         # Finalize: the argmax per pattern is local; keeping the weighted
@@ -284,7 +434,7 @@ class SequentialBackend:
         self._announce("psr_factors", factors)
         for i, factor in zip(psr_parts, factors):
             lik.set_psr_rates(i, chosen[i] / factor)
-        self._region(RegionKind.PARAM_PSR)
+        self._record(RegionKind.PARAM_PSR)
 
     def finish(self) -> None:  # nothing to tear down
         return None

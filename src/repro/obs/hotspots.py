@@ -20,7 +20,7 @@ Three layers:
   buffer: the whole profile flushes as a handful of summary spans.
   ``units`` uses the *same* virtual-pattern accounting as the region log
   the performance model prices (``cost_patterns × n_cats`` per
-  invocation, see :meth:`repro.engines.events.Region.kernel_ops`), so
+  invocation, see :meth:`repro.likelihood.backend.Region.kernel_ops`), so
   modeled FLOPs derived from the profile match the modeled work exactly.  :data:`NULL_OP_PROFILER` (defined in the leaf module
   :mod:`repro.obs.nullprofiler`, re-exported here) is the disabled path:
   ``begin()`` returns 0 without reading a clock and ``end_stack()`` is a

@@ -6,10 +6,11 @@ The analytic communication models
 :class:`~repro.engines.decentral.DecentralizedCommModel`) *predict* the
 bytes each engine moves per Table-I category; a live multiprocess run
 *measures* them (``Comm.bytes_by_tag``, fed by the same
-:func:`~repro.par.comm.payload_nbytes` used for wire accounting).  This
-module replays the identical search on a
-:class:`~repro.engines.recording.RecordingBackend`, prices the recorded
-region stream with the engine's model, and compares per category.
+:func:`~repro.par.comm.payload_nbytes` used for wire accounting).  The
+rank that measured also counted the parallel regions it ran
+(``DistributedResult.log``), so this module prices *that* region log
+with the engine's model and compares per category: two columns of one
+run, with no second search.
 
 What "matching" means, per engine:
 
@@ -172,28 +173,19 @@ def _comm_model(engine: str):
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def modeled_byte_totals(cfg):
-    """Replay ``cfg``'s search on full data, price it with the model of
-    ``cfg.engine``.
+def modeled_byte_totals(log, engine: str):
+    """Price the region ``log`` with the model of ``engine``.
 
-    Returns ``(byte_totals, call_counts, log)`` where ``call_counts`` maps
+    Returns ``(byte_totals, call_counts)`` where ``call_counts`` maps
     each category to the number of collectives the model assigns to it.
-    The replay runs the *identical deterministic search* the live engines
-    ran (the paper's premise: both engines execute the same algorithm),
-    so region streams — and therefore predicted bytes — are comparable
-    call for call.
     """
-    from repro.engines.launch import replay
-    from repro.engines.recording import RecordingBackend
-
-    log = replay(cfg, RecordingBackend)[1].log
-    model = _comm_model(cfg.engine)
+    model = _comm_model(engine)
     totals = model.byte_totals(log)
     calls: dict[str, int] = {cat: 0 for cat in totals}
     for region in log:
         for ev in model.region_events(region):
             calls[ev.category] = calls.get(ev.category, 0) + 1
-    return totals, calls, log
+    return totals, calls
 
 
 def reconcile(
@@ -236,19 +228,20 @@ def reconcile(
 
 
 def reconcile_live_run(
-    cfg,
-    measured_bytes_by_tag: dict[str, float],
-    measured_calls_by_tag: dict[str, int] | None = None,
+    engine: str,
+    result,
     measured_rank: int | None = None,
 ) -> ReconcileReport:
-    """One-call reconciliation of a live run of ``cfg`` (a
-    :class:`~repro.engines.launch.RunConfig`): replay + model + compare."""
-    totals, calls, _log = modeled_byte_totals(cfg)
+    """Reconcile one rank's result of a live ``engine`` run (a
+    :class:`~repro.engines.launch.DistributedResult`): its own region log
+    priced by the model, against the bytes and collective calls the same
+    rank measured."""
+    totals, calls = modeled_byte_totals(result.log, engine)
     return reconcile(
-        measured_bytes_by_tag,
+        result.bytes_by_tag,
         totals,
-        cfg.engine,
-        measured_calls_by_tag=measured_calls_by_tag,
+        engine,
+        measured_calls_by_tag=result.calls_by_tag,
         modeled_calls=calls,
         measured_rank=measured_rank,
     )

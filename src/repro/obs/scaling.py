@@ -231,6 +231,7 @@ def run_scaling(
         raise ValueError("ranks_list must hold positive rank counts")
     trace_root = Path(trace_root)
     points: list[ScalePoint] = []
+    logs = {}  # dist -> the region log of its first run
 
     for dist in dist_kinds:
         for engine in engines:
@@ -246,6 +247,7 @@ def run_scaling(
                 t0 = time.perf_counter()
                 res = first_survivor(launch(cfg))
                 harness_s = time.perf_counter() - t0
+                logs.setdefault(dist, res.log)
 
                 merged = _merged_trace(trace_dir, n)
                 analysis, cpath = analyze_trace(merged)
@@ -264,8 +266,7 @@ def run_scaling(
     result = ScalingResult(points=points,
                            workload=dict(workload_info or {}))
     if predict:
-        _attach_predictions(result, build_likelihood, start_newick,
-                            config, ranks_sorted, dist_kinds)
+        _attach_predictions(result, build_likelihood(), logs, ranks_sorted)
     return result
 
 
@@ -316,24 +317,19 @@ def _fill_speedups(points: list[ScalePoint]) -> None:
 
 def _attach_predictions(
     result: ScalingResult,
-    build_likelihood: Callable[[], Any],
-    start_newick: str,
-    config,
+    lik,
+    logs: dict,
     ranks_sorted: list[int],
-    dist_kinds: Sequence[str],
 ) -> None:
-    from repro.engines.launch import RunConfig
+    """Price each distribution's region log (``logs``: dist → the log a
+    live run of the workload ``lik`` kept) and test the orderings."""
+    from repro.perf.costmodel import WorkloadMeta
     from repro.perf.scaling import predict_scaling, predicted_ordering
 
+    meta = WorkloadMeta.from_likelihood(lik)
     engines = sorted({p.engine for p in result.points})
-    for dist in dist_kinds:
-        lik = build_likelihood()
-        pred = predict_scaling(
-            RunConfig("decentralized", lik.parts, lik.taxa, start_newick,
-                      ranks_sorted[0], config=config, dist_kind=dist,
-                      n_branch_sets=lik.n_branch_sets),
-            ranks_sorted,
-        )
+    for dist, log in logs.items():
+        pred = predict_scaling(log, meta, dist, ranks_sorted)
         ordering = predicted_ordering(pred)
         doc = pred.to_dict()
         doc["ordering"] = ordering

@@ -1,9 +1,11 @@
 """The kinds of likelihood kernel work.
 
-The vocabulary the region log (:mod:`repro.engines.events`), the cost
-model (:mod:`repro.perf.costmodel`) and the machine specs share: a
-recorded region says how many invocations of each kind it implies, the
-cost model prices a kind per (virtual) pattern·category unit.
+The vocabulary the region log every backend keeps
+(:class:`~repro.likelihood.backend.Region`), the cost model
+(:mod:`repro.perf.costmodel`) and the machine specs share: a region says
+how many invocations of each kind it implies, the cost model prices a
+kind per (virtual) pattern·category unit.  A region names its kinds only
+when priced, so a run never imports this package for them.
 """
 
 from __future__ import annotations

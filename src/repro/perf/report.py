@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.engines.events import EventLog
 from repro.engines.forkjoin import (
     CAT_BL_OPT,
     CAT_LIKELIHOOD,
@@ -10,6 +9,7 @@ from repro.engines.forkjoin import (
     CAT_TRAVERSAL,
     ForkJoinCommModel,
 )
+from repro.likelihood.backend import EventLog
 from repro.perf.runtime_sim import RuntimeReport
 
 __all__ = ["format_table1", "format_runtime_table", "table1_rows"]

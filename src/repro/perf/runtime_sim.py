@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engines.events import EventLog
 from repro.errors import ReproError
+from repro.likelihood.backend import EventLog
 from repro.par.machine import MachineSpec
 from repro.par.network import collective_time
 from repro.perf.costmodel import (

@@ -2,8 +2,7 @@
 
 ``repro scale`` (:mod:`repro.obs.scaling`) measures speedup/efficiency
 from live traced runs; this module produces the *analytic* counterpart
-from the same deterministic search — replayed once on a
-:class:`~repro.engines.recording.RecordingBackend` and priced with both
+from the same search — the region log a live run kept, priced with both
 engines' communication models on a reference machine — so the measured
 report can state whether the paper's predicted ordering (de-centralized
 beats fork-join, and by how much per rank count) holds empirically.
@@ -20,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.dist.distributions import auto_distribution
+from repro.likelihood.backend import EventLog
 from repro.par.machine import HITS_CLUSTER, MachineSpec
 from repro.perf.costmodel import WorkloadMeta
 from repro.perf.runtime_sim import RuntimeReport, simulate_runtime
@@ -68,34 +68,30 @@ class PredictedScaling:
 
 
 def predict_scaling(
-    cfg,
+    log: EventLog,
+    meta: WorkloadMeta,
+    dist_kind: str,
     ranks_list: list[int],
     machine: MachineSpec = HITS_CLUSTER,
 ) -> PredictedScaling:
-    """Replay the search of ``cfg`` (a
-    :class:`~repro.engines.launch.RunConfig`) once, price both engines at
-    every rank count under ``cfg.dist_kind``."""
+    """Price the region ``log`` of one search of the workload ``meta``
+    for both engines at every rank count under ``dist_kind``."""
     from repro.engines.decentral import DecentralizedCommModel
     from repro.engines.forkjoin import ForkJoinCommModel
-    from repro.engines.launch import replay
-    from repro.engines.recording import RecordingBackend
-
-    backend = replay(cfg, RecordingBackend)[1]
-    meta = WorkloadMeta.from_likelihood(backend.lik)
 
     models = {
         "decentralized": DecentralizedCommModel(),
         "forkjoin": ForkJoinCommModel(),
     }
-    out = PredictedScaling(dist_kind=cfg.dist_kind, machine=machine.name)
+    out = PredictedScaling(dist_kind=dist_kind, machine=machine.name)
     for engine, model in models.items():
         per_ranks: dict[int, RuntimeReport] = {}
         for n in sorted(set(ranks_list)):
             dist = auto_distribution(
-                meta.cost_patterns, n, use_mps=(cfg.dist_kind == "mps")
+                meta.cost_patterns, n, use_mps=(dist_kind == "mps")
             )
             per_ranks[n] = simulate_runtime(
-                backend.log, model, meta, machine, dist, engine_name=engine
+                log, model, meta, machine, dist, engine_name=engine
             )
         out.reports[engine] = per_ranks
     return out

@@ -112,7 +112,7 @@ def hill_climb(backend, config: SearchConfig | None = None) -> SearchResult:
         if not getattr(backend, "writes_checkpoints", True):
             return
         lik = getattr(backend, "lik", None)
-        if lik is None:  # pragma: no cover - recording/model backends
+        if lik is None:  # pragma: no cover - backends without a likelihood
             return
         from repro.search.checkpoint import save_checkpoint
 

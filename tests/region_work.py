@@ -1,10 +1,9 @@
-"""Kernel work a recorded region stream implies — the second side of the
-profiler checks.
+"""Kernel work a region log implies — the second side of the profiler
+checks.
 
 The :class:`~repro.obs.hotspots.OpProfiler` counts what the kernels ran;
-a :class:`~repro.engines.recording.RecordingBackend` log of the same
-calls says what the *search* asked for, derived from the traversal
-descriptors alone.  ``Σ Region.kernel_ops()[op] × cost_patterns × n_cats``
+the region log a backend kept over the same calls says what the *search*
+asked for, derived from the traversal descriptors alone.  ``Σ Region.kernel_ops()[op] × cost_patterns × n_cats``
 over the log must equal the profiler's units exactly (integers at
 ``pattern_scale = 1``).  Not collected by pytest (no ``test_`` prefix).
 """

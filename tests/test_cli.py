@@ -140,3 +140,45 @@ class TestDistributedInfer:
         with pytest.raises(SystemExit):
             main(["infer", str(fasta_path), "--engine", "forkjoin",
                   "--resume", str(tmp_path / "x.npz")])
+
+
+class TestModelReadsTheLiveLog:
+    """``profile --reconcile`` and ``scale`` price the region logs the
+    live ranks kept: the CLI process itself runs no search.  The runs use
+    two ranks: those are forked, so their climbs do not reach this
+    process's counter (a one-rank mesh would search in-process)."""
+
+    @pytest.fixture()
+    def climbs(self, monkeypatch):
+        import repro.engines.launch as launch_module
+
+        calls = []
+        search = launch_module.hill_climb
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(launch_module, "hill_climb", counting)
+        return calls
+
+    def test_profile_reconcile(self, fasta_path, tmp_path, climbs, capsys):
+        rc = main(["profile", str(fasta_path), "--engine", "both",
+                   "--ranks", "2", "-n", "1", "-r", "1", "--reconcile",
+                   "--trace-out", str(tmp_path / "trace"), "--no-register"])
+        assert rc == 0
+        assert capsys.readouterr().out.count("reconciliation — ") == 2
+        assert climbs == []
+
+    def test_scale(self, fasta_path, tmp_path, climbs):
+        genes = tmp_path / "genes.partitions"
+        genes.write_text("DNA, g1 = 1-150\nDNA, g2 = 151-300\n")
+        report = tmp_path / "scaling.md"
+        rc = main(["scale", str(fasta_path), "-q", str(genes),
+                   "--ranks", "2", "-n", "1", "-r", "1",
+                   "--dist", "cyclic", "mps",
+                   "--trace-out", str(tmp_path / "trace"),
+                   "--report-out", str(report)])
+        assert rc == 0
+        assert "Model-predicted totals" in report.read_text()
+        assert climbs == []

@@ -20,8 +20,9 @@ import pytest
 
 from repro.datasets import partitioned_workload
 from repro.engines.launch import (
-    run_decentralized,
-    run_forkjoin,
+    RunConfig,
+    first_survivor,
+    launch,
     run_sequential_reference,
 )
 from repro.search.search import SearchConfig
@@ -50,8 +51,8 @@ WITH_MODEL = SearchConfig(max_iterations=2, radius_max=2, alpha_iterations=6,
 class TestDecentralized:
     def test_replicas_bitwise_consistent(self, setup):
         parts, taxa, newick = setup
-        replicas = run_decentralized(parts, taxa, newick, n_ranks=3,
-                                     config=WITH_MODEL)
+        replicas = launch(RunConfig("decentralized", parts, taxa, newick,
+                                    n_ranks=3, config=WITH_MODEL))
         for r in replicas[1:]:
             assert r.newick == replicas[0].newick
             assert r.logl == replicas[0].logl  # bitwise
@@ -60,23 +61,25 @@ class TestDecentralized:
     def test_matches_sequential_without_model_opt(self, setup):
         parts, taxa, newick = setup
         ref = run_sequential_reference(parts, taxa, newick, NO_MODEL)
-        dec = run_decentralized(parts, taxa, newick, n_ranks=3, config=NO_MODEL)
+        dec = launch(RunConfig("decentralized", parts, taxa, newick, n_ranks=3,
+                               config=NO_MODEL))
         assert dec[0].newick == ref.newick
         assert dec[0].logl == pytest.approx(ref.logl, abs=1e-6)
 
     def test_communication_is_allreduce_only(self, setup):
         parts, taxa, newick = setup
-        dec = run_decentralized(parts, taxa, newick, n_ranks=2, config=NO_MODEL)
+        dec = launch(RunConfig("decentralized", parts, taxa, newick, n_ranks=2,
+                               config=NO_MODEL))
         tags = set(dec[0].bytes_by_tag)
         assert "traversal descriptor" not in tags
         assert any("likelihood" in t for t in tags)
 
     def test_mps_distribution_agrees(self, setup):
         parts, taxa, newick = setup
-        cyc = run_decentralized(parts, taxa, newick, n_ranks=2,
-                                config=NO_MODEL, dist_kind="cyclic")
-        mps = run_decentralized(parts, taxa, newick, n_ranks=2,
-                                config=NO_MODEL, dist_kind="mps")
+        cyc = launch(RunConfig("decentralized", parts, taxa, newick, n_ranks=2,
+                               config=NO_MODEL, dist_kind="cyclic"))
+        mps = launch(RunConfig("decentralized", parts, taxa, newick, n_ranks=2,
+                               config=NO_MODEL, dist_kind="mps"))
         assert cyc[0].newick == mps[0].newick
         assert cyc[0].logl == pytest.approx(mps[0].logl, abs=1e-5)
 
@@ -86,22 +89,25 @@ class TestForkJoin:
         """Same algorithm, same data split, same reduction order ⇒ the
         two engines must agree bitwise — the paper's premise."""
         parts, taxa, newick = setup
-        dec = run_decentralized(parts, taxa, newick, n_ranks=3,
-                                config=WITH_MODEL)
-        fj = run_forkjoin(parts, taxa, newick, n_ranks=3, config=WITH_MODEL)
+        dec = launch(RunConfig("decentralized", parts, taxa, newick, n_ranks=3,
+                               config=WITH_MODEL))
+        fj = first_survivor(launch(RunConfig("forkjoin", parts, taxa, newick,
+                                             n_ranks=3, config=WITH_MODEL)))
         assert fj.newick == dec[0].newick
         assert fj.logl == dec[0].logl
 
     def test_matches_sequential_without_model_opt(self, setup):
         parts, taxa, newick = setup
         ref = run_sequential_reference(parts, taxa, newick, NO_MODEL)
-        fj = run_forkjoin(parts, taxa, newick, n_ranks=2, config=NO_MODEL)
+        fj = first_survivor(launch(RunConfig("forkjoin", parts, taxa, newick,
+                                             n_ranks=2, config=NO_MODEL)))
         assert fj.newick == ref.newick
         assert fj.logl == pytest.approx(ref.logl, abs=1e-6)
 
     def test_descriptor_traffic_dominates(self, setup):
         parts, taxa, newick = setup
-        fj = run_forkjoin(parts, taxa, newick, n_ranks=2, config=NO_MODEL)
+        fj = first_survivor(launch(RunConfig("forkjoin", parts, taxa, newick,
+                                             n_ranks=2, config=NO_MODEL)))
         bytes_by_tag = fj.bytes_by_tag
         trav = bytes_by_tag.get("traversal descriptor", 0)
         assert trav > 0.4 * sum(bytes_by_tag.values())
@@ -110,16 +116,17 @@ class TestForkJoin:
 class TestPSRDistributed:
     def test_psr_replicas_consistent(self, psr_setup):
         parts, taxa, newick = psr_setup
-        replicas = run_decentralized(parts, taxa, newick, n_ranks=2,
-                                     config=WITH_MODEL)
+        replicas = launch(RunConfig("decentralized", parts, taxa, newick,
+                                    n_ranks=2, config=WITH_MODEL))
         assert replicas[0].newick == replicas[1].newick
         assert replicas[0].logl == replicas[1].logl
 
     def test_psr_engines_agree(self, psr_setup):
         parts, taxa, newick = psr_setup
-        dec = run_decentralized(parts, taxa, newick, n_ranks=2,
-                                config=WITH_MODEL)
-        fj = run_forkjoin(parts, taxa, newick, n_ranks=2, config=WITH_MODEL)
+        dec = launch(RunConfig("decentralized", parts, taxa, newick, n_ranks=2,
+                               config=WITH_MODEL))
+        fj = first_survivor(launch(RunConfig("forkjoin", parts, taxa, newick,
+                                             n_ranks=2, config=WITH_MODEL)))
         assert fj.newick == dec[0].newick
         assert fj.logl == pytest.approx(dec[0].logl, rel=1e-9)
 
@@ -135,8 +142,8 @@ class TestPerPartitionBranchesDistributed:
         cfg = SearchConfig(max_iterations=1, radius_max=2, model_opt=False)
         ref = run_sequential_reference(lik.parts, lik.taxa, newick, cfg,
                                        n_branch_sets=3)
-        dec = run_decentralized(lik.parts, lik.taxa, newick, n_ranks=2,
-                                config=cfg, n_branch_sets=3)
+        dec = launch(RunConfig("decentralized", lik.parts, lik.taxa, newick,
+                               n_ranks=2, config=cfg, n_branch_sets=3))
         assert dec[0].newick == dec[1].newick
         assert dec[0].logl == dec[1].logl
         assert dec[0].newick == ref.newick
@@ -147,9 +154,10 @@ class TestPerPartitionBranchesDistributed:
         lik = wl.build_likelihood("gamma", per_partition_branches=True)
         newick = write_newick(wl.tree, branch_set=0)
         cfg = SearchConfig(max_iterations=1, radius_max=2, model_opt=False)
-        dec = run_decentralized(lik.parts, lik.taxa, newick, n_ranks=2,
-                                config=cfg, n_branch_sets=3)
-        fj = run_forkjoin(lik.parts, lik.taxa, newick, n_ranks=2,
-                          config=cfg, n_branch_sets=3)
+        dec = launch(RunConfig("decentralized", lik.parts, lik.taxa, newick,
+                               n_ranks=2, config=cfg, n_branch_sets=3))
+        fj = first_survivor(launch(RunConfig("forkjoin", lik.parts, lik.taxa,
+                                             newick, n_ranks=2, config=cfg,
+                                             n_branch_sets=3)))
         assert fj.newick == dec[0].newick
         assert fj.logl == dec[0].logl

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engines.decentral import DecentralizedCommModel
-from repro.engines.events import EventLog, Region, RegionKind
+from repro.engines import EventLog, Region, RegionKind
 from repro.engines.forkjoin import (
     CAT_BL_OPT,
     CAT_LIKELIHOOD,

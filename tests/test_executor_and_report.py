@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.engines.events import EventLog, Region, RegionKind
+from repro.engines import EventLog, Region, RegionKind
 from repro.engines.executor import DescriptorExecutor
 from repro.errors import CommError
+from repro.likelihood.backend import SequentialBackend
 from repro.likelihood.partitioned import PartitionedLikelihood
-from repro.engines.recording import RecordingBackend
 from repro.obs.hotspots import OpProfiler
 from repro.perf.report import format_runtime_table, format_table1, table1_rows
 from repro.perf.runtime_sim import RuntimeReport
@@ -83,7 +83,7 @@ class TestWorkLedger:
         aln, true_tree, _ = sim_dataset
         lik = PartitionedLikelihood.build(aln, true_tree.copy(), rate_mode="gamma")
         lik.profiler = prof = OpProfiler()
-        backend = RecordingBackend(lik)
+        backend = SequentialBackend(lik)
         u, v = lik.tree.edges()[0]
         backend.evaluate(u, v)
         work = region_work(backend.log, lik.parts)

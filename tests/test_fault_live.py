@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import partitioned_workload
-from repro.engines.launch import run_decentralized, run_forkjoin
+from repro.engines.launch import RunConfig, first_survivor, launch
 from repro.errors import CommError, RankFailureError
 from repro.par.comm import InterceptingComm, ReduceOp
 from repro.par.faultcomm import (
@@ -54,12 +54,12 @@ class TestDecentralizedRecovery:
     @pytest.fixture(scope="class")
     def killed_vs_undisturbed(self, setup):
         parts, taxa, newick = setup
-        ref = run_decentralized(parts, taxa, newick, n_ranks=4,
-                                config=CONVERGED)
+        ref = launch(RunConfig("decentralized", parts, taxa, newick, n_ranks=4,
+                               config=CONVERGED))
         plan = FaultPlan.kill(rank=2, at_call=25)
-        rec = run_decentralized(parts, taxa, newick, n_ranks=4,
-                                config=CONVERGED, fault_plan=plan,
-                                detect_timeout=20.0)
+        rec = launch(RunConfig("decentralized", parts, taxa, newick, n_ranks=4,
+                               config=CONVERGED, fault_plan=plan,
+                               detect_timeout=20.0))
         return ref, rec
 
     def test_failed_rank_returns_nothing(self, killed_vs_undisturbed):
@@ -89,13 +89,22 @@ class TestDecentralizedRecovery:
             assert r.newick == survivors[0].newick
             assert r.logl == survivors[0].logl  # bitwise
 
+    def test_survivors_carry_equal_logs(self, killed_vs_undisturbed):
+        """Each survivor's region log runs on through the recovery (the
+        rebuilt backend continues it), and all of them count the same
+        regions."""
+        _, rec = killed_vs_undisturbed
+        logs = [r.log for r in rec if r is not None]
+        assert len(logs) == 3 and len(logs[0]) > 0
+        assert all(log == logs[0] for log in logs[1:])
+
     def test_hang_detected_by_timeout(self, setup):
         parts, taxa, newick = setup
         plan = FaultPlan.kill(rank=1, at_call=15, mode="hang",
                               hang_seconds=6.0)
-        rec = run_decentralized(parts, taxa, newick, n_ranks=3,
-                                config=QUICK, fault_plan=plan,
-                                detect_timeout=1.5)
+        rec = launch(RunConfig("decentralized", parts, taxa, newick, n_ranks=3,
+                               config=QUICK, fault_plan=plan,
+                               detect_timeout=1.5))
         survivors = [r for r in rec if r is not None]
         assert rec[1] is None
         assert len(survivors) == 2
@@ -119,14 +128,16 @@ class TestForkJoinContrast:
         config = SearchConfig(max_iterations=10, radius_max=2,
                               model_opt=False, epsilon=1e-6, branch_passes=3,
                               checkpoint_every=1, checkpoint_path=str(ckpt))
-        ref = run_forkjoin(parts, taxa, newick, n_ranks=3,
-                           config=SearchConfig(
-                               max_iterations=10, radius_max=2,
-                               model_opt=False, epsilon=1e-6,
-                               branch_passes=3))
+        ref = first_survivor(launch(RunConfig(
+            "forkjoin", parts, taxa, newick, n_ranks=3,
+            config=SearchConfig(max_iterations=10, radius_max=2,
+                                model_opt=False, epsilon=1e-6,
+                                branch_passes=3))))
         plan = FaultPlan.kill(rank=1, at_call=40)
-        res = run_forkjoin(parts, taxa, newick, n_ranks=3, config=config,
-                           fault_plan=plan, detect_timeout=20.0)
+        res = first_survivor(launch(RunConfig("forkjoin", parts, taxa, newick,
+                                              n_ranks=3, config=config,
+                                              fault_plan=plan,
+                                              detect_timeout=20.0)))
         assert res.restarts == 1
         assert ckpt.exists()  # the restart had a checkpoint to resume from
         assert res.newick == ref.newick
@@ -135,10 +146,13 @@ class TestForkJoinContrast:
     def test_worker_death_without_checkpoint_restarts_from_scratch(
             self, setup):
         parts, taxa, newick = setup
-        ref = run_forkjoin(parts, taxa, newick, n_ranks=3, config=QUICK)
+        ref = first_survivor(launch(RunConfig("forkjoin", parts, taxa, newick,
+                                              n_ranks=3, config=QUICK)))
         plan = FaultPlan.kill(rank=2, at_call=30)
-        res = run_forkjoin(parts, taxa, newick, n_ranks=3, config=QUICK,
-                           fault_plan=plan, detect_timeout=20.0)
+        res = first_survivor(launch(RunConfig("forkjoin", parts, taxa, newick,
+                                              n_ranks=3, config=QUICK,
+                                              fault_plan=plan,
+                                              detect_timeout=20.0)))
         assert res.restarts == 1
         assert res.newick == ref.newick
 
@@ -146,16 +160,17 @@ class TestForkJoinContrast:
         parts, taxa, newick = setup
         plan = FaultPlan.kill(rank=0, at_call=20)
         with pytest.raises(CommError, match="unrecoverable"):
-            run_forkjoin(parts, taxa, newick, n_ranks=3, config=QUICK,
-                         fault_plan=plan, detect_timeout=20.0)
+            launch(RunConfig("forkjoin", parts, taxa, newick, n_ranks=3,
+                             config=QUICK, fault_plan=plan,
+                             detect_timeout=20.0))
 
     def test_restart_budget_exhausts(self, setup):
         parts, taxa, newick = setup
         plan = FaultPlan.kill(rank=1, at_call=30)
         with pytest.raises(CommError, match="restart"):
-            run_forkjoin(parts, taxa, newick, n_ranks=3, config=QUICK,
-                         fault_plan=plan, detect_timeout=20.0,
-                         max_restarts=0)
+            launch(RunConfig("forkjoin", parts, taxa, newick, n_ranks=3,
+                             config=QUICK, fault_plan=plan,
+                             detect_timeout=20.0, max_restarts=0))
 
 
 class TestTracingUnderFailure:
@@ -171,9 +186,9 @@ class TestTracingUnderFailure:
         parts, taxa, newick = setup
         trace_dir = tmp_path_factory.mktemp("fault_trace")
         plan = FaultPlan.kill(rank=2, at_call=25)
-        rec = run_decentralized(parts, taxa, newick, n_ranks=4,
-                                config=QUICK, fault_plan=plan,
-                                detect_timeout=20.0, trace_dir=trace_dir)
+        rec = launch(RunConfig("decentralized", parts, taxa, newick, n_ranks=4,
+                               config=QUICK, fault_plan=plan,
+                               detect_timeout=20.0, trace_dir=trace_dir))
         survivors = [r for r in rec if r is not None]
         spans = {r.trace_path: read_jsonl(r.trace_path) for r in survivors}
         return survivors, spans

@@ -22,8 +22,7 @@ import pytest
 
 from repro.datasets import partitioned_workload
 from repro.engines.executor import DescriptorExecutor
-from repro.engines.launch import run_decentralized
-from repro.engines.recording import RecordingBackend
+from repro.engines.launch import RunConfig, launch
 from repro.errors import LikelihoodError
 from repro.likelihood.backend import SequentialBackend
 from repro.likelihood.kernel import bytes_per_unit, flops_per_unit
@@ -191,7 +190,7 @@ class TestProfilerLedgerAgreement:
         lik = wl.build_likelihood("gamma")
         prof = OpProfiler()
         lik.profiler = prof
-        backend = RecordingBackend(lik)
+        backend = SequentialBackend(lik)
         hill_climb(backend, SearchConfig(max_iterations=1, radius_max=2))
         work = region_work(backend.log, lik.parts)
         for op in PATTERN_OPS:
@@ -418,12 +417,11 @@ class TestLiveTwoRankRun:
     def test_decentralized_trace_to_report(self, tmp_path):
         wl = exact_workload()
         lik = wl.build_likelihood("gamma")
-        run_decentralized(
-            lik.parts, lik.taxa, write_newick(wl.tree), n_ranks=2,
-            config=SearchConfig(max_iterations=1, radius_max=2,
-                                model_opt=False),
-            trace_dir=tmp_path,
-        )
+        launch(RunConfig("decentralized", lik.parts, lik.taxa,
+                         write_newick(wl.tree), n_ranks=2,
+                         config=SearchConfig(max_iterations=1, radius_max=2,
+                                             model_opt=False),
+                         trace_dir=tmp_path))
         paths = sorted(tmp_path.rglob("trace-rank*.jsonl"))
         assert len(paths) == 2
         merged = merge_rank_streams(paths)

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.datasets import partitioned_workload
-from repro.engines.launch import RunConfig, run_decentralized
+from repro.engines.launch import RunConfig, launch
 from repro.engines.runtime import RankRuntime
 from repro.obs.heartbeat import (
     HeartbeatInterceptor,
@@ -357,10 +357,10 @@ class TestLiveMonitoredRuns:
         mon = MonitorThread(mdir, interval=0.1, straggler_after=0.5,
                             stall_after=2.0, beat_timeout=15.0).start()
         try:
-            rec = run_decentralized(parts, taxa, newick, n_ranks=4,
-                                    config=CONVERGED, fault_plan=plan,
-                                    detect_timeout=5.0, monitor_dir=mdir,
-                                    beat_interval=0.05)
+            rec = launch(RunConfig("decentralized", parts, taxa, newick,
+                                   n_ranks=4, config=CONVERGED,
+                                   fault_plan=plan, detect_timeout=5.0,
+                                   monitor_dir=mdir, beat_interval=0.05))
         finally:
             mon.stop()
 
@@ -400,7 +400,8 @@ class TestLiveMonitoredRuns:
         never a stall — and the run must finish unperturbed with the
         same tree and likelihood as an unmonitored run."""
         parts, taxa, newick = setup
-        ref = run_decentralized(parts, taxa, newick, n_ranks=3, config=QUICK)
+        ref = launch(RunConfig("decentralized", parts, taxa, newick, n_ranks=3,
+                               config=QUICK))
 
         mdir = tmp_path / "monitor"
         mdir.mkdir()
@@ -419,9 +420,9 @@ class TestLiveMonitoredRuns:
         poller = threading.Thread(target=poll_loop, daemon=True)
         poller.start()
         try:
-            rec = run_decentralized(parts, taxa, newick, n_ranks=3,
-                                    config=QUICK, fault_plan=plan,
-                                    monitor_dir=mdir, beat_interval=0.05)
+            rec = launch(RunConfig("decentralized", parts, taxa, newick,
+                                   n_ranks=3, config=QUICK, fault_plan=plan,
+                                   monitor_dir=mdir, beat_interval=0.05))
         finally:
             stop.set()
             poller.join(timeout=5.0)
@@ -441,9 +442,9 @@ class TestLiveMonitoredRuns:
     def test_monitored_run_leaves_full_telemetry(self, setup, tmp_path):
         parts, taxa, newick = setup
         mdir = tmp_path / "monitor"
-        rec = run_decentralized(parts, taxa, newick, n_ranks=2,
-                                config=QUICK, monitor_dir=mdir,
-                                beat_interval=0.05)
+        rec = launch(RunConfig("decentralized", parts, taxa, newick, n_ranks=2,
+                               config=QUICK, monitor_dir=mdir,
+                               beat_interval=0.05))
         records = read_heartbeats(mdir)
         assert set(records) == {0, 1}
         for rank, hb in records.items():
@@ -474,12 +475,12 @@ class TestLiveMonitoredRuns:
         assert runtime.progress is NULL_PROGRESS  # the shared no-op singleton
         assert threading.active_count() == before
 
-        plain = run_decentralized(parts, taxa, newick, n_ranks=2,
-                                  config=QUICK)
+        plain = launch(RunConfig("decentralized", parts, taxa, newick,
+                                 n_ranks=2, config=QUICK))
         mdir = tmp_path / "monitor"
-        monitored = run_decentralized(parts, taxa, newick, n_ranks=2,
-                                      config=QUICK, monitor_dir=mdir,
-                                      beat_interval=0.05)
+        monitored = launch(RunConfig("decentralized", parts, taxa, newick,
+                                     n_ranks=2, config=QUICK, monitor_dir=mdir,
+                                     beat_interval=0.05))
         for p, m in zip(plain, monitored):
             assert p.monitor_dir is None
             assert p.progress_path is None

@@ -5,7 +5,8 @@ The Table-I model prices descriptors and payloads analytically; the real
 master/worker implementation counts the bytes of every object it puts on
 the wire.  The two are built independently, so order-of-magnitude (and
 per-category ranking) agreement is strong evidence the model measures the
-real protocol rather than itself.
+real protocol rather than itself.  The model prices the region log the
+measuring rank kept in the same run: no second search.
 """
 
 import numpy as np
@@ -19,34 +20,29 @@ from repro.engines.forkjoin import (
     CAT_TRAVERSAL,
     ForkJoinCommModel,
 )
-from repro.engines.launch import RunConfig, launch, run_forkjoin
-from repro.engines.recording import RecordingBackend
+from repro.engines.launch import RunConfig, first_survivor, launch
 from repro.obs.reconcile import (
     DECENTRALIZED_REL_TOL,
     FORKJOIN_REL_TOL,
     reconcile_live_run,
 )
-from repro.search.search import SearchConfig, hill_climb
+from repro.search.search import SearchConfig
 from repro.tree.newick import write_newick
 
 
 @pytest.fixture(scope="module")
-def measured_and_modeled():
+def master():
     wl = partitioned_workload(4, n_taxa=8, sites_per_partition=30)
     lik = wl.build_likelihood("gamma")
-    newick = write_newick(wl.tree)
     cfg = SearchConfig(max_iterations=1, radius_max=2, alpha_iterations=6)
+    return first_survivor(launch(RunConfig(
+        "forkjoin", lik.parts, lik.taxa, write_newick(wl.tree), n_ranks=2,
+        config=cfg)))
 
-    real = run_forkjoin(lik.parts, lik.taxa, newick, n_ranks=2, config=cfg)
 
-    lik2 = wl.build_likelihood("gamma")
-    from repro.tree.newick import parse_newick
-
-    lik2 = type(lik2)(parse_newick(newick), lik2.parts, lik2.taxa)
-    rec = RecordingBackend(lik2)
-    hill_climb(rec, cfg)
-    modeled = ForkJoinCommModel().byte_totals(rec.log)
-    return real.bytes_by_tag, modeled
+@pytest.fixture(scope="module")
+def measured_and_modeled(master):
+    return master.bytes_by_tag, ForkJoinCommModel().byte_totals(master.log)
 
 
 class TestModelAgainstWire:
@@ -100,11 +96,7 @@ class TestDecentralizedReconciliation:
                         SearchConfig(max_iterations=1, radius_max=2,
                                      alpha_iterations=6))
         measured = launch(cfg)[1]  # non-root: exactly one payload/allreduce
-        return reconcile_live_run(
-            cfg, measured.bytes_by_tag,
-            measured_calls_by_tag=measured.calls_by_tag,
-            measured_rank=1,
-        )
+        return reconcile_live_run("decentralized", measured, measured_rank=1)
 
     def test_exact_byte_match(self, report):
         assert report.within(DECENTRALIZED_REL_TOL)
@@ -128,15 +120,8 @@ class TestForkJoinReconciliation:
     """Same API on the fork-join engine: framed tuples on the wire, so
     the match is within the documented tolerance, not exact."""
 
-    def test_within_documented_tolerance(self, measured_and_modeled):
-        real, _ = measured_and_modeled
-        wl = partitioned_workload(4, n_taxa=8, sites_per_partition=30)
-        lik = wl.build_likelihood("gamma")
-        cfg = RunConfig("forkjoin", lik.parts, lik.taxa,
-                        write_newick(wl.tree), 2,
-                        SearchConfig(max_iterations=1, radius_max=2,
-                                     alpha_iterations=6))
-        report = reconcile_live_run(cfg, real, measured_rank=0)
+    def test_within_documented_tolerance(self, master):
+        report = reconcile_live_run("forkjoin", master, measured_rank=0)
         assert report.within(FORKJOIN_REL_TOL)
         assert report.worst_rel_error > 0  # genuinely inexact: framing
         # the unpriced STOP broadcast surfaces instead of vanishing

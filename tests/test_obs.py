@@ -420,11 +420,11 @@ class TestSearchSpans:
         # regression: a span-less Tracer has len 0 and is falsy, so a
         # truthiness-based fallback would silently swap in NULL_TRACER
         from repro.datasets import partitioned_workload
-        from repro.engines.recording import RecordingBackend
+        from repro.likelihood.backend import SequentialBackend
         from repro.search.search import SearchConfig, hill_climb
 
         wl = partitioned_workload(2, n_taxa=6, sites_per_partition=20)
-        backend = RecordingBackend(wl.build_likelihood("gamma"))
+        backend = SequentialBackend(wl.build_likelihood("gamma"))
         tracer = Tracer(rank=0)
         assert not tracer  # the trap this test pins
         backend.tracer = tracer

@@ -31,8 +31,12 @@ from repro.dist import (
 )
 from repro.engines.decentral import DecentralizedBackend
 from repro.engines.forkjoin import ForkJoinMasterBackend, forkjoin_worker
-from repro.engines.launch import _rebuild_tree, run_decentralized, run_forkjoin
-from repro.engines.recording import RecordingBackend
+from repro.engines.launch import (
+    RunConfig,
+    _rebuild_tree,
+    first_survivor,
+    launch,
+)
 from repro.errors import ModelError
 from repro.likelihood.backend import SequentialBackend
 from repro.likelihood.partitioned import PartitionData, PartitionedLikelihood
@@ -214,11 +218,11 @@ class TestZeroPatternShares:
                 assert not any(r["partition"] == j
                                for r in lik.profiler.records())
         assert total == per_part.sum()
-        # the profiler and the region stream a recording of the same three
-        # calls implies still agree float-exactly on this rank
+        # the profiler and the region log of the same three calls still
+        # agree float-exactly on this rank
         again = PartitionedLikelihood(_rebuild_tree(newick, nbs), local, taxa)
         again.profiler = OpProfiler()
-        recorder = RecordingBackend(again)
+        recorder = SequentialBackend(again)
         _probe(recorder)
         for op, work in region_work(recorder.log, local).items():
             assert (again.profiler.units(op),
@@ -347,7 +351,7 @@ def _sequential_search(parts, taxa, newick, nbs):
     tree = _rebuild_tree(newick, nbs)
     lik = PartitionedLikelihood(tree, _copies(parts), taxa)
     lik.profiler = OpProfiler()
-    backend = RecordingBackend(lik)  # the sequential numbers + a region log
+    backend = SequentialBackend(lik)
     result = hill_climb(backend, SEARCH)
     calls = {op: [lik.profiler.invocations(op, j) for j in range(N_PARTS)]
              for op in KERNEL_OPS}
@@ -372,9 +376,10 @@ class TestKernelCallsFollowOwnership:
         parts, taxa, newick, nbs = _workload(rate_mode, minus_m)
         seq_calls, _, seq_logl, seq_newick = _sequential_search(
             parts, taxa, newick, nbs)
-        replicas = run_decentralized(
-            parts, taxa, newick, n_ranks=ranks, config=SEARCH,
-            dist_kind=dist, n_branch_sets=nbs, trace_dir=tmp_path)
+        replicas = launch(RunConfig("decentralized", parts, taxa, newick,
+                                    n_ranks=ranks, config=SEARCH,
+                                    dist_kind=dist, n_branch_sets=nbs,
+                                    trace_dir=tmp_path))
         assert replicas[0].newick == seq_newick
         if dist == "mps" and minus_m and rate_mode == "gamma":
             # every reduced number is one rank's value plus zeros
@@ -397,9 +402,11 @@ class TestKernelCallsFollowOwnership:
         parts, taxa, newick, nbs = _workload(rate_mode, minus_m)
         seq_calls, wire_ops, seq_logl, seq_newick = _sequential_search(
             parts, taxa, newick, nbs)
-        master = run_forkjoin(
-            parts, taxa, newick, n_ranks=ranks, config=SEARCH,
-            dist_kind=dist, n_branch_sets=nbs, trace_dir=tmp_path)
+        master = first_survivor(launch(RunConfig("forkjoin", parts, taxa,
+                                                 newick, n_ranks=ranks,
+                                                 config=SEARCH, dist_kind=dist,
+                                                 n_branch_sets=nbs,
+                                                 trace_dir=tmp_path)))
         assert master.newick == seq_newick
         assert master.logl == pytest.approx(seq_logl, abs=1e-6)
         # Workers run the *longest* per-partition descriptor of a region
@@ -447,16 +454,18 @@ PINNED_FORKJOIN = (
 class TestCollectiveStreamsUnchanged:
     def test_decentralized(self):
         parts, taxa, newick, _ = _workload("gamma", False)
-        replicas = run_decentralized(parts, taxa, newick, n_ranks=2,
-                                     config=SEARCH, dist_kind="mps")
+        replicas = launch(RunConfig("decentralized", parts, taxa, newick,
+                                    n_ranks=2, config=SEARCH, dist_kind="mps"))
         for replica, (calls, nbytes) in zip(replicas, PINNED_DECENTRALIZED):
             assert replica.calls_by_tag == calls
             assert replica.bytes_by_tag == nbytes
 
     def test_forkjoin(self):
         parts, taxa, newick, _ = _workload("gamma", False)
-        master = run_forkjoin(parts, taxa, newick, n_ranks=2, config=SEARCH,
-                              dist_kind="mps")
+        master = first_survivor(launch(RunConfig("forkjoin", parts, taxa,
+                                                 newick, n_ranks=2,
+                                                 config=SEARCH,
+                                                 dist_kind="mps")))
         assert (master.calls_by_tag, master.bytes_by_tag) == PINNED_FORKJOIN
 
 
@@ -469,12 +478,12 @@ class TestRecoveryUnderMPS:
 
     def test_survivors_take_over_the_dead_ranks_partitions(self):
         parts, taxa, newick, nbs = _workload("gamma", False)
-        ref = run_decentralized(parts, taxa, newick, n_ranks=3,
-                                config=self.CONVERGED, dist_kind="mps")
-        rec = run_decentralized(parts, taxa, newick, n_ranks=3,
-                                config=self.CONVERGED, dist_kind="mps",
-                                fault_plan=FaultPlan.kill(rank=1, at_call=25),
-                                detect_timeout=20.0)
+        ref = launch(RunConfig("decentralized", parts, taxa, newick, n_ranks=3,
+                               config=self.CONVERGED, dist_kind="mps"))
+        rec = launch(RunConfig("decentralized", parts, taxa, newick, n_ranks=3,
+                               config=self.CONVERGED, dist_kind="mps",
+                               fault_plan=FaultPlan.kill(rank=1, at_call=25),
+                               detect_timeout=20.0))
         assert rec[1] is None
         survivors = [r for r in rec if r is not None]
         assert len(survivors) == 2

@@ -6,7 +6,7 @@ import pytest
 
 from repro.dist.distributions import cyclic_distribution, mps_distribution
 from repro.engines.decentral import DecentralizedCommModel
-from repro.engines.events import EventLog, Region, RegionKind
+from repro.engines import EventLog, Region, RegionKind
 from repro.engines.forkjoin import ForkJoinCommModel
 from repro.par.machine import HITS_CLUSTER, MachineSpec
 from repro.perf.costmodel import (

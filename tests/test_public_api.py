@@ -46,12 +46,13 @@ class TestTopLevelExports:
     def test_engine_surface(self):
         from repro.engines import (  # noqa: F401
             DecentralizedCommModel,
+            EventLog,
             ForkJoinCommModel,
-            RecordingBackend,
+            Region,
         )
         from repro.engines.launch import (  # noqa: F401
-            run_decentralized,
-            run_forkjoin,
+            RunConfig,
+            launch,
         )
 
     def test_docstrings_on_public_modules(self):

@@ -1,6 +1,9 @@
-"""Recording-backend tests: the region stream faithfully mirrors the
-operations the search performs, and every backend — each of them the one
-:class:`SequentialBackend` body plus hooks — runs the same program."""
+"""Region-log tests: the log every backend keeps faithfully mirrors the
+operations the search performs, every backend — each of them the one
+:class:`SequentialBackend` body plus hooks — runs the same program, and
+the live engines' ranks end with the sequential program's log."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import bench
+from repro.datasets import partitioned_workload
 from repro.engines.decentral import DecentralizedBackend
-from repro.engines.events import RegionKind
 from repro.engines.forkjoin import (
     CAT_BL_OPT,
     CAT_LIKELIHOOD,
@@ -17,8 +20,13 @@ from repro.engines.forkjoin import (
     CAT_TRAVERSAL,
     ForkJoinMasterBackend,
 )
-from repro.engines.recording import RecordingBackend
-from repro.likelihood.backend import SequentialBackend
+from repro.engines.launch import (
+    RunConfig,
+    first_survivor,
+    launch,
+    run_sequential_reference,
+)
+from repro.likelihood.backend import EventLog, Region, RegionKind, SequentialBackend
 from repro.likelihood.optimize_branch import optimize_branch, smooth_all_branches
 from repro.likelihood.optimize_model import (
     default_psr_candidates,
@@ -29,6 +37,7 @@ from repro.likelihood.partitioned import PartitionedLikelihood
 from repro.model.rates import PerSiteRates
 from repro.par.seqcomm import SequentialComm
 from repro.search.search import SearchConfig, hill_climb
+from repro.tree.newick import write_newick
 
 from test_stack import _inner_edge, _parts, _tree
 
@@ -37,22 +46,22 @@ from test_stack import _inner_edge, _parts, _tree
 def recorder(sim_dataset):
     aln, true_tree, _ = sim_dataset
     lik = PartitionedLikelihood.build(aln, true_tree.copy(), rate_mode="gamma")
-    return RecordingBackend(lik)
+    return SequentialBackend(lik)
 
 
 class TestRegionStream:
-    def test_evaluate_appends_one_region(self, recorder):
+    def test_evaluate_appends_one_log_entry(self, recorder):
         u, v = recorder.tree.edges()[0]
         recorder.evaluate(u, v)
         assert recorder.log.count(RegionKind.EVALUATE) == 1
-        first = recorder.log.regions[0]
+        (first,) = recorder.log
         assert first.max_ops() > 0  # cold cache: full traversal
 
     def test_second_evaluate_has_empty_descriptor(self, recorder):
         u, v = recorder.tree.edges()[0]
         recorder.evaluate(u, v)
         recorder.evaluate(u, v)
-        assert recorder.log.regions[1].max_ops() == 0
+        assert list(recorder.log)[1].max_ops() == 0
 
     def test_branch_optimization_regions(self, recorder):
         u, v = recorder.tree.edges()[1]
@@ -71,7 +80,7 @@ class TestRegionStream:
     def test_psr_scan_regions(self, sim_dataset):
         aln, true_tree, _ = sim_dataset
         lik = PartitionedLikelihood.build(aln, true_tree.copy(), rate_mode="psr")
-        rec = RecordingBackend(lik)
+        rec = SequentialBackend(lik)
         u, v = rec.tree.edges()[0]
         optimize_psr(rec, u, v, n_candidates=7)
         assert rec.log.count(RegionKind.PSR_SCAN) == 7
@@ -81,9 +90,13 @@ class TestRegionStream:
         aln, true_tree, _ = sim_dataset
         cfg = SearchConfig(max_iterations=2, radius_max=2, alpha_iterations=6)
         lik1 = PartitionedLikelihood.build(aln, true_tree.copy(), rate_mode="gamma")
-        plain = hill_climb(SequentialBackend(lik1), cfg)
+        quiet = SequentialBackend(lik1)
+        quiet._record = lambda *args: None  # a backend that keeps no log
+        plain = hill_climb(quiet, cfg)
         lik2 = PartitionedLikelihood.build(aln, true_tree.copy(), rate_mode="gamma")
-        recorded = hill_climb(RecordingBackend(lik2), cfg)
+        backend = SequentialBackend(lik2)
+        recorded = hill_climb(backend, cfg)
+        assert len(quiet.log) == 0 < len(backend.log)
         assert recorded.logl == plain.logl
 
     def test_stream_is_deterministic(self, sim_dataset):
@@ -93,15 +106,43 @@ class TestRegionStream:
         for _ in range(2):
             lik = PartitionedLikelihood.build(aln, true_tree.copy(),
                                               rate_mode="gamma")
-            rec = RecordingBackend(lik)
+            rec = SequentialBackend(lik)
             hill_climb(rec, cfg)
-            logs.append([(r.kind, r.max_ops()) for r in rec.log])
+            logs.append(rec.log)
         assert logs[0] == logs[1]
+        assert list(logs[0]) == list(logs[1])  # same order of first appearance
 
     def test_validates(self, recorder):
         smooth_all_branches(recorder, passes=1)
         recorder.log.validate()
         assert len(recorder.log) > 0
+
+    def test_regions_with_per_partition_ops_compare_equal(self):
+        """Regression: an ndarray op vector made ``Region == Region``
+        raise, so two logs holding one could not be compared."""
+        a = Region(RegionKind.EVALUATE, 3, 1, np.array([2., 3., 3.]))
+        b = Region(RegionKind.EVALUATE, 3, 1, np.array([2., 3., 3.]))
+        assert a == b and hash(a) == hash(b)
+        assert a != Region(RegionKind.EVALUATE, 3, 1, (2, 3, 4))
+        assert EventLog([a, a]) == EventLog([b, b]) != EventLog([a])
+
+    def test_log_counts_shapes_not_regions(self, sim_dataset):
+        """A search repeats a few region shapes: the log's distinct entries
+        stay bounded while the number of regions grows with the run."""
+        aln, _, start = sim_dataset
+        logs = []
+        for iterations in (2, 20):
+            lik = PartitionedLikelihood.build(aln, start.copy(),
+                                              rate_mode="gamma")
+            backend = SequentialBackend(lik)
+            hill_climb(backend, SearchConfig(
+                max_iterations=iterations, radius_max=2, epsilon=1e-9,
+                accept_epsilon=1e-9))
+            logs.append(backend.log)
+        short, long = logs
+        assert len(long) > len(short) > 0
+        assert len(long.counts) <= 64
+        assert sum(long.counts.values()) == len(long) == len(list(long))
 
 
 # --------------------------------------------------------------------- #
@@ -164,7 +205,6 @@ def test_table1_region_stream_is_pinned(mode, minus_m):
 # --------------------------------------------------------------------- #
 BACKENDS = {
     "sequential": SequentialBackend,
-    "recording": RecordingBackend,
     "decentralized": lambda lik: DecentralizedBackend(SequentialComm(), lik),
     "forkjoin": lambda lik: ForkJoinMasterBackend(SequentialComm(), lik),
 }
@@ -198,20 +238,49 @@ def _one_rank_run(make, seed, g, mode, minus_m):
 @settings(max_examples=10, deadline=None)
 def test_one_rank_of_any_engine_is_the_sequential_program(seed, g, mode, minus_m):
     """The paper's premise, bitwise: likelihoods, per-set derivatives, PSR
-    rates, the searched tree and its logL do not depend on the hooks."""
+    rates, the searched tree, its logL and the region log do not depend on
+    the hooks."""
     runs = {name: _one_rank_run(make, seed, g, mode, minus_m)
             for name, make in BACKENDS.items()}
-    _, want, want_edges = runs["sequential"]
-    for name, (_, got, edges) in runs.items():
+    seq, want, want_edges = runs["sequential"]
+    for name, (backend, got, edges) in runs.items():
         assert edges == want_edges, name
         assert len(got) == len(want)
         for mine, theirs in zip(got, want):
             assert np.array_equal(mine, theirs), name
+        assert backend.log == seq.log, name
     # ... and the replica's collectives are the ones the de-centralized
-    # model assigns to the recorded stream, call for call, byte for byte
-    log = runs["recording"][0].log
+    # model assigns to the region log, call for call, byte for byte
+    log = seq.log
     comm = runs["decentralized"][0].comm
     assert dict(comm.bytes_by_tag) == {
         cat: nbytes for cat, nbytes in bench.EXAML.byte_totals(log).items()
         if nbytes}
     assert sum(comm.calls_by_tag.values()) == bench.EXAML.region_count(log)
+
+
+# --------------------------------------------------------------------- #
+# live ranks keep the sequential program's log
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("minus_m", [False, True], ids=["joint", "M"])
+@pytest.mark.parametrize("mode", ["gamma", "psr"])
+@pytest.mark.parametrize("ranks", [2, 3])
+def test_live_ranks_log_the_sequential_regions(ranks, mode, minus_m):
+    """The premise the models rest on, checked on live streams: under MPS
+    every replica, the fork-join master and the sequential program count
+    the same regions — a rank's op counts do not depend on its share."""
+    wl = partitioned_workload(4, n_taxa=8, sites_per_partition=30)
+    lik = wl.build_likelihood(mode, per_partition_branches=minus_m)
+    newick = write_newick(wl.tree, branch_set=0)
+    cfg = RunConfig("decentralized", lik.parts, lik.taxa, newick, ranks,
+                    SearchConfig(max_iterations=1, radius_max=2,
+                                 alpha_iterations=4, psr_candidates=4),
+                    dist_kind="mps", n_branch_sets=lik.n_branch_sets)
+    replicas = launch(cfg)
+    master = first_survivor(launch(replace(cfg, engine="forkjoin")))
+    reference = run_sequential_reference(lik.parts, lik.taxa, newick,
+                                         cfg.config, lik.n_branch_sets)
+    assert len(reference.log) > 0
+    for replica in replicas:
+        assert replica.log == master.log
+    assert master.log == reference.log

@@ -24,7 +24,7 @@ import pytest
 from repro.datasets import partitioned_workload
 from repro.dist.distributions import split_local_data
 from repro.engines.decentral import DecentralizedBackend
-from repro.engines.launch import run_decentralized
+from repro.engines.launch import RunConfig, launch
 from repro.errors import CommError, ReplicaDivergenceError
 from repro.likelihood.partitioned import PartitionedLikelihood
 from repro.par.comm import InterceptingComm, ReduceOp
@@ -66,10 +66,10 @@ class TestConsistentRun:
     @pytest.fixture(scope="class")
     def sanitized_and_plain(self, setup):
         parts, taxa, newick = setup
-        sane = run_decentralized(parts, taxa, newick, n_ranks=2,
-                                 config=QUICK, sanitize=True)
-        plain = run_decentralized(parts, taxa, newick, n_ranks=2,
-                                  config=QUICK)
+        sane = launch(RunConfig("decentralized", parts, taxa, newick,
+                                n_ranks=2, config=QUICK, sanitize=True))
+        plain = launch(RunConfig("decentralized", parts, taxa, newick,
+                                 n_ranks=2, config=QUICK))
         return sane, plain
 
     def test_sanitized_run_completes_with_identical_result(
@@ -235,10 +235,9 @@ class TestSanitizeUnderFault:
     def test_two_ranks_recovery_does_not_trip_divergence_check(self, setup):
         parts, taxa, newick = setup
         plan = FaultPlan.kill(rank=1, at_call=25)
-        results = run_decentralized(
-            parts, taxa, newick, n_ranks=2, config=QUICK,
-            fault_plan=plan, detect_timeout=20.0, sanitize=True,
-        )
+        results = launch(RunConfig("decentralized", parts, taxa, newick,
+                                   n_ranks=2, config=QUICK, fault_plan=plan,
+                                   detect_timeout=20.0, sanitize=True))
         assert results[1] is None
         survivor = results[0]
         assert survivor is not None
@@ -249,10 +248,9 @@ class TestSanitizeUnderFault:
     def test_three_ranks_checks_stay_live_after_shrink(self, setup):
         parts, taxa, newick = setup
         plan = FaultPlan.kill(rank=2, at_call=25)
-        results = run_decentralized(
-            parts, taxa, newick, n_ranks=3, config=QUICK,
-            fault_plan=plan, detect_timeout=20.0, sanitize=True,
-        )
+        results = launch(RunConfig("decentralized", parts, taxa, newick,
+                                   n_ranks=3, config=QUICK, fault_plan=plan,
+                                   detect_timeout=20.0, sanitize=True))
         survivors = [r for r in results if r is not None]
         assert len(survivors) == 2
         for s in survivors:

@@ -403,14 +403,13 @@ class TestStackedAccounting:
                    if r["op"] == "newview") == pytest.approx(stacked, abs=3)
 
     def test_profiler_and_ledger_agree_on_a_stacked_search(self):
-        """The second side is the region stream a recording of the same
-        search implies (what the performance model prices)."""
+        """The second side is the region log the same search kept (what
+        the performance model prices)."""
         from region_work import PATTERN_OPS, region_work
-        from repro.engines.recording import RecordingBackend
 
         lik, _ = _setup(4, 5, 32, "gamma", 4, False)
         lik.profiler = prof = OpProfiler()
-        backend = RecordingBackend(lik)
+        backend = SequentialBackend(lik)
         hill_climb(backend, SearchConfig(max_iterations=1, radius_max=2))
         work = region_work(backend.log, lik.parts)
         for op in PATTERN_OPS:

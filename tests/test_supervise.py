@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import partitioned_workload
-from repro.engines.launch import RunConfig, run_decentralized, run_forkjoin
+from repro.engines.launch import RunConfig, first_survivor, launch
 from repro.errors import CommError, MasterLostError
 from repro.obs.registry import RunRegistry, format_attempt_chain
 from repro.par.comm import InterceptingComm
@@ -212,8 +212,8 @@ class TestSupervisorLive:
     @pytest.fixture(scope="class")
     def decentral_ref(self, setup):
         parts, taxa, newick = setup
-        return run_decentralized(parts, taxa, newick, n_ranks=4,
-                                 config=CONVERGED)[0]
+        return launch(RunConfig("decentralized", parts, taxa, newick,
+                                n_ranks=4, config=CONVERGED))[0]
 
     def test_tier0_in_mesh_recovery_suffices(self, setup, decentral_ref,
                                              tmp_path):
@@ -278,8 +278,8 @@ class TestForkJoinMasterDeath:
     @pytest.fixture(scope="class")
     def forkjoin_ref(self, setup):
         parts, taxa, newick = setup
-        return run_forkjoin(parts, taxa, newick, n_ranks=3,
-                            config=CONVERGED)
+        return first_survivor(launch(RunConfig("forkjoin", parts, taxa, newick,
+                                               n_ranks=3, config=CONVERGED)))
 
     @pytest.fixture(scope="class")
     def late_kill(self, forkjoin_ref):
@@ -295,9 +295,10 @@ class TestForkJoinMasterDeath:
             epsilon=1e-6, branch_passes=3, checkpoint_every=1,
             checkpoint_path=str(tmp_path / "state.ckpt"))
         with pytest.raises(MasterLostError) as excinfo:
-            run_forkjoin(parts, taxa, newick, n_ranks=3, config=config,
-                         fault_plan=FaultPlan.kill(rank=0,
-                                                   at_call=late_kill))
+            launch(RunConfig("forkjoin", parts, taxa, newick, n_ranks=3,
+                             config=config,
+                             fault_plan=FaultPlan.kill(rank=0,
+                                                       at_call=late_kill)))
         err = excinfo.value
         assert err.checkpoint is not None and err.checkpoint.endswith(".npz")
         assert (tmp_path / "state.ckpt.npz").exists()
@@ -340,27 +341,27 @@ class TestMidSearchRestartEquivalence:
 
     def test_forkjoin_resume_matches_uninterrupted(self, setup, tmp_path):
         parts, taxa, newick = setup
-        ref = run_forkjoin(parts, taxa, newick, n_ranks=2,
-                           config=CONVERGED)
+        ref = first_survivor(launch(RunConfig("forkjoin", parts, taxa, newick,
+                                              n_ranks=2, config=CONVERGED)))
         ckpt = tmp_path / "fj.ckpt"
-        run_forkjoin(parts, taxa, newick, n_ranks=2,
-                     config=self._truncated(ckpt))
-        resumed = run_forkjoin(parts, taxa, newick, n_ranks=2,
-                               config=CONVERGED,
-                               resume_from=str(ckpt) + ".npz")
+        launch(RunConfig("forkjoin", parts, taxa, newick, n_ranks=2,
+                         config=self._truncated(ckpt)))
+        resumed = first_survivor(launch(RunConfig(
+            "forkjoin", parts, taxa, newick, n_ranks=2, config=CONVERGED,
+            resume_from=str(ckpt) + ".npz")))
         assert resumed.newick == ref.newick
         assert resumed.logl == pytest.approx(ref.logl, abs=1e-8)
 
     def test_decentralized_resume_matches_uninterrupted(self, setup,
                                                         tmp_path):
         parts, taxa, newick = setup
-        ref = run_decentralized(parts, taxa, newick, n_ranks=2,
-                                config=CONVERGED)[0]
+        ref = launch(RunConfig("decentralized", parts, taxa, newick, n_ranks=2,
+                               config=CONVERGED))[0]
         ckpt = tmp_path / "dc.ckpt"
-        run_decentralized(parts, taxa, newick, n_ranks=2,
-                          config=self._truncated(ckpt))
-        resumed = run_decentralized(parts, taxa, newick, n_ranks=2,
-                                    config=CONVERGED,
-                                    resume_from=str(ckpt) + ".npz")[0]
+        launch(RunConfig("decentralized", parts, taxa, newick, n_ranks=2,
+                         config=self._truncated(ckpt)))
+        resumed = launch(RunConfig("decentralized", parts, taxa, newick,
+                                   n_ranks=2, config=CONVERGED,
+                                   resume_from=str(ckpt) + ".npz"))[0]
         assert resumed.newick == ref.newick
         assert resumed.logl == pytest.approx(ref.logl, abs=1e-8)
