@@ -60,9 +60,13 @@ def test_overlap_hides_partition_traffic(benchmark, show):
 
 @pytest.mark.paper
 def test_overlap_matters_more_with_more_partitions():
-    """The payload grows with p, so the hideable share grows too."""
+    """The payload grows with p, so the hideable share grows too — while
+    p ≥ ranks.  The model pipelines over MPS, which needs at least one
+    partition per rank, so at 192 ranks the claim is tested on p = 200
+    and 500 (savings ≈ 0.075 and 0.138); below p = 192 the distribution
+    does not exist."""
     savings = []
-    for p in (50, 500):
+    for p in (200, 500):
         run = record_partitioned(p, "gamma")
         plain, pipelined = overlap_gain(run, RANKS)
         savings.append((plain - pipelined) / plain)

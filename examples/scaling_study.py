@@ -8,7 +8,7 @@ the paper's whole evaluation section, including a fault-tolerance drill.
 Run:  python examples/scaling_study.py            (couple of minutes)
 """
 
-from repro.bench import EXAML, RAXML_LIGHT, engine_pair, record_partitioned
+from repro.bench import engine_pair, record_partitioned
 from repro.engines.fault import recovery_time, redistribute_after_failure
 from repro.par.machine import HITS_CLUSTER
 from repro.perf.report import table1_rows

@@ -30,8 +30,6 @@ from repro.datasets import (
     partitioned_workload,
 )
 from repro.dist.distributions import DataDistribution, auto_distribution
-from repro.engines.decentral import DecentralizedCommModel
-from repro.engines.forkjoin import ForkJoinCommModel
 from repro.likelihood.backend import EventLog, SequentialBackend
 from repro.likelihood.partitioned import PartitionData, PartitionedLikelihood
 from repro.model.rates import PerSiteRates
@@ -46,14 +44,9 @@ __all__ = [
     "record_partitioned",
     "record_large_unpartitioned",
     "engine_pair",
-    "EXAML",
-    "RAXML_LIGHT",
 ]
 
 FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
-
-EXAML = DecentralizedCommModel()
-RAXML_LIGHT = ForkJoinCommModel()
 
 _CACHE: dict[tuple, "RecordedRun"] = {}
 
@@ -74,13 +67,15 @@ class RecordedRun:
 
     def runtime(
         self,
-        comm_model,
+        engine: str,
         n_ranks: int,
         machine: MachineSpec = HITS_CLUSTER,
         use_mps: bool | None = None,
     ) -> RuntimeReport:
+        """The log priced under ``engine`` (``"decentralized"`` or
+        ``"forkjoin"``) on ``n_ranks`` ranks."""
         dist = self.distribution(n_ranks, use_mps)
-        return simulate_runtime(self.log, comm_model, self.meta, machine, dist)
+        return simulate_runtime(self.log, engine, self.meta, machine, dist)
 
 
 def _search_config(rate_mode: str) -> SearchConfig:
@@ -194,6 +189,5 @@ def engine_pair(
     use_mps: bool | None = None,
 ) -> tuple[RuntimeReport, RuntimeReport]:
     """(ExaML report, RAxML-Light report) for one configuration."""
-    examl = run.runtime(EXAML, n_ranks, machine, use_mps)
-    light = run.runtime(RAXML_LIGHT, n_ranks, machine, use_mps)
-    return examl, light
+    return (run.runtime("decentralized", n_ranks, machine, use_mps),
+            run.runtime("forkjoin", n_ranks, machine, use_mps))

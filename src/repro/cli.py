@@ -441,7 +441,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.bench import EXAML, RAXML_LIGHT
     from repro.likelihood.backend import SequentialBackend
     from repro.likelihood.partitioned import PartitionedLikelihood
     from repro.perf.costmodel import WorkloadMeta
@@ -474,8 +473,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for ranks in args.ranks:
         dist = auto_distribution(meta.cost_patterns, ranks,
                                  use_mps=args.mps or None)
-        ex = simulate_runtime(backend.log, EXAML, meta, HITS_CLUSTER, dist)
-        li = simulate_runtime(backend.log, RAXML_LIGHT, meta, HITS_CLUSTER, dist)
+        ex = simulate_runtime(backend.log, "decentralized", meta, HITS_CLUSTER, dist)
+        li = simulate_runtime(backend.log, "forkjoin", meta, HITS_CLUSTER, dist)
         print(f"{ranks:>7}{ex.total_s:>12.3f}{li.total_s:>17.3f}"
               f"{li.total_s / ex.total_s:>9.2f}")
     return 0

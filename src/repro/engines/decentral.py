@@ -1,7 +1,7 @@
 """The de-centralized scheme (ExaML) — the paper's contribution.
 
-* :class:`DecentralizedCommModel` maps the abstract region stream onto the
-  ExaML communication pattern: **no** traversal-descriptor broadcasts, **no**
+* :func:`region_events` maps the abstract region stream onto the ExaML
+  communication pattern: **no** traversal-descriptor broadcasts, **no**
   parameter broadcasts, no master — only an ``MPI_Allreduce`` wherever the
   search needs a *global* quantity (the per-partition log likelihoods, the
   branch-length derivatives, and the tiny PSR normalization sums).
@@ -23,56 +23,41 @@ from repro.engines.forkjoin import (
     COMBINE_TAG,
     CommEvent,
 )
-from repro.likelihood.backend import EventLog, Region, RegionKind, SequentialBackend
+from repro.likelihood.backend import Region, RegionKind, SequentialBackend
 from repro.likelihood.partitioned import PartitionedLikelihood
 from repro.par.comm import Comm, ReduceOp
 
 __all__ = [
-    "DecentralizedCommModel",
+    "CATEGORIES",
+    "region_events",
     "DecentralizedBackend",
     "recover_decentralized",
 ]
 
 _DOUBLE = 8
 
+#: This engine's Table-I rows: no traversal descriptor, ever.
+CATEGORIES = (CAT_BL_OPT, CAT_LIKELIHOOD, CAT_MODEL)
 
-class DecentralizedCommModel:
-    """Region → collectives mapping for the de-centralized scheme.
+
+def region_events(region: Region) -> list[CommEvent]:
+    """The collectives the de-centralized scheme runs for ``region``.
 
     Regions that fork-join must synchronize (traversals, sumtable setup,
     parameter broadcasts, PSR scan steps) cost *nothing* here: each replica
     performs them locally.  Their compute still counts — the runtime
     synthesizer folds it into the interval ending at the next allreduce.
+    No ``bcast`` either, so no master packs anything serially.
     """
-
-    name = "de-centralized (ExaML)"
-
-    def region_events(self, region: Region) -> list[CommEvent]:
-        p = region.n_partitions
-        nbs = region.n_branch_sets
-        if region.kind is RegionKind.EVALUATE:
-            return [CommEvent("allreduce", _DOUBLE * p, CAT_LIKELIHOOD)]
-        if region.kind is RegionKind.DERIVATIVE:
-            return [CommEvent("allreduce", 2 * _DOUBLE * nbs, CAT_BL_OPT)]
-        if region.kind is RegionKind.PARAM_PSR:
-            return [CommEvent("allreduce", 2 * _DOUBLE * p, CAT_MODEL)]
-        return []
-
-    def serial_bytes(self, region: Region) -> float:
-        """No master, no serial packing: every replica prepares only its
-        own (local) state."""
-        return 0.0
-
-    def byte_totals(self, log: EventLog) -> dict[str, float]:
-        totals: dict[str, float] = {CAT_BL_OPT: 0.0, CAT_LIKELIHOOD: 0.0, CAT_MODEL: 0.0}
-        for region in log:
-            for ev in self.region_events(region):
-                totals[ev.category] += ev.nbytes
-        return totals
-
-    def region_count(self, log: EventLog) -> int:
-        """Number of *communicating* regions (allreduce sites)."""
-        return sum(1 for r in log if self.region_events(r))
+    p = region.n_partitions
+    nbs = region.n_branch_sets
+    if region.kind is RegionKind.EVALUATE:
+        return [CommEvent("allreduce", _DOUBLE * p, CAT_LIKELIHOOD)]
+    if region.kind is RegionKind.DERIVATIVE:
+        return [CommEvent("allreduce", 2 * _DOUBLE * nbs, CAT_BL_OPT)]
+    if region.kind is RegionKind.PARAM_PSR:
+        return [CommEvent("allreduce", 2 * _DOUBLE * p, CAT_MODEL)]
+    return []
 
 
 class DecentralizedBackend(SequentialBackend):

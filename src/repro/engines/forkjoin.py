@@ -2,11 +2,12 @@
 
 Two artifacts live here:
 
-* :class:`ForkJoinCommModel` — maps each abstract parallel region onto the
+* :func:`region_events` — maps each abstract parallel region onto the
   collectives and byte counts the fork-join scheme incurs: a traversal-
   descriptor broadcast for every likelihood region, parameter broadcasts,
-  and master-rooted reductions.  This regenerates Table I and feeds the
-  runtime synthesizer.
+  and master-rooted reductions.  Priced over a region log
+  (:func:`repro.engines.comm_totals`) it regenerates Table I, and it
+  feeds the runtime synthesizer.
 * :class:`ForkJoinMasterBackend` / :func:`forkjoin_worker` — a *real* distributed
   implementation over any :class:`~repro.par.comm.Comm`: rank 0 owns the
   tree and the search, workers own site data and execute broadcast
@@ -23,7 +24,6 @@ import numpy as np
 from repro.engines.runtime import RankRuntime
 from repro.errors import CommError
 from repro.likelihood.backend import (
-    EventLog,
     Region,
     RegionKind,
     SequentialBackend,
@@ -35,7 +35,8 @@ from repro.tree.traversal import EdgeDescriptor
 
 __all__ = [
     "CommEvent",
-    "ForkJoinCommModel",
+    "CATEGORIES",
+    "region_events",
     "CAT_TRAVERSAL",
     "CAT_BL_OPT",
     "CAT_LIKELIHOOD",
@@ -77,72 +78,41 @@ def descriptor_nbytes(n_ops: float, n_partitions: int) -> float:
     return _INT + n_ops * (4 * _INT + 2 * _DOUBLE * max(1, n_partitions))
 
 
-class ForkJoinCommModel:
-    """Region → collectives mapping for the fork-join scheme."""
+#: This engine's Table-I rows, in the table's order.
+CATEGORIES = (CAT_BL_OPT, CAT_LIKELIHOOD, CAT_MODEL, CAT_TRAVERSAL)
 
-    name = "fork-join (RAxML-Light)"
 
-    def region_events(self, region: Region) -> list[CommEvent]:
-        p = region.n_partitions
-        nbs = region.n_branch_sets
-        events: list[CommEvent] = []
-        if region.kind in (
-            RegionKind.TRAVERSE,
-            RegionKind.EVALUATE,
-            RegionKind.BRANCH_SETUP,
-            RegionKind.PSR_SCAN,
-        ):
-            events.append(
-                CommEvent(
-                    "bcast",
-                    descriptor_nbytes(region.max_ops(), p),
-                    CAT_TRAVERSAL,
-                )
-            )
-        if region.kind is RegionKind.EVALUATE:
-            events.append(CommEvent("reduce", _DOUBLE * p, CAT_LIKELIHOOD))
-        elif region.kind is RegionKind.DERIVATIVE:
-            # master proposes new branch length(s), workers answer with the
-            # two derivative sums per branch set
-            events.append(CommEvent("bcast", _DOUBLE * nbs, CAT_BL_OPT))
-            events.append(CommEvent("reduce", 2 * _DOUBLE * nbs, CAT_BL_OPT))
-        elif region.kind is RegionKind.PARAM_ALPHA:
-            events.append(CommEvent("bcast", _DOUBLE * p, CAT_MODEL))
-        elif region.kind is RegionKind.PARAM_GTR:
-            events.append(CommEvent("bcast", 6 * _DOUBLE * p, CAT_MODEL))
-        elif region.kind is RegionKind.PARAM_PSR:
-            # per-partition normalization sums come back, factors go out
-            events.append(CommEvent("reduce", 2 * _DOUBLE * p, CAT_MODEL))
-            events.append(CommEvent("bcast", _DOUBLE * p, CAT_MODEL))
-        elif region.kind is RegionKind.PSR_SCAN:
-            events.append(CommEvent("bcast", _DOUBLE, CAT_MODEL))
-        if region.kind in (RegionKind.TRAVERSE, RegionKind.BRANCH_SETUP):
-            events.append(CommEvent("barrier", 0.0, CAT_TRAVERSAL))
-        return events
-
-    def serial_bytes(self, region: Region) -> float:
-        """Bytes the master must serially assemble for this region while
-        the workers wait (the master-bottleneck term)."""
-        return sum(
-            ev.nbytes for ev in self.region_events(region)
-            if ev.collective == "bcast"
-        )
-
-    def byte_totals(self, log: EventLog) -> dict[str, float]:
-        """Bytes communicated per Table I category."""
-        totals = {
-            CAT_BL_OPT: 0.0,
-            CAT_LIKELIHOOD: 0.0,
-            CAT_MODEL: 0.0,
-            CAT_TRAVERSAL: 0.0,
-        }
-        for region in log:
-            for ev in self.region_events(region):
-                totals[ev.category] += ev.nbytes
-        return totals
-
-    def region_count(self, log: EventLog) -> int:
-        return len(log)
+def region_events(region: Region) -> list[CommEvent]:
+    """The collectives fork-join runs for ``region``.  Every kind
+    communicates, and the master packs each ``bcast`` payload serially
+    while the workers wait."""
+    p = region.n_partitions
+    nbs = region.n_branch_sets
+    events: list[CommEvent] = []
+    if region.kind in (RegionKind.TRAVERSE, RegionKind.EVALUATE,
+                       RegionKind.BRANCH_SETUP, RegionKind.PSR_SCAN):
+        events.append(CommEvent(
+            "bcast", descriptor_nbytes(region.max_ops(), p), CAT_TRAVERSAL))
+    if region.kind is RegionKind.EVALUATE:
+        events.append(CommEvent("reduce", _DOUBLE * p, CAT_LIKELIHOOD))
+    elif region.kind is RegionKind.DERIVATIVE:
+        # master proposes new branch length(s), workers answer with the
+        # two derivative sums per branch set
+        events.append(CommEvent("bcast", _DOUBLE * nbs, CAT_BL_OPT))
+        events.append(CommEvent("reduce", 2 * _DOUBLE * nbs, CAT_BL_OPT))
+    elif region.kind is RegionKind.PARAM_ALPHA:
+        events.append(CommEvent("bcast", _DOUBLE * p, CAT_MODEL))
+    elif region.kind is RegionKind.PARAM_GTR:
+        events.append(CommEvent("bcast", 6 * _DOUBLE * p, CAT_MODEL))
+    elif region.kind is RegionKind.PARAM_PSR:
+        # per-partition normalization sums come back, factors go out
+        events.append(CommEvent("reduce", 2 * _DOUBLE * p, CAT_MODEL))
+        events.append(CommEvent("bcast", _DOUBLE * p, CAT_MODEL))
+    elif region.kind is RegionKind.PSR_SCAN:
+        events.append(CommEvent("bcast", _DOUBLE, CAT_MODEL))
+    if region.kind in (RegionKind.TRAVERSE, RegionKind.BRANCH_SETUP):
+        events.append(CommEvent("barrier", 0.0, CAT_TRAVERSAL))
+    return events
 
 
 # ---------------------------------------------------------------------- #

@@ -575,12 +575,6 @@ class PartitionedLikelihood:
         self.parts[p].model = self.parts[p].model.with_rates(np.asarray(rates, float))
         self.invalidate_partition(p)
 
-    def set_frequencies(self, p: int, freqs: np.ndarray) -> None:
-        self.parts[p].model = self.parts[p].model.with_frequencies(
-            np.asarray(freqs, float)
-        )
-        self.invalidate_partition(p)
-
     def set_psr_rates(self, p: int, rates: np.ndarray) -> None:
         rate_het = self.parts[p].rate_het
         if not isinstance(rate_het, PerSiteRates):
@@ -593,15 +587,3 @@ class PartitionedLikelihood:
         if not isinstance(rate_het, DiscreteGamma):
             raise ModelError(f"partition {p} does not use the Γ model")
         return rate_het.alpha
-
-    # ------------------------------------------------------------------ #
-    # memory model hooks
-    # ------------------------------------------------------------------ #
-    def clv_bytes_per_inner_node(self) -> float:
-        """Virtual bytes of one inner-node CLV across all partitions —
-        the quantity behind the paper's 'Γ needs 4× PSR memory' point."""
-        total = 0.0
-        for part in self.parts:
-            n_states = part.model.n_states
-            total += part.cost_patterns * part.n_cats * n_states * 8
-        return total

@@ -1,6 +1,6 @@
 """Live observability: span tracing, metrics, trace export, reconciliation.
 
-The analytic layers (:mod:`repro.perf`, the engine comm models) *predict*
+The analytic layers (:mod:`repro.perf`, the engines' region events) *predict*
 where time and bytes go; this subsystem *measures* it on real
 multiprocess runs and closes the loop:
 
@@ -104,7 +104,7 @@ _EXPORTS = {
     ),
     "reconcile": (
         "DECENTRALIZED_REL_TOL", "FORKJOIN_REL_TOL", "CategoryDelta",
-        "ReconcileReport", "modeled_byte_totals", "reconcile_live_run",
+        "ReconcileReport", "reconcile_live_run",
     ),
     "registry": (
         "RunRegistry", "compare_runs", "format_compare_table", "runs_root",

@@ -1,16 +1,15 @@
 """Model-vs-measured reconciliation: the repro's first empirical check of
 the paper's Table-I mechanism.
 
-The analytic communication models
-(:class:`~repro.engines.forkjoin.ForkJoinCommModel`,
-:class:`~repro.engines.decentral.DecentralizedCommModel`) *predict* the
-bytes each engine moves per Table-I category; a live multiprocess run
-*measures* them (``Comm.bytes_by_tag``, fed by the same
+Each engine's ``region_events`` (:data:`repro.engines.ENGINES`)
+*predicts* the bytes and collective calls it moves per Table-I
+category; a live multiprocess run *measures* them
+(``Comm.bytes_by_tag``, fed by the same
 :func:`~repro.par.comm.payload_nbytes` used for wire accounting).  The
 rank that measured also counted the parallel regions it ran
 (``DistributedResult.log``), so this module prices *that* region log
-with the engine's model and compares per category: two columns of one
-run, with no second search.
+(:func:`repro.engines.comm_totals`) and compares per category: two
+columns of one run, with no second search.
 
 What "matching" means, per engine:
 
@@ -34,10 +33,11 @@ from typing import Any
 
 import numpy as np
 
+from repro.engines import comm_totals
+
 __all__ = [
     "CategoryDelta",
     "ReconcileReport",
-    "modeled_byte_totals",
     "reconcile",
     "reconcile_live_run",
     "DECENTRALIZED_REL_TOL",
@@ -161,33 +161,6 @@ class ReconcileReport:
         }
 
 
-def _comm_model(engine: str):
-    if engine == "decentralized":
-        from repro.engines.decentral import DecentralizedCommModel
-
-        return DecentralizedCommModel()
-    if engine == "forkjoin":
-        from repro.engines.forkjoin import ForkJoinCommModel
-
-        return ForkJoinCommModel()
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-def modeled_byte_totals(log, engine: str):
-    """Price the region ``log`` with the model of ``engine``.
-
-    Returns ``(byte_totals, call_counts)`` where ``call_counts`` maps
-    each category to the number of collectives the model assigns to it.
-    """
-    model = _comm_model(engine)
-    totals = model.byte_totals(log)
-    calls: dict[str, int] = {cat: 0 for cat in totals}
-    for region in log:
-        for ev in model.region_events(region):
-            calls[ev.category] = calls.get(ev.category, 0) + 1
-    return totals, calls
-
-
 def reconcile(
     measured_bytes_by_tag: dict[str, float],
     modeled_totals: dict[str, float],
@@ -234,14 +207,14 @@ def reconcile_live_run(
 ) -> ReconcileReport:
     """Reconcile one rank's result of a live ``engine`` run (a
     :class:`~repro.engines.launch.DistributedResult`): its own region log
-    priced by the model, against the bytes and collective calls the same
-    rank measured."""
-    totals, calls = modeled_byte_totals(result.log, engine)
+    priced under ``engine``, against the bytes and collective calls the
+    same rank measured."""
+    modeled = comm_totals(result.log, engine)
     return reconcile(
         result.bytes_by_tag,
-        totals,
+        modeled.nbytes,
         engine,
         measured_calls_by_tag=result.calls_by_tag,
-        modeled_calls=calls,
+        modeled_calls=modeled.calls,
         measured_rank=measured_rank,
     )

@@ -4,7 +4,7 @@ communication-byte breakdowns and memory footprints."""
 
 from repro.perf.costmodel import WorkloadMeta, memory_footprint_per_node, swap_multiplier
 from repro.perf.runtime_sim import RuntimeReport, simulate_runtime
-from repro.perf.report import format_table1, format_runtime_table
+from repro.perf.report import format_table1
 from repro.perf.scaling import PredictedScaling, predict_scaling, predicted_ordering
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "RuntimeReport",
     "simulate_runtime",
     "format_table1",
-    "format_runtime_table",
     "PredictedScaling",
     "predict_scaling",
     "predicted_ordering",

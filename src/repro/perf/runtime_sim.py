@@ -7,7 +7,8 @@ For every recorded region the synthesizer prices
   distribution (times the swap multiplier when the working set exceeds
   node RAM);
 * **communication**: the analytic cost of the collectives the engine's
-  communication model assigns to that region.
+  ``region_events`` assigns to that region (:data:`repro.engines.ENGINES`),
+  plus the master's serial packing of its ``bcast`` payloads.
 
 Fork-join synchronizes at *every* region; the de-centralized scheme only
 at its allreduce sites — non-communicating regions' compute is folded
@@ -18,10 +19,11 @@ communication time: the paper's effect, reproduced mechanically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engines import ENGINES
 from repro.errors import ReproError
 from repro.likelihood.backend import EventLog
 from repro.par.machine import MachineSpec
@@ -45,17 +47,10 @@ class RuntimeReport:
     compute_s: float
     comm_s: float
     swap_factor: float
-    n_regions: int
-    n_communicating_regions: int
-    bytes_by_category: dict[str, float] = field(default_factory=dict)
 
     @property
     def total_s(self) -> float:
         return self.compute_s + self.comm_s
-
-    @property
-    def total_bytes(self) -> float:
-        return sum(self.bytes_by_category.values())
 
     def __repr__(self) -> str:
         return (
@@ -67,19 +62,20 @@ class RuntimeReport:
 
 def simulate_runtime(
     log: EventLog,
-    comm_model,
+    engine: str,
     meta: WorkloadMeta,
     machine: MachineSpec,
     dist,
-    engine_name: str | None = None,
 ) -> RuntimeReport:
-    """Price a recorded run for one engine on one machine configuration."""
+    """Price a recorded run for ``engine`` (a ``RunConfig`` engine name)
+    on one machine configuration."""
     if dist.n_partitions != meta.n_partitions:
         raise ReproError("distribution does not match workload")
     n_ranks = dist.n_ranks
     if n_ranks > machine.total_cores:
         raise ReproError(f"{n_ranks} ranks exceed machine size")
 
+    events_of, _ = ENGINES[engine]
     second_vectors = rank_second_vectors(meta, machine, dist)
     # Uniform-region fast path: max_r of (sum_op c_op * B_op[r]).  All the
     # B_op share the same per-rank shape (they differ by the scalar ns), so
@@ -89,8 +85,6 @@ def simulate_runtime(
     sfactor = swap_multiplier(meta, machine, dist)
     compute_s = 0.0
     comm_s = 0.0
-    bytes_by_cat: dict[str, float] = {}
-    n_communicating = 0
 
     for region in log:
         kernel_ops = region.kernel_ops()
@@ -103,24 +97,19 @@ def simulate_runtime(
                 region_compute += count * max_seconds_per_op[op]
         compute_s += region_compute
 
-        events = comm_model.region_events(region)
+        events = events_of(region)
         if events:
-            n_communicating += 1
             comm_s += machine.region_sync_noise(n_ranks)
-        serial = getattr(comm_model, "serial_bytes", None)
-        if serial is not None and n_ranks > 1:
-            comm_s += serial(region) * machine.master_pack_s_per_byte
+        if n_ranks > 1:
+            serial = sum(ev.nbytes for ev in events if ev.collective == "bcast")
+            comm_s += serial * machine.master_pack_s_per_byte
         for ev in events:
             comm_s += collective_time(machine, n_ranks, ev.collective, ev.nbytes)
-            bytes_by_cat[ev.category] = bytes_by_cat.get(ev.category, 0.0) + ev.nbytes
 
     return RuntimeReport(
-        engine=engine_name or getattr(comm_model, "name", "engine"),
+        engine=engine,
         n_ranks=n_ranks,
         compute_s=compute_s * sfactor,
         comm_s=comm_s,
         swap_factor=sfactor,
-        n_regions=len(log),
-        n_communicating_regions=n_communicating,
-        bytes_by_category=bytes_by_cat,
     )

@@ -2,10 +2,10 @@
 
 ``repro scale`` (:mod:`repro.obs.scaling`) measures speedup/efficiency
 from live traced runs; this module produces the *analytic* counterpart
-from the same search — the region log a live run kept, priced with both
-engines' communication models on a reference machine — so the measured
-report can state whether the paper's predicted ordering (de-centralized
-beats fork-join, and by how much per rank count) holds empirically.
+from the same search — the region log a live run kept, priced under
+both engines on a reference machine — so the measured report can state
+whether the paper's predicted ordering (de-centralized beats fork-join,
+and by how much per rank count) holds empirically.
 
 Absolute seconds are for the modeled cluster, not the test host; only
 the *orderings* and *trends* (which engine is comm-heavier, how speedup
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.dist.distributions import auto_distribution
+from repro.engines import ENGINES
 from repro.likelihood.backend import EventLog
 from repro.par.machine import HITS_CLUSTER, MachineSpec
 from repro.perf.costmodel import WorkloadMeta
@@ -76,24 +77,13 @@ def predict_scaling(
 ) -> PredictedScaling:
     """Price the region ``log`` of one search of the workload ``meta``
     for both engines at every rank count under ``dist_kind``."""
-    from repro.engines.decentral import DecentralizedCommModel
-    from repro.engines.forkjoin import ForkJoinCommModel
-
-    models = {
-        "decentralized": DecentralizedCommModel(),
-        "forkjoin": ForkJoinCommModel(),
-    }
     out = PredictedScaling(dist_kind=dist_kind, machine=machine.name)
-    for engine, model in models.items():
-        per_ranks: dict[int, RuntimeReport] = {}
-        for n in sorted(set(ranks_list)):
-            dist = auto_distribution(
-                meta.cost_patterns, n, use_mps=(dist_kind == "mps")
-            )
-            per_ranks[n] = simulate_runtime(
-                log, model, meta, machine, dist, engine_name=engine
-            )
-        out.reports[engine] = per_ranks
+    for engine in ENGINES:
+        out.reports[engine] = {
+            n: simulate_runtime(log, engine, meta, machine, auto_distribution(
+                meta.cost_patterns, n, use_mps=(dist_kind == "mps")))
+            for n in sorted(set(ranks_list))
+        }
     return out
 
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro import bench
-from repro.engines.decentral import DecentralizedCommModel
-from repro.engines.forkjoin import ForkJoinCommModel
+from repro.engines import comm_totals, decentral, forkjoin
 from repro.par.machine import HITS_CLUSTER
 
 
@@ -38,8 +37,8 @@ class TestRecordedRun:
         assert forced.kind == "mps"
 
     def test_runtime_reports(self, run):
-        ex = run.runtime(bench.EXAML, 192)
-        li = run.runtime(bench.RAXML_LIGHT, 192)
+        ex = run.runtime("decentralized", 192)
+        li = run.runtime("forkjoin", 192)
         assert ex.total_s > 0
         assert li.comm_s > ex.comm_s
         assert ex.compute_s == pytest.approx(li.compute_s)
@@ -51,8 +50,8 @@ class TestRecordedRun:
 
     def test_machine_override(self, run):
         small_ram = HITS_CLUSTER.with_ram(32 * 1024**2)  # 32 MiB nodes
-        ex_small = run.runtime(bench.EXAML, 48, machine=small_ram)
-        ex_big = run.runtime(bench.EXAML, 48)
+        ex_small = run.runtime("decentralized", 48, machine=small_ram)
+        ex_big = run.runtime("decentralized", 48)
         assert ex_small.swap_factor > ex_big.swap_factor
         assert ex_small.total_s > ex_big.total_s
 
@@ -61,20 +60,18 @@ class TestEngineContract:
     def test_models_disagree_only_on_communication(self, run):
         """Both engines price identical compute; all divergence is comm —
         the paper's controlled-comparison property, enforced."""
-        fj = ForkJoinCommModel()
-        dc = DecentralizedCommModel()
         for region in list(run.log)[:200]:
-            fj_events = fj.region_events(region)
-            dc_events = dc.region_events(region)
+            fj_events = forkjoin.region_events(region)
+            dc_events = decentral.region_events(region)
             # decentralized never out-communicates fork-join
             assert sum(e.nbytes for e in dc_events) <= max(
                 sum(e.nbytes for e in fj_events), 1e-9
             ) or not fj_events
 
-    def test_fork_join_byte_totals_cover_all_bytes(self, run):
-        fj = ForkJoinCommModel()
-        totals = fj.byte_totals(run.log)
+    def test_fork_join_totals_cover_all_bytes(self, run):
+        totals = comm_totals(run.log, "forkjoin")
         per_region = sum(
-            e.nbytes for r in run.log for e in fj.region_events(r)
+            e.nbytes for r in run.log for e in forkjoin.region_events(r)
         )
-        assert sum(totals.values()) == pytest.approx(per_region)
+        assert sum(totals.nbytes.values()) == pytest.approx(per_region)
+        assert totals.regions == len(run.log)

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.engines.decentral import DecentralizedCommModel
-from repro.engines import EventLog, Region, RegionKind
+from repro.engines import EventLog, Region, RegionKind, comm_totals, decentral
 from repro.engines.forkjoin import (
     CAT_BL_OPT,
     CAT_LIKELIHOOD,
     CAT_MODEL,
     CAT_TRAVERSAL,
-    ForkJoinCommModel,
     descriptor_nbytes,
+    region_events,
 )
 
 
@@ -32,27 +31,31 @@ class TestDescriptorBytes:
         assert descriptor_nbytes(5, 1) == 4 + 5 * (16 + 16)
 
 
+def fj_bytes(log):
+    return sum(comm_totals(log, "forkjoin").nbytes.values())
+
+
 class TestForkJoinMapping:
-    model = ForkJoinCommModel()
+    events = staticmethod(region_events)
 
     def test_every_likelihood_region_broadcasts_a_descriptor(self):
         for kind in (RegionKind.TRAVERSE, RegionKind.EVALUATE,
                      RegionKind.BRANCH_SETUP, RegionKind.PSR_SCAN):
-            events = self.model.region_events(region(kind))
+            events = self.events(region(kind))
             assert any(
                 e.collective == "bcast" and e.category == CAT_TRAVERSAL
                 for e in events
             )
 
     def test_evaluate_reduces_per_partition_likelihoods(self):
-        events = self.model.region_events(region(RegionKind.EVALUATE, p=37))
+        events = self.events(region(RegionKind.EVALUATE, p=37))
         reduce = [e for e in events if e.collective == "reduce"]
         assert reduce[0].nbytes == 8 * 37
         assert reduce[0].category == CAT_LIKELIHOOD
 
     def test_derivative_bytes_scale_with_branch_sets(self):
-        joint = self.model.region_events(region(RegionKind.DERIVATIVE, nbs=1))
-        per_part = self.model.region_events(
+        joint = self.events(region(RegionKind.DERIVATIVE, nbs=1))
+        per_part = self.events(
             region(RegionKind.DERIVATIVE, nbs=100)
         )
         assert sum(e.nbytes for e in per_part) == 100 * sum(
@@ -61,25 +64,33 @@ class TestForkJoinMapping:
         assert all(e.category == CAT_BL_OPT for e in joint)
 
     def test_param_broadcasts(self):
-        alpha = self.model.region_events(region(RegionKind.PARAM_ALPHA, p=50))
+        alpha = self.events(region(RegionKind.PARAM_ALPHA, p=50))
         assert alpha[0].nbytes == 8 * 50
-        gtr = self.model.region_events(region(RegionKind.PARAM_GTR, p=50))
+        gtr = self.events(region(RegionKind.PARAM_GTR, p=50))
         assert gtr[0].nbytes == 6 * 8 * 50
         assert all(e.category == CAT_MODEL for e in alpha + gtr)
 
-    def test_byte_totals_has_all_categories(self):
+    def test_totals_have_all_categories(self):
         log = EventLog([region(RegionKind.EVALUATE), region(RegionKind.DERIVATIVE)])
-        totals = self.model.byte_totals(log)
-        assert set(totals) == {CAT_BL_OPT, CAT_LIKELIHOOD, CAT_MODEL, CAT_TRAVERSAL}
+        totals = comm_totals(log, "forkjoin")
+        assert set(totals.nbytes) == set(totals.calls) == {
+            CAT_BL_OPT, CAT_LIKELIHOOD, CAT_MODEL, CAT_TRAVERSAL}
+        assert totals.calls == {CAT_BL_OPT: 2, CAT_LIKELIHOOD: 1, CAT_MODEL: 0,
+                                CAT_TRAVERSAL: 1}
+
+    def test_every_kind_communicates(self):
+        """So the fork-join walk counts every region of a log."""
+        log = EventLog([region(kind) for kind in RegionKind])
+        assert comm_totals(log, "forkjoin").regions == len(log) == len(RegionKind)
 
 
 class TestDecentralizedMapping:
-    model = DecentralizedCommModel()
+    events = staticmethod(decentral.region_events)
 
     def test_no_descriptor_broadcasts_ever(self):
         # the paper's contribution in one assertion
         for kind in RegionKind:
-            events = self.model.region_events(
+            events = self.events(
                 region(kind, p=1000, nbs=1000, ops=50.0)
             )
             assert all(e.collective == "allreduce" for e in events)
@@ -89,20 +100,29 @@ class TestDecentralizedMapping:
         for kind in (RegionKind.TRAVERSE, RegionKind.BRANCH_SETUP,
                      RegionKind.PARAM_ALPHA, RegionKind.PARAM_GTR,
                      RegionKind.PSR_SCAN):
-            assert self.model.region_events(region(kind)) == []
+            assert self.events(region(kind)) == []
 
     def test_allreduce_sites(self):
-        ev = self.model.region_events(region(RegionKind.EVALUATE, p=10))
+        ev = self.events(region(RegionKind.EVALUATE, p=10))
         assert ev[0].nbytes == 80
-        dv = self.model.region_events(region(RegionKind.DERIVATIVE, nbs=10))
+        dv = self.events(region(RegionKind.DERIVATIVE, nbs=10))
         assert dv[0].nbytes == 160
 
-    def test_region_count_counts_only_communication(self):
+    def test_communicating_regions_counts_only_allreduce_sites(self):
         log = EventLog(
             [region(RegionKind.TRAVERSE), region(RegionKind.EVALUATE)]
         )
-        assert self.model.region_count(log) == 1
-        assert ForkJoinCommModel().region_count(log) == 2
+        assert comm_totals(log, "decentralized").regions == 1
+        assert comm_totals(log, "forkjoin").regions == 2
+
+    def test_model_row_stays_without_psr(self):
+        """A log with no PSR region keeps a zero ``model parameters`` row:
+        the category set is the engine's, not the log's."""
+        log = EventLog([region(RegionKind.EVALUATE), region(RegionKind.PARAM_ALPHA)])
+        totals = comm_totals(log, "decentralized")
+        assert totals.nbytes == {CAT_BL_OPT: 0.0, CAT_LIKELIHOOD: 80.0,
+                                 CAT_MODEL: 0.0}
+        assert totals.calls[CAT_MODEL] == 0
 
 
 class TestPaperInequalities:
@@ -121,27 +141,24 @@ class TestPaperInequalities:
 
     def test_decentralized_moves_far_fewer_bytes(self):
         log = self._stream(p=100, nbs=1)
-        fj = sum(ForkJoinCommModel().byte_totals(log).values())
-        dc = sum(DecentralizedCommModel().byte_totals(log).values())
-        assert dc < fj / 10
+        dc = sum(comm_totals(log, "decentralized").nbytes.values())
+        assert dc < fj_bytes(log) / 10
 
     def test_traversal_dominates_forkjoin_with_joint_branches(self):
         log = self._stream(p=100, nbs=1)
-        totals = ForkJoinCommModel().byte_totals(log)
+        totals = comm_totals(log, "forkjoin").nbytes
         grand = sum(totals.values())
         assert totals[CAT_TRAVERSAL] / grand > 0.5
 
     def test_per_partition_branches_shift_bytes_to_bl_opt(self):
-        joint = ForkJoinCommModel().byte_totals(self._stream(p=100, nbs=1))
-        pp = ForkJoinCommModel().byte_totals(self._stream(p=100, nbs=100))
+        joint = comm_totals(self._stream(p=100, nbs=1), "forkjoin").nbytes
+        pp = comm_totals(self._stream(p=100, nbs=100), "forkjoin").nbytes
         share_joint = joint[CAT_BL_OPT] / sum(joint.values())
         share_pp = pp[CAT_BL_OPT] / sum(pp.values())
         assert share_pp > 5 * share_joint
 
     def test_bytes_grow_with_partition_count(self):
-        small = sum(ForkJoinCommModel().byte_totals(self._stream(10, 1)).values())
-        big = sum(ForkJoinCommModel().byte_totals(self._stream(1000, 1)).values())
-        assert big > 50 * small
+        assert fj_bytes(self._stream(1000, 1)) > 50 * fj_bytes(self._stream(10, 1))
 
 
 class TestEventLog:

@@ -9,8 +9,7 @@ from repro.errors import CommError
 from repro.likelihood.backend import SequentialBackend
 from repro.likelihood.partitioned import PartitionedLikelihood
 from repro.obs.hotspots import OpProfiler
-from repro.perf.report import format_runtime_table, format_table1, table1_rows
-from repro.perf.runtime_sim import RuntimeReport
+from repro.perf.report import format_table1, table1_rows
 from repro.tree.traversal import full_traversal
 
 from region_work import region_work
@@ -110,13 +109,6 @@ class TestReportFormatting:
         assert "traversal descriptor [%]" in text
         assert "Γ, joint" in text
         assert len(text.splitlines()) == 7
-
-    def test_format_runtime_table(self):
-        ex = RuntimeReport("ExaML", 192, 10.0, 1.0, 1.0, 5, 5)
-        li = RuntimeReport("Light", 192, 10.0, 5.0, 1.0, 5, 5)
-        text = format_runtime_table([("p=100, Γ", ex, li)])
-        assert "1.36" in text  # 15/11
-        assert "p=100" in text
 
     def test_empty_log(self):
         rows = table1_rows(EventLog())

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from repro.datasets import partitioned_workload
+from repro.engines import comm_totals
 from repro.engines.forkjoin import (
     CAT_BL_OPT,
     CAT_LIKELIHOOD,
     CAT_MODEL,
     CAT_TRAVERSAL,
-    ForkJoinCommModel,
 )
 from repro.engines.launch import RunConfig, first_survivor, launch
 from repro.obs.reconcile import (
@@ -42,7 +42,7 @@ def master():
 
 @pytest.fixture(scope="module")
 def measured_and_modeled(master):
-    return master.bytes_by_tag, ForkJoinCommModel().byte_totals(master.log)
+    return master.bytes_by_tag, comm_totals(master.log, "forkjoin").nbytes
 
 
 class TestModelAgainstWire:
@@ -83,7 +83,7 @@ class TestDecentralizedReconciliation:
     """The strong version of the cross-validation, via ``obs.reconcile``:
     every decentralized collective is an allreduce of a flat float64
     array whose size the model knows, so a *non-root* rank's measured
-    bytes must match the :class:`DecentralizedCommModel` **exactly**
+    bytes must match the de-centralized ``region_events`` **exactly**
     (MPComm composes allreduce = reduce + bcast and only the root
     additionally accounts the broadcast result)."""
 

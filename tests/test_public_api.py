@@ -1,9 +1,14 @@
 """Package-level API and error-hierarchy tests."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 import repro
 from repro import errors
+
+EXAMPLES = sorted((Path(__file__).parent.parent / "examples").glob("*.py"))
 
 
 class TestErrorHierarchy:
@@ -45,10 +50,10 @@ class TestTopLevelExports:
 
     def test_engine_surface(self):
         from repro.engines import (  # noqa: F401
-            DecentralizedCommModel,
+            ENGINES,
             EventLog,
-            ForkJoinCommModel,
             Region,
+            comm_totals,
         )
         from repro.engines.launch import (  # noqa: F401
             RunConfig,
@@ -65,3 +70,13 @@ class TestTopLevelExports:
             if not (module.__doc__ or "").strip():
                 undocumented.append(mod.name)
         assert not undocumented, undocumented
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=[p.stem for p in EXAMPLES])
+def test_example_imports(path):
+    """Every example guards ``main``, so importing one runs nothing but
+    its imports: a renamed API fails here, not in the example."""
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro import bench
 from repro.datasets import partitioned_workload
+from repro.engines import comm_totals
 from repro.engines.decentral import DecentralizedBackend
 from repro.engines.forkjoin import (
     CAT_BL_OPT,
@@ -196,8 +197,10 @@ def test_table1_region_stream_is_pinned(mode, minus_m):
     assert len(log) == n_regions
     assert {k.value: log.count(k) for k in RegionKind if log.count(k)} == kinds
     assert sum(r.max_ops() for r in log) == ops
-    assert bench.EXAML.byte_totals(log) == examl_bytes
-    assert bench.RAXML_LIGHT.byte_totals(log) == light_bytes
+    assert comm_totals(log, "decentralized").nbytes == examl_bytes
+    light = comm_totals(log, "forkjoin")
+    assert light.nbytes == light_bytes
+    assert light.regions == n_regions
 
 
 # --------------------------------------------------------------------- #
@@ -253,10 +256,12 @@ def test_one_rank_of_any_engine_is_the_sequential_program(seed, g, mode, minus_m
     # model assigns to the region log, call for call, byte for byte
     log = seq.log
     comm = runs["decentralized"][0].comm
+    modeled = comm_totals(log, "decentralized")
     assert dict(comm.bytes_by_tag) == {
-        cat: nbytes for cat, nbytes in bench.EXAML.byte_totals(log).items()
-        if nbytes}
-    assert sum(comm.calls_by_tag.values()) == bench.EXAML.region_count(log)
+        cat: nbytes for cat, nbytes in modeled.nbytes.items() if nbytes}
+    assert dict(comm.calls_by_tag) == {
+        cat: calls for cat, calls in modeled.calls.items() if calls}
+    assert sum(comm.calls_by_tag.values()) == modeled.regions
 
 
 # --------------------------------------------------------------------- #
