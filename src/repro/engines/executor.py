@@ -27,11 +27,14 @@ accounting per partition for memory attribution.
 
 from __future__ import annotations
 
+from collections.abc import Container
+
 import numpy as np
 
 from repro.errors import CommError, LikelihoodError
 from repro.likelihood.partitioned import PartitionData
 from repro.likelihood.stack import (
+    Op,
     build_stacks,
     clv_stats,
     derivatives_of_stacks,
@@ -68,13 +71,16 @@ class DescriptorExecutor:
     def n_partitions(self) -> int:
         return len(self.parts)
 
-    def _ref(self, node_id: int, toward_id: int) -> int | tuple[int, int]:
-        """Stack operand reference of ``node_id`` seen from ``toward_id``."""
+    def _ref(self, node_id: int, toward_id: int,
+             made: Container[tuple[int, int]] = ()) -> int | tuple[int, int]:
+        """Stack operand reference of ``node_id`` seen from ``toward_id``:
+        a tip, a stored CLV or one of ``made`` (the CLVs earlier ops of the
+        same descriptor produce)."""
         row = self.node_taxon.get(node_id)
         if row is not None:
             return row
         key = (node_id, toward_id)
-        if self.stacks and key not in self.stacks[0].clvs:
+        if self.stacks and key not in made and key not in self.stacks[0].clvs:
             raise CommError(
                 f"descriptor references unknown CLV ({node_id}->{toward_id})"
             )
@@ -82,12 +88,15 @@ class DescriptorExecutor:
 
     def run_ops(self, wire: list[tuple]) -> None:
         """Execute a wire descriptor (every partition with local patterns,
-        dependency order)."""
+        dependency order): one traversal per stack."""
+        ops: list[Op] = []
+        made: set[tuple[int, int]] = set()
         for node_id, toward_id, a_id, b_id, ta, tb in wire:
-            a = self._ref(a_id, node_id)
-            b = self._ref(b_id, node_id)
-            for stack in self.stacks:
-                stack.newview((node_id, toward_id), a, b, ta, tb, self.profiler)
+            ops.append(((node_id, toward_id), self._ref(a_id, node_id, made),
+                        self._ref(b_id, node_id, made), ta, tb, None))
+            made.add((node_id, toward_id))
+        for stack in self.stacks:
+            stack.traverse(ops, self.profiler)
 
     def evaluate(
         self, u_id: int, v_id: int, t_root: np.ndarray

@@ -14,11 +14,14 @@ Shapes
 ------
 Every array may carry leading *stack* axes (written ``...`` below): a
 :class:`~repro.likelihood.stack.PartitionStack` runs each kernel once for
-all partitions of one shape, stacked on one leading axis.  Every
-contraction is an ``np.matmul`` over those axes, which runs one GEMM per
-stacked item and never reduces across the stack, so an item's result does
-not depend on what else is in the call — the property that keeps a rank
-holding 8 genes bitwise equal to a rank holding 16.
+all partitions of one shape, stacked on one leading axis, and builds the
+P matrices of many traversal ops in one :func:`pmatrices` call, with the
+ops and both children as two more leading axes.  Every contraction is an
+``np.matmul`` over those axes, which runs one GEMM per stacked item and
+never reduces across the stack, so an item's result does not depend on
+what else is in the call — the property that keeps a rank holding 8 genes
+bitwise equal to a rank holding 16, and a traversal built in one call
+equal to one built op by op.
 
 * CLVs: ``(..., n_patterns, n_cats, n_states)`` float64.  PSR uses
   ``n_cats == 1``.
@@ -59,8 +62,8 @@ _LH_FLOOR = 1e-300
 
 
 def _check_branch(t: np.ndarray) -> None:
-    if t.min() < 0:
-        raise LikelihoodError(f"negative branch length {t}")
+    if not t.min() >= 0:  # NaN compares false
+        raise LikelihoodError(f"negative or NaN branch length in {t}")
 
 
 def pmatrices(eigen, t, rates: np.ndarray) -> np.ndarray:
@@ -69,15 +72,16 @@ def pmatrices(eigen, t, rates: np.ndarray) -> np.ndarray:
     ``rates`` of shape ``(..., n_cats)`` (Γ / uniform) yields
     ``(..., n_cats, n, n)``; shape ``(..., n_patterns)`` (PSR) yields
     ``(..., n_patterns, n, n)``.  ``t`` is one length per stacked item;
-    ``eigen``'s arrays carry the same leading axes.
+    ``eigen``'s arrays carry the trailing ones of its leading axes, so one
+    call serves a whole ``(ops, 2, g)`` batch of branches.
     """
     t = np.asarray(t, dtype=np.float64)
     _check_branch(t)
     arg = np.asarray(rates, dtype=np.float64) * t[..., None]
-    expo = np.exp(arg[..., None] * eigen.eigenvalues[..., None, :])
     # P = left · diag(expo) · right: scale left's columns, then one GEMM
-    # per item serves all of its rates
-    scaled = eigen.left[..., None, :, :] * expo[..., None, :]
+    # per item serves all of its rates (expo is freed before the GEMM)
+    scaled = eigen.left[..., None, :, :] * np.exp(
+        arg[..., None] * eigen.eigenvalues[..., None, :])[..., None, :]
     n = scaled.shape[-1]
     flat = scaled.reshape(scaled.shape[:-3] + (-1, n))
     return np.matmul(flat, eigen.right).reshape(scaled.shape)
@@ -95,7 +99,8 @@ def _apply(p: np.ndarray, child: np.ndarray, site_specific: bool) -> np.ndarray:
     ``(n_patterns, n_cats·n)`` times the block-diagonal of the ``Pᵀ``
     (``n_cats`` times the multiplies of a per-category contraction, and
     several times faster); a tip, which has no category axis, is
-    ``(n_patterns, n)`` times the ``Pᵀ`` side by side.
+    ``(n_patterns, n)`` times the ``Pᵀ`` side by side.  Both operands are
+    filled straight from ``p`` by one strided copy.
     """
     is_tip = child.ndim == p.ndim - 1
     lead, (c, n) = p.shape[:-3], p.shape[-3:-1]
@@ -108,15 +113,16 @@ def _apply(p: np.ndarray, child: np.ndarray, site_specific: bool) -> np.ndarray:
             child = child[..., 0, :]
         return np.matmul(p, child[..., None])[..., None, :, 0]
     if is_tip:
-        rhs = np.moveaxis(p, -1, -3).reshape(lead + (n, c * n))
+        # (c, x, y) -> (y, c, x): row y holds every category's column y
+        rhs = p.swapaxes(-1, -2).swapaxes(-2, -3).reshape(lead + (n, c * n))
         return np.matmul(child, rhs).reshape(child.shape[:-1] + (c, n))
     if child.shape[-2] != c:
         raise LikelihoodError(
             f"CLV has {child.shape[-2]} categories but P has {c}"
         )
     rhs = np.zeros(lead + (c, n, c, n))
-    for k in range(c):
-        rhs[..., k, :, k, :] = np.swapaxes(p[..., k, :, :], -1, -2)
+    # einsum's block diagonal is a writable view: one copy fills it
+    np.einsum("...kakb->...kab", rhs)[...] = p.swapaxes(-1, -2)
     flat = child.reshape(child.shape[:-2] + (c * n,))
     return np.matmul(flat, rhs.reshape(lead + (c * n, c * n))).reshape(child.shape)
 
@@ -144,11 +150,13 @@ def newview(
     if scale_b is not None:
         scale += scale_b
     # Rescale patterns whose magnitude dropped below threshold.  A pattern's
-    # maximum is at least its mean, so a row sum (one GEMV) of twice the
-    # threshold per entry rules the pattern out; the exact maximum is only
-    # taken when some pattern is not ruled out (NaN compares false).
+    # maximum is at least its mean, so a row sum of twice the threshold per
+    # entry rules the pattern out — one GEMV over every row of the stack;
+    # the exact maximum is only taken when some pattern is not ruled out
+    # (NaN compares false).
     width = flat.shape[-1]
-    if not np.all(np.matmul(flat, np.ones(width)) >= 2.0 * width * SCALE_THRESHOLD):
+    sums = np.matmul(flat.reshape(-1, width), np.ones(width))
+    if not (sums >= 2.0 * width * SCALE_THRESHOLD).all():
         m = flat.max(axis=-1)
         tiny = (m < SCALE_THRESHOLD) & (m > 0)
         if np.any(tiny):

@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.errors import LikelihoodError, ModelError, TreeError
 from repro.likelihood.stack import (
+    Op,
     PartitionStack,
     build_stacks,
     clv_stats,
@@ -461,28 +462,28 @@ class PartitionedLikelihood:
         if not descriptors.ops:
             return
         tree = self.tree
-        prof = self.profiler
+        ops: list[Op] = []
+        stamps: list[_Stamp] = []
         for op, mask in zip(descriptors.ops, descriptors.masks):
-            key = (op.node, op.toward)
             node = tree.node(op.node)
             a = tree.node(op.child_a)
             b = tree.node(op.child_b)
-            ta = tree.edge_length(node, a)
-            tb = tree.edge_length(node, b)
-            for stack in self.stacks:
-                rows = stack.rows_of(mask)
-                if rows != []:
-                    stack.newview(key, self._ref(a, node), self._ref(b, node),
-                                  ta, tb, prof, rows)
+            ops.append(((op.node, op.toward), self._ref(a, node),
+                        self._ref(b, node), tree.edge_length(node, a),
+                        tree.edge_length(node, b), mask))
             if a.id > b.id:
                 a, b = b, a
-            self._stamps[key] = _Stamp(
+            stamps.append(_Stamp(
                 child_a=a.id,
                 child_b=b.id,
                 ver_a=tree.edge_version(node, a),
                 ver_b=tree.edge_version(node, b),
                 model_vers=self._versions,
-            )
+            ))
+        for stack in self.stacks:
+            stack.traverse(ops, self.profiler)
+        for (key, *_), stamp in zip(ops, stamps):
+            self._stamps[key] = stamp
             self._memo[key] = _VALID
         self._sweep()
 

@@ -11,6 +11,12 @@ once per stack instead of once per partition (BEAGLE batches its operation
 queue across partitions for the same reason).  A uniform dataset is one
 stack, an irregular partition a stack of one; there is no other code path.
 
+CLVs are computed a whole traversal at a time (:meth:`PartitionStack.traverse`):
+P matrices do not depend on CLVs, so the transition matrices of many ops
+are built in one call — as BEAGLE 4.1 updates a list of edges' matrices
+before it runs the operation list — and the ops then run in dependency
+order, each feeding its slice of that batch to the GEMMs.
+
 Stacks are tree-agnostic: an operand is named by a *reference* — a taxon
 row for a tip, a directed-edge key ``(node, toward)`` for a stored CLV —
 and branch lengths arrive as ``n_branch_sets`` vectors.  Both drivers use
@@ -23,7 +29,8 @@ stack: nothing is stored or computed for it.
 
 Kernel calls run between ``prof.begin()`` and ``prof.end_stack(...)``,
 which accounts a stacked region to each partition it computed: one call
-still means one ``(op, partition)`` update.
+still means one ``(op, partition)`` update, and a batched P build still
+counts two ``pmatrix`` calls per traversal op.
 """
 
 from __future__ import annotations
@@ -39,6 +46,12 @@ __all__ = ["PartitionStack", "build_stacks", "clv_stats", "evaluate_stacks",
 
 #: A tip (taxon row) or a stored CLV (directed-edge key).
 Ref = int | tuple[int, int]
+
+#: One op of a traversal: ``(key, a, b, ta, tb, mask)`` computes ``clv(key)``
+#: from the children ``a`` and ``b`` over the branch-length vectors ``ta``
+#: and ``tb``, for the partitions in ``mask`` (``None``: all of them).
+Op = tuple[tuple[int, int], Ref, Ref, np.ndarray, np.ndarray,
+           frozenset[int] | None]
 
 
 class PartitionStack:
@@ -58,6 +71,13 @@ class PartitionStack:
         self.site_specific = first.site_specific
         #: work units of one CLV-shaped op, per partition (cost-model convention)
         self.unit = first.cost_patterns * first.n_cats
+        n_rates = first.n_patterns if first.site_specific else first.n_cats
+        #: traversal ops whose P matrices (2 · rates · n² per row) are built
+        #: per call: as many as fit in one CLV's bytes (patterns · cats · n
+        #: per row), so a Γ traversal takes a few calls and a PSR one (P per
+        #: pattern) one call per op
+        self.ops_per_build = max(1, first.n_patterns * first.n_cats
+                                 // (2 * n_rates * first.model.n_states))
         # the stack's arrays are views or the only copy, never a second one
         self.weights = (first.weights[None, :] if g == 1
                         else np.stack([p.weights for p in self.parts]))
@@ -129,35 +149,74 @@ class PartitionStack:
     # ------------------------------------------------------------------ #
     # kernels
     # ------------------------------------------------------------------ #
-    def newview(self, key: tuple[int, int], a: Ref, b: Ref, ta: np.ndarray,
-                tb: np.ndarray, prof, rows: list[int] | None = None) -> None:
-        """Compute and store ``clv(key)`` from the children ``a`` and ``b``
-        over branches ``ta`` and ``tb``.
+    def _members(self, rows: list[int] | None) -> tuple[int, ...]:
+        """Partitions of ``rows`` (``None``: every row)."""
+        if rows is None:
+            return self.partitions
+        return tuple(self.partitions[i] for i in rows)
 
-        With ``rows``, only those rows are computed and written into the
-        stored entry (the others are still valid there); a row's result is
-        bitwise the same either way.
+    def traverse(self, ops: list[Op], prof) -> None:
+        """Compute and store the CLVs of ``ops``, in order (a child may be
+        an earlier op's result).
+
+        The P matrices of up to :attr:`ops_per_build` ops are built in one
+        call, for the union of the rows those ops cover; an op with a mask
+        then computes only its own rows and writes them into the stored
+        entry (the others are still valid there).  Each matrix is its own
+        GEMM, so a row's result is bitwise the same however the ops are
+        batched and whichever rows an op covers.
         """
+        work = [(op, self.rows_of(op[5])) for op in ops]
+        work = [(op, rows) for op, rows in work if rows != []]
+        if not work:
+            return
         self.refresh()
+        for start in range(0, len(work), self.ops_per_build):
+            self._batch(work[start:start + self.ops_per_build], prof)
+
+    def _batch(self, batch: list[tuple[Op, list[int] | None]], prof) -> None:
+        """Build the P matrices of ``batch`` in one call, then run its ops
+        (the matrices die with this frame, before the next batch's)."""
+        union = None
+        if all(rows is not None for _, rows in batch):
+            union = sorted(set().union(*(rows for _, rows in batch)))
         eigen, rates, sets = self.eigen, self.rates, self.branch_sets
+        if union is not None:
+            eigen = EigenSystem(eigen.eigenvalues[union], eigen.left[union],
+                                eigen.right[union], eigen.frequencies[union])
+            rates, sets = rates[union], sets[union]
+        t = np.array([(op[3], op[4]) for op, _ in batch])[..., sets]
+        t0 = prof.begin()
+        p = kernel.pmatrices(eigen, t, rates)  # (ops, 2, rows, rates, n, n)
+        # each op's partitions are charged two matrix builds, as if the op
+        # had built them alone; the call's wall time goes to the batch's
+        # first partition set
+        charged: dict[tuple[int, ...], int] = {}
+        for _, rows in batch:
+            members = self._members(rows)
+            charged[members] = charged.get(members, 0) + 1
+        n, n_rates = self.n_states, rates.shape[1]
+        for members, k in charged.items():
+            prof.end_stack(t0, "pmatrix", members, 2 * k * n_rates,
+                           count=2 * k, alloc=k * 2 * n_rates * n * n * 8,
+                           n_states=n, site_specific=self.site_specific)
+            t0 = prof.begin()
+        for i, ((key, a, b, _, _, _), rows) in enumerate(batch):
+            p_ab = p[i]
+            if rows != union:
+                p_ab = p_ab[:, rows if union is None
+                            else [union.index(r) for r in rows]]
+            self._newview(key, a, b, p_ab[0], p_ab[1], rows, prof)
+
+    def _newview(self, key: tuple[int, int], a: Ref, b: Ref, p_a: np.ndarray,
+                 p_b: np.ndarray, rows: list[int] | None, prof) -> None:
+        """One op of :meth:`traverse`, from its P matrices."""
         clv_a, scale_a = self.side(a)
         clv_b, scale_b = self.side(b)
-        partitions = self.partitions
         if rows is not None:
-            eigen = EigenSystem(eigen.eigenvalues[rows], eigen.left[rows],
-                                eigen.right[rows], eigen.frequencies[rows])
-            rates, sets = rates[rows], sets[rows]
             clv_a, clv_b = clv_a[rows], clv_b[rows]
             scale_a = None if scale_a is None else scale_a[rows]
             scale_b = None if scale_b is None else scale_b[rows]
-            partitions = tuple(partitions[i] for i in rows)
-        g = len(partitions)
-        t0 = prof.begin()
-        p_a = kernel.pmatrices(eigen, ta[sets], rates)
-        p_b = kernel.pmatrices(eigen, tb[sets], rates)
-        prof.end_stack(t0, "pmatrix", partitions, 2 * rates.shape[1], count=2,
-                       alloc=(p_a.nbytes + p_b.nbytes) // g,
-                       n_states=self.n_states, site_specific=self.site_specific)
         t0 = prof.begin()
         clv, scale = kernel.newview(p_a, clv_a, scale_a, p_b, clv_b, scale_b,
                                     site_specific=self.site_specific)
@@ -172,7 +231,9 @@ class PartitionStack:
         else:
             old[0][rows] = clv
             old[1][rows] = scale
-        prof.end_stack(t0, "newview", partitions, self.unit, alloc=nbytes // g,
+        members = self._members(rows)
+        prof.end_stack(t0, "newview", members, self.unit,
+                       alloc=nbytes // len(members),
                        n_states=self.n_states, site_specific=self.site_specific)
 
     def evaluate(self, u: Ref, v: Ref, t_root: np.ndarray,

@@ -89,6 +89,21 @@ class EigenSystem:
         return clv @ self.right.T
 
 
+def _checked_rates(rates, n: int) -> np.ndarray:
+    """A fresh float64 copy of the ``n(n-1)/2`` exchangeabilities of an
+    ``n``-state model, or :class:`ModelError`."""
+    rates = np.array(rates, dtype=np.float64)
+    expected = n * (n - 1) // 2
+    if rates.shape != (expected,):
+        raise ModelError(
+            f"expected {expected} exchangeabilities for {n} states, "
+            f"got shape {rates.shape}"
+        )
+    if (rates < _MIN_RATE).any():
+        raise ModelError(f"exchangeabilities must be >= {_MIN_RATE}")
+    return rates
+
+
 def _rate_matrices(rates: np.ndarray, frequencies: np.ndarray) -> np.ndarray:
     """Normalized rate matrices ``(k, n, n)`` of ``k`` models given as rows
     of ``rates`` ``(k, n(n-1)/2)`` and ``frequencies`` ``(k, n)``."""
@@ -158,18 +173,10 @@ class SubstitutionModel:
 
     def __init__(self, rates: np.ndarray, frequencies: np.ndarray) -> None:
         frequencies = np.asarray(frequencies, dtype=np.float64)
-        rates = np.asarray(rates, dtype=np.float64)
         n = frequencies.shape[0]
         if n < 2:
             raise ModelError("need at least two states")
-        expected = n * (n - 1) // 2
-        if rates.shape != (expected,):
-            raise ModelError(
-                f"expected {expected} exchangeabilities for {n} states, "
-                f"got shape {rates.shape}"
-            )
-        if np.any(rates < _MIN_RATE):
-            raise ModelError(f"exchangeabilities must be >= {_MIN_RATE}")
+        rates = _checked_rates(rates, n)
         if np.any(frequencies < _MIN_FREQ):
             raise ModelError(f"frequencies must be >= {_MIN_FREQ}")
         total = frequencies.sum()
@@ -177,7 +184,7 @@ class SubstitutionModel:
         # model is built per partition per GTR optimization step
         if not abs(total - 1.0) <= 1e-6 + 1e-5:
             raise ModelError(f"frequencies sum to {total}, not 1")
-        self.rates = rates.copy()
+        self.rates = rates
         self.frequencies = frequencies / total
         self._eigen: EigenSystem | None = None
 
@@ -205,10 +212,14 @@ class SubstitutionModel:
         ulp, and equal parameters must give equal likelihoods: the
         optimizers compare a partition's likelihood before and after a
         line search with ``<``, and a search that ends where it started
-        must read as "not worse".
+        must read as "not worse".  The frequencies were checked when this
+        model was built, so only the rates are (a GTR step builds one
+        model per partition).
         """
-        model = SubstitutionModel(rates, self.frequencies)
+        model = object.__new__(SubstitutionModel)
+        model.rates = _checked_rates(rates, self.n_states)
         model.frequencies = self.frequencies
+        model._eigen = None
         return model
 
     def with_frequencies(self, frequencies: np.ndarray) -> "SubstitutionModel":

@@ -142,7 +142,10 @@ class Tree:
                 )
             else:
                 out = out.copy()
-        if np.any(out < 0):
+        finite = np.isfinite(out)
+        if not finite.all():
+            raise TreeError(f"branch length {out[~finite][0]} is not finite")
+        if (out < 0).any():
             raise TreeError("branch lengths must be non-negative")
         return out
 

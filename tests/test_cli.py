@@ -1,9 +1,15 @@
 """CLI tests (argument parsing + end-to-end command runs)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import NewickError
 from repro.seq.io_fasta import read_fasta, write_fasta
 from repro.seq.simulate import simulate_alignment
 from repro.model.substitution import JC69
@@ -64,6 +70,26 @@ class TestInfer:
         rc = main(["infer", str(fasta_path), "-q", str(part_file),
                    "-n", "1", "-r", "1", "-o", str(out), "--no-gtr", "-M"])
         assert rc == 0
+
+
+    def test_typed_error_is_one_line(self, fasta_path, tmp_path):
+        """``python -m repro`` reports a typed error in one line with exit
+        status 1 (what the serve daemon records); in process it stays an
+        exception."""
+        start = tmp_path / "neg.nwk"
+        start.write_text("((t0:-1,t1:0.1):0.1,t2:0.1,(t3:0.1,t4:0.1):0.1);")
+        args = ["infer", str(fasta_path), "-t", str(start), "-n", "1",
+                "--no-register"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *args], capture_output=True,
+            text=True, timeout=120, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "repro: error: NewickError: negative branch length"]
+        with pytest.raises(NewickError, match="negative branch length"):
+            main(args)
 
 
 class TestSimulateAndConvert:

@@ -65,6 +65,18 @@ class TestDescriptorExecutor:
         with pytest.raises(CommError, match="unknown CLV"):
             executor.evaluate(u.id, v.id, lik.tree.edge_length(u, v))
 
+    def test_descriptor_reads_only_earlier_ops(self, setup):
+        """An op may read the CLV an earlier op of the same descriptor
+        makes, not a later one's; a bad descriptor is refused before any
+        op runs."""
+        lik, u, v, wire, node_taxon = setup
+        executor = DescriptorExecutor(lik.parts, node_taxon)
+        with pytest.raises(CommError, match="unknown CLV"):
+            executor.run_ops(wire[::-1])
+        assert all(not stack.clvs for stack in executor.stacks)
+        executor.run_ops(wire)
+        assert len(executor.stacks[0].clvs) == len(wire)
+
     def test_clear_clvs(self, setup):
         lik, u, v, wire, node_taxon = setup
         executor = DescriptorExecutor(lik.parts, node_taxon)

@@ -66,6 +66,13 @@ class TestNewviewProperties:
         with pytest.raises(LikelihoodError):
             kernel.pmatrices(model.eigen(), -0.1, np.ones(1))
 
+    @pytest.mark.parametrize("t", [np.nan, [0.1, np.nan]])
+    def test_nan_branch_rejected(self, t):
+        """NaN compares false both ways: the check must not let it by."""
+        model = GTR([1, 2, 1, 1, 2, 1.0], np.full(4, 0.25))
+        with pytest.raises(LikelihoodError, match="negative or NaN"):
+            kernel.pmatrices(model.eigen(), t, np.ones(1))
+
     def test_zero_clv_is_loud(self):
         model = GTR([1, 2, 1, 1, 2, 1.0], np.full(4, 0.25))
         eigen = model.eigen()

@@ -12,6 +12,10 @@
 * partial masks: after one partition's model changes, the next descriptor
   recomputes that row only and leaves the store bitwise equal to a full
   recompute;
+* batched traversals: a traversal run on a stack, its P matrices built
+  several ops at a time and some ops masked to a subset of rows, leaves
+  every row bitwise what running each op alone on a one-partition stack
+  leaves, and both match the oracle;
 * a stack's models decompose together to the bits each gives alone;
 * the CLV store stays bounded over topology changes;
 * a stacked profiler region reads as one call per partition.
@@ -28,14 +32,17 @@ from reference_likelihood import ReferenceBackend
 from repro.likelihood.backend import SequentialBackend
 from repro.likelihood.kernel import SCALE_THRESHOLD
 from repro.likelihood.partitioned import PartitionData, PartitionedLikelihood
+from repro.likelihood.stack import PartitionStack
 from repro.model.rates import DiscreteGamma, NoRateHeterogeneity, PerSiteRates
 from repro.model.substitution import SubstitutionModel, fill_eigen_caches
 from repro.obs.hotspots import OpProfiler
+from repro.obs.nullprofiler import NULL_OP_PROFILER
 from repro.search.search import SearchConfig, hill_climb
 from repro.seq.alphabet import AMINO_ACIDS, DNA
 from repro.tree.newick import write_newick
 from repro.tree.random_trees import random_topology
 from repro.tree.topology import Tree
+from repro.tree.traversal import traversal_for_edge
 
 
 # --------------------------------------------------------------------- #
@@ -291,6 +298,72 @@ class TestPartialMask:
         _, per_part, _ = lik.evaluate(u2, v2)
         assert np.allclose(per_part, ref.evaluate(
             *_same_edge(ref.tree, u2, v2))[1], rtol=1e-12, atol=0)
+
+
+# --------------------------------------------------------------------- #
+# batched traversals
+# --------------------------------------------------------------------- #
+def _traversal(tree: Tree, taxa: list[str], masks: list) -> list[tuple]:
+    """The stack ops of the full traversal toward an inner edge."""
+    row = {label: i for i, label in enumerate(taxa)}
+
+    def ref(node, toward):
+        return row[node.label] if node.is_leaf else (node.id, toward.id)
+
+    u, v = _inner_edge(tree)
+    ops = []
+    for op, mask in zip(traversal_for_edge(tree, u, v, lambda key: False).ops,
+                        masks):
+        node, a, b = (tree.node(i) for i in (op.node, op.child_a, op.child_b))
+        ops.append(((op.node, op.toward), ref(a, node), ref(b, node),
+                    tree.edge_length(node, a), tree.edge_length(node, b), mask))
+    return ops
+
+
+class TestBatchedTraversal:
+    @given(st.integers(0, 2**31), st.sampled_from([2, 5]),
+           st.sampled_from([1, 7, 32]), st.sampled_from(["gamma", "psr"]),
+           st.integers(4, 9), st.booleans(), st.integers(1, 8), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_a_row_does_not_depend_on_its_batch(self, seed, g, n_patterns, mode,
+                                                n_taxa, minus_m, per_build, data):
+        rng = np.random.default_rng(seed)
+        taxa = [f"t{i}" for i in range(n_taxa)]
+        parts = _parts(rng, g, n_patterns, mode, 4, n_taxa, minus_m)
+        tree = _tree(rng, taxa, g if minus_m else 1)
+        stacked = PartitionStack(list(range(g)), parts)
+        stacked.ops_per_build = per_build
+        alone = [PartitionStack([p], parts) for p in range(g)]
+        n_ops = n_taxa - 2
+        # a full traversal; then some models change and a second one covers
+        # every op for them, and for whatever else its masks draw (or all)
+        changed = data.draw(st.sets(st.integers(0, g - 1), min_size=1))
+        mask = st.sets(st.integers(0, g - 1)).map(changed.union)
+        if data.draw(st.booleans()):
+            mask = st.none() | mask
+        masks = [data.draw(mask) for _ in range(n_ops)]
+        for step in range(2):
+            if step:
+                for p in changed:
+                    parts[p].model = parts[p].model.with_rates(
+                        parts[p].model.rates * 1.3)
+                    parts[p].bump_model()
+            ops = _traversal(tree, taxa, masks if step else [None] * n_ops)
+            stacked.traverse(ops, NULL_OP_PROFILER)
+            for stack in alone:
+                for op in ops:
+                    stack.traverse([op], NULL_OP_PROFILER)
+        assert len(stacked.clvs) == n_ops
+        ref = ReferenceBackend(tree, parts, taxa)
+        for key, (clv, scale) in stacked.clvs.items():
+            node, toward = tree.node(key[0]), tree.node(key[1])
+            for p, part in enumerate(parts):
+                assert np.array_equal(clv[p], alone[p].clvs[key][0][0])
+                assert np.array_equal(scale[p], alone[p].clvs[key][1][0])
+                want, want_scale = ref.clv(part, node, toward)
+                assert np.allclose(clv[p], want, rtol=1e-10, atol=0)
+                assert np.array_equal(scale[p] != 0, want_scale != 0)
+                assert np.allclose(scale[p], want_scale, rtol=1e-12, atol=0)
 
 
 # --------------------------------------------------------------------- #

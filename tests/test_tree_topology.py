@@ -44,6 +44,18 @@ class TestConstruction:
         with pytest.raises(TreeError):
             t.connect(a, b, -0.1)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, [0.1, np.inf]])
+    def test_non_finite_length_rejected(self, bad):
+        t = Tree(n_branch_sets=2)
+        a, b = t.add_node("A"), t.add_node("B")
+        with pytest.raises(TreeError, match=r"branch length (inf|nan) is not finite"):
+            t.connect(a, b, bad)
+
+    def test_overflowing_newick_length_rejected(self):
+        """``1e999`` parses to ``inf``: the tree refuses it by name."""
+        with pytest.raises(TreeError, match="branch length inf is not finite"):
+            parse_newick("((A:1e999,B:0.1):0.1,C:0.1,D:0.1);")
+
     def test_branch_set_shape_enforced(self):
         t = Tree(n_branch_sets=3)
         a, b = t.add_node("A"), t.add_node("B")
