@@ -90,6 +90,12 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
     if args.checkpoint_every and not args.checkpoint:
         raise SystemExit("--checkpoint-every needs --checkpoint PATH")
+    if (args.checkpoint and args.engine != "sequential"
+            and not (args.checkpoint_every or args.cancellable)):
+        raise SystemExit(
+            "--checkpoint on a distributed engine needs --checkpoint-every "
+            "or --cancellable (only the sequential engine writes a final "
+            "checkpoint)")
     if args.engine != "sequential" and args.resume:
         raise SystemExit("--resume is only supported with --engine sequential")
     if args.supervise and args.engine == "sequential":
@@ -130,6 +136,11 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         tree = parse_newick(Path(args.starting_tree).read_text())
     else:
         tree = random_topology(alignment.taxa, rng=args.seed)
+    # Every engine searches the tree this string parses to: node ids (and
+    # so the climb's visiting order) are those of the parse, not of the
+    # object the string was written from.
+    start_newick = write_newick(tree)
+    tree = parse_newick(start_newick)
     lik = PartitionedLikelihood.build(
         alignment,
         tree,
@@ -201,8 +212,9 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         from repro.par.faultcomm import FaultPlan
 
         run_cfg = RunConfig(
-            args.engine, lik.parts, lik.taxa, write_newick(tree), args.ranks,
+            args.engine, lik.parts, lik.taxa, start_newick, args.ranks,
             config=config, dist_kind=args.dist,
+            n_branch_sets=lik.n_branch_sets,
             fault_plan=(FaultPlan.parse(args.inject_failure)
                         if args.inject_failure else None),
             detect_timeout=args.detect_timeout, sanitize=args.sanitize,
@@ -1345,7 +1357,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip GTR exchangeability optimization")
     infer.add_argument("-s", "--seed", type=int, default=42)
     infer.add_argument("-o", "--output", help="write best tree here")
-    infer.add_argument("--checkpoint", help="write final checkpoint here")
+    infer.add_argument("--checkpoint", metavar="PATH",
+                       help="checkpoint file: the sequential engine writes "
+                            "its final state here; the distributed engines "
+                            "write only their --checkpoint-every and "
+                            "--cancellable checkpoints here")
     infer.add_argument("--resume", help="resume from a checkpoint file")
     infer.add_argument("--engine",
                        choices=["sequential", "decentralized", "forkjoin"],

@@ -125,7 +125,7 @@ class DescriptorExecutor:
         return clv_stats(self.stacks, self.n_partitions)
 
     def _on_evict(self, count: int, nbytes: int) -> None:
-        """Hook for subclasses to surface evictions (metrics, spans)."""
+        """Hook for subclasses to surface evictions (the traced one emits a span)."""
 
     # -- the caller re-broadcasts full traversals after parameter changes,
     #    so stale CLVs are overwritten; clearing keeps memory bounded and

@@ -223,10 +223,11 @@ def forkjoin_worker(
     ``node_taxon`` maps the master tree's leaf node ids to global taxon
     rows (sent once during setup).  ``runtime`` is the rank's
     :class:`~repro.engines.runtime.RankRuntime` (default: the disabled
-    one).  With tracing on, the lock-step executor emits kernel spans and
-    op counters (see :mod:`repro.obs`) and per-op kernel totals accumulate
-    in the runtime's profiler, flushed with the executor's CLV accounting
-    when the launcher closes the runtime.  With monitoring on, the
+    one).  With tracing on, the lock-step executor emits kernel spans
+    (see :mod:`repro.obs`) and per-op kernel totals accumulate in the
+    runtime's profiler; the launcher's ``runtime.close`` writes them, with
+    the executor's CLV accounting, as ``kernel_op`` and ``clv_memory``
+    instants into the rank's stream.  With monitoring on, the
     worker's heartbeat state counts executed commands (as ``iteration``)
     so the live monitor can tell a worker that stopped draining commands
     from one that never got any.
@@ -239,7 +240,7 @@ def forkjoin_worker(
         from repro.obs.instrument import TracedExecutor
 
         executor = TracedExecutor(parts, node_taxon, runtime.tracer,
-                                  runtime.metrics, profiler=runtime.profiler)
+                                  profiler=runtime.profiler)
     else:
         executor = DescriptorExecutor(parts, node_taxon)
     runtime.clv_source = executor

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -74,8 +73,6 @@ class DistributedResult:
     restarts: int = 0
     #: Collective calls per Table-I tag (always counted, like bytes).
     calls_by_tag: dict[str, int] = field(default_factory=dict)
-    #: Metrics snapshot of this rank's run (empty when tracing is off).
-    metrics: dict[str, Any] = field(default_factory=dict)
     #: Path of this rank's JSONL trace stream (None when tracing is off).
     trace_path: str | None = None
     #: Heartbeat/progress directory of the run (None when unmonitored).
@@ -195,8 +192,7 @@ def _restore(lik: PartitionedLikelihood, resume_from: str) -> Tree:
 def _rank_main(comm: Comm, cfg: RunConfig) -> DistributedResult | None:
     """What every rank of either engine runs: one runtime life cycle
     around the engine's body, then the result — built after
-    ``runtime.close``, so its metrics snapshot and trace path describe
-    the stream as flushed."""
+    ``runtime.close``, so its trace path names the stream as flushed."""
     runtime = RankRuntime(cfg, comm.rank)
     comm = runtime.open(comm)
     runtime.progress.event("run_start", engine=cfg.engine, ranks=comm.size,
@@ -217,7 +213,6 @@ def _rank_main(comm: Comm, cfg: RunConfig) -> DistributedResult | None:
         iterations=search.iterations,
         bytes_by_tag=dict(backend.comm.bytes_by_tag),
         calls_by_tag=dict(backend.comm.calls_by_tag),
-        metrics=runtime.snapshot,
         trace_path=runtime.trace_path,
         monitor_dir=cfg.monitor_dir,
         progress_path=runtime.progress_path,
@@ -278,8 +273,6 @@ def _decentral_rank(comm: Comm, cfg: RunConfig, runtime: RankRuntime):
             # the rebuilt backend already carries the runtime
             comm = backend.comm
             recoveries += 1
-            if runtime.metrics is not None:
-                runtime.metrics.counter("recovery.rounds").inc()
             if comm.size < cfg.min_ranks:
                 # Graceful degradation has a floor: the shrunk mesh
                 # could finish, but the policy judges it too narrow.

@@ -1,7 +1,7 @@
 """The per-rank runtime: everything a rank carries besides the search.
 
-One :class:`RankRuntime` per rank owns the tracer, metrics registry and
-op profiler (``trace_dir``), the heartbeat writer and progress reporter
+One :class:`RankRuntime` per rank owns the tracer and op profiler
+(``trace_dir``), the heartbeat writer and progress reporter
 (``monitor_dir``) and the cooperative-cancel poll (``cancellable``) of a
 :class:`~repro.engines.launch.RunConfig`, with one life cycle — open,
 attach, close — used identically by both engines.  A default-constructed
@@ -45,7 +45,6 @@ class RankRuntime:
         #: shrinks don't collide names
         self.world_rank = world_rank
         self.tracer: Any = NULL_TRACER
-        self.metrics: Any = None
         self.profiler: Any = None
         self.progress: Any = NULL_PROGRESS
         self._heartbeat: Any = None
@@ -54,7 +53,6 @@ class RankRuntime:
         self.clv_source: Any = None
         #: set by :meth:`close`
         self.trace_path: str | None = None
-        self.snapshot: dict[str, Any] = {}
 
     def open(self, comm: Comm) -> Comm:
         """Build the configured attachments; return the communicator to use.
@@ -82,7 +80,6 @@ class RankRuntime:
             # the tracing half of obs is imported only by a traced rank
             from repro.obs.hotspots import OpProfiler
             from repro.obs.instrument import TraceInterceptor
-            from repro.obs.metrics import MetricsRegistry
 
             # The launch's trace_id (an end-to-end lifecycle identity
             # minted by e.g. the serve daemon) rides on the tracer so the
@@ -90,9 +87,8 @@ class RankRuntime:
             self.tracer = Tracer(self.world_rank,
                                  cfg.trace_capacity or DEFAULT_CAPACITY,
                                  cfg.trace_id)
-            self.metrics = MetricsRegistry()
             self.profiler = OpProfiler()
-            interceptors.append(TraceInterceptor(self.tracer, self.metrics))
+            interceptors.append(TraceInterceptor(self.tracer))
         if cfg.fault_plan is not None and comm.size > 1:
             interceptors.append(FaultInjector(cfg.fault_plan, self.world_rank))
         if cfg.monitor_dir:
@@ -141,21 +137,17 @@ class RankRuntime:
         return str(stream.path) if stream is not None else None
 
     def close(self, ok: bool) -> None:
-        """Emit the kernel profile → flush the trace → snapshot the
-        metrics → end telemetry, in that order, so the snapshot describes
-        exactly what is on disk.  Must run in a ``finally``: a
-        :class:`~repro.errors.RankFailureError` unwinding a collective
-        must still leave this rank's trace (with the error-flagged span)
-        on disk."""
+        """Emit the kernel profile → flush the trace → end telemetry, in
+        that order, so the stream on disk holds the profile.  Must run in
+        a ``finally``: a :class:`~repro.errors.RankFailureError` unwinding
+        a collective must still leave this rank's trace (with the
+        error-flagged span) on disk."""
         if self.tracer.enabled:
             from repro.obs.hotspots import emit_kernel_profile
 
-            emit_kernel_profile(self.profiler, self.tracer, self.metrics,
+            emit_kernel_profile(self.profiler, self.tracer,
                                 clv_sources=(self.clv_source,))
             self.trace_path = self._flush_trace()
-            self.metrics.gauge("trace.spans").set(len(self.tracer))
-            self.metrics.gauge("trace.dropped_spans").set(self.tracer.dropped)
-            self.snapshot = self.metrics.snapshot()
         if self._heartbeat is not None:
             # terminal phase tells the monitor (and `repro watch`) whether
             # the rank finished or unwound on an error

@@ -225,7 +225,7 @@ class PartitionedLikelihood:
             if part.branch_set >= tree.n_branch_sets:
                 raise LikelihoodError(
                     f"partition {part.name!r} wants branch set {part.branch_set} "
-                    f"but tree has {tree.n_branch_sets}"
+                    f"but the tree has only {tree.n_branch_sets} branch set(s)"
                 )
         self.tree = tree
         self.parts = parts

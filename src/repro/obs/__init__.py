@@ -6,8 +6,8 @@ multiprocess runs and closes the loop:
 
 * :mod:`repro.obs.tracer` — per-rank span tracing with a ring buffer and
   a zero-cost null tracer;
-* :mod:`repro.obs.metrics` — counters/gauges/histograms for collective
-  calls, payload bytes, kernel ops, failures and recoveries;
+* :mod:`repro.obs.metrics` — the serve daemon's counters, gauges and
+  histograms behind ``GET /metrics``;
 * :mod:`repro.obs.instrument` — the :class:`TraceInterceptor` for
   :class:`~repro.par.comm.InterceptingComm` and the
   :class:`TracedExecutor`, which instrument any communicator and the
@@ -87,10 +87,6 @@ _EXPORTS = {
     ),
     "instrument": (
         "TraceInterceptor", "TracedExecutor",
-    ),
-    "metrics": (
-        "Counter", "Gauge", "Histogram", "MetricsRegistry",
-        "merge_snapshots", "histogram_quantile",
     ),
     "monitor": (
         "DEFAULT_BEAT_TIMEOUT", "DEFAULT_STALL_AFTER",

@@ -237,43 +237,27 @@ def _prom_value(value: float) -> str:
     return repr(float(value))
 
 
-def snapshot_to_prom(
-    snapshot: dict[str, Any],
-    prefix: str = "repro",
-    labels: dict[str, str] | None = None,
-) -> str:
+def snapshot_to_prom(snapshot: dict[str, Any], prefix: str = "repro") -> str:
     """Render a metrics snapshot in the Prometheus text exposition format.
 
-    ``snapshot`` is a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
-    (or a :func:`~repro.obs.metrics.merge_snapshots` result).  Counters
-    become ``counter`` samples, gauges ``gauge`` samples, and each
-    histogram's streaming summary becomes ``<name>_count`` /
+    ``snapshot`` is a registry snapshot from :mod:`repro.obs.metrics`.
+    Counters become ``counter`` samples, gauges ``gauge`` samples, and
+    each histogram's streaming summary becomes ``<name>_count`` /
     ``<name>_sum`` plus ``_min``/``_max`` gauges — enough for rate and
     mean queries without storing raw samples.  A histogram carrying
     per-bucket counts additionally renders as a genuine Prometheus
     histogram: cumulative ``<name>_bucket{le="..."}`` samples closed by
-    the ``le="+Inf"`` total.  ``labels`` (e.g.
-    ``{"rank": "2", "engine": "decentralized"}``) are attached to every
-    sample, so per-rank snapshots can be scraped side by side from a
-    long-running launcher.
+    the ``le="+Inf"`` total.
     """
-    label_str = ""
-    if labels:
-        def esc(v: Any) -> str:
-            return str(v).replace("\\", "\\\\").replace('"', '\\"')
-
-        rendered = ",".join(f'{k}="{esc(v)}"'
-                            for k, v in sorted(labels.items()))
-        label_str = "{" + rendered + "}"
     lines: list[str] = []
     for name, value in sorted(snapshot.get("counters", {}).items()):
         pname = _prom_name(name, prefix)
         lines.append(f"# TYPE {pname} counter")
-        lines.append(f"{pname}{label_str} {_prom_value(value)}")
+        lines.append(f"{pname} {_prom_value(value)}")
     for name, value in sorted(snapshot.get("gauges", {}).items()):
         pname = _prom_name(name, prefix)
         lines.append(f"# TYPE {pname} gauge")
-        lines.append(f"{pname}{label_str} {_prom_value(value)}")
+        lines.append(f"{pname} {_prom_value(value)}")
     for name, hist in sorted(snapshot.get("histograms", {}).items()):
         base = _prom_name(name, prefix)
         buckets = hist.get("buckets")
@@ -285,26 +269,15 @@ def snapshot_to_prom(
             for edge in sorted(buckets, key=float):
                 cumulative += buckets[edge]
                 le = _prom_value(float(edge))
-                if labels:
-                    bl = label_str[:-1] + f',le="{le}"}}'
-                else:
-                    bl = f'{{le="{le}"}}'
-                lines.append(f"{base}_bucket{bl} {cumulative}")
-            if labels:
-                bl = label_str[:-1] + ',le="+Inf"}'
-            else:
-                bl = '{le="+Inf"}'
-            lines.append(f"{base}_bucket{bl} "
+                lines.append(f'{base}_bucket{{le="{le}"}} {cumulative}')
+            lines.append(f'{base}_bucket{{le="+Inf"}} '
                          f"{_prom_value(hist.get('count', 0))}")
         else:
             lines.append(f"# TYPE {base} summary")
-        lines.append(f"{base}_count{label_str} "
-                     f"{_prom_value(hist.get('count', 0))}")
-        lines.append(f"{base}_sum{label_str} "
-                     f"{_prom_value(hist.get('total', 0.0))}")
+        lines.append(f"{base}_count {_prom_value(hist.get('count', 0))}")
+        lines.append(f"{base}_sum {_prom_value(hist.get('total', 0.0))}")
         for stat in ("min", "max"):
             sname = f"{base}_{stat}"
             lines.append(f"# TYPE {sname} gauge")
-            lines.append(f"{sname}{label_str} "
-                         f"{_prom_value(hist.get(stat, 0.0))}")
+            lines.append(f"{sname} {_prom_value(hist.get(stat, 0.0))}")
     return "\n".join(lines) + "\n" if lines else ""

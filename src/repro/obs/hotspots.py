@@ -31,7 +31,7 @@ Three layers:
   control flow.
 
 * :func:`emit_kernel_profile` — flushes the accumulated totals into the
-  existing tracer/metrics machinery as ``kernel_op`` summary instants
+  rank's tracer as ``kernel_op`` summary instants
   (one per op × partition) plus ``clv_memory`` instants carrying each
   CLV owner's live/peak byte accounting.  The instants ride the normal
   per-rank JSONL streams, so a trace directory is a complete offline
@@ -220,13 +220,8 @@ class OpProfiler:
         return len(self._per_partition())
 
 
-def emit_kernel_profile(
-    profiler,
-    tracer,
-    metrics=None,
-    clv_sources: Iterable[Any] = (),
-) -> int:
-    """Flush a rank's accumulated kernel profile into tracer + metrics.
+def emit_kernel_profile(profiler, tracer, clv_sources: Iterable[Any] = ()) -> int:
+    """Flush a rank's accumulated kernel profile into its tracer.
 
     Emits one :data:`KERNEL_OP_SPAN` instant per ``(op, partition)``
     total and one :data:`CLV_MEMORY_SPAN` instant per partition of every
@@ -245,14 +240,6 @@ def emit_kernel_profile(
     for rec in profiler.records():
         tracer.instant(KERNEL_OP_SPAN, kind=KIND_KERNEL, **rec)
         emitted += 1
-        if metrics is not None:
-            op = rec["op"]
-            metrics.counter(f"kernel.optime_ns.{op}").inc(rec["wall_ns"])
-            metrics.counter(f"kernel.opcalls.{op}").inc(rec["count"])
-            metrics.counter(f"kernel.units.{op}").inc(rec["units"])
-            metrics.counter(f"kernel.alloc_bytes.{op}").inc(
-                rec["alloc_bytes"])
-    live = peak = entries = evictions = evicted_bytes = 0
     for source in clv_sources:
         if source is None:
             continue
@@ -262,17 +249,6 @@ def emit_kernel_profile(
         for stat in source.clv_stats():
             tracer.instant(CLV_MEMORY_SPAN, kind=KIND_KERNEL, **stat)
             emitted += 1
-            live += stat["live_bytes"]
-            peak += stat["peak_bytes"]
-            entries += stat["entries"]
-            evictions += stat["evictions"]
-            evicted_bytes += stat["evicted_bytes"]
-    if metrics is not None and entries + live + peak:
-        metrics.gauge("clv.live_bytes").set(live)
-        metrics.gauge("clv.peak_bytes").set(peak)
-        metrics.gauge("clv.entries").set(entries)
-        metrics.gauge("clv.evictions_total").set(evictions)
-        metrics.gauge("clv.evicted_bytes_total").set(evicted_bytes)
     return emitted
 
 

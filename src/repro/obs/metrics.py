@@ -1,15 +1,14 @@
-"""Metrics registry: counters, gauges and histograms for live runs.
+"""Metrics registry: the serve daemon's counters, gauges and histograms.
 
-The observability layer counts what the analytic models only predict:
-collective calls and payload bytes per Table-I tag, kernel invocations,
-failure detections and recovery rounds.  A :class:`MetricsRegistry` is
-process-local (one per rank); its :meth:`~MetricsRegistry.snapshot` is a
-plain JSON-safe dict that travels home through the launcher's result
-pipe, and snapshots from several ranks can be combined with
-:func:`merge_snapshots`.
+A :class:`MetricsRegistry` is process-local; its
+:meth:`~MetricsRegistry.snapshot` is a plain JSON-safe dict that
+:func:`~repro.obs.export.snapshot_to_prom` renders for ``GET /metrics``.
+Metric names are dotted paths, e.g. ``serve.jobs_submitted``.
 
-Metric names are dotted paths, e.g. ``comm.calls.allreduce`` or
-``comm.bytes.tag.traversal descriptor``.
+A rank keeps no registry: its collective calls and bytes per Table-I
+tag are counted by the communicator (``Comm.bytes_by_tag`` /
+``calls_by_tag``), and a traced rank's spans and instants are its only
+other record.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "merge_snapshots",
     "DEFAULT_TIME_BOUNDS",
-    "histogram_quantile",
 ]
 
 #: Default latency bucket edges (seconds) for service-level histograms
@@ -39,7 +36,7 @@ DEFAULT_TIME_BOUNDS: tuple[float, ...] = (
 
 @dataclass
 class Counter:
-    """Monotonically increasing count (calls, bytes, failures)."""
+    """Monotonically increasing count (jobs submitted, rejected, ...)."""
 
     value: float = 0.0
 
@@ -51,7 +48,7 @@ class Counter:
 
 @dataclass
 class Gauge:
-    """Last-written value (ring occupancy, current rank count)."""
+    """Last-written value (queue depth, busy ranks)."""
 
     value: float = 0.0
 
@@ -152,71 +149,3 @@ class MetricsRegistry:
                 k: v.to_dict() for k, v in sorted(self.histograms.items())
             },
         }
-
-
-def histogram_quantile(hist: dict[str, Any], q: float) -> float:
-    """Prometheus-style quantile estimate over a bucketed histogram dict.
-
-    ``hist`` is one entry of a snapshot's ``histograms`` map (or of a
-    :func:`merge_snapshots` result) carrying per-bucket counts.  Linear
-    interpolation inside the target bucket, exactly as PromQL's
-    ``histogram_quantile`` — so a dashboard's reading and an offline
-    report computed from the same buckets agree.  The overflow bucket
-    (observations above the last edge) is clamped to the last finite
-    edge; the true summary ``max`` is a better bound there.  Returns 0.0
-    for empty or bucketless histograms.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("quantile must be in [0, 1]")
-    buckets = hist.get("buckets")
-    total = int(hist.get("count", 0))
-    if not buckets or not total:
-        return 0.0
-    target = q * total
-    cumulative = 0
-    lower = 0.0
-    for edge in sorted(buckets, key=float):
-        upper = float(edge)
-        in_bucket = int(buckets[edge])
-        if cumulative + in_bucket >= target and in_bucket > 0:
-            fraction = (target - cumulative) / in_bucket
-            return lower + (upper - lower) * max(0.0, min(1.0, fraction))
-        cumulative += in_bucket
-        lower = upper
-    return lower  # target sits in the +Inf overflow: clamp to last edge
-
-
-def merge_snapshots(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
-    """Combine per-rank snapshots: counters sum, gauges take the max,
-    histograms merge their streaming summaries."""
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    hists: dict[str, dict[str, float]] = {}
-    for snap in snapshots:
-        if not snap:
-            continue
-        for k, v in snap.get("counters", {}).items():
-            counters[k] = counters.get(k, 0.0) + v
-        for k, v in snap.get("gauges", {}).items():
-            gauges[k] = max(gauges.get(k, float("-inf")), v)
-        for k, h in snap.get("histograms", {}).items():
-            if not h.get("count"):
-                continue
-            if k not in hists:
-                hists[k] = dict(h)
-                if "buckets" in h:
-                    hists[k]["buckets"] = dict(h["buckets"])
-            else:
-                acc = hists[k]
-                acc["count"] += h["count"]
-                acc["total"] += h["total"]
-                acc["min"] = min(acc["min"], h["min"])
-                acc["max"] = max(acc["max"], h["max"])
-                acc["mean"] = acc["total"] / acc["count"]
-                if "buckets" in h:
-                    # union of edges: ranks may bucket the same metric
-                    # differently (or one side may be bucketless)
-                    merged = acc.setdefault("buckets", {})
-                    for edge, n in h["buckets"].items():
-                        merged[edge] = merged.get(edge, 0) + n
-    return {"counters": counters, "gauges": gauges, "histograms": hists}

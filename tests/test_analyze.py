@@ -323,16 +323,6 @@ class TestPrometheusExport:
         assert "repro_kernel_seconds_max 1.5" in text
         assert text.endswith("\n")
 
-    def test_labels_attached_and_escaped(self):
-        reg = MetricsRegistry()
-        reg.counter("calls").inc()
-        text = snapshot_to_prom(
-            reg.snapshot(),
-            labels={"engine": 'say "hi"', "rank": "2"},
-        )
-        assert 'engine="say \\"hi\\""' in text
-        assert 'rank="2"' in text
-
     def test_names_sanitized_to_prometheus_charset(self):
         reg = MetricsRegistry()
         reg.counter("comm.bytes.by-tag/likelihood").inc()

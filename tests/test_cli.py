@@ -14,7 +14,7 @@ from repro.seq.io_fasta import read_fasta, write_fasta
 from repro.seq.simulate import simulate_alignment
 from repro.model.substitution import JC69
 from repro.tree.random_trees import yule_tree
-from repro.tree.newick import parse_newick
+from repro.tree.newick import parse_newick, write_newick
 
 
 @pytest.fixture()
@@ -166,6 +166,62 @@ class TestDistributedInfer:
         with pytest.raises(SystemExit):
             main(["infer", str(fasta_path), "--engine", "forkjoin",
                   "--resume", str(tmp_path / "x.npz")])
+
+    @pytest.mark.parametrize("extra", [
+        ["--engine", "decentralized"],
+        ["--engine", "forkjoin"],
+        ["--engine", "forkjoin", "--supervise"],
+    ])
+    def test_final_checkpoint_rejected_for_distributed(self, fasta_path,
+                                                       tmp_path, extra):
+        """Only the sequential engine writes a final checkpoint: a
+        distributed run given just ``--checkpoint`` would write nothing."""
+        ckpt = tmp_path / "final.npz"
+        with pytest.raises(SystemExit, match="--checkpoint-every"):
+            main(["infer", str(fasta_path), "-n", "1", "-r", "1", "--no-gtr",
+                  "--checkpoint", str(ckpt), *extra])
+        assert not ckpt.exists()
+
+
+class TestEnginesAgree:
+    """With no ``-t``, sequential, decentralized and fork-join ``infer``
+    search the same start tree: one ``logL`` line, one topology — also
+    under ``-M`` (the paper's per-partition branch lengths)."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("agree")
+        fasta = work / "data.fasta"
+        # a random start tree whose Newick round trip renumbers its nodes
+        assert main(["simulate", "-t", "6", "-l", "60", "-s", "3",
+                     "-o", str(fasta)]) == 0
+        genes = work / "genes.txt"
+        genes.write_text("DNA, g1 = 1-30\nDNA, g2 = 31-60\n")
+        return fasta, genes
+
+    @staticmethod
+    def _infer(inputs, tmp_path, capsys, *extra):
+        fasta, genes = inputs
+        out = tmp_path / "tree.nwk"
+        assert main(["infer", str(fasta), "-q", str(genes), "-n", "1",
+                     "-r", "1", "--no-register", "-o", str(out),
+                     *extra]) == 0
+        err = capsys.readouterr().err
+        (line,) = [ln for ln in err.splitlines() if ln.startswith("logL = ")]
+        topology = write_newick(parse_newick(out.read_text()), lengths=False)
+        return line.split(" (")[0], topology
+
+    @pytest.mark.parametrize("mode", [[], ["-M"]], ids=["joint", "-M"])
+    def test_same_logl_and_topology(self, inputs, tmp_path, capsys, mode):
+        runs = [self._infer(inputs, tmp_path, capsys, *mode, *engine)
+                for engine in (
+                    ["--engine", "sequential"],
+                    ["--engine", "decentralized", "--ranks", "2",
+                     "--dist", "mps"],
+                    ["--engine", "forkjoin", "--ranks", "2", "--dist", "mps"],
+                )]
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
 
 
 class TestModelReadsTheLiveLog:

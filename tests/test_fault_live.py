@@ -227,14 +227,14 @@ class TestTracingUnderFailure:
             assert by_name["redistribute"]["attrs"]["survivors"] == 3
 
     def test_failure_and_recovery_counted(self, traced_recovery):
-        survivors, _ = traced_recovery
+        survivors, spans = traced_recovery
         for r in survivors:
-            counters = r.metrics["counters"]
-            assert counters["comm.failures.detected"] >= 1
-            assert counters["recovery.rounds"] == 1
-            assert counters["recovery.agree_rounds"] == 1
-            assert counters["recovery.shrinks"] == 1
-            assert r.metrics["gauges"]["comm.size"] == 3
+            stream = spans[r.trace_path]
+            assert sum(bool(s.get("error")) for s in stream) >= 1
+            assert r.recoveries == 1
+            rounds = [s for s in stream if s["name"] in ("agree", "shrink")]
+            assert [s["name"] for s in rounds] == ["agree", "shrink"]
+            assert rounds[1]["attrs"]["new_size"] == 3
 
     def test_streams_named_by_original_world_rank(self, traced_recovery):
         # the shrink renumbers ranks, but trace files keep the original

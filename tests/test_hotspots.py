@@ -40,7 +40,6 @@ from repro.obs.hotspots import (
     emit_kernel_profile,
 )
 from repro.obs.instrument import TracedExecutor
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.par.ledger import OpKind
 from repro.par.machine import HITS_CLUSTER
@@ -261,37 +260,37 @@ class TestExecutorProfiling:
 
 
 class TestClearClvsTelemetry:
-    """Satellite: ``clear_clvs`` emits an eviction counter + bytes gauge."""
+    """``clear_clvs`` counts evictions and freed bytes in the CLV stats
+    and emits one ``clv_evict`` instant carrying the bytes freed."""
 
     def test_counter_and_gauge(self):
         lik = exact_workload().build_likelihood("gamma")
         _, _, wire, node_taxon = executor_fixture(lik)
         tracer = Tracer(rank=0)
-        metrics = MetricsRegistry()
-        executor = TracedExecutor(lik.parts, node_taxon, tracer,
-                                  metrics=metrics)
+        executor = TracedExecutor(lik.parts, node_taxon, tracer)
         executor.run_ops(wire)
         live = sum(s["live_bytes"] for s in executor.clv_stats())
         assert live > 0
         executor.clear_clvs()
-        assert metrics.counter("clv.evictions").value == (
-            len(wire) * len(lik.parts))
-        assert metrics.gauge("clv.freed_bytes").value == live
+        stats = executor.clv_stats()
+        assert sum(s["evictions"] for s in stats) == len(wire) * len(lik.parts)
+        assert sum(s["evicted_bytes"] for s in stats) == live
         assert all(s["live_bytes"] == 0 for s in executor.clv_stats())
         assert all(s["evictions"] > 0 for s in executor.clv_stats())
         evicts = [span_to_dict(s) for s in tracer.spans()
                   if s.name == "clv_evict"]
         assert len(evicts) == 1
+        assert evicts[0]["attrs"]["count"] == len(wire) * len(lik.parts)
         assert evicts[0]["attrs"]["nbytes"] == live
 
     def test_empty_store_emits_nothing(self):
         lik = exact_workload().build_likelihood("gamma")
         _, _, _, node_taxon = executor_fixture(lik)
-        metrics = MetricsRegistry()
-        executor = TracedExecutor(lik.parts, node_taxon, Tracer(rank=0),
-                                  metrics=metrics)
+        tracer = Tracer(rank=0)
+        executor = TracedExecutor(lik.parts, node_taxon, tracer)
         executor.clear_clvs()
-        assert "clv.evictions" not in metrics.snapshot()["counters"]
+        assert len(tracer) == 0
+        assert sum(s["evictions"] for s in executor.clv_stats()) == 0
 
 
 class TestEmitAndReport:
@@ -307,17 +306,14 @@ class TestEmitAndReport:
     def test_round_trip_report_is_healthy(self):
         lik, prof = self._profiled_run()
         tracer = Tracer(rank=0)
-        metrics = MetricsRegistry()
-        emitted = emit_kernel_profile(prof, tracer, metrics,
-                                      clv_sources=(lik,))
+        emitted = emit_kernel_profile(prof, tracer, clv_sources=(lik,))
         assert emitted == len(prof) + len(lik.parts)
         records = [span_to_dict(s) for s in tracer.spans()]
-        assert any(r["name"] == KERNEL_OP_SPAN for r in records)
-        assert any(r["name"] == CLV_MEMORY_SPAN for r in records)
-        snap = metrics.snapshot()
-        assert snap["counters"]["kernel.opcalls.newview"] == (
+        ops = [r["attrs"] for r in records if r["name"] == KERNEL_OP_SPAN]
+        clv = [r["attrs"] for r in records if r["name"] == CLV_MEMORY_SPAN]
+        assert sum(a["count"] for a in ops if a["op"] == "newview") == (
             prof.invocations("newview"))
-        assert snap["gauges"]["clv.live_bytes"] > 0
+        assert sum(a["live_bytes"] for a in clv) > 0
 
         report = build_hotspot_report(
             records, modeled_clv_bytes=modeled_clv_footprint(lik))

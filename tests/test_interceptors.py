@@ -15,7 +15,6 @@ import pytest
 
 from repro.obs.heartbeat import HeartbeatInterceptor, HeartbeatState
 from repro.obs.instrument import TraceInterceptor
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.par.comm import Comm, InterceptingComm, ReduceOp
 from repro.par.faultcomm import FaultInjector, FaultPlan, FaultSpec
@@ -116,13 +115,12 @@ def stack():
     fault = FaultInjector(
         plan, 0, on_fire=lambda mode, _: log.append(("fire",) + probe()))
     tracer = LoggingTracer(log, probe)
-    metrics = MetricsRegistry()
     sanitizer = ReplicaSanitizer()
     base = RecordingBase(log, probe)
     comm = InterceptingComm(base, [
-        TraceInterceptor(tracer, metrics), fault,
+        TraceInterceptor(tracer), fault,
         HeartbeatInterceptor(state), sanitizer])
-    return comm, base, log, state, fault, sanitizer, tracer, metrics
+    return comm, base, log, state, fault, sanitizer, tracer
 
 
 CALLS = {
@@ -140,7 +138,7 @@ COLLECTIVES = ("bcast", "reduce", "allreduce", "barrier", "gather", "scatter")
 
 @pytest.mark.parametrize("verb", sorted(CALLS))
 def test_order_per_verb(stack, verb):
-    comm, base, log, state, fault, sanitizer, _, _ = stack
+    comm, base, log, state, fault, sanitizer, _ = stack
     for k in range(1, N_CALLS + 1):
         del log[:]
         CALLS[verb](comm)
@@ -179,7 +177,7 @@ def test_results_and_identity_pass_through(stack):
 
 
 def test_shrink_rules(stack):
-    comm, base, log, state, fault, sanitizer, tracer, metrics = stack
+    comm, base, log, state, fault, sanitizer, tracer = stack
     comm.allreduce(1.0, tag="t")
     comm.allreduce(1.0, tag="t")
     assert sanitizer.calls == 2 and sanitizer._prev != "-"
@@ -210,17 +208,17 @@ def test_shrink_rules(stack):
     # heartbeat: the same state object, now naming the failed world rank
     assert heartbeat.state is state
     assert state.phase == "recover" and state.failed_ranks == (1,)
-    # trace: same tracer and metrics, recovery spans emitted
-    assert trace.tracer is tracer and trace.metrics is metrics
-    spans = {s.name: s for s in tracer.spans() if s.kind == "recovery"}
-    assert spans["agree"].attrs == {"suspected": [1], "agreed": [1]}
-    assert spans["shrink"].attrs == {
-        "failed_world": [1], "new_size": 1, "new_rank": 0}
-    counters = metrics.snapshot()["counters"]
-    assert counters["recovery.agree_rounds"] == 1
-    assert counters["recovery.shrinks"] == 1
+    # trace: same tracer, one span per recovery round
+    assert trace.tracer is tracer
+    recovery = [s for s in tracer.spans() if s.kind == "recovery"]
+    assert [s.name for s in recovery] == ["agree", "shrink"]
+    agree, shrink = recovery
+    assert agree.attrs == {"suspected": [1], "agreed": [1]}
+    assert shrink.attrs == {"failed_world": [1], "new_size": 1, "new_rank": 0}
 
     # post-resume collectives keep counting on the carried interceptors
     shrunk.allreduce(1.0, tag="t")
     assert (fault.calls, fault.recovery_calls, state.calls) == (3, 3, 3)
     assert sanitizer2.calls == 1 and sanitizer.calls == 2
+    assert [s.name for s in tracer.spans() if s.kind == "comm"] == [
+        "allreduce"] * 3

@@ -6,12 +6,14 @@
   communicator — no wrapper on the uninstrumented path;
 * the supervisor's attempt *k* differs from attempt 0 only in what the
   ladder owns;
-* both engines close their runtime the same way (emit → flush →
-  snapshot), so rank 0's metrics describe the stream on disk.
+* both engines close their runtime the same way (emit → flush), so
+  rank 0's result names a stream that holds the kernel profile, and a
+  traced rank's comm spans add up to its wire counters.
 """
 
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -129,7 +131,7 @@ class TestSupervisorAttemptConfig:
 
 
 class TestOneClosePath:
-    """Rank 0's snapshot is taken after the kernel profile is emitted and
+    """Rank 0's result is built after the kernel profile is emitted and
     the stream flushed — for the fork-join master too, whose result used
     to be built before its own ``finally``."""
 
@@ -141,6 +143,34 @@ class TestOneClosePath:
         assert rank0.trace_path == str(tmp_path / "trace-rank0.jsonl")
         records = [json.loads(line) for line in
                    Path(rank0.trace_path).read_text().splitlines()]
-        assert rank0.metrics["counters"]["kernel.opcalls.newview"] > 0
-        assert rank0.metrics["gauges"]["clv.entries"] > 0
-        assert rank0.metrics["gauges"]["trace.spans"] == len(records)
+        newview = [r["attrs"] for r in records if r["name"] == "kernel_op"
+                   and r["attrs"]["op"] == "newview"]
+        assert sum(a["count"] for a in newview) > 0
+        assert sum(r["attrs"]["entries"] for r in records
+                   if r["name"] == "clv_memory") > 0
+
+
+def _comm_totals(trace_path):
+    """Per-category span count and nbytes of one rank's flushed stream."""
+    calls, nbytes = Counter(), Counter()
+    for line in Path(trace_path).read_text().splitlines():
+        record = json.loads(line)
+        if record["kind"] == "comm":
+            calls[record["category"]] += 1
+            nbytes[record["category"]] += record.get("nbytes", 0)
+    return dict(calls), dict(nbytes)
+
+
+class TestSpansEqualWireCounters:
+    """A traced rank's stream and its always-on wire counters are one
+    record: per Table-I category, the comm spans' count and nbytes equal
+    ``calls_by_tag`` and ``bytes_by_tag``."""
+
+    @pytest.mark.parametrize("engine,rank", [("decentralized", 1),
+                                             ("forkjoin", 0)])
+    def test_per_category_totals(self, workload, engine, rank, tmp_path):
+        results = launch(_config(workload, engine, trace_dir=tmp_path))
+        result = results[rank]
+        calls, nbytes = _comm_totals(result.trace_path)
+        assert calls == result.calls_by_tag
+        assert nbytes == result.bytes_by_tag

@@ -1,8 +1,9 @@
 """Unit tests for the observability subsystem (:mod:`repro.obs`).
 
-Covers the tracer's ring buffer and error semantics, the metrics
-registry, the instrumentation wrappers (delegation fidelity + counter
-accuracy against a real communicator), the JSONL/Chrome exporters (valid
+Covers the tracer's ring buffer and error semantics, the serve
+daemon's metrics registry and its Prometheus rendering, the
+instrumentation wrappers (delegation fidelity + span accuracy against a
+real communicator), the JSONL/Chrome exporters (valid
 JSON, per-rank monotonic timestamps, pid = rank, tid named after the
 span kind), and the reconciliation arithmetic.
 """
@@ -24,11 +25,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.instrument import TraceInterceptor
-from repro.obs.metrics import (
-    MetricsRegistry,
-    histogram_quantile,
-    merge_snapshots,
-)
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.reconcile import (
     DECENTRALIZED_REL_TOL,
     CategoryDelta,
@@ -150,43 +147,6 @@ class TestMetrics:
         assert json.loads(json.dumps(snap)) == snap
         assert snap["counters"] == {"c": 2.0}
 
-    def test_merge_snapshots(self):
-        a = MetricsRegistry()
-        a.counter("calls").inc(3)
-        a.gauge("size").set(4)
-        a.histogram("nbytes").observe(10)
-        b = MetricsRegistry()
-        b.counter("calls").inc(2)
-        b.gauge("size").set(3)
-        b.histogram("nbytes").observe(30)
-        merged = merge_snapshots([a.snapshot(), b.snapshot(), {}])
-        assert merged["counters"]["calls"] == 5.0
-        assert merged["gauges"]["size"] == 4.0
-        hist = merged["histograms"]["nbytes"]
-        assert hist["count"] == 2 and hist["mean"] == 20.0
-
-    def test_merge_of_empty_snapshots(self):
-        # no snapshots at all, and snapshots with no recorded metrics,
-        # both collapse to the empty (but well-formed) merged shape
-        empty = {"counters": {}, "gauges": {}, "histograms": {}}
-        assert merge_snapshots([]) == empty
-        assert merge_snapshots([{}, MetricsRegistry().snapshot()]) == empty
-        # zero-count histograms are dropped rather than polluting the
-        # merge with their inf/-inf min/max sentinels
-        reg = MetricsRegistry()
-        reg.histogram("h")
-        assert merge_snapshots([reg.snapshot()])["histograms"] == {}
-
-    def test_gauge_merge_is_not_a_sum(self):
-        # within one registry a gauge is last-write-wins; across ranks
-        # the merge takes the max — never the sum
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("ring.occupancy").set(10)
-        a.gauge("ring.occupancy").set(2)  # last write wins locally
-        b.gauge("ring.occupancy").set(7)
-        merged = merge_snapshots([a.snapshot(), b.snapshot()])
-        assert merged["gauges"]["ring.occupancy"] == 7.0
-
     def test_bucketed_histogram_counts_per_edge(self):
         reg = MetricsRegistry()
         h = reg.histogram("lat", bounds=(1.0, 10.0))
@@ -200,37 +160,6 @@ class TestMetrics:
         # bucketless histograms keep the legacy dict shape
         reg.histogram("plain").observe(1.0)
         assert "buckets" not in reg.histogram("plain").to_dict()
-
-    def test_histogram_merge_with_disjoint_buckets(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        ha = a.histogram("nbytes", bounds=(10.0, 100.0))
-        hb = b.histogram("nbytes", bounds=(50.0,))
-        for v in (5.0, 60.0):
-            ha.observe(v)
-        hb.observe(40.0)
-        merged = merge_snapshots([a.snapshot(), b.snapshot()])
-        hist = merged["histograms"]["nbytes"]
-        assert hist["count"] == 3
-        # union of edges; counts from both sides survive
-        assert hist["buckets"] == {"10.0": 1, "100.0": 1, "50.0": 1}
-        # merge with a bucketless snapshot of the same metric: summary
-        # still folds in, buckets stay as they were
-        c = MetricsRegistry()
-        c.histogram("nbytes").observe(1000.0)
-        both = merge_snapshots([a.snapshot(), c.snapshot()])
-        assert both["histograms"]["nbytes"]["count"] == 3
-        assert both["histograms"]["nbytes"]["max"] == 1000.0
-        assert both["histograms"]["nbytes"]["buckets"] == {
-            "10.0": 1, "100.0": 1}
-
-    def test_merge_does_not_mutate_inputs(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", bounds=(1.0,)).observe(0.5)
-        b.histogram("h", bounds=(1.0,)).observe(0.5)
-        snap_a, snap_b = a.snapshot(), b.snapshot()
-        merge_snapshots([snap_a, snap_b])
-        assert snap_a["histograms"]["h"]["buckets"] == {"1.0": 1}
-        assert snap_b["histograms"]["h"]["buckets"] == {"1.0": 1}
 
 
 class TestPromExport:
@@ -266,73 +195,6 @@ class TestPromExport:
         # the bucket lines precede the _count/_sum summary samples
         assert text.index("_bucket") < text.index("repro_lat_count")
 
-    def test_merged_union_buckets_render_cumulative_sorted(self):
-        # a merge_snapshots result may carry a bucket-edge *union*
-        # (ranks bucketing the same metric differently); the prom
-        # rendering must re-sort the edges numerically and stay
-        # cumulative, closed by le="+Inf" == total count
-        a, b = MetricsRegistry(), MetricsRegistry()
-        ha = a.histogram("lat", bounds=(10.0, 100.0))
-        hb = b.histogram("lat", bounds=(0.5, 50.0))
-        for v in (5.0, 60.0, 200.0):
-            ha.observe(v)
-        for v in (0.25, 40.0):
-            hb.observe(v)
-        merged = merge_snapshots([a.snapshot(), b.snapshot()])
-        # the union dict is insertion-ordered (10, 100, 0.5, 50) — the
-        # exposition must not render it in that order
-        text = snapshot_to_prom(merged)
-        lines = [ln for ln in text.splitlines()
-                 if ln.startswith("repro_lat_bucket")]
-        edges = [ln.split('le="')[1].split('"')[0] for ln in lines]
-        assert edges == ["0.5", "10.0", "50.0", "100.0", "+Inf"]
-        counts = [float(ln.rsplit(" ", 1)[1]) for ln in lines]
-        # cumulative across the union: 0.25 | 5 | 40 | 60 | 200-overflow
-        assert counts == [1, 2, 3, 4, 5]
-        assert counts == sorted(counts)
-
-    def test_histogram_quantile_interpolates_and_clamps(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", bounds=(1.0, 2.0, 4.0))
-        for v in (0.5, 1.5, 1.5, 3.0):
-            h.observe(v)
-        hist = reg.snapshot()["histograms"]["lat"]
-        # p50: target 2 of 4 -> second obs of the (1, 2] bucket
-        assert histogram_quantile(hist, 0.5) == pytest.approx(1.5)
-        assert histogram_quantile(hist, 0.75) == pytest.approx(2.0)
-        # p100 sits inside the (2, 4] bucket
-        assert histogram_quantile(hist, 1.0) == pytest.approx(4.0)
-        # overflow observations clamp to the last finite edge
-        h.observe(100.0)
-        hist = reg.snapshot()["histograms"]["lat"]
-        assert histogram_quantile(hist, 1.0) == pytest.approx(4.0)
-        # empty/bucketless -> 0.0; out-of-range q raises
-        assert histogram_quantile({"count": 0}, 0.5) == 0.0
-        assert histogram_quantile({"count": 3}, 0.5) == 0.0
-        with pytest.raises(ValueError):
-            histogram_quantile(hist, 1.5)
-        # a merged union-bucket histogram quantiles the same way
-        other = MetricsRegistry()
-        other.histogram("lat", bounds=(8.0,)).observe(6.0)
-        merged = merge_snapshots([reg.snapshot(), other.snapshot()])
-        q = histogram_quantile(merged["histograms"]["lat"], 0.99)
-        assert 4.0 < q <= 8.0
-
-    def test_labels_attach_to_every_sample(self):
-        reg = MetricsRegistry()
-        reg.counter("calls").inc()
-        reg.histogram("lat", bounds=(1.0,)).observe(0.5)
-        text = snapshot_to_prom(reg.snapshot(),
-                                labels={"rank": "2", "engine": "dec"})
-        assert 'repro_calls{engine="dec",rank="2"} 1.0' in text
-        assert 'repro_lat_bucket{engine="dec",rank="2",le="1.0"} 1' in text
-        assert 'repro_lat_bucket{engine="dec",rank="2",le="+Inf"} 1' in text
-
-    def test_label_values_escaped(self):
-        text = snapshot_to_prom({"counters": {"c": 1.0}},
-                                labels={"path": 'a"b\\c'})
-        assert 'path="a\\"b\\\\c"' in text
-
     def test_names_sanitized_and_nonfinite_values(self):
         text = snapshot_to_prom(
             {"counters": {"comm.bytes.tag.traversal descriptor": 2.0},
@@ -352,13 +214,11 @@ class TestTracingComm:
     @pytest.fixture
     def traced(self):
         tracer = Tracer(rank=0)
-        metrics = MetricsRegistry()
-        comm = InterceptingComm(SequentialComm(),
-                                [TraceInterceptor(tracer, metrics)])
-        return comm, tracer, metrics
+        comm = InterceptingComm(SequentialComm(), [TraceInterceptor(tracer)])
+        return comm, tracer
 
     def test_results_identical_to_inner(self, traced):
-        comm, _, _ = traced
+        comm, _ = traced
         arr = np.arange(4.0)
         assert np.array_equal(comm.bcast(arr, tag="model parameters"), arr)
         out = comm.allreduce(arr, ReduceOp.SUM, tag="likelihood")
@@ -369,7 +229,7 @@ class TestTracingComm:
         assert comm.rank == 0 and comm.size == 1
 
     def test_spans_carry_tag_and_nbytes(self, traced):
-        comm, tracer, _ = traced
+        comm, tracer = traced
         arr = np.arange(4.0)
         comm.allreduce(arr, ReduceOp.SUM, tag="likelihood")
         (span,) = tracer.spans()
@@ -380,28 +240,28 @@ class TestTracingComm:
 
     def test_wire_accounting_untouched(self, traced):
         """Tracing must not perturb the byte ledger the engines report."""
-        comm, _, _ = traced
+        comm, _ = traced
         arr = np.ones(8)
         comm.allreduce(arr, ReduceOp.SUM, tag="t")
         assert comm.bytes_by_tag["t"] == arr.nbytes
         assert comm.calls_by_tag["t"] == 1
 
     def test_counters_track_calls_and_bytes(self, traced):
-        comm, _, metrics = traced
+        comm, tracer = traced
         arr = np.ones(8)
         comm.allreduce(arr, ReduceOp.SUM, tag="t")
         comm.allreduce(arr, ReduceOp.SUM, tag="t")
-        snap = metrics.snapshot()
-        assert snap["counters"]["comm.calls.allreduce"] == 2
-        assert snap["counters"]["comm.bytes.allreduce"] == 2 * arr.nbytes
-        assert snap["counters"]["comm.bytes.tag.t"] == 2 * arr.nbytes
-        hist = snap["histograms"]["comm.payload_nbytes.allreduce"]
-        assert hist["count"] == 2 and hist["mean"] == arr.nbytes
+        spans = tracer.spans()
+        assert [(s.name, s.category, s.nbytes) for s in spans] == [
+            ("allreduce", "t", arr.nbytes)] * 2
+        # the comm's own counters and the stream agree call for call
+        assert comm.calls_by_tag["t"] == len(spans) == 2
+        assert comm.bytes_by_tag["t"] == sum(s.nbytes for s in spans)
 
     def test_pure_receive_records_result_bytes(self, traced):
         # bcast of None carries 0 contributed bytes; the span must pick
         # up the received payload's size instead (set before commit).
-        comm, tracer, _ = traced
+        comm, tracer = traced
         comm.bcast(None, tag="t")
         (span,) = tracer.spans()
         assert span.nbytes == 0  # SequentialComm returns the None payload
@@ -650,7 +510,7 @@ class TestLazyPackage:
 
         import repro.obs
 
-        assert len(repro.obs.__all__) == 91 == len(set(repro.obs.__all__))
+        assert len(repro.obs.__all__) == 85 == len(set(repro.obs.__all__))
         # a re-export named like a submodule would read as either, depending
         # on what was imported first
         assert not set(repro.obs.__all__) & set(repro.obs._EXPORTS)
