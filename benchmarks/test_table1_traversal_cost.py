@@ -30,7 +30,7 @@ from repro.engines.forkjoin import (
     CAT_MODEL,
     CAT_TRAVERSAL,
 )
-from repro.perf.report import format_table1, table1_rows
+from repro.perf.price import format_table1, table1_rows
 
 CONFIGS = [
     ("Γ, per-partition", "gamma", True),

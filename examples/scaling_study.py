@@ -5,13 +5,13 @@ Runs one search on a partitioned workload and prices its region log
 for both engines across rank counts and distributions — a miniature of
 the paper's whole evaluation section, including a fault-tolerance drill.
 
-Run:  python examples/scaling_study.py            (couple of minutes)
+Run:  python examples/scaling_study.py            (a few seconds)
 """
 
 from repro.bench import engine_pair, record_partitioned
 from repro.engines.fault import recovery_time, redistribute_after_failure
 from repro.par.machine import HITS_CLUSTER
-from repro.perf.report import table1_rows
+from repro.perf.price import format_table1
 
 
 def main() -> None:
@@ -26,8 +26,7 @@ def main() -> None:
               f"{li.total_s / ex.total_s:>9.2f}")
 
     print("\ncommunication breakdown of the fork-join run (Table I style):")
-    for key, val in table1_rows(run.log).items():
-        print(f"  {key:<40}{val:>12.2f}")
+    print(format_table1({"Γ, joint": run.log}))
 
     print("\nfault drill: kill 5 of 192 ranks under the decentralized scheme")
     dist = run.distribution(192)

@@ -35,7 +35,7 @@ from repro.likelihood.partitioned import PartitionData, PartitionedLikelihood
 from repro.model.rates import PerSiteRates
 from repro.par.machine import HITS_CLUSTER, MachineSpec
 from repro.perf.costmodel import WorkloadMeta
-from repro.perf.runtime_sim import RuntimeReport, simulate_runtime
+from repro.perf.price import RuntimeReport, simulate_runtime
 from repro.search.search import SearchConfig, SearchResult, hill_climb
 
 __all__ = [

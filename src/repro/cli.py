@@ -456,8 +456,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.likelihood.backend import SequentialBackend
     from repro.likelihood.partitioned import PartitionedLikelihood
     from repro.perf.costmodel import WorkloadMeta
-    from repro.perf.report import table1_rows
-    from repro.perf.runtime_sim import simulate_runtime
+    from repro.perf.price import format_table1, simulate_runtime
     from repro.dist.distributions import auto_distribution
     from repro.par.machine import HITS_CLUSTER
     from repro.search.search import SearchConfig, hill_climb
@@ -476,8 +475,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                                      radius_max=args.radius))
 
     print("fork-join communication breakdown (Table I):")
-    for key, val in table1_rows(backend.log).items():
-        print(f"  {key:<42}{val:>14.2f}")
+    print(format_table1({args.model: backend.log}))
 
     meta = WorkloadMeta.from_likelihood(lik)
     print(f"\nsimulated runtimes on {HITS_CLUSTER.name}:")
@@ -797,7 +795,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         dist_kinds=args.dist,
         trace_root=args.trace_out,
         trace_capacity=args.trace_capacity,
-        predict=not args.no_predict,
         workload_info={
             "alignment": str(args.alignment),
             "taxa": alignment.n_taxa,
@@ -1304,6 +1301,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
+def _machine_ranks(text: str) -> int:
+    """A rank count the reference machine can host (``report --ranks``)."""
+    from repro.par.machine import HITS_CLUSTER
+
+    ranks = int(text)
+    if not 1 <= ranks <= HITS_CLUSTER.total_cores:
+        raise argparse.ArgumentTypeError(
+            f"{ranks} is not within 1..{HITS_CLUSTER.total_cores} "
+            f"(cores of {HITS_CLUSTER.name})")
+    return ranks
+
+
 def _add_traced_run_flags(parser: argparse.ArgumentParser, engine_default: str,
                           engine_help: str, trace_out: str,
                           trace_help: str) -> None:
@@ -1500,8 +1509,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("-s", "--seed", type=int, default=42)
     rep.add_argument("-Q", "--mps", action="store_true",
                      help="monolithic per-partition distribution")
-    rep.add_argument("--ranks", type=int, nargs="+",
-                     default=[48, 192, 768])
+    rep.add_argument("--ranks", type=_machine_ranks, nargs="+",
+                     default=[48, 192, 768],
+                     help="rank counts to price on the reference machine")
     rep.set_defaults(func=_cmd_report)
 
     prof = sub.add_parser(
@@ -1602,8 +1612,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "configuration; default ./trace_scale)")
     scale.add_argument("--trace-capacity", type=int, default=None,
                        help="per-rank span ring-buffer capacity")
-    scale.add_argument("--no-predict", action="store_true",
-                       help="skip the analytic-model prediction columns")
     scale.add_argument("--bench-out", metavar="PATH",
                        help="write BENCH_scaling.json here")
     scale.add_argument("--report-out", metavar="PATH",

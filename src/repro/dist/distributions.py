@@ -72,9 +72,6 @@ class DataDistribution:
     def n_partitions(self) -> int:
         return int(self.owned.shape[1])
 
-    def max_rank_patterns(self) -> float:
-        return float(self.owned.sum(axis=1).max())
-
     def balance(self) -> float:
         """Mean rank load over max rank load (1.0 = perfect)."""
         per_rank = self.owned.sum(axis=1)

@@ -18,10 +18,9 @@ re-exported here): the sequential program, each replica and the
 fork-join master end with equal logs, and the engines differ only in
 what each region communicates — which is precisely the paper's claim,
 made executable.  So an engine, for pricing, is one row of
-:data:`ENGINES`: its ``region_events`` and its Table-I categories.
+:data:`ENGINES`: its ``region_events`` and its Table-I categories
+(:mod:`repro.perf.price` walks a log under it).
 """
-
-from typing import NamedTuple
 
 from repro.likelihood.backend import EventLog, Region, RegionKind
 from repro.engines import decentral, forkjoin
@@ -31,8 +30,6 @@ __all__ = [
     "RegionKind",
     "EventLog",
     "ENGINES",
-    "CommTotals",
-    "comm_totals",
 ]
 
 #: ``RunConfig`` engine name → (region → collectives, Table-I categories).
@@ -40,29 +37,3 @@ ENGINES = {
     "decentralized": (decentral.region_events, decentral.CATEGORIES),
     "forkjoin": (forkjoin.region_events, forkjoin.CATEGORIES),
 }
-
-
-class CommTotals(NamedTuple):
-    """What an engine communicates over one region log."""
-
-    #: modeled bytes per Table-I category (every category, zeros included)
-    nbytes: dict[str, float]
-    #: collective calls per category
-    calls: dict[str, int]
-    #: regions with at least one collective (all of them under fork-join)
-    regions: int
-
-
-def comm_totals(log: EventLog, engine: str) -> CommTotals:
-    """Price ``log`` under ``engine``: one walk, in the log's order."""
-    events_of, categories = ENGINES[engine]
-    nbytes = dict.fromkeys(categories, 0.0)
-    calls = dict.fromkeys(categories, 0)
-    regions = 0
-    for region in log:
-        events = events_of(region)
-        regions += bool(events)
-        for ev in events:
-            nbytes[ev.category] += ev.nbytes
-            calls[ev.category] += 1
-    return CommTotals(nbytes, calls, regions)

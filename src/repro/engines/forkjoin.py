@@ -6,8 +6,8 @@ Two artifacts live here:
   collectives and byte counts the fork-join scheme incurs: a traversal-
   descriptor broadcast for every likelihood region, parameter broadcasts,
   and master-rooted reductions.  Priced over a region log
-  (:func:`repro.engines.comm_totals`) it regenerates Table I, and it
-  feeds the runtime synthesizer.
+  (:func:`repro.perf.price.comm_totals`) it regenerates Table I, and
+  :func:`repro.perf.price.simulate_runtime` prices its seconds.
 * :class:`ForkJoinMasterBackend` / :func:`forkjoin_worker` — a *real* distributed
   implementation over any :class:`~repro.par.comm.Comm`: rank 0 owns the
   tree and the search, workers own site data and execute broadcast

@@ -325,9 +325,6 @@ class PartitionedLikelihood:
     def n_branch_sets(self) -> int:
         return self.tree.n_branch_sets
 
-    def total_cost_patterns(self) -> float:
-        return sum(p.cost_patterns for p in self.parts)
-
     # ------------------------------------------------------------------ #
     # cache validity
     # ------------------------------------------------------------------ #

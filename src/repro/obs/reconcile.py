@@ -8,7 +8,7 @@ category; a live multiprocess run *measures* them
 :func:`~repro.par.comm.payload_nbytes` used for wire accounting).  The
 rank that measured also counted the parallel regions it ran
 (``DistributedResult.log``), so this module prices *that* region log
-(:func:`repro.engines.comm_totals`) and compares per category: two
+(:func:`repro.perf.price.comm_totals`) and compares per category: two
 columns of one run, with no second search.
 
 What "matching" means, per engine:
@@ -33,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.engines import comm_totals
+from repro.perf.price import comm_totals
 
 __all__ = [
     "CategoryDelta",

@@ -14,8 +14,10 @@ cluster — but the *orderings* do: which engine is comm-heavier, whether
 the collective-wait share grows with rank count, whether a monolithic
 (``mps``) distribution shows the load imbalance the paper fixes with
 cyclic.  The report therefore pairs every measured table with the
-analytic prediction from :mod:`repro.perf.scaling` and states whether
-the orderings agree.  ``repro scale`` on the CLI wraps this module.
+analytic prediction — the first run's region log priced under both
+engines on the reference machine
+(:func:`repro.perf.price.simulate_runtime`) — and states whether the
+orderings agree.  ``repro scale`` on the CLI wraps this module.
 """
 
 from __future__ import annotations
@@ -212,7 +214,6 @@ def run_scaling(
     dist_kinds: Sequence[str] = ("cyclic",),
     trace_root: str | Path = "trace_scale",
     trace_capacity: int | None = None,
-    predict: bool = True,
     workload_info: dict[str, Any] | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> ScalingResult:
@@ -231,7 +232,7 @@ def run_scaling(
         raise ValueError("ranks_list must hold positive rank counts")
     trace_root = Path(trace_root)
     points: list[ScalePoint] = []
-    logs = {}  # dist -> the region log of its first run
+    firsts = {}  # dist -> (likelihood, region log) of its first run
 
     for dist in dist_kinds:
         for engine in engines:
@@ -247,7 +248,7 @@ def run_scaling(
                 t0 = time.perf_counter()
                 res = first_survivor(launch(cfg))
                 harness_s = time.perf_counter() - t0
-                logs.setdefault(dist, res.log)
+                firsts.setdefault(dist, (lik, res.log))
 
                 merged = _merged_trace(trace_dir, n)
                 analysis, cpath = analyze_trace(merged)
@@ -265,8 +266,7 @@ def run_scaling(
     _fill_speedups(points)
     result = ScalingResult(points=points,
                            workload=dict(workload_info or {}))
-    if predict:
-        _attach_predictions(result, build_likelihood(), logs, ranks_sorted)
+    _attach_predictions(result, firsts, ranks_sorted)
     return result
 
 
@@ -317,32 +317,56 @@ def _fill_speedups(points: list[ScalePoint]) -> None:
 
 def _attach_predictions(
     result: ScalingResult,
-    lik,
-    logs: dict,
+    firsts: dict,
     ranks_sorted: list[int],
 ) -> None:
-    """Price each distribution's region log (``logs``: dist → the log a
-    live run of the workload ``lik`` kept) and test the orderings."""
+    """Price each distribution's region log (``firsts``: dist → the
+    likelihood and log of its first live run) under both engines on the
+    reference machine and test the model's orderings: per rank count,
+    ``comm_heavier`` is the engine predicted to spend more time in
+    collectives (the paper: fork-join, always) and ``faster`` the one
+    with the lower predicted total (ties go to ``decentralized``, the
+    paper's winner)."""
+    from repro.dist.distributions import auto_distribution
+    from repro.engines import ENGINES
+    from repro.par.machine import HITS_CLUSTER
     from repro.perf.costmodel import WorkloadMeta
-    from repro.perf.scaling import predict_scaling, predicted_ordering
+    from repro.perf.price import simulate_runtime
 
-    meta = WorkloadMeta.from_likelihood(lik)
-    engines = sorted({p.engine for p in result.points})
-    for dist, log in logs.items():
-        pred = predict_scaling(log, meta, dist, ranks_sorted)
-        ordering = predicted_ordering(pred)
-        doc = pred.to_dict()
-        doc["ordering"] = ordering
-        result.predicted[dist] = doc
-        if len(engines) == 2:
+    modeled = sorted(ENGINES)
+    measured_engines = sorted({p.engine for p in result.points})
+    base = ranks_sorted[0]
+    for dist, (lik, log) in firsts.items():
+        meta = WorkloadMeta.from_likelihood(lik)
+        reps = {(e, n): simulate_runtime(
+                    log, e, meta, HITS_CLUSTER, auto_distribution(
+                        meta.cost_patterns, n, use_mps=(dist == "mps")))
+                for e in modeled for n in ranks_sorted}
+        ordering: dict[str, dict[str, str]] = {"comm_heavier": {}, "faster": {}}
+        for n in ranks_sorted:
+            ordering["comm_heavier"][str(n)] = max(
+                modeled, key=lambda e: reps[e, n].comm_s)
+            ordering["faster"][str(n)] = min(
+                modeled, key=lambda e: (reps[e, n].total_s, e != "decentralized"))
+        result.predicted[dist] = {
+            "dist": dist,
+            "machine": HITS_CLUSTER.name,
+            "engines": {e: {str(n): {
+                "total_s": reps[e, n].total_s,
+                "compute_s": reps[e, n].compute_s,
+                "comm_s": reps[e, n].comm_s,
+                "speedup": reps[e, base].total_s * base / reps[e, n].total_s,
+            } for n in ranks_sorted} for e in modeled},
+            "ordering": ordering,
+        }
+        if len(measured_engines) == 2:
             agree: dict[str, bool] = {}
             for n in ranks_sorted:
                 try:
                     shares = {e: result.wait_share(e, dist, n)
-                              for e in engines}
+                              for e in measured_engines}
                 except KeyError:
                     continue
                 measured = max(shares, key=shares.get)  # type: ignore[arg-type]
-                modeled = ordering["comm_heavier"].get(str(n))
-                agree[str(n)] = measured == modeled
+                agree[str(n)] = measured == ordering["comm_heavier"][str(n)]
             result.agreement[dist] = agree

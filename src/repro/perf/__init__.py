@@ -3,18 +3,23 @@ description and data distribution into simulated wall-clock time,
 communication-byte breakdowns and memory footprints."""
 
 from repro.perf.costmodel import WorkloadMeta, memory_footprint_per_node, swap_multiplier
-from repro.perf.runtime_sim import RuntimeReport, simulate_runtime
-from repro.perf.report import format_table1
-from repro.perf.scaling import PredictedScaling, predict_scaling, predicted_ordering
+from repro.perf.price import (
+    CommTotals,
+    RuntimeReport,
+    comm_totals,
+    format_table1,
+    simulate_runtime,
+    table1_rows,
+)
 
 __all__ = [
     "WorkloadMeta",
     "memory_footprint_per_node",
     "swap_multiplier",
+    "CommTotals",
     "RuntimeReport",
-    "simulate_runtime",
+    "comm_totals",
     "format_table1",
-    "PredictedScaling",
-    "predict_scaling",
-    "predicted_ordering",
+    "simulate_runtime",
+    "table1_rows",
 ]

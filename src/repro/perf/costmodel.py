@@ -79,12 +79,7 @@ def rank_second_vectors(
     meta: WorkloadMeta, machine: MachineSpec, dist: DataDistribution
 ) -> dict[OpKind, np.ndarray]:
     """``B[op][r]`` = seconds rank ``r`` spends on ONE invocation of ``op``
-    over every partition's owned patterns.
-
-    A region that performs ``c`` invocations of ``op`` per partition costs
-    ``max_r c · B[op][r]`` (uniform case); the synthesizer uses these
-    precomputed vectors to price tens of thousands of regions cheaply.
-    """
+    over every partition's owned patterns."""
     weight = _weighted_patterns(meta, machine)
     base = dist.owned @ weight  # (n_ranks,) pattern·category units
     return {
@@ -97,9 +92,9 @@ def rank_second_vector_custom(
     machine: MachineSpec,
     dist: DataDistribution,
     op: OpKind,
-    per_partition_counts: np.ndarray,
+    per_partition_counts: float | np.ndarray,
 ) -> np.ndarray:
-    """Exact per-rank seconds for a region with non-uniform op counts."""
+    """Exact per-rank seconds of one region's ``op`` invocations."""
     weight = _weighted_patterns(meta, machine) * per_partition_counts
     return machine.op_cost_ns[op] * 1.0e-9 * (dist.owned @ weight)
 

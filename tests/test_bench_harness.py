@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro import bench
-from repro.engines import comm_totals, decentral, forkjoin
+from repro.engines import decentral, forkjoin
 from repro.par.machine import HITS_CLUSTER
+from repro.perf.price import comm_totals
 
 
 @pytest.fixture(scope="module")

@@ -124,6 +124,35 @@ class TestReport:
         out = capsys.readouterr().out
         assert "traversal descriptor" in out
         assert "ExaML" in out
+        # Table I through its one renderer: a region count is an integer
+        regions = next(line for line in out.splitlines()
+                       if line.startswith("# parallel regions"))
+        assert regions.split()[-1].isdigit(), regions
+
+    @pytest.fixture()
+    def climbs(self, monkeypatch):
+        import repro.search.search as search_module
+
+        calls = []
+        search = search_module.hill_climb
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(search_module, "hill_climb", counting)
+        return calls
+
+    @pytest.mark.parametrize("ranks", ["0", "2401"])
+    def test_ranks_beyond_the_machine_rejected_before_searching(
+            self, fasta_path, climbs, capsys, ranks):
+        """The reference machine has 50 × 48 = 2400 cores."""
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(fasta_path), "-n", "1", "-r", "1",
+                  "--ranks", "48", ranks])
+        assert exc.value.code == 2
+        assert "1..2400" in capsys.readouterr().err
+        assert climbs == []
 
 
 class TestDistributedInfer:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engines import EventLog, Region, RegionKind, comm_totals, decentral
+from repro.engines import EventLog, Region, RegionKind, decentral
 from repro.engines.forkjoin import (
     CAT_BL_OPT,
     CAT_LIKELIHOOD,
@@ -12,6 +12,7 @@ from repro.engines.forkjoin import (
     descriptor_nbytes,
     region_events,
 )
+from repro.perf.price import comm_totals
 
 
 def region(kind, p=10, nbs=1, ops=5.0):

@@ -9,7 +9,7 @@ from repro.errors import CommError
 from repro.likelihood.backend import SequentialBackend
 from repro.likelihood.partitioned import PartitionedLikelihood
 from repro.obs.hotspots import OpProfiler
-from repro.perf.report import format_table1, table1_rows
+from repro.perf.price import format_table1, table1_rows
 from repro.tree.traversal import full_traversal
 
 from region_work import region_work

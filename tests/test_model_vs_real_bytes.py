@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import partitioned_workload
-from repro.engines import comm_totals
+from repro.perf.price import comm_totals
 from repro.engines.forkjoin import (
     CAT_BL_OPT,
     CAT_LIKELIHOOD,

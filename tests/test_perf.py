@@ -13,7 +13,7 @@ from repro.perf.costmodel import (
     rank_second_vectors,
     swap_multiplier,
 )
-from repro.perf.runtime_sim import simulate_runtime
+from repro.perf.price import simulate_runtime
 
 GIB = 1024**3
 

@@ -49,11 +49,11 @@ class TestTopLevelExports:
         from repro.tree.random_trees import random_topology  # noqa: F401
 
     def test_engine_surface(self):
-        from repro.engines import (  # noqa: F401
-            ENGINES,
-            EventLog,
-            Region,
+        from repro.engines import ENGINES, EventLog, Region  # noqa: F401
+        from repro.perf.price import (  # noqa: F401
             comm_totals,
+            format_table1,
+            simulate_runtime,
         )
         from repro.engines.launch import (  # noqa: F401
             RunConfig,

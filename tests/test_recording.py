@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro import bench
 from repro.datasets import partitioned_workload
-from repro.engines import comm_totals
 from repro.engines.decentral import DecentralizedBackend
 from repro.engines.forkjoin import (
     CAT_BL_OPT,
@@ -37,6 +36,7 @@ from repro.likelihood.optimize_model import (
 from repro.likelihood.partitioned import PartitionedLikelihood
 from repro.model.rates import PerSiteRates
 from repro.par.seqcomm import SequentialComm
+from repro.perf.price import comm_totals
 from repro.search.search import SearchConfig, hill_climb
 from repro.tree.newick import write_newick
 

@@ -11,7 +11,7 @@ The issue's acceptance criteria verified here:
   paper's bandwidth-bound master/worker vs compute-bound decentralized
   contrast, measured live);
 * the harness's measured orderings agree with the analytic predictions
-  from :mod:`repro.perf.scaling` (``predicted_ordering``).
+  (the first run's region log priced by :mod:`repro.perf.price`).
 """
 
 import json
