@@ -11,13 +11,14 @@ Commands mirror the RAxML-Light/ExaML workflow the paper describes:
 * ``report``   — run a search and price its region log: the Table-I
   style communication breakdown plus simulated runtimes for both engines;
 * ``profile``  — run the engines live on real processes with span tracing
-  on, export per-rank JSONL + a merged Chrome/Perfetto trace, and
-  reconcile measured collective bytes against the analytic comm models
-  (``--trace-out``, ``--trace-format``, ``--reconcile``, ``--summary``);
-* ``scale``    — measured scaling: run both engines live across rank
-  counts and data distributions, attribute traced spans into busy/wait
-  time, and emit speedup/efficiency tables (``BENCH_scaling.json`` + a
-  markdown report) alongside the analytic model's predicted ordering;
+  on, across rank counts and data distributions (``--ranks``,
+  ``--dist``), and read each traced run three ways: busy/wait
+  attribution with speedup/efficiency tables next to the analytic
+  model's predicted ordering, a kernel hotspot table (per-op time share,
+  achieved vs modeled GFLOP/s, roofline, CLV memory) with its internal
+  checks, and measured collective bytes reconciled against the analytic
+  comm models; one markdown report, one ``kind: profile`` bench record,
+  exit 1 when a check fails (``--from-trace`` re-reads a trace root);
 * ``regress``  — gate a ``BENCH_*.json`` record against prior baselines
   (median comparison with noise-tolerant thresholds; report-only until
   enough baselines exist; defaults to the committed ``benchmarks/``
@@ -490,280 +491,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _traced_runs(args: argparse.Namespace):
-    """The live loop ``profile`` and ``hotspots`` share.
-
-    Per requested engine: a fresh likelihood (the search mutates model
-    state), one launch traced into ``<trace-out>/<engine>``, the rank
-    streams merged.  Yields ``(cfg, results, merged spans, wall seconds,
-    number of rank streams)``.
-    """
-    import time
-
-    from repro.engines.launch import RunConfig, launch
-    from repro.likelihood.partitioned import PartitionedLikelihood
-    from repro.obs.export import merge_rank_streams, rank_trace_path
-    from repro.search.search import SearchConfig
-    from repro.seq.partitions import read_partition_file
-    from repro.tree.newick import write_newick
-    from repro.tree.random_trees import random_topology
-
-    alignment = _load_alignment(args.alignment)
-    scheme = read_partition_file(args.partitions) if args.partitions else None
-    tree = random_topology(alignment.taxa, rng=args.seed)
-    config = SearchConfig(max_iterations=args.iterations,
-                          radius_max=args.radius)
-    engines = (["decentralized", "forkjoin"] if args.engine == "both"
-               else [args.engine])
-    for engine in engines:
-        lik = PartitionedLikelihood.build(
-            alignment, tree, scheme=scheme, rate_mode=args.model,
-            per_partition_branches=args.per_partition_branches,
-        )
-        cfg = RunConfig(
-            engine, lik.parts, lik.taxa, write_newick(tree), args.ranks,
-            config=config, dist_kind=args.dist,
-            n_branch_sets=lik.n_branch_sets,
-            trace_dir=Path(args.trace_out) / engine,
-        )
-        # replicheck: ignore[R004] -- driver-side wall-clock benchmarking in the CLI process, outside any replica
-        t0 = time.perf_counter()
-        results = launch(cfg)
-        # replicheck: ignore[R004] -- driver-side wall-clock benchmarking in the CLI process, outside any replica
-        wall_s = time.perf_counter() - t0
-        rank_paths = [rank_trace_path(cfg.trace_dir, r)
-                      for r in range(args.ranks)]
-        rank_paths = [p for p in rank_paths if p.exists()]
-        yield cfg, results, merge_rank_streams(rank_paths), wall_s, len(rank_paths)
-
-
-def _register_bench(args: argparse.Namespace, command: str, bench: dict,
-                    trace_root: Path, **extra) -> None:
-    """Register a completed ``profile``/``hotspots`` run with its bench
-    snapshot: every such run feeds the registry's rolling baseline pool,
-    so ``repro regress`` has history without any CI bookkeeping."""
-    from repro.obs.registry import RunRegistry
-
-    registry = RunRegistry()
-    run_id = registry.register({
-        "command": command,
-        "engine": args.engine,
-        "ranks": args.ranks,
-        "dist": args.dist,
-        "seed": args.seed,
-        "alignment": str(args.alignment),
-        "config": {"iterations": args.iterations,
-                   "radius": args.radius, "model": args.model},
-        "status": "completed",
-        **extra,
-        "trace_dir": str(trace_root),
-    })
-    registry.record_bench(run_id, bench)
-    print(f"run {run_id} registered with bench snapshot under "
-          f"{registry.root}", file=sys.stderr)
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Live 2-engine profiling: trace, export, reconcile."""
-    from repro.obs.export import write_chrome_trace
-    from repro.obs.reconcile import (
-        DECENTRALIZED_REL_TOL,
-        FORKJOIN_REL_TOL,
-        reconcile_live_run,
-    )
-
-    trace_root = Path(args.trace_out)
-    bench: dict = {
-        "kind": "obs_profile",
-        "alignment": str(args.alignment),
-        "ranks": args.ranks,
-        "iterations": args.iterations,
-        "engines": {},
-    }
-    all_within = True
-
-    for cfg, results, merged, wall_s, n_streams in _traced_runs(args):
-        engine = cfg.engine
-        # a non-root replica measures exactly one payload per allreduce
-        # (the model's convention); see obs.reconcile
-        measured_rank = (1 if engine == "decentralized" and args.ranks > 1
-                         else 0)
-        res = results[measured_rank]
-        chrome_path = None
-        if args.trace_format == "chrome":
-            chrome_path = Path(cfg.trace_dir) / "trace.chrome.json"
-            write_chrome_trace(merged, chrome_path)
-        print(f"[{engine}] {args.ranks} ranks, {wall_s:.2f}s wall, "
-              f"{len(merged)} spans from {n_streams} rank stream(s)"
-              + (f" -> {chrome_path}" if chrome_path else ""),
-              file=sys.stderr)
-
-        from repro.obs.analyze import attribute_wait
-
-        analysis = attribute_wait(merged)
-        if analysis.dropped_spans:
-            print(f"WARNING [{engine}]: {analysis.dropped_spans} span(s) "
-                  f"dropped by the tracer ring buffer — the trace is "
-                  f"truncated and per-rank shares are unreliable; raise "
-                  f"the capacity (trace_capacity) or shorten the run",
-                  file=sys.stderr)
-        if args.summary:
-            print(f"[{engine}] per-rank attribution:")
-            print(analysis.format_table())
-
-        entry: dict = {
-            "wall_s": wall_s,
-            "logl": res.logl,
-            "bytes_by_tag": dict(res.bytes_by_tag),
-            "n_spans": len(merged),
-            "trace_dir": cfg.trace_dir,
-            "wait_share": analysis.wait_share,
-            "imbalance": analysis.imbalance,
-            "dropped_spans": analysis.dropped_spans,
-        }
-        if args.reconcile:
-            report = reconcile_live_run(engine, res,
-                                        measured_rank=measured_rank)
-            tolerance = args.tolerance
-            if tolerance is None:
-                tolerance = (DECENTRALIZED_REL_TOL
-                             if engine == "decentralized"
-                             else FORKJOIN_REL_TOL)
-            within = report.within(tolerance)
-            all_within = all_within and within
-            print(report.format_table())
-            print(f"tolerance (max relative byte error): {tolerance:g} -> "
-                  f"{'OK' if within else 'OUT OF TOLERANCE'}")
-            entry["reconcile"] = report.to_dict()
-            entry["tolerance"] = tolerance
-            entry["within_tolerance"] = within
-        bench["engines"][engine] = entry
-
-    # flat higher-is-worse metrics for `repro regress`
-    bench["metrics"] = {
-        f"profile.{engine}.{key}": entry[key]
-        for engine, entry in bench["engines"].items()
-        for key in ("wall_s", "wait_share", "imbalance")
-    }
-    if args.bench_out:
-        import json
-
-        Path(args.bench_out).write_text(json.dumps(bench, indent=2) + "\n")
-        print(f"bench record written to {args.bench_out}", file=sys.stderr)
-    if not args.no_register:
-        _register_bench(args, "profile", bench, trace_root, result={
-            "logl": {e: v["logl"] for e, v in bench["engines"].items()}})
-    if args.reconcile and not all_within:
-        print("reconciliation failed: measured bytes deviate from the "
-              "comm model beyond tolerance", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_hotspots(args: argparse.Namespace) -> int:
-    """Kernel-level hotspots: ranked per-op table, roofline, CLV memory."""
-    from repro.obs.export import merge_rank_streams
-    from repro.obs.hotspots import build_hotspot_report
-    from repro.par.machine import HITS_CLUSTER
-
-    if args.from_trace is None and args.alignment is None:
-        print("hotspots needs an alignment (live mode) or --from-trace",
-              file=sys.stderr)
-        return 2
+    """Traced live runs read three ways: wait attribution and scaling,
+    kernel hotspots, byte reconciliation (exit 1 if a check fails)."""
+    import json
 
     if args.from_trace is not None:
-        # Offline: re-analyze an existing trace directory.  No workload
-        # is available, so CLV memory is reported but not reconciled.
-        trace_dir = Path(args.from_trace)
-        paths = sorted(trace_dir.rglob("trace-rank*.jsonl"))
-        if not paths:
-            print(f"no trace-rank*.jsonl under {trace_dir}", file=sys.stderr)
-            return 2
-        merged = merge_rank_streams(paths)
-        report = build_hotspot_report(merged, machine=HITS_CLUSTER)
-        problems = report.check(check_memory=False)
-        print(report.format_markdown(top=args.top))
-        return _finish_hotspots(args, {"offline": report}, problems,
-                                trace_root=trace_dir)
-
-    reports: dict = {}
-    problems: list[str] = []
-
-    for cfg, _results, merged, wall_s, _n_streams in _traced_runs(args):
-        engine = cfg.engine
-        # Analytic raw CLV bytes across the whole run (all ranks' shares
-        # together are the full pattern set): (n_taxa−2) inner-node CLVs
-        # × Σ_p patterns·cats·states·8.  The profiled cache keys CLVs by
-        # directed edge, so the live/model ratio has a documented band
-        # rather than an exact target (see docs/OBSERVABILITY.md).  The
-        # model's virtual units only match real allocations when the
-        # workload is unscaled (pattern_scale == 1), which holds here.
-        modeled_clv = (len(cfg.taxa) - 2) * sum(
-            p.n_patterns * p.n_cats * p.model.n_states * 8.0
-            for p in cfg.parts
-        )
-        report = build_hotspot_report(
-            merged, machine=HITS_CLUSTER,
-            modeled_clv_bytes=modeled_clv,
-        )
-        # fork-join worker stores are tree-agnostic (never collected), so
-        # only the decentralized engine is gated on the CLV memory band
-        engine_problems = report.check(
-            check_memory=(engine == "decentralized"))
-        problems.extend(f"[{engine}] {p}" for p in engine_problems)
-        reports[engine] = report
-        print(f"[{engine}] {args.ranks} ranks, {wall_s:.2f}s wall, "
-              f"{len(merged)} merged span(s)", file=sys.stderr)
-        print(report.format_markdown(top=args.top))
-        print()
-
-    return _finish_hotspots(args, reports, problems,
-                            trace_root=Path(args.trace_out))
-
-
-def _finish_hotspots(args: argparse.Namespace, reports: dict,
-                     problems: list[str], trace_root: Path) -> int:
-    """Shared tail of `repro hotspots`: artifacts, registry, verdict."""
-    import json
-
-    bench: dict = {
-        "kind": "kernel_hotspots",
-        "alignment": str(args.alignment) if args.alignment else None,
-        "ranks": args.ranks,
-        "iterations": args.iterations,
-        "engines": {},
-        "metrics": {},
-    }
-    for engine, report in reports.items():
-        record = report.to_bench(engine=engine)
-        bench["engines"][engine] = record["report"]
-        bench["metrics"].update(record["metrics"])
-
-    if args.report_out:
-        md = "\n\n".join(r.format_markdown(top=args.top)
-                         for r in reports.values())
-        Path(args.report_out).write_text(md + "\n")
-        print(f"markdown report written to {args.report_out}",
+        return _profile_from_trace(args)
+    if args.alignment is None:
+        print("profile needs an alignment (live mode) or --from-trace",
               file=sys.stderr)
-    if args.json_out:
-        payload = {e: r.to_dict() for e, r in reports.items()}
-        Path(args.json_out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"JSON report written to {args.json_out}", file=sys.stderr)
-    if args.bench_out:
-        Path(args.bench_out).write_text(json.dumps(bench, indent=2) + "\n")
-        print(f"bench record written to {args.bench_out}", file=sys.stderr)
-    if not args.no_register and args.from_trace is None:
-        _register_bench(args, "hotspots", bench, trace_root)
-    if problems:
-        for problem in problems:
-            print(f"hotspots check failed: {problem}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_scale(args: argparse.Namespace) -> int:
-    """Measured scaling: live runs across rank counts, analyzed + gated."""
-    import json
+        return 2
 
     from repro.likelihood.partitioned import PartitionedLikelihood
     from repro.obs.scaling import run_scaling
@@ -775,11 +513,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     alignment = _load_alignment(args.alignment)
     scheme = read_partition_file(args.partitions) if args.partitions else None
     tree = random_topology(alignment.taxa, rng=args.seed)
-    newick = write_newick(tree)
-    config = SearchConfig(max_iterations=args.iterations,
-                          radius_max=args.radius)
-    engines = (["decentralized", "forkjoin"] if args.engine == "both"
-               else [args.engine])
 
     def build_likelihood() -> PartitionedLikelihood:
         # fresh per configuration: the search mutates model state
@@ -789,12 +522,15 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         )
 
     result = run_scaling(
-        build_likelihood, newick, config,
-        engines=engines,
+        build_likelihood, write_newick(tree),
+        SearchConfig(max_iterations=args.iterations, radius_max=args.radius),
+        engines=(["decentralized", "forkjoin"] if args.engine == "both"
+                 else [args.engine]),
         ranks_list=args.ranks,
         dist_kinds=args.dist,
         trace_root=args.trace_out,
         trace_capacity=args.trace_capacity,
+        chrome=(args.trace_format == "chrome"),
         workload_info={
             "alignment": str(args.alignment),
             "taxa": alignment.n_taxa,
@@ -803,24 +539,42 @@ def _cmd_scale(args: argparse.Namespace) -> int:
             "model": args.model,
         },
         progress=lambda msg: print(msg, file=sys.stderr),
+        summary=args.summary,
     )
-
-    report_md = result.format_markdown()
-    if args.report_out:
-        Path(args.report_out).write_text(report_md + "\n")
-        print(f"markdown report written to {args.report_out}",
-              file=sys.stderr)
-    else:
-        print(report_md)
+    _write_report(args, result.format_markdown(top=args.top))
+    bench = result.to_bench()
     if args.bench_out:
-        Path(args.bench_out).write_text(
-            json.dumps(result.to_bench(), indent=2) + "\n")
+        Path(args.bench_out).write_text(json.dumps(bench, indent=2) + "\n")
         print(f"bench record written to {args.bench_out}", file=sys.stderr)
+    if not args.no_register:
+        from repro.obs.registry import RunRegistry
+
+        # every registered run feeds the registry's rolling baseline pool,
+        # so `repro regress` has history without any CI bookkeeping
+        registry = RunRegistry()
+        run_id = registry.register({
+            "command": "profile",
+            "engine": args.engine,
+            # scalars, as every other command registers them
+            "ranks": " ".join(map(str, args.ranks)),
+            "dist": " ".join(args.dist),
+            "seed": args.seed,
+            "alignment": str(args.alignment),
+            "config": {"iterations": args.iterations,
+                       "radius": args.radius, "model": args.model},
+            "status": "completed",
+            "result": {"logl": {p.label: p.logl for p in result.points}},
+            "trace_dir": str(args.trace_out),
+        })
+        registry.record_bench(run_id, bench)
+        print(f"run {run_id} registered with bench snapshot under "
+              f"{registry.root}", file=sys.stderr)
 
     dropped = sum(p.dropped_spans for p in result.points)
     if dropped:
-        print(f"WARNING: {dropped} span(s) dropped across runs — raise "
-              f"--trace-capacity", file=sys.stderr)
+        print(f"WARNING: {dropped} span(s) dropped by the tracer ring "
+              f"buffer — the traces are truncated and per-rank shares "
+              f"are unreliable; raise --trace-capacity", file=sys.stderr)
     disagreements = [
         (dist, n) for dist, per_ranks in result.agreement.items()
         for n, ok in per_ranks.items() if not ok and int(n) > 1
@@ -828,7 +582,49 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     if disagreements:
         print(f"note: measured comm-heavier engine disagrees with the "
               f"model at {disagreements}", file=sys.stderr)
-    return 0
+    problems = result.problems()
+    for problem in problems:
+        print(f"profile check failed: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+def _profile_from_trace(args: argparse.Namespace) -> int:
+    """``profile --from-trace``: one kernel table per traced directory."""
+    import json
+
+    from repro.obs.hotspots import hotspot_metrics, reports_under
+
+    reports = reports_under(args.from_trace)
+    if not reports:
+        print(f"no trace-rank*.jsonl under {args.from_trace}",
+              file=sys.stderr)
+        return 2
+    _write_report(args, "\n\n".join(
+        f"# {label}\n\n{report.format_markdown(top=args.top, level=2)}"
+        for label, report in reports.items()))
+    problems = [f"[{label}] {p}" for label, report in reports.items()
+                for p in report.check(check_memory=False)]
+    if args.bench_out:
+        # kernel tables only, no points: not a live "profile" record
+        bench = {"kind": "kernel_hotspots",
+                 "from_trace": str(args.from_trace),
+                 "hotspots": {label: r.to_dict()
+                              for label, r in reports.items()},
+                 "metrics": hotspot_metrics(reports)}
+        Path(args.bench_out).write_text(json.dumps(bench, indent=2) + "\n")
+        print(f"bench record written to {args.bench_out}", file=sys.stderr)
+    for problem in problems:
+        print(f"profile check failed: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+def _write_report(args: argparse.Namespace, markdown: str) -> None:
+    if args.report_out:
+        Path(args.report_out).write_text(markdown + "\n")
+        print(f"markdown report written to {args.report_out}",
+              file=sys.stderr)
+    else:
+        print(markdown)
 
 
 def _cmd_regress(args: argparse.Namespace) -> int:
@@ -1020,7 +816,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
                   f"{m.get('created', '?'):<20} "
                   f"{m.get('command', '?'):<8} "
                   f"{m.get('engine', '?'):<14} "
-                  f"{m.get('ranks', '?'):>5} "
+                  f"{str(m.get('ranks', '?')):>5} "
                   f"{m.get('status', '?'):<10} "
                   f"{logl_s:>14} {has_bench:>5} {trace_s:<8}")
         return 0
@@ -1313,30 +1109,6 @@ def _machine_ranks(text: str) -> int:
     return ranks
 
 
-def _add_traced_run_flags(parser: argparse.ArgumentParser, engine_default: str,
-                          engine_help: str, trace_out: str,
-                          trace_help: str) -> None:
-    """The flags :func:`_traced_runs` reads (``profile``, ``hotspots``)."""
-    parser.add_argument("-q", "--partitions",
-                        help="RAxML-style partition file")
-    parser.add_argument("-m", "--model", choices=["gamma", "psr", "none"],
-                        default="gamma")
-    parser.add_argument("-M", dest="per_partition_branches",
-                        action="store_true")
-    parser.add_argument("-n", "--iterations", type=int, default=1)
-    parser.add_argument("-r", "--radius", type=int, default=2)
-    parser.add_argument("-s", "--seed", type=int, default=42)
-    parser.add_argument("--engine",
-                        choices=["decentralized", "forkjoin", "both"],
-                        default=engine_default, help=engine_help)
-    parser.add_argument("--ranks", type=int, default=2,
-                        help="process count (default 2)")
-    parser.add_argument("--dist", choices=["cyclic", "mps"],
-                        default="cyclic")
-    parser.add_argument("--trace-out", default=trace_out, metavar="DIR",
-                        help=trace_help)
-
-
 def build_parser() -> argparse.ArgumentParser:
     from repro.obs.monitor import (
         DEFAULT_BEAT_TIMEOUT,
@@ -1516,108 +1288,66 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof = sub.add_parser(
         "profile",
-        help="live multi-process run with span tracing, Chrome-trace "
-             "export and model-vs-measured reconciliation")
-    prof.add_argument("alignment", help="FASTA/PHYLIP/binary alignment")
-    _add_traced_run_flags(
-        prof, "both", "which engine(s) to profile (default both)", "trace",
-        "directory for per-rank JSONL and merged traces (one subdir per "
-        "engine; default ./trace)")
+        help="live traced runs across engines, rank counts and "
+             "distributions, each read three ways: busy/wait attribution "
+             "with speedup tables and the model's ordering, a kernel "
+             "hotspot table with its checks, and model-vs-measured byte "
+             "reconciliation; non-zero exit if a check fails")
+    prof.add_argument("alignment", nargs="?", default=None,
+                      help="FASTA/PHYLIP/binary alignment (omit with "
+                           "--from-trace)")
+    prof.add_argument("-q", "--partitions",
+                      help="RAxML-style partition file")
+    prof.add_argument("-m", "--model", choices=["gamma", "psr", "none"],
+                      default="gamma")
+    prof.add_argument("-M", dest="per_partition_branches",
+                      action="store_true")
+    prof.add_argument("-n", "--iterations", type=int, default=1)
+    prof.add_argument("-r", "--radius", type=int, default=2)
+    prof.add_argument("-s", "--seed", type=int, default=42)
+    prof.add_argument("--engine",
+                      choices=["decentralized", "forkjoin", "both"],
+                      default="both",
+                      help="which engine(s) to run (default both)")
+    prof.add_argument("--ranks", type=int, nargs="+", default=[2],
+                      help="rank counts to run (default 2); speedup is "
+                           "relative to the smallest")
+    prof.add_argument("--dist", choices=["cyclic", "mps"], nargs="+",
+                      default=["cyclic"],
+                      help="data distribution(s) to run")
+    prof.add_argument("--trace-out", default="trace", metavar="DIR",
+                      help="trace directory root, one subdirectory "
+                           "<engine>-<dist>-r<N> per configuration "
+                           "(default ./trace)")
+    prof.add_argument("--trace-capacity", type=int, default=None,
+                      help="per-rank span ring-buffer capacity")
     prof.add_argument("--trace-format", choices=["jsonl", "chrome"],
                       default="chrome",
                       help="'chrome' additionally writes a merged "
-                           "Perfetto-loadable trace.chrome.json "
-                           "(default); 'jsonl' keeps only the per-rank "
-                           "streams")
-    prof.add_argument("--reconcile", action="store_true",
-                      help="price the measuring rank's own region log "
-                           "with the analytic comm model and compare "
-                           "measured vs modeled bytes per Table-I "
-                           "category; non-zero exit if out of tolerance")
-    prof.add_argument("--tolerance", type=float, default=None,
-                      metavar="REL",
-                      help="max relative byte error for --reconcile "
-                           "(default: exact for decentralized, the "
-                           "documented framing tolerance for fork-join)")
-    prof.add_argument("--bench-out", metavar="PATH",
-                      help="write a JSON bench record here")
+                           "Perfetto-loadable trace.chrome.json per "
+                           "configuration (default); 'jsonl' keeps only "
+                           "the per-rank streams")
     prof.add_argument("--summary", action="store_true",
                       help="print a per-rank attribution table (calls, "
-                           "bytes, compute/wait/transfer shares) instead "
-                           "of requiring the Chrome trace viewer")
+                           "bytes, compute/wait/transfer shares) per "
+                           "configuration to stderr")
+    prof.add_argument("--top", type=int, default=None, metavar="N",
+                      help="show only the N hottest ops per kernel table")
+    prof.add_argument("--report-out", metavar="PATH",
+                      help="write the markdown report here (default: "
+                           "print to stdout)")
+    prof.add_argument("--bench-out", metavar="PATH",
+                      help="write the JSON bench record (kind profile) "
+                           "here")
     prof.add_argument("--no-register", action="store_true",
                       help="skip writing a manifest (and the bench "
                            "snapshot) to the run registry")
+    prof.add_argument("--from-trace", metavar="DIR", default=None,
+                      help="re-read an existing trace root instead of "
+                           "running: one kernel table per directory "
+                           "holding trace-rank*.jsonl (no reconciliation, "
+                           "no memory band, no registry entry)")
     prof.set_defaults(func=_cmd_profile)
-
-    hot = sub.add_parser(
-        "hotspots",
-        help="kernel-level compute profile: ranked per-op table with "
-             "time share, achieved vs modeled GFLOP/s, arithmetic "
-             "intensity / roofline placement and CLV memory attribution")
-    hot.add_argument("alignment", nargs="?", default=None,
-                     help="FASTA/PHYLIP/binary alignment (omit with "
-                          "--from-trace)")
-    hot.add_argument("--from-trace", metavar="DIR", default=None,
-                     help="re-analyze an existing trace directory "
-                          "instead of running live (no memory "
-                          "reconciliation, no registry entry)")
-    _add_traced_run_flags(
-        hot, "decentralized",
-        "which engine(s) to profile (default decentralized — the only one "
-        "gated on the CLV memory band)", "trace_hotspots",
-        "directory for per-rank JSONL traces (one subdir per engine; "
-        "default ./trace_hotspots)")
-    hot.add_argument("--top", type=int, default=None, metavar="N",
-                     help="show only the N hottest ops")
-    hot.add_argument("--report-out", metavar="PATH",
-                     help="write the markdown kernel table here")
-    hot.add_argument("--json-out", metavar="PATH",
-                     help="write the full report as JSON here")
-    hot.add_argument("--bench-out", metavar="PATH",
-                     help="write a BENCH_kernels-style record here "
-                          "(kind kernel_hotspots, flat higher-is-worse "
-                          "metrics for `repro regress`)")
-    hot.add_argument("--no-register", action="store_true",
-                     help="skip writing a manifest (and the bench "
-                          "snapshot) to the run registry")
-    hot.set_defaults(func=_cmd_hotspots)
-
-    scale = sub.add_parser(
-        "scale",
-        help="measured scaling: live runs across rank counts with "
-             "busy/wait attribution, speedup/efficiency tables and a "
-             "model-ordering check")
-    scale.add_argument("alignment", help="FASTA/PHYLIP/binary alignment")
-    scale.add_argument("-q", "--partitions",
-                       help="RAxML-style partition file")
-    scale.add_argument("-m", "--model", choices=["gamma", "psr", "none"],
-                       default="gamma")
-    scale.add_argument("-M", dest="per_partition_branches",
-                       action="store_true")
-    scale.add_argument("-n", "--iterations", type=int, default=1)
-    scale.add_argument("-r", "--radius", type=int, default=2)
-    scale.add_argument("-s", "--seed", type=int, default=42)
-    scale.add_argument("--engine",
-                       choices=["decentralized", "forkjoin", "both"],
-                       default="both")
-    scale.add_argument("--ranks", type=int, nargs="+", default=[1, 2, 4],
-                       help="rank counts to measure (default 1 2 4); "
-                            "speedup is relative to the smallest")
-    scale.add_argument("--dist", choices=["cyclic", "mps"], nargs="+",
-                       default=["cyclic"],
-                       help="data distribution(s) to measure")
-    scale.add_argument("--trace-out", default="trace_scale", metavar="DIR",
-                       help="trace directory root (one subdir per "
-                            "configuration; default ./trace_scale)")
-    scale.add_argument("--trace-capacity", type=int, default=None,
-                       help="per-rank span ring-buffer capacity")
-    scale.add_argument("--bench-out", metavar="PATH",
-                       help="write BENCH_scaling.json here")
-    scale.add_argument("--report-out", metavar="PATH",
-                       help="write the markdown report here (default: "
-                            "print to stdout)")
-    scale.set_defaults(func=_cmd_scale)
 
     regress = sub.add_parser(
         "regress",

@@ -123,15 +123,3 @@ class DescriptorExecutor:
     def clv_stats(self) -> list[dict[str, int]]:
         """Per-partition CLV memory accounting (for profile emission)."""
         return clv_stats(self.stacks, self.n_partitions)
-
-    def _on_evict(self, count: int, nbytes: int) -> None:
-        """Hook for subclasses to surface evictions (the traced one emits a span)."""
-
-    # -- the caller re-broadcasts full traversals after parameter changes,
-    #    so stale CLVs are overwritten; clearing keeps memory bounded and
-    #    bugs loud ----------------------------------------------------- #
-    def clear_clvs(self) -> None:
-        dropped = [stack.drop() for stack in self.stacks]
-        count = sum(n for n, _ in dropped)
-        if count:
-            self._on_evict(count, sum(nbytes for _, nbytes in dropped))

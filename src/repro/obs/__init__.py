@@ -18,8 +18,9 @@ multiprocess runs and closes the loop:
   per Table-I category;
 * :mod:`repro.obs.analyze` — wait-time attribution, critical-path and
   load-imbalance analysis over merged traces;
-* :mod:`repro.obs.scaling` — the measured scaling harness behind
-  ``repro scale``;
+* :mod:`repro.obs.scaling` — the one traced-run loop behind ``repro
+  profile``: each configuration launched once, its merged trace read as
+  wait attribution, kernel hotspots and byte reconciliation;
 * :mod:`repro.obs.regress` — performance regression gating over
   ``BENCH_*.json`` records;
 * :mod:`repro.obs.heartbeat` — per-rank heartbeat side channel (status
@@ -41,13 +42,12 @@ multiprocess runs and closes the loop:
 * :mod:`repro.obs.hotspots` — kernel-level compute observability: the
   per-op :class:`OpProfiler` (wall time, invocations, work units and
   CLV memory per kernel op × partition), analytic FLOP/byte accounting
-  and roofline placement, behind ``repro hotspots``;
+  and roofline placement, read by ``repro profile``;
 * :mod:`repro.obs.nullprofiler` — the disabled profiler every likelihood
   holds by default, in a module of its own that imports nothing.
 
 See ``docs/OBSERVABILITY.md`` for the workflow, and ``repro profile`` /
-``repro scale`` / ``repro regress`` on the CLI for the one-command
-versions.
+``repro regress`` on the CLI for the one-command versions.
 """
 
 import importlib

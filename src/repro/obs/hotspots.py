@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Iterable
 
 from repro.obs.nullprofiler import NULL_OP_PROFILER, NullOpProfiler
@@ -82,6 +83,9 @@ __all__ = [
     "OpStat",
     "HotspotReport",
     "build_hotspot_report",
+    "hotspot_metrics",
+    "clv_footprint",
+    "reports_under",
 ]
 
 #: Span name of one flushed ``(op, partition)`` profile summary.
@@ -93,6 +97,11 @@ CLV_MEMORY_SPAN = "clv_memory"
 #: module docstring for the derivation).
 CLV_RATIO_MIN = 0.3
 CLV_RATIO_MAX = 3.5
+
+#: Relative slack of ``HotspotReport.check``'s FLOPs re-derivation: the
+#: per-record sum and the formula on the summed units agree exactly on
+#: integer units and to the last bits on fractional ones.
+FLOPS_REL_TOL = 1e-12
 
 #: Ops whose work unit is one pattern·category (cost-model convention); the
 #: machine's ``op_cost_ns`` constants price exactly these, so only they
@@ -269,6 +278,9 @@ class OpStat:
     n_states: int
     site_specific: bool
     by_partition: dict[int, float] = field(default_factory=dict)
+    #: Work units per state count (an op may span DNA and protein
+    #: partitions); ``check`` re-derives the FLOPs from these.
+    units_by_states: dict[int, float] = field(default_factory=dict)
     time_share: float = 0.0
 
     @property
@@ -353,10 +365,12 @@ class HotspotReport:
         """Internal-consistency problems (empty list == healthy report).
 
         * time shares must sum to 1 over the ranked ops,
-        * each op's carried FLOPs must equal the analytic per-unit
-          formula times its work units — *exactly* (same floats, same
-          accounting; any drift means the formulas and the profiler
-          disagree),
+        * each op's carried FLOPs (summed record by record) must equal
+          the analytic per-unit formula times its summed work units, per
+          state count, to within :data:`FLOPS_REL_TOL` (exact on integer
+          units; fractional units, as on pattern-scaled workloads, may
+          differ in the last bit) — any larger drift means the formulas
+          and the profiler disagree,
         * with ``check_memory`` and a modeled footprint, the CLV ratio
           must sit inside the documented band.
         """
@@ -367,9 +381,9 @@ class HotspotReport:
                 problems.append(
                     f"time shares sum to {share_sum:.6f}, expected 1.0")
         for stat in self.ops:
-            expect = modeled_flops(stat.op, stat.units,
-                                   n_states=stat.n_states)
-            if stat.flops != expect:
+            expect = sum(modeled_flops(stat.op, units, n_states=k)
+                         for k, units in stat.units_by_states.items())
+            if abs(stat.flops - expect) > FLOPS_REL_TOL * abs(expect):
                 problems.append(
                     f"{stat.op}: carried {stat.flops} FLOPs but the "
                     f"per-unit formula gives {expect} for "
@@ -398,9 +412,11 @@ class HotspotReport:
             },
         }
 
-    def format_markdown(self, top: int | None = None) -> str:
-        """Ranked kernel table + memory section, GitHub-flavored."""
-        lines = ["# Kernel hotspots", ""]
+    def format_markdown(self, top: int | None = None, level: int = 1) -> str:
+        """Ranked kernel table + memory section, GitHub-flavored, headed
+        at markdown heading ``level``."""
+        heading = "#" * level
+        lines = [f"{heading} Kernel hotspots", ""]
         lines.append(
             f"{self.n_ranks} rank(s), {self.total_wall_s:.3f} s total "
             f"kernel time; roofline vs {self.machine.name} "
@@ -427,7 +443,7 @@ class HotspotReport:
             lines.append(f"({len(self.ops) - top} further op(s) omitted)")
         if self.memory:
             lines.append("")
-            lines.append("## CLV memory")
+            lines.append(f"{heading}# CLV memory")
             lines.append("")
             lines.append("| partition | entries | live MiB | peak MiB "
                          "| evictions | evicted MiB |")
@@ -449,28 +465,6 @@ class HotspotReport:
                     f"live/model = {ratio:.3f} (documented band "
                     f"[{CLV_RATIO_MIN}, {CLV_RATIO_MAX}]).")
         return "\n".join(lines)
-
-    def to_bench(self, engine: str = "",
-                 extra: dict[str, Any] | None = None) -> dict[str, Any]:
-        """BENCH record for ``repro regress`` (flat, higher-is-worse)."""
-        metrics: dict[str, float] = {
-            "hotspots.total_kernel_s": self.total_wall_s,
-        }
-        for s in self.ops:
-            prefix = f"hotspots.{engine}.{s.op}" if engine \
-                else f"hotspots.{s.op}"
-            metrics[f"{prefix}.wall_s"] = s.wall_s
-            if s.op in PATTERN_UNIT_OPS and s.units > 0:
-                metrics[f"{prefix}.ns_per_unit"] = s.ns_per_unit
-        record: dict[str, Any] = {
-            "kind": "kernel_hotspots",
-            "engine": engine,
-            "metrics": metrics,
-            "report": self.to_dict(),
-        }
-        if extra:
-            record.update(extra)
-        return record
 
 
 def build_hotspot_report(
@@ -512,6 +506,8 @@ def build_hotspot_report(
             stat.wall_s += wall_s
             stat.count += int(attrs["count"])
             stat.units += units
+            stat.units_by_states[n_states] = (
+                stat.units_by_states.get(n_states, 0.0) + units)
             stat.flops += modeled_flops(op, units, n_states=n_states)
             stat.bytes_moved += modeled_bytes(op, units, n_states=n_states)
             stat.alloc_bytes += float(attrs.get("alloc_bytes", 0.0))
@@ -539,3 +535,45 @@ def build_hotspot_report(
         memory=[mem[p] for p in sorted(mem)],
         modeled_clv_bytes=modeled_clv_bytes,
     )
+
+
+def hotspot_metrics(reports: dict[str, HotspotReport]) -> dict[str, float]:
+    """Flat higher-is-worse metrics for ``repro regress`` over labelled
+    reports: ``hotspots.<label>.<op>.{wall_s,ns_per_unit}`` plus
+    ``hotspots.total_kernel_s`` summed over all of them."""
+    metrics: dict[str, float] = {}
+    for label, report in reports.items():
+        for s in report.ops:
+            metrics[f"hotspots.{label}.{s.op}.wall_s"] = s.wall_s
+            if s.op in PATTERN_UNIT_OPS and s.units > 0:
+                metrics[f"hotspots.{label}.{s.op}.ns_per_unit"] = s.ns_per_unit
+    metrics["hotspots.total_kernel_s"] = sum(
+        r.total_wall_s for r in reports.values())
+    return metrics
+
+
+def clv_footprint(parts, taxa) -> float:
+    """Analytic raw CLV bytes across a whole run (all ranks' shares
+    together are the full pattern set): ``(n_taxa − 2)`` inner-node CLVs ×
+    Σ_p patterns·cats·states·8.  Real patterns, not the cost model's
+    virtual ones, so it matches real allocations on pattern-scaled
+    workloads too."""
+    return (len(taxa) - 2) * sum(
+        p.n_patterns * p.n_cats * p.model.n_states * 8.0 for p in parts)
+
+
+def reports_under(root: str | Path) -> dict[str, HotspotReport]:
+    """One report per directory under ``root`` (``root`` included) that
+    holds ``trace-rank*.jsonl`` streams, keyed by its path relative to
+    ``root`` — so a trace root of several configurations (or supervised
+    attempts) never merges their counts.  No workload is at hand, so CLV
+    memory is reported but not reconciled."""
+    from repro.obs.export import merge_rank_streams
+
+    root = Path(root)
+    dirs = sorted({p.parent for p in root.rglob("trace-rank*.jsonl")})
+    return {
+        str(d.relative_to(root)): build_hotspot_report(
+            merge_rank_streams(sorted(d.glob("trace-rank*.jsonl"))))
+        for d in dirs
+    }

@@ -85,11 +85,6 @@ class TracedExecutor(DescriptorExecutor):
         if profiler is not None:
             self.profiler = profiler
 
-    def _on_evict(self, count: int, nbytes: int) -> None:
-        """Surface CLV evictions (cache-reuse baseline signal)."""
-        self.tracer.instant("clv_evict", kind=KIND_KERNEL,
-                            count=count, nbytes=nbytes)
-
     def run_ops(self, wire: list[tuple]) -> None:
         with self.tracer.span("run_ops", kind=KIND_KERNEL, n_ops=len(wire)):
             super().run_ops(wire)

@@ -42,6 +42,7 @@ __all__ = [
     "reconcile_live_run",
     "DECENTRALIZED_REL_TOL",
     "FORKJOIN_REL_TOL",
+    "REL_TOL",
 ]
 
 #: Non-root decentralized payloads are exact (see module docstring); the
@@ -49,6 +50,8 @@ __all__ = [
 DECENTRALIZED_REL_TOL = 1.0e-9
 #: Fork-join wire framing vs. idealized descriptor bytes: within 4×.
 FORKJOIN_REL_TOL = 3.0
+#: Engine name -> its documented tolerance.
+REL_TOL = {"decentralized": DECENTRALIZED_REL_TOL, "forkjoin": FORKJOIN_REL_TOL}
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Performance regression gating over ``BENCH_*.json`` records.
 
-Every bench-producing command (``repro profile --bench-out``, ``repro
-scale --bench-out``) emits a JSON record whose ``metrics`` section is a
+Every bench-producing command (``repro profile --bench-out``, live or
+``--from-trace``) emits a JSON record whose ``metrics`` section is a
 flat ``name → number`` dict of gateable quantities (wall seconds, wait
 shares, imbalance indices).  The gate loads any number of *prior*
 records of the same kind, takes the per-metric **median** across them

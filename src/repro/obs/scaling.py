@@ -1,13 +1,21 @@
-"""Measured scaling harness: live runs across rank counts, analyzed.
+"""The traced-run loop: live runs across engines, distributions and rank
+counts, each read three ways.
 
-The paper's Figures 3/4 plot speedup over rank counts for both engines;
-``perf/`` *simulates* those curves from the analytic models, and this
-module *measures* them: it runs both engines live across rank counts
-and partition shapes, attributes the traced spans
-(:mod:`repro.obs.analyze`) into busy/wait time, derives relative
-speedup and parallel efficiency from the traced windows, and emits a
-``BENCH_scaling.json`` record (gateable via :mod:`repro.obs.regress`)
-plus a markdown report.
+The paper reads one run three ways: bytes per Table-I category (Table
+I), runtime across rank counts (Figs. 3/4) and where the compute goes.
+:func:`run_scaling` launches every (engine, dist, ranks) configuration
+once with span tracing on, merges its rank streams once, and reads the
+merge
+
+* as wait attribution and critical path (:mod:`repro.obs.analyze`):
+  busy/wait shares, imbalance, and relative speedup and parallel
+  efficiency from the traced windows;
+* as a kernel :class:`~repro.obs.hotspots.HotspotReport`, checked for
+  internal consistency (the CLV memory band gated on decentralized only:
+  fork-join worker stores are tree-agnostic and never collected);
+* as a byte reconciliation (:mod:`repro.obs.reconcile`) of the measuring
+  rank's own region log against what that rank measured, within its
+  engine's documented tolerance.
 
 Absolute times on a laptop-scale run say nothing about a 768-core
 cluster — but the *orderings* do: which engine is comm-heavier, whether
@@ -17,17 +25,26 @@ cyclic.  The report therefore pairs every measured table with the
 analytic prediction — the first run's region log priced under both
 engines on the reference machine
 (:func:`repro.perf.price.simulate_runtime`) — and states whether the
-orderings agree.  ``repro scale`` on the CLI wraps this module.
+orderings agree.  ``repro profile`` on the CLI wraps this module; its
+record (:meth:`ScalingResult.to_bench`) is gateable via
+:mod:`repro.obs.regress`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.obs.analyze import CriticalPath, TraceAnalysis, analyze_trace
+from repro.obs.analyze import analyze_trace
+from repro.obs.hotspots import (
+    HotspotReport,
+    build_hotspot_report,
+    clv_footprint,
+    hotspot_metrics,
+)
+from repro.obs.reconcile import REL_TOL, ReconcileReport, reconcile_live_run
 
 __all__ = ["ScalePoint", "ScalingResult", "run_scaling", "DEFAULT_RANKS"]
 
@@ -52,32 +69,44 @@ class ScalePoint:
     n_spans: int
     dropped_spans: int
     trace_dir: str
+    hotspots: HotspotReport
+    reconcile: ReconcileReport
     critical_path_shares: dict[str, float] = field(default_factory=dict)
     speedup: float = 1.0
     efficiency: float = 1.0
     base_ranks: int = 1
 
+    @property
+    def label(self) -> str:
+        return f"{self.engine}.{self.dist}.r{self.ranks}"
+
+    @property
+    def tolerance(self) -> float:
+        return REL_TOL[self.engine]
+
+    def problems(self) -> list[str]:
+        """Failed hotspot checks and an out-of-tolerance reconciliation
+        (empty list == healthy configuration)."""
+        found = self.hotspots.check(
+            check_memory=(self.engine == "decentralized"))
+        if not self.reconcile.within(self.tolerance):
+            found.append(
+                f"measured bytes deviate from the comm model beyond "
+                f"{self.tolerance:g} (worst relative error "
+                f"{self.reconcile.worst_rel_error:g})")
+        return [f"[{self.engine}/{self.dist}/r{self.ranks}] {p}"
+                for p in found]
+
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "engine": self.engine,
-            "dist": self.dist,
-            "ranks": self.ranks,
-            "wall_s": self.wall_s,
-            "harness_s": self.harness_s,
-            "logl": self.logl,
-            "iterations": self.iterations,
-            "wait_share": self.wait_share,
-            "busy_share": self.busy_share,
-            "imbalance": self.imbalance,
-            "n_collectives": self.n_collectives,
-            "n_spans": self.n_spans,
-            "dropped_spans": self.dropped_spans,
-            "trace_dir": self.trace_dir,
-            "critical_path_shares": dict(self.critical_path_shares),
-            "speedup": self.speedup,
-            "efficiency": self.efficiency,
-            "base_ranks": self.base_ranks,
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("hotspots", "reconcile")}
+        out["hotspots"] = self.hotspots.to_dict()
+        out["reconcile"] = {
+            **self.reconcile.to_dict(),
+            "tolerance": self.tolerance,
+            "within_tolerance": self.reconcile.within(self.tolerance),
         }
+        return out
 
 
 @dataclass
@@ -100,20 +129,25 @@ class ScalingResult:
     def wait_share(self, engine: str, dist: str, ranks: int) -> float:
         return self.point(engine, dist, ranks).wait_share
 
+    def problems(self) -> list[str]:
+        return [problem for p in self.points for problem in p.problems()]
+
     # -- gateable record ------------------------------------------------ #
     def metrics(self) -> dict[str, float]:
         """Flat higher-is-worse metrics for the regression gate."""
         out: dict[str, float] = {}
         for p in self.points:
-            key = f"scale.{p.engine}.{p.dist}.r{p.ranks}"
+            key = f"scale.{p.label}"
             out[f"{key}.wall_s"] = p.wall_s
             out[f"{key}.wait_share"] = p.wait_share
             out[f"{key}.imbalance"] = p.imbalance
+        out.update(hotspot_metrics({p.label: p.hotspots
+                                    for p in self.points}))
         return out
 
     def to_bench(self) -> dict[str, Any]:
         return {
-            "kind": "scaling",
+            "kind": "profile",
             "workload": dict(self.workload),
             "points": [p.to_dict() for p in self.points],
             "predicted": dict(self.predicted),
@@ -121,8 +155,11 @@ class ScalingResult:
             "metrics": self.metrics(),
         }
 
-    # -- markdown report (the Fig. 3/4 analogue) ------------------------ #
-    def format_markdown(self) -> str:
+    # -- markdown report ------------------------------------------------ #
+    def format_markdown(self, top: int | None = None) -> str:
+        """Scaling tables (the Fig. 3/4 analogue), then one kernel table
+        and one reconciliation per configuration, then the model's
+        predicted totals.  ``top`` limits each kernel table."""
         lines = ["# Measured scaling report", ""]
         if self.workload:
             desc = ", ".join(f"{k}={v}" for k, v in self.workload.items())
@@ -182,6 +219,18 @@ class ScalingResult:
                     lines.append(f"| {n} | {cells} | {measured} "
                                  f"| {modeled} | {agree} |")
                 lines.append("")
+        for p in self.points:
+            within = p.reconcile.within(p.tolerance)
+            lines += [
+                f"## {p.engine} / {p.dist} / {p.ranks} rank(s)", "",
+                f"Trace `{p.trace_dir}`, logL {p.logl:.6f}.", "",
+                p.hotspots.format_markdown(top=top, level=3), "",
+                "### Reconciliation", "", "```text",
+                p.reconcile.format_table(),
+                f"tolerance (max relative byte error): {p.tolerance:g} -> "
+                f"{'OK' if within else 'OUT OF TOLERANCE'}",
+                "```", "",
+            ]
         if self.predicted:
             lines.append("## Model-predicted totals (reference machine)")
             lines.append("")
@@ -198,13 +247,6 @@ class ScalingResult:
         return "\n".join(lines)
 
 
-def _merged_trace(trace_dir: Path, n_ranks: int) -> list[dict[str, Any]]:
-    from repro.obs.export import merge_rank_streams, rank_trace_path
-
-    paths = [rank_trace_path(trace_dir, r) for r in range(n_ranks)]
-    return merge_rank_streams([p for p in paths if p.exists()])
-
-
 def run_scaling(
     build_likelihood: Callable[[], Any],
     start_newick: str,
@@ -214,18 +256,29 @@ def run_scaling(
     dist_kinds: Sequence[str] = ("cyclic",),
     trace_root: str | Path = "trace_scale",
     trace_capacity: int | None = None,
+    chrome: bool = False,
     workload_info: dict[str, Any] | None = None,
     progress: Callable[[str], None] | None = None,
+    summary: bool = False,
 ) -> ScalingResult:
     """Run every (engine, dist, ranks) configuration live and analyze it.
 
     ``build_likelihood`` must return a *fresh*
     :class:`~repro.likelihood.partitioned.PartitionedLikelihood` on each
     call — the search mutates model state, so configurations must not
-    share one.  Speedup/efficiency are relative to the smallest rank
-    count measured for the same (engine, dist).
+    share one.  Each configuration traces into
+    ``<trace_root>/<engine>-<dist>-r<N>/`` (plus a merged
+    ``trace.chrome.json`` there with ``chrome``).  Speedup/efficiency are
+    relative to the smallest rank count measured for the same
+    (engine, dist).  ``progress`` gets one line per configuration, and
+    with ``summary`` its per-rank attribution table too.
     """
     from repro.engines.launch import RunConfig, first_survivor, launch
+    from repro.obs.export import (
+        merge_rank_streams,
+        rank_trace_path,
+        write_chrome_trace,
+    )
 
     ranks_sorted = sorted(set(int(n) for n in ranks_list))
     if not ranks_sorted or ranks_sorted[0] < 1:
@@ -246,14 +299,43 @@ def run_scaling(
                     trace_capacity=trace_capacity,
                 )
                 t0 = time.perf_counter()
-                res = first_survivor(launch(cfg))
+                results = launch(cfg)
                 harness_s = time.perf_counter() - t0
+                res = first_survivor(results)
                 firsts.setdefault(dist, (lik, res.log))
 
-                merged = _merged_trace(trace_dir, n)
+                paths = [rank_trace_path(trace_dir, r) for r in range(n)]
+                merged = merge_rank_streams([p for p in paths if p.exists()])
+                if chrome:
+                    write_chrome_trace(merged, trace_dir / "trace.chrome.json")
                 analysis, cpath = analyze_trace(merged)
-                point = _make_point(engine, dist, n, res, analysis, cpath,
-                                    harness_s, str(trace_dir))
+                hotspots = build_hotspot_report(
+                    merged,
+                    modeled_clv_bytes=clv_footprint(lik.parts, lik.taxa))
+                # a non-root replica accounts exactly one payload per
+                # allreduce, the model's convention (see obs.reconcile)
+                rank = 1 if engine == "decentralized" and n > 1 else 0
+                reconciled = reconcile_live_run(engine, results[rank],
+                                                measured_rank=rank)
+                active = analysis.total_active_ns
+                busy = sum(r.busy_ns for r in analysis.ranks.values())
+                point = ScalePoint(
+                    engine=engine, dist=dist, ranks=n,
+                    wall_s=analysis.window_ns / 1e9,
+                    harness_s=harness_s,
+                    logl=res.logl,
+                    iterations=res.iterations,
+                    wait_share=analysis.wait_share,
+                    busy_share=busy / active if active else 0.0,
+                    imbalance=analysis.imbalance,
+                    n_collectives=analysis.n_collectives,
+                    n_spans=sum(r.n_spans for r in analysis.ranks.values()),
+                    dropped_spans=analysis.dropped_spans,
+                    trace_dir=str(trace_dir),
+                    hotspots=hotspots,
+                    reconcile=reconciled,
+                    critical_path_shares=cpath.contribution_shares(),
+                )
                 points.append(point)
                 if progress is not None:
                     progress(
@@ -262,43 +344,14 @@ def run_scaling(
                         f"{100.0 * point.wait_share:.1f}%, "
                         f"λ={point.imbalance:.3f}"
                     )
+                    if summary:
+                        progress(analysis.format_table())
 
     _fill_speedups(points)
     result = ScalingResult(points=points,
                            workload=dict(workload_info or {}))
     _attach_predictions(result, firsts, ranks_sorted)
     return result
-
-
-def _make_point(
-    engine: str,
-    dist: str,
-    n: int,
-    res,
-    analysis: TraceAnalysis,
-    cpath: CriticalPath,
-    harness_s: float,
-    trace_dir: str,
-) -> ScalePoint:
-    active = analysis.total_active_ns
-    busy = sum(r.busy_ns for r in analysis.ranks.values())
-    return ScalePoint(
-        engine=engine,
-        dist=dist,
-        ranks=n,
-        wall_s=analysis.window_ns / 1e9,
-        harness_s=harness_s,
-        logl=res.logl,
-        iterations=res.iterations,
-        wait_share=analysis.wait_share,
-        busy_share=busy / active if active else 0.0,
-        imbalance=analysis.imbalance,
-        n_collectives=analysis.n_collectives,
-        n_spans=sum(r.n_spans for r in analysis.ranks.values()),
-        dropped_spans=analysis.dropped_spans,
-        trace_dir=trace_dir,
-        critical_path_shares=cpath.contribution_shares(),
-    )
 
 
 def _fill_speedups(points: list[ScalePoint]) -> None:

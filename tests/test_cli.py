@@ -37,6 +37,15 @@ class TestParser:
         assert args.model == "gamma"
         assert not args.per_partition_branches
 
+    def test_verbs(self):
+        """One traced-run verb: ``profile`` reads each run three ways."""
+        sub = next(a for a in build_parser()._actions
+                   if a.dest == "command")
+        assert sorted(sub.choices) == sorted([
+            "infer", "simulate", "convert", "report", "profile", "regress",
+            "lint", "chaos", "watch", "serve", "submit", "status",
+            "cancel", "slo", "runs"])
+
     def test_minus_m_flag(self, fasta_path):
         args = build_parser().parse_args(["infer", str(fasta_path), "-M"])
         assert args.per_partition_branches
@@ -254,10 +263,10 @@ class TestEnginesAgree:
 
 
 class TestModelReadsTheLiveLog:
-    """``profile --reconcile`` and ``scale`` price the region logs the
-    live ranks kept: the CLI process itself runs no search.  The runs use
-    two ranks: those are forked, so their climbs do not reach this
-    process's counter (a one-rank mesh would search in-process)."""
+    """``profile`` prices the region logs the live ranks kept: the CLI
+    process itself runs no search.  The runs use two ranks: those are
+    forked, so their climbs do not reach this process's counter (a
+    one-rank mesh would search in-process)."""
 
     @pytest.fixture()
     def climbs(self, monkeypatch):
@@ -275,7 +284,7 @@ class TestModelReadsTheLiveLog:
 
     def test_profile_reconcile(self, fasta_path, tmp_path, climbs, capsys):
         rc = main(["profile", str(fasta_path), "--engine", "both",
-                   "--ranks", "2", "-n", "1", "-r", "1", "--reconcile",
+                   "--ranks", "2", "-n", "1", "-r", "1",
                    "--trace-out", str(tmp_path / "trace"), "--no-register"])
         assert rc == 0
         assert capsys.readouterr().out.count("reconciliation — ") == 2
@@ -285,11 +294,43 @@ class TestModelReadsTheLiveLog:
         genes = tmp_path / "genes.partitions"
         genes.write_text("DNA, g1 = 1-150\nDNA, g2 = 151-300\n")
         report = tmp_path / "scaling.md"
-        rc = main(["scale", str(fasta_path), "-q", str(genes),
+        rc = main(["profile", str(fasta_path), "-q", str(genes),
                    "--ranks", "2", "-n", "1", "-r", "1",
                    "--dist", "cyclic", "mps",
                    "--trace-out", str(tmp_path / "trace"),
-                   "--report-out", str(report)])
+                   "--report-out", str(report), "--no-register"])
         assert rc == 0
-        assert "Model-predicted totals" in report.read_text()
+        text = report.read_text()
+        assert "Model-predicted totals" in text
+        assert text.count("reconciliation — ") == 4
+        assert text.count("Kernel hotspots") == 4
         assert climbs == []
+
+    def test_profile_from_trace_reports_each_configuration(
+            self, fasta_path, tmp_path, capsys):
+        """A trace root of two configurations re-reads as two kernel
+        tables, each with the counts its live run reported."""
+        import json
+
+        trace, live, offline = (tmp_path / "trace", tmp_path / "live.json",
+                                tmp_path / "offline.json")
+        assert main(["profile", str(fasta_path), "--ranks", "2", "-n", "1",
+                     "-r", "1", "--trace-out", str(trace),
+                     "--trace-format", "jsonl", "--bench-out", str(live),
+                     "--no-register"]) == 0
+        capsys.readouterr()
+        assert main(["profile", "--from-trace", str(trace),
+                     "--bench-out", str(offline)]) == 0
+        assert capsys.readouterr().out.count("Kernel hotspots") == 2
+        tables = json.loads(offline.read_text())["hotspots"]
+        assert sorted(tables) == ["decentralized-cyclic-r2",
+                                  "forkjoin-cyclic-r2"]
+        for point in json.loads(live.read_text())["points"]:
+            label = f"{point['engine']}-{point['dist']}-r{point['ranks']}"
+            assert ({o["op"]: (o["count"], o["units"])
+                     for o in tables[label]["ops"]}
+                    == {o["op"]: (o["count"], o["units"])
+                        for o in point["hotspots"]["ops"]})
+
+    def test_profile_needs_an_alignment_or_a_trace(self, capsys):
+        assert main(["profile", "--no-register"]) == 2

@@ -77,14 +77,6 @@ class TestDescriptorExecutor:
         executor.run_ops(wire)
         assert len(executor.stacks[0].clvs) == len(wire)
 
-    def test_clear_clvs(self, setup):
-        lik, u, v, wire, node_taxon = setup
-        executor = DescriptorExecutor(lik.parts, node_taxon)
-        executor.run_ops(wire)
-        executor.clear_clvs()
-        with pytest.raises(CommError):
-            executor.evaluate(u.id, v.id, lik.tree.edge_length(u, v))
-
 
 class TestWorkLedger:
     """The work a likelihood call does, accounted twice: by the kernels

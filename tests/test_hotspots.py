@@ -27,7 +27,7 @@ from repro.errors import LikelihoodError
 from repro.likelihood.backend import SequentialBackend
 from repro.likelihood.kernel import bytes_per_unit, flops_per_unit
 from repro.likelihood.partitioned import PartitionedLikelihood
-from repro.obs.export import merge_rank_streams, span_to_dict
+from repro.obs.export import merge_rank_streams, span_to_dict, write_jsonl
 from repro.obs.hotspots import (
     CLV_MEMORY_SPAN,
     CLV_RATIO_MAX,
@@ -38,8 +38,9 @@ from repro.obs.hotspots import (
     OpProfiler,
     build_hotspot_report,
     emit_kernel_profile,
+    hotspot_metrics,
+    reports_under,
 )
-from repro.obs.instrument import TracedExecutor
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.par.ledger import OpKind
 from repro.par.machine import HITS_CLUSTER
@@ -259,40 +260,6 @@ class TestExecutorProfiling:
             s["live_bytes"] for s in executor.clv_stats()) == live_before
 
 
-class TestClearClvsTelemetry:
-    """``clear_clvs`` counts evictions and freed bytes in the CLV stats
-    and emits one ``clv_evict`` instant carrying the bytes freed."""
-
-    def test_counter_and_gauge(self):
-        lik = exact_workload().build_likelihood("gamma")
-        _, _, wire, node_taxon = executor_fixture(lik)
-        tracer = Tracer(rank=0)
-        executor = TracedExecutor(lik.parts, node_taxon, tracer)
-        executor.run_ops(wire)
-        live = sum(s["live_bytes"] for s in executor.clv_stats())
-        assert live > 0
-        executor.clear_clvs()
-        stats = executor.clv_stats()
-        assert sum(s["evictions"] for s in stats) == len(wire) * len(lik.parts)
-        assert sum(s["evicted_bytes"] for s in stats) == live
-        assert all(s["live_bytes"] == 0 for s in executor.clv_stats())
-        assert all(s["evictions"] > 0 for s in executor.clv_stats())
-        evicts = [span_to_dict(s) for s in tracer.spans()
-                  if s.name == "clv_evict"]
-        assert len(evicts) == 1
-        assert evicts[0]["attrs"]["count"] == len(wire) * len(lik.parts)
-        assert evicts[0]["attrs"]["nbytes"] == live
-
-    def test_empty_store_emits_nothing(self):
-        lik = exact_workload().build_likelihood("gamma")
-        _, _, _, node_taxon = executor_fixture(lik)
-        tracer = Tracer(rank=0)
-        executor = TracedExecutor(lik.parts, node_taxon, tracer)
-        executor.clear_clvs()
-        assert len(tracer) == 0
-        assert sum(s["evictions"] for s in executor.clv_stats()) == 0
-
-
 class TestEmitAndReport:
     def _profiled_run(self):
         wl = exact_workload()
@@ -347,13 +314,12 @@ class TestEmitAndReport:
         top1 = report.format_markdown(top=1)
         assert "omitted" in top1
         json.dumps(report.to_dict())  # JSON-safe end to end
-        bench = report.to_bench(engine="seq")
-        assert bench["kind"] == "kernel_hotspots"
-        assert bench["metrics"]["hotspots.total_kernel_s"] > 0
-        assert "hotspots.seq.newview.wall_s" in bench["metrics"]
-        assert "hotspots.seq.newview.ns_per_unit" in bench["metrics"]
+        metrics = hotspot_metrics({"seq": report})
+        assert metrics["hotspots.total_kernel_s"] == report.total_wall_s
+        assert metrics["hotspots.seq.newview.wall_s"] > 0
+        assert "hotspots.seq.newview.ns_per_unit" in metrics
         # pmatrix units are matrices, not patterns: no modeled throughput
-        assert "hotspots.seq.pmatrix.ns_per_unit" not in bench["metrics"]
+        assert "hotspots.seq.pmatrix.ns_per_unit" not in metrics
         pm = next(s for s in report.ops if s.op == "pmatrix")
         assert pm.modeled_gflops(HITS_CLUSTER) is None
 
@@ -362,6 +328,50 @@ class TestEmitAndReport:
         assert emit_kernel_profile(NULL_OP_PROFILER, Tracer(rank=0)) == 0
         assert emit_kernel_profile(prof, NULL_TRACER,
                                    clv_sources=(lik,)) == 0
+
+    def test_fractional_units_pass_check(self):
+        """Pattern-scaled workloads carry fractional units: the per-record
+        sum of FLOPs and the formula on the summed units differ in the
+        last bit, which check() allows."""
+        units = [0.1 * (i + 1) for i in range(10)]
+        records = [
+            {"name": KERNEL_OP_SPAN, "rank": 0, "t0_ns": i,
+             "attrs": {"op": op, "partition": i, "wall_ns": 1000,
+                       "count": 1, "units": u}}
+            for op in ("newview", "evaluate", "sumtable")
+            for i, u in enumerate(units)
+        ]
+        assert sum(modeled_flops("newview", u) for u in units) != (
+            modeled_flops("newview", sum(units)))
+        report = build_hotspot_report(records)
+        assert report.check() == []
+        nv = next(s for s in report.ops if s.op == "newview")
+        assert nv.flops == sum(modeled_flops("newview", u) for u in units)
+        assert nv.bytes_moved == sum(modeled_bytes("newview", u)
+                                     for u in units)
+
+    def test_check_catches_flops_drift(self):
+        records = [{"name": KERNEL_OP_SPAN, "rank": 0, "t0_ns": 0,
+                    "attrs": {"op": "newview", "partition": 0,
+                              "wall_ns": 1000, "count": 1, "units": 0.3}}]
+        report = build_hotspot_report(records)
+        report.ops[0].flops *= 1 + 1e-9
+        assert any("newview: carried" in p for p in report.check())
+
+    def test_mixed_state_counts_priced_per_record(self):
+        """One op over DNA and protein partitions: each record is priced
+        with its own state count, and check() re-derives per count."""
+        records = [
+            {"name": KERNEL_OP_SPAN, "rank": 0, "t0_ns": p,
+             "attrs": {"op": "newview", "partition": p, "wall_ns": 1000,
+                       "count": 1, "units": 10.0, "n_states": k}}
+            for p, k in enumerate((4, 20))
+        ]
+        report = build_hotspot_report(records)
+        assert report.check() == []
+        nv = report.ops[0]
+        assert nv.flops == (modeled_flops("newview", 10.0, n_states=4)
+                            + modeled_flops("newview", 10.0, n_states=20))
 
     def test_empty_records_build_empty_report(self):
         report = build_hotspot_report([])
@@ -429,3 +439,27 @@ class TestLiveTwoRankRun:
                                               "pmatrix"}
         nv = next(s for s in report.ops if s.op == "newview")
         assert len(nv.by_partition) == len(lik.parts)
+
+
+class TestReportsUnder:
+    def test_one_report_per_trace_directory(self, tmp_path):
+        """A trace root holding two configurations gives two reports,
+        each with its own counts, never one merged table."""
+        for name, calls in (("decentralized-cyclic-r2", 3),
+                            ("forkjoin-cyclic-r2", 5)):
+            for rank in range(2):
+                write_jsonl([{
+                    "name": KERNEL_OP_SPAN, "rank": rank, "t0_ns": 0,
+                    "attrs": {"op": "newview", "partition": rank,
+                              "wall_ns": 1000, "count": calls,
+                              "units": 10.0 * calls},
+                }], tmp_path / name / f"trace-rank{rank}.jsonl")
+        reports = reports_under(tmp_path)
+        assert sorted(reports) == ["decentralized-cyclic-r2",
+                                   "forkjoin-cyclic-r2"]
+        for name, calls in (("decentralized-cyclic-r2", 3),
+                            ("forkjoin-cyclic-r2", 5)):
+            (newview,) = reports[name].ops
+            assert reports[name].n_ranks == 2
+            assert newview.count == 2 * calls
+            assert newview.units == 20.0 * calls

@@ -169,6 +169,19 @@ class TestRunsCLI:
         assert "-1234.5678" in out
         assert "yes" in out  # bench column
 
+    def test_list_after_a_registered_profile(self, fasta_path, tmp_path,
+                                             capsys):
+        """``profile`` takes several rank counts and distributions; its
+        manifest still lists as one row."""
+        assert main(["profile", str(fasta_path), "--engine", "decentralized",
+                     "--ranks", "1", "2", "-n", "1", "-r", "1",
+                     "--trace-out", str(tmp_path / "trace")]) == 0
+        capsys.readouterr()
+        assert main(["runs", "list"]) == 0
+        (row,) = [ln for ln in capsys.readouterr().out.splitlines()
+                  if " profile " in ln]
+        assert "decentralized" in row and "1 2" in row
+
     def test_list_empty(self, capsys):
         assert main(["runs", "list"]) == 0
         assert "no runs under" in capsys.readouterr().err

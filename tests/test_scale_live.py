@@ -11,7 +11,10 @@ The issue's acceptance criteria verified here:
   paper's bandwidth-bound master/worker vs compute-bound decentralized
   contrast, measured live);
 * the harness's measured orderings agree with the analytic predictions
-  (the first run's region log priced by :mod:`repro.perf.price`).
+  (the first run's region log priced by :mod:`repro.perf.price`);
+* every configuration is read three ways from its one launch: a
+  check-clean kernel hotspot report, a byte reconciliation within its
+  engine's tolerance, and both in the one ``kind: profile`` record.
 """
 
 import json
@@ -19,6 +22,7 @@ import json
 import pytest
 
 from repro.datasets import partitioned_workload
+from repro.obs.reconcile import REL_TOL
 from repro.obs.scaling import run_scaling
 from repro.search.search import SearchConfig
 from repro.tree.newick import write_newick
@@ -82,7 +86,7 @@ class TestHarnessOutput:
 
     def test_bench_record_is_gateable(self, scaling):
         doc = scaling.to_bench()
-        assert doc["kind"] == "scaling"
+        assert doc["kind"] == "profile"
         metrics = doc["metrics"]
         assert "scale.forkjoin.cyclic.r4.wall_s" in metrics
         assert "scale.decentralized.cyclic.r4.wait_share" in metrics
@@ -100,3 +104,31 @@ class TestHarnessOutput:
         for p in scaling.points:
             assert p.critical_path_shares
             assert sum(p.critical_path_shares.values()) == pytest.approx(1.0)
+
+
+class TestEveryPointReadThreeWays:
+    def test_hotspot_reports_are_check_clean(self, scaling):
+        for p in scaling.points:
+            assert {"newview", "pmatrix"} <= {s.op for s in p.hotspots.ops}
+            assert p.hotspots.check(
+                check_memory=(p.engine == "decentralized")) == [], p.label
+
+    def test_reconciliation_within_engine_tolerance(self, scaling):
+        for p in scaling.points:
+            assert p.reconcile.measured_rank == (
+                1 if p.engine == "decentralized" else 0)
+            assert p.reconcile.within(REL_TOL[p.engine]), p.label
+        assert scaling.problems() == []
+
+    def test_record_carries_all_three_metric_families(self, scaling):
+        doc = scaling.to_bench()
+        assert doc["kind"] == "profile"
+        metrics = doc["metrics"]
+        for p in scaling.points:
+            assert f"scale.{p.label}.wait_share" in metrics
+            assert f"hotspots.{p.label}.newview.wall_s" in metrics
+            assert f"hotspots.{p.label}.newview.ns_per_unit" in metrics
+        assert metrics["hotspots.total_kernel_s"] > 0
+        for point in doc["points"]:
+            assert point["hotspots"]["ops"]
+            assert point["reconcile"]["within_tolerance"] is True
