@@ -17,17 +17,23 @@ Every array may carry leading *stack* axes (written ``...`` below): a
 all partitions of one shape, stacked on one leading axis, and builds the
 P matrices of many traversal ops in one :func:`pmatrices` call, with the
 ops and both children as two more leading axes.  Every contraction is an
-``np.matmul`` over those axes, which runs one GEMM per stacked item and
-never reduces across the stack, so an item's result does not depend on
-what else is in the call — the property that keeps a rank holding 8 genes
-bitwise equal to a rank holding 16, and a traversal built in one call
-equal to one built op by op.
+``np.matmul`` over those axes, which runs one GEMM per stacked item, or
+(PSR's one P per pattern) a running sum over states, elementwise over the
+patterns; neither reduces across the stack, so an item's result does not
+depend on what else is in the call — the property that keeps a rank
+holding 8 genes bitwise equal to a rank holding 16, and a traversal built
+in one call equal to one built op by op.
 
-* CLVs: ``(..., n_patterns, n_cats, n_states)`` float64.  PSR uses
+Every pattern-indexed array keeps its patterns on the *last* axis, so each
+contraction is a small matrix times a long row of patterns:
+
+* CLVs: ``(..., n_cats, n_states, n_patterns)`` float64.  PSR uses
   ``n_cats == 1``.
-* Tip vectors: ``(..., n_patterns, n_states)`` of 0/1 (ambiguity-aware).
+* Tip vectors: ``(..., n_states, n_patterns)`` of 0/1 (ambiguity-aware);
+  a kernel gives a tip a singleton category axis where it meets a CLV.
 * P matrices: ``(..., n_cats, n, n)`` for category rates (Γ / uniform) or
   ``(..., n_patterns, n, n)`` for site-specific rates (PSR).
+* Sumtables: ``(..., n_cats, n_states, n_patterns)``, like CLVs.
 * Scalers: per-pattern accumulated *log* scale, ``(..., n_patterns)``.
   Keeping the logarithm directly (instead of RAxML's integer count of
   2^256 multiplications) is exact and simpler; the cost model charges the
@@ -87,44 +93,45 @@ def pmatrices(eigen, t, rates: np.ndarray) -> np.ndarray:
     return np.matmul(flat, eigen.right).reshape(scaled.shape)
 
 
+def _per_pattern(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``out[..., x, p] = Σ_y m[..., p, x, y] · v[..., y, p]``: one matrix
+    per pattern (PSR), summed over ``y`` in order and elementwise over the
+    patterns, so no value depends on the batch or the pattern count."""
+    mt = np.ascontiguousarray(np.swapaxes(m, -3, -1))  # (..., y, x, patterns)
+    out = mt[..., 0, :, :] * v[..., 0, None, :]
+    for y in range(1, mt.shape[-3]):
+        out += mt[..., y, :, :] * v[..., y, None, :]
+    return out
+
+
 def _apply(p: np.ndarray, child: np.ndarray, site_specific: bool) -> np.ndarray:
     """Propagate a child CLV (or tip vector) through its P matrices.
 
     ``site_specific`` selects the PSR flavor (one P matrix per pattern,
     singleton category axis) versus the category flavor (one P matrix per
     rate category, shared across patterns).  Returns a fresh
-    ``(..., n_patterns, n_cats, n_states)``.
+    ``(..., n_cats, n_states, n_patterns)``.
 
-    The category flavor is one GEMM: the child flattened to
-    ``(n_patterns, n_cats·n)`` times the block-diagonal of the ``Pᵀ``
-    (``n_cats`` times the multiplies of a per-category contraction, and
-    several times faster); a tip, which has no category axis, is
-    ``(n_patterns, n)`` times the ``Pᵀ`` side by side.  Both operands are
-    filled straight from ``p`` by one strided copy.
+    The category flavor is ``P @ child``: one ``(n × n)·(n × patterns)``
+    GEMM per stacked item and category; a tip, which has no category axis,
+    meets every category's P.
     """
     is_tip = child.ndim == p.ndim - 1
-    lead, (c, n) = p.shape[:-3], p.shape[-3:-1]
     if site_specific:
         if not is_tip:
-            if child.shape[-2] != 1:
+            if child.shape[-3] != 1:
                 raise LikelihoodError(
                     "site-specific rates require a singleton category axis"
                 )
-            child = child[..., 0, :]
-        return np.matmul(p, child[..., None])[..., None, :, 0]
+            child = child[..., 0, :, :]
+        return _per_pattern(p, child)[..., None, :, :]
     if is_tip:
-        # (c, x, y) -> (y, c, x): row y holds every category's column y
-        rhs = p.swapaxes(-1, -2).swapaxes(-2, -3).reshape(lead + (n, c * n))
-        return np.matmul(child, rhs).reshape(child.shape[:-1] + (c, n))
-    if child.shape[-2] != c:
+        child = child[..., None, :, :]
+    elif child.shape[-3] != p.shape[-3]:
         raise LikelihoodError(
-            f"CLV has {child.shape[-2]} categories but P has {c}"
+            f"CLV has {child.shape[-3]} categories but P has {p.shape[-3]}"
         )
-    rhs = np.zeros(lead + (c, n, c, n))
-    # einsum's block diagonal is a writable view: one copy fills it
-    np.einsum("...kakb->...kab", rhs)[...] = p.swapaxes(-1, -2)
-    flat = child.reshape(child.shape[:-2] + (c * n,))
-    return np.matmul(flat, rhs.reshape(lead + (c * n, c * n))).reshape(child.shape)
+    return np.matmul(p, child)
 
 
 def newview(
@@ -143,26 +150,26 @@ def newview(
     """
     clv = _apply(p_a, clv_a, site_specific)
     clv *= _apply(p_b, clv_b, site_specific)
-    flat = clv.reshape(clv.shape[:-2] + (-1,))
-    scale = np.zeros(flat.shape[:-1])
+    flat = clv.reshape(clv.shape[:-3] + (-1, clv.shape[-1]))
+    scale = np.zeros(flat.shape[:-2] + flat.shape[-1:])
     if scale_a is not None:
         scale += scale_a
     if scale_b is not None:
         scale += scale_b
     # Rescale patterns whose magnitude dropped below threshold.  A pattern's
-    # maximum is at least its mean, so a row sum of twice the threshold per
-    # entry rules the pattern out — one GEMV over every row of the stack;
-    # the exact maximum is only taken when some pattern is not ruled out
-    # (NaN compares false).
-    width = flat.shape[-1]
-    sums = np.matmul(flat.reshape(-1, width), np.ones(width))
+    # maximum is at least its mean, so a column sum of twice the threshold
+    # per entry rules the pattern out — one GEMV per stacked item; the exact
+    # maximum is only taken when some pattern is not ruled out (NaN
+    # compares false).
+    width = flat.shape[-2]
+    sums = np.matmul(np.ones(width), flat)
     if not (sums >= 2.0 * width * SCALE_THRESHOLD).all():
-        m = flat.max(axis=-1)
+        m = flat.max(axis=-2)
         tiny = (m < SCALE_THRESHOLD) & (m > 0)
         if np.any(tiny):
-            factor = m[tiny]
-            clv[tiny] /= factor[:, None, None]
-            scale[tiny] += np.log(factor)
+            # dividing the other patterns by 1.0 leaves them exact
+            clv /= np.where(tiny, m, 1.0)[..., None, None, :]
+            scale[tiny] += np.log(m[tiny])
         if np.any(m == 0):
             raise LikelihoodError("CLV underflowed to exactly zero")
     return clv, scale
@@ -197,15 +204,16 @@ def evaluate_edge(
     """
     both = _apply(p_root, clv_j, site_specific)
     if clv_i.ndim == both.ndim - 1:  # tip on side i
-        clv_i = clv_i[..., None, :]
+        clv_i = clv_i[..., None, :, :]
     both *= clv_i
     # Σ_c w_c Σ_x π_x (...) as one GEMV: weights and frequencies folded
-    # into the right-hand side
+    # into one (1 × cats·n) left-hand side
     mix = frequencies[..., None, :]
     if cat_weights is not None:
         mix = cat_weights[:, None] * mix
-    mix = mix.reshape(mix.shape[:-2] + (-1, 1))
-    site_lh = np.matmul(both.reshape(both.shape[:-2] + (-1,)), mix)[..., 0]
+    mix = mix.reshape(mix.shape[:-2] + (1, -1))
+    flat = both.reshape(both.shape[:-3] + (-1, both.shape[-1]))
+    site_lh = np.matmul(mix, flat)[..., 0, :]
     log_site = np.log(np.maximum(site_lh, _LH_FLOOR))
     if scale_i is not None:
         log_site = log_site + scale_i
@@ -217,13 +225,6 @@ def evaluate_edge(
     return total, log_site
 
 
-def _ztransform(eigen, clv: np.ndarray) -> np.ndarray:
-    """``z = clv · rightᵀ`` over the state axis: one GEMM per stacked item."""
-    right_t = np.swapaxes(eigen.right, -1, -2)
-    flat = clv.reshape(right_t.shape[:-2] + (-1, clv.shape[-1]))
-    return np.matmul(flat, right_t).reshape(clv.shape)
-
-
 def sumtable(
     eigen,
     clv_i: np.ndarray,
@@ -231,20 +232,21 @@ def sumtable(
 ) -> np.ndarray:
     """Eigen-basis cross product used for branch-length derivatives.
 
-    With ``z = clv · rightᵀ`` the per-site likelihood on the connecting
-    branch is ``f(t) = Σ_k st[p, c, k] · e^{λ_k r t}`` where
+    With ``z = right · clv`` per category the per-site likelihood on the
+    connecting branch is ``f(t) = Σ_k st[c, k, p] · e^{λ_k r t}`` where
     ``st = z_i ⊙ z_j``.  Tips are promoted to a singleton category axis.
     """
     ndim = eigen.right.ndim + 1
     if clv_i.ndim < ndim:
-        clv_i = clv_i[..., None, :]
+        clv_i = clv_i[..., None, :, :]
     if clv_j.ndim < ndim:
-        clv_j = clv_j[..., None, :]
-    if clv_i.shape[-2] != clv_j.shape[-2] and 1 not in (
-        clv_i.shape[-2], clv_j.shape[-2]
+        clv_j = clv_j[..., None, :, :]
+    if clv_i.shape[-3] != clv_j.shape[-3] and 1 not in (
+        clv_i.shape[-3], clv_j.shape[-3]
     ):
         raise LikelihoodError("category mismatch between CLVs")
-    return _ztransform(eigen, clv_i) * _ztransform(eigen, clv_j)
+    right = eigen.right[..., None, :, :]
+    return np.matmul(right, clv_i) * np.matmul(right, clv_j)
 
 
 def derivatives_from_sumtable(
@@ -254,12 +256,11 @@ def derivatives_from_sumtable(
     rates: np.ndarray,
     cat_weights: np.ndarray | None,
     weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivative of the log likelihood in ``t``.
 
-    Returns ``(logl_proxy, dlnL, d2lnL)``, one each per stacked item; the
-    proxy omits scaler terms and is only used for trend checks inside the
-    Newton solver (scalers are constant in ``t`` so derivatives are exact).
+    Returns ``(dlnL, d2lnL)``, one each per stacked item (scalers are
+    constant in ``t``, so the derivatives are exact without them).
 
     ``rates`` is ``(..., n_cats)`` with ``cat_weights`` given, or
     ``(..., n_patterns)`` with ``cat_weights=None`` (PSR).
@@ -270,22 +271,21 @@ def derivatives_from_sumtable(
     e = np.exp(lr * t[..., None, None])
     if cat_weights is not None:
         e = e * cat_weights[:, None]
-    # f, f' and f'' as the three columns of one right-hand side
-    rhs = np.stack([e, e * lr, e * lr * lr], axis=-1)
+    # f, f' and f'' as the three rows of one left-hand side
+    lhs = np.stack([e, e * lr, e * lr * lr], axis=-2)  # (..., rates, 3, k)
     if cat_weights is not None:
-        # every pattern meets the same (cats·k, 3) operand: one GEMM
-        rhs = rhs.reshape(rhs.shape[:-3] + (-1, 3))
-        f = np.matmul(st.reshape(st.shape[:-2] + (-1,)), rhs)
+        # every pattern meets the same (3, cats·k) operand: one GEMM
+        lhs = np.swapaxes(lhs, -2, -3).reshape(lhs.shape[:-3] + (3, -1))
+        f = np.matmul(lhs, st.reshape(st.shape[:-3] + (-1, st.shape[-1])))
     else:
-        # PSR: one exponent row, hence one (k, 3) operand, per pattern
-        f = np.matmul(st, rhs)[..., 0, :]
-    site = np.maximum(f[..., 0], _LH_FLOOR)
-    ratio1 = f[..., 1] / site
-    ratio2 = f[..., 2] / site
-    logl = _weighted_sum(weights, np.log(site))
+        # PSR: one exponent row, hence one (3, k) operand, per pattern
+        f = _per_pattern(lhs, st[..., 0, :, :])
+    site = np.maximum(f[..., 0, :], _LH_FLOOR)
+    ratio1 = f[..., 1, :] / site
+    ratio2 = f[..., 2, :] / site
     dlnl = _weighted_sum(weights, ratio1)
     d2lnl = _weighted_sum(weights, ratio2 - ratio1 * ratio1)
-    return logl, dlnl, d2lnl
+    return dlnl, d2lnl
 
 
 # --------------------------------------------------------------------- #
@@ -297,12 +297,11 @@ def derivatives_from_sumtable(
 # whose work is independent of the pattern count under category rates:
 # its unit is one transition *matrix*.  Modeled FLOPs are the analytic
 # minimum of the operation for ``n = n_states`` — what a per-category
-# contraction performs — not what the GEMM forms above execute: the
-# block-diagonal right-hand side of ``_apply`` spends ``n_cats`` times the
-# multiplies of that contraction (4× under Γ-4; the extra ones are by
-# exact zeros), and the row-sum guard of the rescale scan adds a GEMV.
-# Achieved GFLOP/s computed from these counts is therefore useful work per
-# second, which is what one wants to compare across implementations.
+# contraction performs, and what ``_apply``'s one ``P @ clv`` GEMM per
+# category executes; the column-sum guard of the rescale scan adds a GEMV
+# that the scan's estimate below does not itemize.  Achieved GFLOP/s
+# computed from these counts is therefore useful work per second, which is
+# what one wants to compare across implementations.
 #
 # newview:    two child propagations (per category ``P · clv``: n mul +
 #             n−1 add per output state, n outputs → 2·(2n−1)·n = 4n²−2n),

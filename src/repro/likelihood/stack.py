@@ -90,7 +90,8 @@ class PartitionStack:
         self.rates = np.empty((g, len(rates)))
         self._versions: list[int | None] = [None] * g
         self._tips: dict[int, np.ndarray] = {}
-        #: directed edge -> (clv ``(g, patterns, cats, states)``, scale)
+        #: directed edge -> (clv ``(g, cats, states, patterns)``, scale
+        #: ``(g, patterns)``)
         self.clvs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.live_bytes = 0
         self.peak_bytes = 0
@@ -121,11 +122,12 @@ class PartitionStack:
         self._versions = versions
 
     def tip(self, row: int) -> np.ndarray:
-        """Stacked 0/1 tip vectors of one taxon row: ``(g, patterns, states)``."""
+        """Stacked 0/1 tip vectors of one taxon row: ``(g, states, patterns)``."""
         tip = self._tips.get(row)
         if tip is None:
             masks = np.stack([p.patterns[row] for p in self.parts])
-            tip = self._tips[row] = self.parts[0].alphabet.tip_vectors(masks)
+            tip = self._tips[row] = np.ascontiguousarray(np.swapaxes(
+                self.parts[0].alphabet.tip_vectors(masks), -1, -2))
         return tip
 
     def side(self, ref: Ref) -> tuple[np.ndarray, np.ndarray | None]:
@@ -259,7 +261,7 @@ class PartitionStack:
         return result
 
     def sumtable(self, u: Ref, v: Ref, prof) -> np.ndarray:
-        """Eigen-basis sumtable ``(g, patterns, cats, states)`` of the edge."""
+        """Eigen-basis sumtable ``(g, cats, states, patterns)`` of the edge."""
         self.refresh()
         clv_i, _ = self.side(u)
         clv_j, _ = self.side(v)
@@ -276,7 +278,7 @@ class PartitionStack:
         branch lengths ``t`` (one per branch set)."""
         self.refresh()
         t0 = prof.begin()
-        _, d1, d2 = kernel.derivatives_from_sumtable(
+        d1, d2 = kernel.derivatives_from_sumtable(
             self.eigen, table, t[self.branch_sets], self.rates,
             self.cat_weights, self.weights)
         prof.end_stack(t0, "derivative", self.partitions, self.unit,

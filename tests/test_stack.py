@@ -174,6 +174,8 @@ class TestAgainstReference:
             for i, part in enumerate(ref.parts):
                 ref_clv, ref_scale = ref.clv(
                     part, ref.tree.node(node), ref.tree.node(toward))
+                # the oracle keeps patterns first: (patterns, cats, states)
+                ref_clv = np.moveaxis(ref_clv, 0, -1)
                 # which patterns were rescaled, exactly; by how much and
                 # what is left, to rounding
                 assert np.array_equal(scale[i] != 0, ref_scale != 0)
@@ -361,6 +363,7 @@ class TestBatchedTraversal:
                 assert np.array_equal(clv[p], alone[p].clvs[key][0][0])
                 assert np.array_equal(scale[p], alone[p].clvs[key][1][0])
                 want, want_scale = ref.clv(part, node, toward)
+                want = np.moveaxis(want, 0, -1)  # oracle: patterns first
                 assert np.allclose(clv[p], want, rtol=1e-10, atol=0)
                 assert np.array_equal(scale[p] != 0, want_scale != 0)
                 assert np.allclose(scale[p], want_scale, rtol=1e-12, atol=0)
