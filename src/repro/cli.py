@@ -103,6 +103,12 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         raise SystemExit("--supervise needs a distributed engine")
     if args.supervise and args.sanitize:
         raise SystemExit("--supervise does not compose with --sanitize yet")
+    # a supervised attempt builds its own monitor, with default thresholds
+    for name in ("monitor_dir", "diagnosis_out", "straggler_after",
+                 "stall_after"):
+        if args.supervise and getattr(args, name) is not None:
+            raise SystemExit(f"--{name.replace('_', '-')} is ignored under "
+                             f"--supervise (each attempt monitors itself)")
     if args.sanitize and args.engine != "decentralized":
         raise SystemExit(
             "--sanitize needs --engine decentralized: only the "
@@ -293,17 +299,20 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         monitor_dir = None
         monitor_thread = None
         if args.monitor:
-            from repro.obs.monitor import MonitorThread
+            from repro.obs import monitor
 
             monitor_dir = args.monitor_dir or (
                 str(registry.root / run_id / "monitor") if run_id
                 else "monitor")
             Path(monitor_dir).mkdir(parents=True, exist_ok=True)
-            monitor_thread = MonitorThread(
+            straggler_s, stall_s = args.straggler_after, args.stall_after
+            monitor_thread = monitor.MonitorThread(
                 monitor_dir,
                 diagnosis_path=args.diagnosis_out,
-                straggler_after=args.straggler_after,
-                stall_after=args.stall_after,
+                straggler_after=(monitor.DEFAULT_STRAGGLER_AFTER
+                                 if straggler_s is None else straggler_s),
+                stall_after=(monitor.DEFAULT_STALL_AFTER
+                             if stall_s is None else stall_s),
                 on_diagnosis=lambda d: print(
                     f"[monitor] {d.status}: {d.message}", file=sys.stderr),
             ).start()
@@ -1186,15 +1195,16 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="seconds between heartbeat rewrites "
                             "(default 0.2)")
-    infer.add_argument("--straggler-after", type=float, default=1.0,
+    infer.add_argument("--straggler-after", type=float, default=None,
                        metavar="SECONDS",
                        help="no state change for this long flags a rank "
-                            "as a straggler (default 1.0)")
-    infer.add_argument("--stall-after", type=float, default=3.0,
+                            "as a straggler (default "
+                            f"{DEFAULT_STRAGGLER_AFTER})")
+    infer.add_argument("--stall-after", type=float, default=None,
                        metavar="SECONDS",
                        help="... and for this long, a stall; keep under "
                             "--detect-timeout so diagnosis precedes "
-                            "detection (default 3.0)")
+                            f"detection (default {DEFAULT_STALL_AFTER})")
     infer.add_argument("--diagnosis-out", metavar="PATH",
                        help="write the first stall diagnosis JSON here "
                             "(default: <monitor-dir>/diagnosis.json)")

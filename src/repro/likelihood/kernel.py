@@ -318,8 +318,6 @@ def derivatives_from_sumtable(
 #             mix + ratios + dots ≈ 7 → 9n + 6.
 # pmatrix:    eigen reconstruction U·diag(e^{λrt})·U⁻¹ per matrix:
 #             n³ mul + n²·(n−1) add + n² scale + n exp → 2n³ + n² + n.
-# psr_scan:   a PSR rescan is a newview-shaped sweep (the cost model
-#             prices it identically).
 #
 # Bytes are first-order compulsory streaming traffic in float64: the
 # arrays each unit must read and write assuming nothing stays in cache
@@ -345,7 +343,6 @@ _FLOPS_PER_UNIT = {
     "sumtable": lambda n: 4 * n * n + n,
     "derivative": lambda n: 9 * n + 6,
     "pmatrix": lambda n: 2 * n * n * n + n * n + n,
-    "psr_scan": lambda n: 4 * n * n + 3 * n,
 }
 
 _BYTES_PER_UNIT = {
@@ -354,7 +351,6 @@ _BYTES_PER_UNIT = {
     "sumtable": lambda n: 3 * n * 8,
     "derivative": lambda n: (n + 1) * 8,
     "pmatrix": lambda n: 3 * n * n * 8,
-    "psr_scan": lambda n: (3 * n + 2) * 8,
 }
 
 

@@ -6,14 +6,12 @@ multiprocess runs and closes the loop:
 
 * :mod:`repro.obs.tracer` — per-rank span tracing with a ring buffer and
   a zero-cost null tracer;
-* :mod:`repro.obs.metrics` — the serve daemon's counters, gauges and
-  histograms behind ``GET /metrics``;
 * :mod:`repro.obs.instrument` — the :class:`TraceInterceptor` for
   :class:`~repro.par.comm.InterceptingComm` and the
   :class:`TracedExecutor`, which instrument any communicator and the
   lock-step worker kernel without touching semantics;
 * :mod:`repro.obs.export` — per-rank JSONL streams, cross-rank merging,
-  Chrome-trace/Perfetto JSON, Prometheus text exposition;
+  Chrome-trace/Perfetto JSON;
 * :mod:`repro.obs.reconcile` — measured-vs-modeled byte reconciliation
   per Table-I category;
 * :mod:`repro.obs.analyze` — wait-time attribution, critical-path and
@@ -36,9 +34,10 @@ multiprocess runs and closes the loop:
   daemon mints a ``trace_id`` per submission, records scheduler spans
   under it, and propagates it into the job's per-rank tracers so one
   merged Chrome trace covers submit → queue → launch → iterations;
-* :mod:`repro.obs.slo` — offline service-level analytics (queue-wait /
-  turnaround percentiles, utilization, per-tenant fairness) from
-  registry manifests alone, behind ``repro slo``;
+* :mod:`repro.obs.slo` — service-level analytics from registry
+  manifests alone: queue-wait / turnaround percentiles, utilization and
+  per-tenant fairness behind ``repro slo``, and the serve daemon's
+  ``GET /metrics`` counters and histograms, read from the same stamps;
 * :mod:`repro.obs.hotspots` — kernel-level compute observability: the
   per-op :class:`OpProfiler` (wall time, invocations, work units and
   CLV memory per kernel op × partition), analytic FLOP/byte accounting
@@ -71,8 +70,8 @@ _EXPORTS = {
     ),
     "export": (
         "chrome_trace", "merge_job_trace", "merge_rank_streams",
-        "rank_trace_path", "read_jsonl", "snapshot_to_prom",
-        "write_chrome_trace", "write_jsonl",
+        "rank_trace_path", "read_jsonl", "write_chrome_trace",
+        "write_jsonl",
     ),
     "heartbeat": (
         "DEFAULT_BEAT_INTERVAL", "HeartbeatInterceptor", "HeartbeatState",

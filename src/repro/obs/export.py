@@ -37,7 +37,6 @@ __all__ = [
     "merge_job_trace",
     "chrome_trace",
     "write_chrome_trace",
-    "snapshot_to_prom",
 ]
 
 
@@ -219,65 +218,3 @@ def write_chrome_trace(
     path.write_text(json.dumps(chrome_trace(spans)))
     return path
 
-
-def _prom_name(name: str, prefix: str) -> str:
-    """Sanitize a dotted metric name into the Prometheus charset."""
-    full = f"{prefix}_{name}" if prefix else name
-    out = [c if c.isalnum() or c == "_" else "_" for c in full]
-    if out and out[0].isdigit():
-        out.insert(0, "_")
-    return "".join(out)
-
-
-def _prom_value(value: float) -> str:
-    if value != value:  # NaN
-        return "NaN"
-    if value in (float("inf"), float("-inf")):
-        return "+Inf" if value > 0 else "-Inf"
-    return repr(float(value))
-
-
-def snapshot_to_prom(snapshot: dict[str, Any], prefix: str = "repro") -> str:
-    """Render a metrics snapshot in the Prometheus text exposition format.
-
-    ``snapshot`` is a registry snapshot from :mod:`repro.obs.metrics`.
-    Counters become ``counter`` samples, gauges ``gauge`` samples, and
-    each histogram's streaming summary becomes ``<name>_count`` /
-    ``<name>_sum`` plus ``_min``/``_max`` gauges — enough for rate and
-    mean queries without storing raw samples.  A histogram carrying
-    per-bucket counts additionally renders as a genuine Prometheus
-    histogram: cumulative ``<name>_bucket{le="..."}`` samples closed by
-    the ``le="+Inf"`` total.
-    """
-    lines: list[str] = []
-    for name, value in sorted(snapshot.get("counters", {}).items()):
-        pname = _prom_name(name, prefix)
-        lines.append(f"# TYPE {pname} counter")
-        lines.append(f"{pname} {_prom_value(value)}")
-    for name, value in sorted(snapshot.get("gauges", {}).items()):
-        pname = _prom_name(name, prefix)
-        lines.append(f"# TYPE {pname} gauge")
-        lines.append(f"{pname} {_prom_value(value)}")
-    for name, hist in sorted(snapshot.get("histograms", {}).items()):
-        base = _prom_name(name, prefix)
-        buckets = hist.get("buckets")
-        if buckets:
-            # bucketed histograms render as a real Prometheus histogram:
-            # cumulative counts per upper edge, closed by le="+Inf"
-            lines.append(f"# TYPE {base} histogram")
-            cumulative = 0
-            for edge in sorted(buckets, key=float):
-                cumulative += buckets[edge]
-                le = _prom_value(float(edge))
-                lines.append(f'{base}_bucket{{le="{le}"}} {cumulative}')
-            lines.append(f'{base}_bucket{{le="+Inf"}} '
-                         f"{_prom_value(hist.get('count', 0))}")
-        else:
-            lines.append(f"# TYPE {base} summary")
-        lines.append(f"{base}_count {_prom_value(hist.get('count', 0))}")
-        lines.append(f"{base}_sum {_prom_value(hist.get('total', 0.0))}")
-        for stat in ("min", "max"):
-            sname = f"{base}_{stat}"
-            lines.append(f"# TYPE {sname} gauge")
-            lines.append(f"{sname} {_prom_value(hist.get(stat, 0.0))}")
-    return "\n".join(lines) + "\n" if lines else ""

@@ -1,12 +1,12 @@
-"""Offline service-level analytics from registry manifests alone.
+"""Service-level analytics from registry manifests alone.
 
-``repro slo`` answers "how did the service actually behave?" without
-the daemon: every job's manifest carries the queue stamps the daemon
-wrote (``submitted_s/ns``, ``granted_s/ns``, ``launched_s/ns``,
-``finished_s/ns``), so queue-wait and turnaround distributions,
-pool utilization, and per-tenant fairness are all reconstructible from
-disk after the fact — the same numbers the live ``/metrics`` histograms
-observed, recomputed from the durable record.
+Every job's manifest carries the queue stamps the daemon wrote
+(``submitted_s/ns``, ``granted_s/ns``, ``launched_s/ns``,
+``finished_s/ns``); :func:`collect_job_stats` reads them back, and both
+``repro slo`` (:func:`compute_slo`: percentiles, utilization, per-tenant
+fairness) and the daemon's ``GET /metrics`` (:func:`render_prom`, at
+scrape time, so its counts survive a daemon restart) derive from that
+one pass.
 
 Monotonic ``*_ns`` stamps are preferred for intervals (they share the
 per-rank tracers' timebase and never jump); wall ``*_s`` stamps anchor
@@ -23,16 +23,26 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.obs.registry import RunRegistry
+from repro.obs.registry import TERMINAL_STATUSES, RunRegistry
 
 __all__ = [
     "JobStats",
     "SloReport",
+    "TIME_BOUNDS",
     "collect_job_stats",
     "compute_slo",
     "percentile",
+    "render_prom",
     "write_report",
 ]
+
+#: Upper bucket edges (seconds) of the ``/metrics`` latency histograms
+#: (queue wait, scheduling latency, run duration): sub-tick scheduling
+#: up to multi-minute runs; anything longer lands in ``le="+Inf"``.
+TIME_BOUNDS: tuple[float, ...] = (
+    0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
+    60.0, 120.0, 300.0, 600.0,
+)
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -275,6 +285,83 @@ def compute_slo(stats: list[JobStats]) -> SloReport:
         tenants=tenants,
         abandoned=sum(1 for s in stats if s.abandoned),
     )
+
+
+def _prom_name(name: str) -> str:
+    """A metric name in the Prometheus charset (tenants are client-chosen)."""
+    return "".join(c if c.isalnum() or c == "_" else "_" for c in name)
+
+
+def render_prom(
+    stats: list[JobStats],
+    *,
+    running: int,
+    tenant_ranks: dict[str, int],
+    pool_ranks: int,
+    rejected: int,
+) -> str:
+    """The serve daemon's ``GET /metrics`` in Prometheus text format.
+
+    Counters and latency histograms come from ``stats``; the gauges from
+    the daemon's live child maps (``running`` jobs, ``tenant_ranks``
+    running ranks per tenant), and ``rejected`` from the daemon (a
+    rejected submission leaves no manifest).  A job counts under its
+    terminal status once the daemon has stamped ``finished_*``, or at
+    once if cancelled before launch, so ``jobs_completed N`` implies
+    ``run_duration_s_count N``.  Zero counters are not rendered.
+    """
+    counters = {"jobs_submitted": len(stats), "jobs_rejected": rejected}
+    for s in stats:
+        if s.status in TERMINAL_STATUSES and (s.finished_s is not None
+                                              or s.abandoned):
+            key = f"jobs_{s.status}"
+            counters[key] = counters.get(key, 0) + 1
+    busy_ranks = sum(tenant_ranks.values())
+    gauges = {
+        "jobs_running": running,
+        "pool_busy_ranks": busy_ranks,
+        "pool_ranks": pool_ranks,
+        "pool_utilization": busy_ranks / max(1, pool_ranks),
+        "queue_depth": sum(1 for s in stats if s.status == "queued"),
+    }
+    # every tenant that ever launched keeps a gauge: one whose jobs all
+    # finished reads 0 instead of vanishing
+    launched = {s.tenant for s in stats if s.sched_latency_s is not None}
+    for tenant in sorted(launched | set(tenant_ranks)):
+        gauges[f"tenant_running_ranks.{tenant}"] = tenant_ranks.get(tenant, 0)
+    histograms = {
+        "queue_wait_s": [s.queue_wait_s for s in stats
+                         if s.queue_wait_s is not None],
+        "run_duration_s": [s.run_s for s in stats if s.run_s is not None],
+        "sched_latency_s": [s.sched_latency_s for s in stats
+                            if s.sched_latency_s is not None],
+    }
+
+    lines: list[str] = []
+
+    def sample(name: str, kind: str, value: float) -> None:
+        lines.extend((f"# TYPE {name} {kind}", f"{name} {float(value)!r}"))
+
+    for name, value in sorted(counters.items()):
+        if value:
+            sample(_prom_name(f"repro_serve_{name}"), "counter", value)
+    for name, value in sorted(gauges.items()):
+        sample(_prom_name(f"repro_serve_{name}"), "gauge", value)
+    for name, values in sorted(histograms.items()):
+        if not values:
+            continue
+        base = f"repro_serve_{name}"
+        lines.append(f"# TYPE {base} histogram")
+        for edge in TIME_BOUNDS:
+            below = sum(1 for v in values if v <= edge)
+            lines.append(f'{base}_bucket{{le="{edge!r}"}} {below}')
+        count = float(len(values))
+        lines.append(f'{base}_bucket{{le="+Inf"}} {count!r}')
+        lines.append(f"{base}_count {count!r}")
+        lines.append(f"{base}_sum {float(sum(values))!r}")
+        sample(f"{base}_min", "gauge", min(values))
+        sample(f"{base}_max", "gauge", max(values))
+    return "\n".join(lines) + "\n"
 
 
 def write_report(

@@ -28,5 +28,3 @@ class OpKind(enum.Enum):
     DERIVATIVE = "derivative"
     #: transition-matrix (P) computation for one branch
     PMATRIX = "pmatrix"
-    #: PSR per-site rate scan (per candidate rate, includes its traversal)
-    PSR_SCAN = "psr_scan"

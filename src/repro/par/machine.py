@@ -32,7 +32,6 @@ def _default_op_costs() -> dict[OpKind, float]:
         OpKind.SUMTABLE: 8.0,
         OpKind.DERIVATIVE: 4.0,
         OpKind.PMATRIX: 0.5,
-        OpKind.PSR_SCAN: 14.0,
     }
 
 

@@ -39,7 +39,7 @@ from repro.obs.context import (
     service_instant,
     service_span,
 )
-from repro.obs.metrics import DEFAULT_TIME_BOUNDS, MetricsRegistry
+from repro.obs.slo import collect_job_stats, render_prom
 from repro.serve.scheduler import (
     PendingJob,
     ServePolicy,
@@ -73,7 +73,6 @@ class ServeDaemon:
     ) -> None:
         self.policy = policy or ServePolicy()
         self.store = JobStore(root)
-        self.metrics = MetricsRegistry()
         self.host = host
         self.port = port
         self.tick_s = tick_s
@@ -91,9 +90,9 @@ class ServeDaemon:
         #: Last skip reason recorded as a trace instant per job, so a
         #: reason that persists across ticks is traced exactly once.
         self._noted_skips: dict[str, str] = {}
-        #: Tenants that ever had a running-ranks gauge, so a tenant
-        #: whose jobs all finished is zeroed rather than frozen.
-        self._gauged_tenants: set[str] = set()
+        #: Rejected submissions leave no manifest: the one count
+        #: ``/metrics`` cannot read back from disk.
+        self._rejected = 0
         self._start_seq = 0
         # replicheck: ignore[R004] -- daemon uptime for /healthz; service bookkeeping
         self._started_mono = time.monotonic()
@@ -115,7 +114,8 @@ class ServeDaemon:
         ok, reason = admit(self.policy, queued,
                            per_tenant.get(spec.tenant, 0))
         if not ok:
-            self.metrics.counter("serve.jobs_rejected").inc()
+            with self._lock:
+                self._rejected += 1
             return 429, {"error": "rejected", "reason": reason}
         trace_id = new_trace_id() if spec.trace else ""
         submitted_ns = now_ns()
@@ -137,7 +137,6 @@ class ServeDaemon:
                              taxa=sizing.taxa, patterns=sizing.patterns,
                              partitions=sizing.partitions, ranks=ranks),
             ])
-        self.metrics.counter("serve.jobs_submitted").inc()
         self._log(f"[serve] job {job_id} queued: {sizing.taxa} taxa x "
                   f"{sizing.patterns} patterns -> {ranks} rank(s) "
                   f"(tenant {spec.tenant!r}, priority {spec.priority})")
@@ -190,8 +189,6 @@ class ServeDaemon:
             proc.send_signal(signal.SIGTERM)
             self._log(f"[serve] job {job_id}: SIGTERM sent "
                       f"(cooperative cancel)")
-        if state == "cancelled":
-            self.metrics.counter("serve.jobs_cancelled").inc()
         return 200, {"job_id": job_id, "state": state}
 
     def healthz(self) -> tuple[int, dict[str, Any]]:
@@ -212,9 +209,16 @@ class ServeDaemon:
         }
 
     def prom_metrics(self) -> str:
-        from repro.obs.export import snapshot_to_prom
-
-        return snapshot_to_prom(self.metrics.snapshot(), prefix="repro")
+        """``GET /metrics``: job counts and latencies from the manifests,
+        live gauges from the child maps."""
+        stats = collect_job_stats(self.store.root)
+        with self._lock:
+            running = len(self._children)
+            by_tenant = self._running_by_tenant()
+            rejected = self._rejected
+        return render_prom(stats, running=running, tenant_ranks=by_tenant,
+                           pool_ranks=self.policy.pool_ranks,
+                           rejected=rejected)
 
     # -- scheduling ----------------------------------------------------- #
     def _busy_ranks(self) -> int:
@@ -293,14 +297,6 @@ class ServeDaemon:
             granted_s=now_wall, granted_ns=granted_ns,
             launched_s=now_wall, launched_ns=launched_ns,
             pid=proc.pid, pool_ranks=self.policy.pool_ranks)
-        if submitted_ns is not None:
-            wait_s = max(0.0, (granted_ns - int(submitted_ns)) / 1e9)
-            self.metrics.histogram(
-                "serve.queue_wait_s",
-                bounds=DEFAULT_TIME_BOUNDS).observe(wait_s)
-        self.metrics.histogram(
-            "serve.sched_latency_s", bounds=DEFAULT_TIME_BOUNDS).observe(
-                max(0.0, (launched_ns - granted_ns) / 1e9))
         if trace_id:
             records = []
             if submitted_ns is not None:
@@ -366,26 +362,20 @@ class ServeDaemon:
                                    finished_ns=finished_ns)
             final = self.store.finalize_orphan(job_id)
             launched_ns = queue.get("launched_ns")
-            if launched_ns is not None:
-                self.metrics.histogram(
-                    "serve.run_duration_s",
-                    bounds=DEFAULT_TIME_BOUNDS).observe(
-                        max(0.0, (finished_ns - int(launched_ns)) / 1e9))
             trace_id = str(manifest.get("trace_id") or "")
             if trace_id and launched_ns is not None:
                 record_service_spans(self.store.root / job_id, [
                     service_span("run", trace_id, int(launched_ns),
                                  finished_ns, status=final, exit_code=rc),
                 ])
-            self.metrics.counter(f"serve.jobs_{final}").inc()
             self._log(f"[serve] job {job_id} finished: {final} "
                       f"(exit {rc})")
 
     def tick(self, now: float | None = None) -> None:
-        """One scheduler heartbeat (reap, select, launch, gauge).
+        """One scheduler heartbeat (reap, select, launch).
 
         The daemon lock is held only for the in-memory scheduler state
-        (child maps, skip reasons, counters) — every registry access
+        (child maps, skip reasons) — every registry access
         (``pending``, launch stamps, reap finalization) runs unlocked so
         the flock sidecar can never stall HTTP threads behind a tick.
         """
@@ -410,24 +400,6 @@ class ServeDaemon:
             self._note_skips(skipped)
         for grant in grants:
             self._launch(grant)
-        queue_depth = float(len(self.store.pending()))
-        with self._lock:
-            running = float(len(self._children))
-            busy = self._busy_ranks()
-            by_tenant = self._running_by_tenant()
-            self._gauged_tenants.update(by_tenant)
-            gauged = sorted(self._gauged_tenants)
-        self.metrics.gauge("serve.queue_depth").set(queue_depth)
-        self.metrics.gauge("serve.jobs_running").set(running)
-        pool = max(1, self.policy.pool_ranks)
-        self.metrics.gauge("serve.pool_busy_ranks").set(float(busy))
-        self.metrics.gauge("serve.pool_ranks").set(
-            float(self.policy.pool_ranks))
-        self.metrics.gauge("serve.pool_utilization").set(busy / pool)
-        for tenant in gauged:
-            self.metrics.gauge(
-                f"serve.tenant_running_ranks.{tenant}").set(
-                    float(by_tenant.get(tenant, 0)))
 
     def _note_skips(self, skipped: dict[str, str]) -> None:
         """Trace a ``sched_skip`` instant when a job's skip reason

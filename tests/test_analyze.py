@@ -1,5 +1,4 @@
-"""Unit tests for trace analytics (:mod:`repro.obs.analyze`) and the
-Prometheus exporter (:func:`repro.obs.export.snapshot_to_prom`).
+"""Unit tests for trace analytics (:mod:`repro.obs.analyze`).
 
 The attribution tests run on hand-built two-rank traces with known span
 timestamps, so every inferred quantity (barrier wait, transfer,
@@ -17,8 +16,7 @@ from repro.obs.analyze import (
     match_collectives,
     RankBreakdown,
 )
-from repro.obs.export import merge_rank_streams, snapshot_to_prom, write_jsonl
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.export import merge_rank_streams, write_jsonl
 
 
 def rec(rank, name, kind, t0, t1, category="", nbytes=0, error=False,
@@ -305,32 +303,3 @@ class TestMergeIdenticalTimestamps:
         assert analysis.n_collectives == 1
         assert analysis.total_wait_ns == 0
 
-
-class TestPrometheusExport:
-    def test_counters_gauges_histograms(self):
-        reg = MetricsRegistry()
-        reg.counter("comm.calls").inc(3)
-        reg.gauge("trace.dropped_spans").set(2)
-        reg.histogram("kernel.seconds").observe(0.5)
-        reg.histogram("kernel.seconds").observe(1.5)
-        text = snapshot_to_prom(reg.snapshot())
-        assert "# TYPE repro_comm_calls counter" in text
-        assert "repro_comm_calls 3.0" in text
-        assert "# TYPE repro_trace_dropped_spans gauge" in text
-        assert "repro_kernel_seconds_count 2.0" in text
-        assert "repro_kernel_seconds_sum 2.0" in text
-        assert "repro_kernel_seconds_min 0.5" in text
-        assert "repro_kernel_seconds_max 1.5" in text
-        assert text.endswith("\n")
-
-    def test_names_sanitized_to_prometheus_charset(self):
-        reg = MetricsRegistry()
-        reg.counter("comm.bytes.by-tag/likelihood").inc()
-        text = snapshot_to_prom(reg.snapshot())
-        for line in text.splitlines():
-            name = line.split("{")[0].split()[-1 if line.startswith("#")
-                                              else 0]
-            assert all(c.isalnum() or c == "_" for c in name)
-
-    def test_empty_snapshot_renders_empty(self):
-        assert snapshot_to_prom({}) == ""

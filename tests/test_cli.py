@@ -220,6 +220,21 @@ class TestDistributedInfer:
                   "--checkpoint", str(ckpt), *extra])
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--monitor-dir", "mon"),
+        ("--diagnosis-out", "diagnosis.json"),
+        ("--straggler-after", "0.5"),
+        ("--stall-after", "2.0"),
+    ])
+    def test_monitor_flags_rejected_under_supervise(self, fasta_path,
+                                                    flag, value):
+        """A supervised run builds each attempt's monitor itself, so a
+        monitor flag given with ``--supervise`` would do nothing."""
+        with pytest.raises(SystemExit, match=flag):
+            main(["infer", str(fasta_path), "-n", "1", "-r", "1", "--no-gtr",
+                  "--engine", "forkjoin", "--supervise", "--monitor",
+                  flag, value])
+
 
 class TestEnginesAgree:
     """With no ``-t``, sequential, decentralized and fork-join ``infer``

@@ -102,10 +102,6 @@ class TestFlopByteFormulas:
         assert flops_per_unit("pmatrix", 20) == 2 * 8000 + 400 + 20
         assert bytes_per_unit("pmatrix", 20) == 3 * 400 * 8
 
-    def test_psr_scan_is_newview_shaped(self):
-        assert flops_per_unit("psr_scan") == flops_per_unit("newview")
-        assert bytes_per_unit("psr_scan") == bytes_per_unit("newview")
-
     def test_unknown_op_is_loud(self):
         with pytest.raises(LikelihoodError):
             flops_per_unit("fft")

@@ -1,7 +1,6 @@
 """Unit tests for the observability subsystem (:mod:`repro.obs`).
 
-Covers the tracer's ring buffer and error semantics, the serve
-daemon's metrics registry and its Prometheus rendering, the
+Covers the tracer's ring buffer and error semantics, the
 instrumentation wrappers (delegation fidelity + span accuracy against a
 real communicator), the JSONL/Chrome exporters (valid
 JSON, per-rank monotonic timestamps, pid = rank, tid named after the
@@ -19,13 +18,11 @@ from repro.obs.export import (
     merge_rank_streams,
     rank_trace_path,
     read_jsonl,
-    snapshot_to_prom,
     span_to_dict,
     write_chrome_trace,
     write_jsonl,
 )
 from repro.obs.instrument import TraceInterceptor
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.reconcile import (
     DECENTRALIZED_REL_TOL,
     CategoryDelta,
@@ -108,101 +105,6 @@ class TestTracer:
         with pytest.raises(ValueError):
             with NULL_TRACER.span("x"):
                 raise ValueError("must escape")
-
-
-# ---------------------------------------------------------------------- #
-# metrics
-# ---------------------------------------------------------------------- #
-
-
-class TestMetrics:
-    def test_counter_accumulates_and_rejects_negative(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.counter("c").inc(2.5)
-        assert reg.counter("c").value == 3.5
-        with pytest.raises(ValueError):
-            reg.counter("c").inc(-1)
-
-    def test_gauge_keeps_last_value(self):
-        reg = MetricsRegistry()
-        reg.gauge("g").set(4)
-        reg.gauge("g").set(2)
-        assert reg.gauge("g").value == 2.0
-
-    def test_histogram_summary(self):
-        reg = MetricsRegistry()
-        for v in (1.0, 3.0, 8.0):
-            reg.histogram("h").observe(v)
-        summary = reg.histogram("h").to_dict()
-        assert summary == {"count": 3, "total": 12.0, "min": 1.0,
-                           "max": 8.0, "mean": 4.0}
-
-    def test_snapshot_is_json_safe(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(2)
-        reg.gauge("g").set(1)
-        reg.histogram("h").observe(5)
-        snap = reg.snapshot()
-        assert json.loads(json.dumps(snap)) == snap
-        assert snap["counters"] == {"c": 2.0}
-
-    def test_bucketed_histogram_counts_per_edge(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", bounds=(1.0, 10.0))
-        for v in (0.5, 1.0, 5.0, 50.0):
-            h.observe(v)
-        d = h.to_dict()
-        # per-edge (non-cumulative) counts; the 50.0 overflow is implicit
-        # in `count` (the +Inf bucket)
-        assert d["buckets"] == {"1.0": 2, "10.0": 1}
-        assert d["count"] == 4
-        # bucketless histograms keep the legacy dict shape
-        reg.histogram("plain").observe(1.0)
-        assert "buckets" not in reg.histogram("plain").to_dict()
-
-
-class TestPromExport:
-    def test_empty_snapshot_renders_nothing(self):
-        assert snapshot_to_prom({}) == ""
-        assert snapshot_to_prom(MetricsRegistry().snapshot()) == ""
-
-    def test_counters_gauges_and_summary_histograms(self):
-        reg = MetricsRegistry()
-        reg.counter("comm.calls.allreduce").inc(5)
-        reg.gauge("trace.spans").set(12)
-        reg.histogram("comm.nbytes").observe(100.0)
-        text = snapshot_to_prom(reg.snapshot())
-        assert "# TYPE repro_comm_calls_allreduce counter" in text
-        assert "repro_comm_calls_allreduce 5.0" in text
-        assert "# TYPE repro_trace_spans gauge" in text
-        assert "# TYPE repro_comm_nbytes summary" in text
-        assert "repro_comm_nbytes_count 1" in text
-        assert "repro_comm_nbytes_sum 100.0" in text
-        assert text.endswith("\n")
-
-    def test_bucketed_histogram_is_cumulative_with_inf(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", bounds=(1.0, 10.0))
-        for v in (0.5, 0.6, 5.0, 50.0):
-            h.observe(v)
-        text = snapshot_to_prom(reg.snapshot())
-        assert "# TYPE repro_lat histogram" in text
-        # cumulative: le=1 holds 2, le=10 holds 2+1, +Inf holds count
-        assert 'repro_lat_bucket{le="1.0"} 2' in text
-        assert 'repro_lat_bucket{le="10.0"} 3' in text
-        assert 'repro_lat_bucket{le="+Inf"} 4' in text
-        # the bucket lines precede the _count/_sum summary samples
-        assert text.index("_bucket") < text.index("repro_lat_count")
-
-    def test_names_sanitized_and_nonfinite_values(self):
-        text = snapshot_to_prom(
-            {"counters": {"comm.bytes.tag.traversal descriptor": 2.0},
-             "gauges": {"bad": float("nan"), "big": float("inf")}},
-            prefix="")
-        assert "comm_bytes_tag_traversal_descriptor 2.0" in text
-        assert "bad NaN" in text
-        assert "big +Inf" in text
 
 
 # ---------------------------------------------------------------------- #
@@ -510,7 +412,7 @@ class TestLazyPackage:
 
         import repro.obs
 
-        assert len(repro.obs.__all__) == 85 == len(set(repro.obs.__all__))
+        assert len(repro.obs.__all__) == 84 == len(set(repro.obs.__all__))
         # a re-export named like a submodule would read as either, depending
         # on what was imported first
         assert not set(repro.obs.__all__) & set(repro.obs._EXPORTS)

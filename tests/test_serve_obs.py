@@ -21,6 +21,7 @@ import subprocess
 import sys
 import time
 import urllib.request
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -38,13 +39,21 @@ from repro.obs.context import (
 )
 from repro.obs.export import chrome_trace, merge_job_trace, write_jsonl
 from repro.obs.slo import (
+    JobStats,
     collect_job_stats,
     compute_slo,
     percentile,
+    render_prom,
 )
 from repro.seq.io_fasta import write_fasta
 from repro.seq.simulate import simulate_alignment
-from repro.serve import JobSizing, JobSpec, JobStore
+from repro.serve import (
+    JobSizing,
+    JobSpec,
+    JobStore,
+    ServeDaemon,
+    ServePolicy,
+)
 from repro.serve.client import (
     ServeClientError,
     request,
@@ -202,6 +211,25 @@ class TestEventStreams:
 # --------------------------------------------------------------------- #
 # offline SLO analytics
 # --------------------------------------------------------------------- #
+def _make_job(store, *, tenant, submitted_ns, granted_ns, launched_ns,
+              finished_ns, ranks=1, status="completed", pool_ranks=4):
+    """A job manifest as the daemon leaves it: queue stamps up to
+    ``finished_ns`` (None = never granted), then ``status``."""
+    job_id = store.submit(
+        JobSpec(alignment="a.fasta", tenant=tenant), _sizing(),
+        ranks=ranks, now=submitted_ns / 1e9, now_ns=submitted_ns)
+    if granted_ns is not None:
+        store.mark_running(
+            job_id, ranks=ranks, start_seq=1,
+            granted_s=granted_ns / 1e9, granted_ns=granted_ns,
+            launched_s=launched_ns / 1e9, launched_ns=launched_ns,
+            pid=1, pool_ranks=pool_ranks)
+        store.stamp_queue(job_id, finished_s=finished_ns / 1e9,
+                          finished_ns=finished_ns)
+    store.registry.update(job_id, status=status)
+    return job_id
+
+
 class TestSlo:
     def test_percentile_nearest_rank(self):
         values = [1.0, 2.0, 3.0, 4.0]
@@ -213,35 +241,18 @@ class TestSlo:
         with pytest.raises(ValueError):
             percentile(values, 101.0)
 
-    def _make_job(self, store, *, tenant, submitted_ns, granted_ns,
-                  launched_ns, finished_ns, ranks=1, status="completed",
-                  pool_ranks=4):
-        job_id = store.submit(
-            JobSpec(alignment="a.fasta", tenant=tenant), _sizing(),
-            ranks=ranks, now=submitted_ns / 1e9, now_ns=submitted_ns)
-        if granted_ns is not None:
-            store.mark_running(
-                job_id, ranks=ranks, start_seq=1,
-                granted_s=granted_ns / 1e9, granted_ns=granted_ns,
-                launched_s=launched_ns / 1e9, launched_ns=launched_ns,
-                pid=1, pool_ranks=pool_ranks)
-            store.stamp_queue(job_id, finished_s=finished_ns / 1e9,
-                              finished_ns=finished_ns)
-        store.registry.update(job_id, status=status)
-        return job_id
-
     def test_report_from_manifests_alone(self, tmp_path):
         store = JobStore(tmp_path / "runs")
         s = 1_000_000_000  # 1s in ns
-        self._make_job(store, tenant="t1", submitted_ns=0,
-                       granted_ns=1 * s, launched_ns=1 * s,
-                       finished_ns=3 * s, ranks=2)
-        self._make_job(store, tenant="t2", submitted_ns=0,
-                       granted_ns=3 * s, launched_ns=3 * s,
-                       finished_ns=4 * s)
-        self._make_job(store, tenant="t2", submitted_ns=2 * s,
-                       granted_ns=None, launched_ns=None,
-                       finished_ns=None, status="cancelled")
+        _make_job(store, tenant="t1", submitted_ns=0,
+                  granted_ns=1 * s, launched_ns=1 * s,
+                  finished_ns=3 * s, ranks=2)
+        _make_job(store, tenant="t2", submitted_ns=0,
+                  granted_ns=3 * s, launched_ns=3 * s,
+                  finished_ns=4 * s)
+        _make_job(store, tenant="t2", submitted_ns=2 * s,
+                  granted_ns=None, launched_ns=None,
+                  finished_ns=None, status="cancelled")
 
         stats = collect_job_stats(store.root)
         assert len(stats) == 3
@@ -273,6 +284,118 @@ class TestSlo:
         assert report.utilization is None
         assert report.to_bench()["metrics"] == {}
         report.format_markdown()  # renders without jobs
+
+
+# --------------------------------------------------------------------- #
+# /metrics rendered from the manifests
+# --------------------------------------------------------------------- #
+def _samples(text: str) -> dict[str, float]:
+    return {line.rsplit(" ", 1)[0]: float(line.rsplit(" ", 1)[1])
+            for line in text.splitlines() if not line.startswith("#")}
+
+
+class TestMetricsFromManifests:
+    def stats(self, *, reaped: bool) -> list[JobStats]:
+        # the job wrote "completed" itself; the daemon stamps finished_*
+        # (and so run_s) only when it reaps the process
+        done = JobStats("done", "acme", "completed", 1, queue_wait_s=0.5,
+                        sched_latency_s=0.03)
+        if reaped:
+            done = replace(done, finished_s=9.0, run_s=2.0)
+        return [
+            JobStats("big", "we.ird-tenant", "completed", 2,
+                     finished_s=8.0, queue_wait_s=1.5,
+                     sched_latency_s=0.02, run_s=700.0),
+            done,
+            JobStats("gone", "acme", "cancelled", 1, abandoned=True),
+            JobStats("wait", "zeta", "queued", 1),
+            JobStats("run", "acme", "running", 1, queue_wait_s=0.2,
+                     sched_latency_s=0.01),
+        ]
+
+    def render(self, stats: list[JobStats]) -> str:
+        return render_prom(stats, running=1, tenant_ranks={"acme": 1},
+                           pool_ranks=4, rejected=2)
+
+    def test_counters_gauges_and_histograms(self):
+        text = self.render(self.stats(reaped=False))
+        assert text.endswith("\n")
+        samples = _samples(text)
+        # completed-but-unreaped is not counted yet; cancelled in the
+        # queue counts at once; a zero counter is not rendered
+        assert samples["repro_serve_jobs_submitted"] == 5.0
+        assert samples["repro_serve_jobs_completed"] == 1.0
+        assert samples["repro_serve_jobs_cancelled"] == 1.0
+        assert samples["repro_serve_jobs_rejected"] == 2.0
+        assert "repro_serve_jobs_failed" not in samples
+        assert "# TYPE repro_serve_jobs_submitted counter" in text
+        assert samples["repro_serve_queue_depth"] == 1.0
+        assert samples["repro_serve_jobs_running"] == 1.0
+        assert samples["repro_serve_pool_utilization"] == 0.25
+        # tenants that ever launched keep a gauge, sanitised; a tenant
+        # that only queued has none
+        assert samples["repro_serve_tenant_running_ranks_acme"] == 1.0
+        assert samples[
+            "repro_serve_tenant_running_ranks_we_ird_tenant"] == 0.0
+        assert not any("zeta" in name for name in samples)
+        for line in text.splitlines():
+            name = line.split()[2] if line.startswith("#") else (
+                line.split("{")[0].split()[0])
+            assert all(c.isalnum() or c == "_" for c in name), line
+
+        # queue wait 0.2, 0.5, 1.5: cumulative per edge, +Inf == _count
+        q = "repro_serve_queue_wait_s"
+        assert "# TYPE repro_serve_queue_wait_s histogram" in text
+        assert samples[q + '_bucket{le="0.1"}'] == 0
+        assert samples[q + '_bucket{le="0.25"}'] == 1
+        assert samples[q + '_bucket{le="0.5"}'] == 2
+        assert samples[q + '_bucket{le="1.0"}'] == 2
+        assert samples[q + '_bucket{le="2.5"}'] == 3
+        assert samples[q + '_bucket{le="600.0"}'] == 3
+        assert samples[q + '_bucket{le="+Inf"}'] == samples[q + "_count"]
+        assert samples[q + "_count"] == 3.0
+        assert samples[q + "_sum"] == pytest.approx(2.2)
+        assert samples[q + "_min"] == 0.2
+        assert samples[q + "_max"] == 1.5
+        assert text.index(q + "_bucket") < text.index(q + "_count")
+        # only the reaped 700 s run so far, past the last edge
+        r = "repro_serve_run_duration_s"
+        assert samples[r + '_bucket{le="600.0"}'] == 0
+        assert samples[r + '_bucket{le="+Inf"}'] == 1.0
+        assert samples[r + "_count"] == 1.0
+        assert samples[r + "_sum"] == 700.0
+        assert samples["repro_serve_sched_latency_s_count"] == 3.0
+
+    def test_reaping_counts_the_completed_job(self):
+        samples = _samples(self.render(self.stats(reaped=True)))
+        assert samples["repro_serve_jobs_completed"] == 2.0
+        assert samples["repro_serve_run_duration_s_count"] == 2.0
+        assert samples['repro_serve_run_duration_s_bucket{le="2.5"}'] == 1
+        assert samples["repro_serve_run_duration_s_min"] == 2.0
+
+    def test_restarted_daemon_reports_finished_jobs(self, tmp_path):
+        """The counters live in the manifests, not in the daemon that
+        ran the jobs: a fresh daemon over the root reports them."""
+        store = JobStore(tmp_path / "runs")
+        s = 1_000_000_000
+        for k in range(3):
+            _make_job(store, tenant="t1", submitted_ns=k * s,
+                      granted_ns=(k + 1) * s, launched_ns=(k + 1) * s,
+                      finished_ns=(k + 3) * s)
+        _make_job(store, tenant="t2", submitted_ns=0, granted_ns=None,
+                  launched_ns=None, finished_ns=None, status="cancelled")
+        daemon = ServeDaemon(ServePolicy(pool_ranks=3), root=store.root,
+                             log=lambda msg: None)
+        samples = _samples(daemon.prom_metrics())
+        assert samples["repro_serve_jobs_submitted"] == 4.0
+        assert samples["repro_serve_jobs_completed"] == 3.0
+        assert samples["repro_serve_jobs_cancelled"] == 1.0
+        assert samples["repro_serve_run_duration_s_count"] == 3.0
+        assert samples["repro_serve_run_duration_s_sum"] == 6.0
+        assert samples["repro_serve_queue_wait_s_count"] == 3.0
+        assert samples["repro_serve_queue_depth"] == 0.0
+        assert samples["repro_serve_pool_ranks"] == 3.0
+        assert samples["repro_serve_tenant_running_ranks_t1"] == 0.0
 
 
 # --------------------------------------------------------------------- #
