@@ -19,10 +19,6 @@ Commands mirror the RAxML-Light/ExaML workflow the paper describes:
   checks, and measured collective bytes reconciled against the analytic
   comm models; one markdown report, one ``kind: profile`` bench record,
   exit 1 when a check fails (``--from-trace`` re-reads a trace root);
-* ``regress``  — gate a ``BENCH_*.json`` record against prior baselines
-  (median comparison with noise-tolerant thresholds; report-only until
-  enough baselines exist; defaults to the committed ``benchmarks/``
-  records plus the run registry's bench snapshots);
 * ``watch``    — live per-rank table (phase, logL, beat age, stall
   flags) over a monitored run's heartbeat channel;
 * ``runs``     — query the persistent run registry (``.repro_runs/``):
@@ -41,12 +37,26 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
+def _read_file(path: str, error: type, read=Path.read_text):
+    """``read(Path(path))``; a file that cannot be read raises ``error``
+    (a :class:`~repro.errors.ReproError`) instead of an ``OSError``."""
+    try:
+        return read(Path(path))
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def _load_alignment(path: str):
+    from repro.errors import AlignmentError
+
+    return _read_file(path, AlignmentError, _read_alignment)
+
+
+def _read_alignment(p: Path):
     from repro.seq.binary import read_binary_alignment
     from repro.seq.io_fasta import read_fasta
     from repro.seq.io_phylip import read_phylip
 
-    p = Path(path)
     suffix = p.suffix.lower()
     if suffix in (".fasta", ".fa", ".fna"):
         return read_fasta(p)
@@ -81,6 +91,7 @@ def _write_alignment(alignment, path: str) -> None:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
+    from repro.errors import NewickError
     from repro.likelihood.backend import SequentialBackend
     from repro.likelihood.partitioned import PartitionedLikelihood
     from repro.search.checkpoint import load_checkpoint, restore_into, save_checkpoint
@@ -140,7 +151,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     alignment = _load_alignment(args.alignment)
     scheme = read_partition_file(args.partitions) if args.partitions else None
     if args.starting_tree:
-        tree = parse_newick(Path(args.starting_tree).read_text())
+        tree = parse_newick(_read_file(args.starting_tree, NewickError))
     else:
         tree = random_topology(alignment.taxa, rng=args.seed)
     # Every engine searches the tree this string parses to: node ids (and
@@ -558,8 +569,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if not args.no_register:
         from repro.obs.registry import RunRegistry
 
-        # every registered run feeds the registry's rolling baseline pool,
-        # so `repro regress` has history without any CI bookkeeping
+        # the bench snapshot is what `repro runs compare` reads
         registry = RunRegistry()
         run_id = registry.register({
             "command": "profile",
@@ -634,61 +644,6 @@ def _write_report(args: argparse.Namespace, markdown: str) -> None:
               file=sys.stderr)
     else:
         print(markdown)
-
-
-def _cmd_regress(args: argparse.Namespace) -> int:
-    """Gate a bench record against prior baselines."""
-    import glob
-    import json
-
-    from repro.obs.regress import (
-        DEFAULT_ABS_FLOOR,
-        DEFAULT_MIN_BASELINES,
-        DEFAULT_THRESHOLD,
-        compare_to_baselines,
-        load_baselines,
-    )
-
-    current = json.loads(Path(args.current).read_text())
-    paths: list[str] = []
-    for pattern in args.baselines:
-        hits = sorted(glob.glob(pattern))
-        paths.extend(hits if hits else
-                     ([pattern] if Path(pattern).exists() else []))
-    if not args.baselines:
-        # default baseline pool: the committed bench trajectory plus
-        # every bench snapshot in the run registry
-        from repro.obs.registry import RunRegistry
-
-        paths.extend(sorted(glob.glob("benchmarks/BENCH_*.json")))
-        paths.extend(str(p) for p in RunRegistry().bench_paths())
-        if paths:
-            print(f"using {len(paths)} default baseline(s) "
-                  f"(benchmarks/BENCH_*.json + run registry)",
-                  file=sys.stderr)
-    # never gate a record against itself
-    cur_path = Path(args.current).resolve()
-    paths = [p for p in paths if Path(p).resolve() != cur_path]
-    baselines = load_baselines(paths)
-
-    report = compare_to_baselines(
-        current, baselines,
-        threshold=(args.threshold if args.threshold is not None
-                   else DEFAULT_THRESHOLD),
-        abs_floor=(args.abs_floor if args.abs_floor is not None
-                   else DEFAULT_ABS_FLOOR),
-        min_baselines=(args.min_baselines if args.min_baselines is not None
-                       else DEFAULT_MIN_BASELINES),
-    )
-    if args.report_only:
-        report.enforced = False
-    print(report.format_table())
-    if args.gate_out:
-        Path(args.gate_out).write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n")
-    if report.failed:
-        print("performance regression detected", file=sys.stderr)
-    return report.exit_code
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -888,10 +843,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(report.format_markdown(), end="")
-    write_report(report, json_path=args.out, md_path=args.md_out,
-                 bench_path=args.bench_out)
-    for label, path in (("json", args.out), ("markdown", args.md_out),
-                        ("bench", args.bench_out)):
+    write_report(report, json_path=args.out, md_path=args.md_out)
+    for label, path in (("json", args.out), ("markdown", args.md_out)):
         if path:
             print(f"{label} report written to {path}", file=sys.stderr)
     return 0
@@ -1359,32 +1312,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "no memory band, no registry entry)")
     prof.set_defaults(func=_cmd_profile)
 
-    regress = sub.add_parser(
-        "regress",
-        help="gate a BENCH_*.json record against prior baselines "
-             "(median comparison, noise-tolerant; report-only until "
-             "enough baselines exist)")
-    regress.add_argument("current", help="bench record to gate")
-    regress.add_argument("--baselines", nargs="+", default=[],
-                         metavar="PATH_OR_GLOB",
-                         help="baseline records (globs allowed; quote "
-                              "them so CI shells don't expand empty "
-                              "globs to errors)")
-    regress.add_argument("--threshold", type=float, default=None,
-                         help="max allowed current/median ratio "
-                              "(default 1.3)")
-    regress.add_argument("--abs-floor", type=float, default=None,
-                         help="minimum absolute worsening to count "
-                              "(default 0.05)")
-    regress.add_argument("--min-baselines", type=int, default=None,
-                         help="baselines required before the gate "
-                              "enforces (default 2)")
-    regress.add_argument("--report-only", action="store_true",
-                         help="always exit 0, just print the comparison")
-    regress.add_argument("--gate-out", metavar="PATH",
-                         help="write the gate report as JSON here")
-    regress.set_defaults(func=_cmd_regress)
-
     lint = sub.add_parser(
         "lint",
         help="replicheck: static analysis for replica-consistency "
@@ -1646,9 +1573,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also write the JSON report here")
     slo.add_argument("--md-out", metavar="PATH",
                      help="also write the markdown report here")
-    slo.add_argument("--bench-out", metavar="PATH",
-                     help="also write a BENCH record here (feed it to "
-                          "'repro regress' to gate on SLO regressions)")
     slo.set_defaults(func=_cmd_slo)
 
     runs = sub.add_parser(

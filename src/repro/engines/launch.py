@@ -209,7 +209,7 @@ def _rank_main(comm: Comm, cfg: RunConfig) -> DistributedResult | None:
     search, backend, recovery = outcome
     return DistributedResult(
         logl=search.logl,
-        newick=write_newick(backend.tree, lengths=False),
+        newick=write_newick(backend.tree),
         iterations=search.iterations,
         bytes_by_tag=dict(backend.comm.bytes_by_tag),
         calls_by_tag=dict(backend.comm.calls_by_tag),
@@ -436,5 +436,5 @@ def run_sequential_reference(
     own = [p.subset(np.arange(p.n_patterns)) for p in parts]
     backend = SequentialBackend(PartitionedLikelihood(tree, own, list(taxa)))
     result = hill_climb(backend, config or SearchConfig())
-    return DistributedResult(result.logl, write_newick(backend.tree, lengths=False),
+    return DistributedResult(result.logl, write_newick(backend.tree),
                              result.iterations, {}, log=backend.log)

@@ -19,8 +19,6 @@ multiprocess runs and closes the loop:
 * :mod:`repro.obs.scaling` — the one traced-run loop behind ``repro
   profile``: each configuration launched once, its merged trace read as
   wait attribution, kernel hotspots and byte reconciliation;
-* :mod:`repro.obs.regress` — performance regression gating over
-  ``BENCH_*.json`` records;
 * :mod:`repro.obs.heartbeat` — per-rank heartbeat side channel (status
   files rewritten by a background thread, decoupled from the
   collective path) plus the :class:`HeartbeatInterceptor`;
@@ -45,8 +43,8 @@ multiprocess runs and closes the loop:
 * :mod:`repro.obs.nullprofiler` — the disabled profiler every likelihood
   holds by default, in a module of its own that imports nothing.
 
-See ``docs/OBSERVABILITY.md`` for the workflow, and ``repro profile`` /
-``repro regress`` on the CLI for the one-command versions.
+See ``docs/OBSERVABILITY.md`` for the workflow, and ``repro profile`` on
+the CLI for the one-command version.
 """
 
 import importlib
@@ -103,10 +101,6 @@ _EXPORTS = {
     ),
     "registry": (
         "RunRegistry", "compare_runs", "format_compare_table", "runs_root",
-    ),
-    "regress": (
-        "GateReport", "GateRow", "bench_metrics", "compare_to_baselines",
-        "load_baselines",
     ),
     "scaling": (
         "ScalePoint", "ScalingResult", "run_scaling",

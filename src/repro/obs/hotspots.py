@@ -538,7 +538,7 @@ def build_hotspot_report(
 
 
 def hotspot_metrics(reports: dict[str, HotspotReport]) -> dict[str, float]:
-    """Flat higher-is-worse metrics for ``repro regress`` over labelled
+    """Flat higher-is-worse metrics for ``repro runs compare`` over labelled
     reports: ``hotspots.<label>.<op>.{wall_s,ns_per_unit}`` plus
     ``hotspots.total_kernel_s`` summed over all of them."""
     metrics: dict[str, float] = {}

@@ -6,15 +6,13 @@ launch::
     .repro_runs/
       20260806-141503-12345/
         manifest.json     # config, seed, engine, dist, result, paths
-        bench.json        # optional bench record (regress-compatible)
+        bench.json        # optional bench record
 
 The manifest is written at launch (``status: running``) and finalized at
 exit (``completed`` / ``failed`` plus the result), so a crashed or hung
-run is visible as such in ``repro runs list``.  Bench records stored via
-:meth:`RunRegistry.record_bench` use the same schema as ``BENCH_*.json``
-files, which makes the registry a rolling baseline pool: ``repro
-regress`` folds :meth:`RunRegistry.bench_paths` into its defaults, so
-the perf gate finds history without any CI bookkeeping.
+run is visible as such in ``repro runs list``.  A bench record stored via
+:meth:`RunRegistry.record_bench` also lands flat in the manifest's
+``bench_metrics``, which ``repro runs compare`` diffs between two runs.
 
 Wall-clock reads (run ids, created timestamps) are fine here: this is
 driver-side observability code, never executed inside a replica.
@@ -201,7 +199,8 @@ class RunRegistry:
         return sorted(run_dir.rglob("progress-rank*.jsonl"))
 
     def record_bench(self, run_id: str, bench: dict[str, Any]) -> Path:
-        """Store a regress-compatible bench record alongside the run."""
+        """Store a bench record alongside the run, its metrics in the
+        manifest."""
         path = self.root / run_id / BENCH_FILENAME
         _atomic_write(path, json.dumps(bench, indent=2) + "\n")
         self.update(run_id, bench_path=str(path),
@@ -307,29 +306,14 @@ class RunRegistry:
             pruned.append(run_id)
         return pruned
 
-    def bench_paths(self) -> list[Path]:
-        """Every stored bench record, oldest first — the rolling baseline
-        pool ``repro regress`` folds into its defaults."""
-        return [
-            self.root / run_id / BENCH_FILENAME
-            for run_id in self.run_ids()
-            if (self.root / run_id / BENCH_FILENAME).is_file()
-        ]
 
 
-def _run_bench_metrics(registry: RunRegistry,
-                       manifest: dict[str, Any]) -> dict[str, float]:
-    from repro.obs.regress import bench_metrics
-
+def _run_bench_metrics(manifest: dict[str, Any]) -> dict[str, float]:
     metrics = manifest.get("bench_metrics")
-    if isinstance(metrics, dict) and metrics:
-        return {k: float(v) for k, v in metrics.items()
-                if isinstance(v, (int, float)) and not isinstance(v, bool)}
-    bench_path = registry.root / manifest["run_id"] / BENCH_FILENAME
-    try:
-        return bench_metrics(json.loads(bench_path.read_text()))
-    except (OSError, json.JSONDecodeError):
+    if not isinstance(metrics, dict):
         return {}
+    return {k: float(v) for k, v in metrics.items()
+            if isinstance(v, (int, float)) and not isinstance(v, bool)}
 
 
 def compare_runs(
@@ -338,7 +322,7 @@ def compare_runs(
     """Bench-metric delta between two registered runs (b relative to a)."""
     a = registry.load(registry.resolve(token_a))
     b = registry.load(registry.resolve(token_b))
-    ma, mb = _run_bench_metrics(registry, a), _run_bench_metrics(registry, b)
+    ma, mb = _run_bench_metrics(a), _run_bench_metrics(b)
     rows = []
     for name in sorted(set(ma) | set(mb)):
         va, vb = ma.get(name), mb.get(name)

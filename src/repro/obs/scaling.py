@@ -26,8 +26,8 @@ analytic prediction — the first run's region log priced under both
 engines on the reference machine
 (:func:`repro.perf.price.simulate_runtime`) — and states whether the
 orderings agree.  ``repro profile`` on the CLI wraps this module; its
-record (:meth:`ScalingResult.to_bench`) is gateable via
-:mod:`repro.obs.regress`.
+record (:meth:`ScalingResult.to_bench`) carries flat metrics that
+``repro runs compare`` diffs between two registered runs.
 """
 
 from __future__ import annotations
@@ -132,9 +132,10 @@ class ScalingResult:
     def problems(self) -> list[str]:
         return [problem for p in self.points for problem in p.problems()]
 
-    # -- gateable record ------------------------------------------------ #
+    # -- bench record --------------------------------------------------- #
     def metrics(self) -> dict[str, float]:
-        """Flat higher-is-worse metrics for the regression gate."""
+        """Flat higher-is-worse metrics, the ones ``repro runs compare``
+        diffs."""
         out: dict[str, float] = {}
         for p in self.points:
             key = f"scale.{p.label}"

@@ -173,25 +173,6 @@ class SloReport:
             "abandoned": self.abandoned,
         }
 
-    def to_bench(self) -> dict[str, Any]:
-        """A BENCH record (``repro regress`` input): flat metrics where
-        larger = worse, so a queue-wait regression trips the gate."""
-        metrics: dict[str, float] = {}
-        for name, dist in (("queue_wait", self.queue_wait),
-                           ("turnaround", self.turnaround),
-                           ("sched_latency", self.sched_latency)):
-            for stat in ("p50", "p99"):
-                if stat in dist:
-                    metrics[f"slo.{name}_{stat}_s"] = float(dist[stat])
-        if self.utilization is not None:
-            metrics["slo.idle_fraction"] = max(0.0, 1.0 - self.utilization)
-        if self.jobs_total:
-            failed = self.by_status.get("failed", 0)
-            metrics["slo.failure_rate"] = failed / self.jobs_total
-            metrics["slo.abandonment_rate"] = (
-                self.abandoned / self.jobs_total)
-        return {"kind": "serve_slo", "metrics": metrics}
-
     def format_markdown(self) -> str:
         lines = ["# Service-level report", ""]
         statuses = ", ".join(f"{k} {v}"
@@ -368,7 +349,6 @@ def write_report(
     report: SloReport,
     json_path: str | Path | None = None,
     md_path: str | Path | None = None,
-    bench_path: str | Path | None = None,
 ) -> None:
     """Emit the report in its machine and human formats."""
     if json_path:
@@ -376,6 +356,3 @@ def write_report(
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     if md_path:
         Path(md_path).write_text(report.format_markdown())
-    if bench_path:
-        Path(bench_path).write_text(
-            json.dumps(report.to_bench(), indent=2, sort_keys=True) + "\n")

@@ -190,7 +190,11 @@ def parse_partition_file(text: str) -> PartitionScheme:
 
 def read_partition_file(path: str | Path) -> PartitionScheme:
     """Read a RAxML-style partition file from disk."""
-    return parse_partition_file(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise AlignmentError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    return parse_partition_file(text)
 
 
 def format_partition_file(scheme: PartitionScheme) -> str:

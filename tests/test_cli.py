@@ -14,7 +14,7 @@ from repro.seq.io_fasta import read_fasta, write_fasta
 from repro.seq.simulate import simulate_alignment
 from repro.model.substitution import JC69
 from repro.tree.random_trees import yule_tree
-from repro.tree.newick import parse_newick, write_newick
+from repro.tree.newick import parse_newick
 
 
 @pytest.fixture()
@@ -42,9 +42,9 @@ class TestParser:
         sub = next(a for a in build_parser()._actions
                    if a.dest == "command")
         assert sorted(sub.choices) == sorted([
-            "infer", "simulate", "convert", "report", "profile", "regress",
-            "lint", "chaos", "watch", "serve", "submit", "status",
-            "cancel", "slo", "runs"])
+            "infer", "simulate", "convert", "report", "profile", "lint",
+            "chaos", "watch", "serve", "submit", "status", "cancel", "slo",
+            "runs"])
 
     def test_minus_m_flag(self, fasta_path):
         args = build_parser().parse_args(["infer", str(fasta_path), "-M"])
@@ -99,6 +99,28 @@ class TestInfer:
             "repro: error: NewickError: negative branch length"]
         with pytest.raises(NewickError, match="negative branch length"):
             main(args)
+
+    @pytest.mark.parametrize("argv,error", [
+        (["infer", "{missing}"], "AlignmentError"),
+        (["convert", "{missing}", "out.phy"], "AlignmentError"),
+        (["profile", "{missing}", "--no-register"], "AlignmentError"),
+        (["infer", "{fasta}", "-q", "{missing}"], "AlignmentError"),
+        (["infer", "{fasta}", "-t", "{missing}"], "NewickError"),
+    ], ids=["infer", "convert", "profile", "partitions", "tree"])
+    def test_missing_input_is_typed_error(self, fasta_path, tmp_path,
+                                          monkeypatch, capsys, argv, error):
+        """An input file that is not there is one ``repro: error:`` line
+        naming it, not an ``OSError`` traceback."""
+        from repro.__main__ import run
+
+        missing = tmp_path / "missing"
+        argv = [a.format(missing=missing, fasta=fasta_path) for a in argv]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["repro", *argv])
+        assert run() == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"repro: error: {error}: cannot read {missing}: "
+            f"No such file or directory"]
 
 
 class TestSimulateAndConvert:
@@ -238,8 +260,9 @@ class TestDistributedInfer:
 
 class TestEnginesAgree:
     """With no ``-t``, sequential, decentralized and fork-join ``infer``
-    search the same start tree: one ``logL`` line, one topology — also
-    under ``-M`` (the paper's per-partition branch lengths)."""
+    search the same start tree: one ``logL`` line, one ``-o`` file with
+    its branch lengths — also under ``-M`` (the paper's per-partition
+    branch lengths)."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -261,8 +284,7 @@ class TestEnginesAgree:
                      *extra]) == 0
         err = capsys.readouterr().err
         (line,) = [ln for ln in err.splitlines() if ln.startswith("logL = ")]
-        topology = write_newick(parse_newick(out.read_text()), lengths=False)
-        return line.split(" (")[0], topology
+        return line.split(" (")[0], out.read_text()
 
     @pytest.mark.parametrize("mode", [[], ["-M"]], ids=["joint", "-M"])
     def test_same_logl_and_topology(self, inputs, tmp_path, capsys, mode):

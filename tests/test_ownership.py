@@ -356,7 +356,7 @@ def _sequential_search(parts, taxa, newick, nbs):
     calls = {op: [lik.profiler.invocations(op, j) for j in range(N_PARTS)]
              for op in KERNEL_OPS}
     wire_ops = int(sum(region.max_ops() for region in backend.log))
-    return calls, wire_ops, result.logl, write_newick(tree, lengths=False)
+    return calls, wire_ops, result.logl, write_newick(tree)
 
 
 def _rank_calls(trace_dir, rank):

@@ -268,12 +268,6 @@ class TestSlo:
         assert report.tenants["t1"]["rank_s_share"] == (
             pytest.approx(4.0 / 5.0))
 
-        bench = report.to_bench()
-        assert bench["kind"] == "serve_slo"
-        assert bench["metrics"]["slo.queue_wait_p50_s"] == (
-            pytest.approx(1.0))
-        assert bench["metrics"]["slo.abandonment_rate"] == (
-            pytest.approx(1.0 / 3.0))
         md = report.format_markdown()
         assert "queue wait" in md and "t2" in md
         json.dumps(report.to_dict())  # JSON-safe
@@ -282,7 +276,6 @@ class TestSlo:
         report = compute_slo(collect_job_stats(tmp_path / "runs"))
         assert report.jobs_total == 0
         assert report.utilization is None
-        assert report.to_bench()["metrics"] == {}
         report.format_markdown()  # renders without jobs
 
 
@@ -530,15 +523,10 @@ class TestLiveTracing:
                                                          rel=1e-9)
 
         # ... as does the CLI, manifests alone, daemon long gone
-        bench_path = tmp_path / "BENCH_serve.json"
         out = subprocess.run(
             [sys.executable, "-m", "repro", "slo", "--root", str(root),
-             "--json", "--bench-out", str(bench_path)],
+             "--json"],
             check=True, capture_output=True, timeout=60)
         cli_report = json.loads(out.stdout)
         assert cli_report["queue_wait_s"]["p50"] == (
-            pytest.approx(wait_s, rel=1e-9))
-        bench = json.loads(bench_path.read_text())
-        assert bench["kind"] == "serve_slo"
-        assert bench["metrics"]["slo.queue_wait_p50_s"] == (
             pytest.approx(wait_s, rel=1e-9))
