@@ -22,11 +22,12 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
 import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.durable import durable_write
 
 __all__ = [
     "SEVERITY_ERROR",
@@ -178,19 +179,9 @@ class Baseline:
         entries = [self.fingerprints[k] for k in sorted(self.fingerprints)]
         payload = json.dumps(
             {"version": 1, "findings": entries}, indent=2) + "\n"
-        # tmp + fsync + rename: the baseline gates CI, so a torn write
-        # must not be able to pass (or fail) a build.
-        final = Path(path)
-        tmp = final.with_name(final.name + ".tmp")
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, final)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        # the baseline gates CI, so a torn write must not be able to pass
+        # (or fail) a build
+        durable_write(path, payload)
 
     def __contains__(self, finding: Finding) -> bool:
         return finding.fingerprint in self.fingerprints

@@ -2,13 +2,17 @@
 
 Fork-join workers in RAxML-Light never hold a tree: every likelihood
 operation reaches them as a *traversal descriptor* — node indices plus
-branch lengths — and they maintain conditional likelihood vectors keyed by
-those indices.  :class:`DescriptorExecutor` is exactly that: it executes
-wire-format descriptors over a list of local :class:`PartitionData`
-shares, with no topology knowledge whatsoever.
+branch lengths, the post-order list of CLV updates the master broadcasts
+before every parallel region — and they maintain conditional likelihood
+vectors keyed by those indices.  :class:`DescriptorExecutor` is exactly
+that: it executes wire-format descriptors over a list of local
+:class:`PartitionData` shares, with no topology knowledge whatsoever.
 
 Wire op format: ``(node, toward, child_a, child_b, t_a, t_b)`` where the
-``t_*`` are branch-length vectors of ``n_branch_sets`` doubles.
+``t_*`` are branch-length vectors of ``n_branch_sets`` doubles — the
+format :meth:`~repro.likelihood.partitioned.PartitionedLikelihood.descriptors_for_edge`
+builds, turned into stack ops by the same
+:func:`~repro.likelihood.stack.wire_ops` the master uses.
 
 Compute follows ownership: a share with no local patterns (a partition
 this rank does not own) is skipped by every method — no P matrix, tip
@@ -28,18 +32,19 @@ accounting per partition for memory attribution.
 from __future__ import annotations
 
 from collections.abc import Container
+from itertools import repeat
 
 import numpy as np
 
 from repro.errors import CommError, LikelihoodError
 from repro.likelihood.partitioned import PartitionData
 from repro.likelihood.stack import (
-    Op,
     build_stacks,
     clv_stats,
     derivatives_of_stacks,
     evaluate_stacks,
     fold_by_set,
+    wire_ops,
 )
 from repro.obs.nullprofiler import NULL_OP_PROFILER
 
@@ -88,13 +93,16 @@ class DescriptorExecutor:
 
     def run_ops(self, wire: list[tuple]) -> None:
         """Execute a wire descriptor (every partition with local patterns,
-        dependency order): one traversal per stack."""
-        ops: list[Op] = []
+        dependency order): one traversal per stack.  A descriptor that
+        reads a CLV neither stored nor made by an earlier op is refused
+        before any op runs."""
         made: set[tuple[int, int]] = set()
-        for node_id, toward_id, a_id, b_id, ta, tb in wire:
-            ops.append(((node_id, toward_id), self._ref(a_id, node_id, made),
-                        self._ref(b_id, node_id, made), ta, tb, None))
+        for node_id, toward_id, a_id, b_id, *_ in wire:
+            self._ref(a_id, node_id, made)
+            self._ref(b_id, node_id, made)
             made.add((node_id, toward_id))
+        ops = wire_ops(wire, repeat(None),
+                       lambda child, node: self.node_taxon.get(child, (child, node)))
         for stack in self.stacks:
             stack.traverse(ops, self.profiler)
 

@@ -31,7 +31,6 @@ from repro.likelihood.backend import (
 )
 from repro.likelihood.partitioned import PartitionedLikelihood
 from repro.par.comm import Comm, ReduceOp
-from repro.tree.traversal import EdgeDescriptor
 
 __all__ = [
     "CommEvent",
@@ -138,25 +137,6 @@ _CMD_PSR_FACTORS = "psr_factors"
 _CMD_STOP = "stop"
 
 
-def _wire_descriptor(tree, descriptors: EdgeDescriptor) -> list[tuple]:
-    """Serialize the edge's descriptor with branch lengths.
-
-    Partitions can only differ by *how much* of the post-order they need
-    (model changes force full traversals, structural changes invalidate
-    identically across partitions), so the edge's op list is the longest
-    per-partition descriptor and a superset of every partition's needs;
-    workers simply execute it for all partitions, recomputing a few
-    already-valid CLVs — exactly RAxML-Light's behaviour.
-    """
-    wire = []
-    for op in descriptors.ops:
-        node = tree.node(op.node)
-        ta = tree.edge_length(node, tree.node(op.child_a)).copy()
-        tb = tree.edge_length(node, tree.node(op.child_b)).copy()
-        wire.append((op.node, op.toward, op.child_a, op.child_b, ta, tb))
-    return wire
-
-
 #: Table-I category of the master's broadcast, per command.
 _COMMAND_TAG = {
     _CMD_TRAVERSE: CAT_TRAVERSAL,
@@ -193,8 +173,12 @@ class ForkJoinMasterBackend(SequentialBackend):
     def _announce(self, command: str, *payload) -> None:
         tag = _COMMAND_TAG[command]
         if tag == CAT_TRAVERSAL:
+            # the edge's descriptor is already in wire format; its op list
+            # is the longest per-partition one, a superset of every
+            # partition's needs, and workers run it for all partitions
+            # (recomputing a few already-valid CLVs — as RAxML-Light does)
             descriptors, u, v = payload
-            payload = (_wire_descriptor(self.tree, descriptors), u.id, v.id,
+            payload = (descriptors.ops, u.id, v.id,
                        self.tree.edge_length(u, v).copy())
         # the factors answer the workers' pending receive: no command word
         message = payload[0] if command == _CMD_PSR_FACTORS else (command, *payload)

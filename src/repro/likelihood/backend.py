@@ -46,11 +46,10 @@ from typing import Any, Iterable, Iterator, Protocol
 import numpy as np
 
 from repro.errors import ReproError
-from repro.likelihood.partitioned import BranchWorkspace, PartitionedLikelihood
+from repro.likelihood.partitioned import BranchWorkspace, EdgeDescriptor, PartitionedLikelihood
 from repro.likelihood.stack import fold_by_set
 from repro.model.rates import DiscreteGamma, PerSiteRates
 from repro.tree.topology import Node, Tree
-from repro.tree.traversal import EdgeDescriptor
 
 __all__ = [
     "PartitionInfo",

@@ -14,18 +14,27 @@ instance holds the full data.
 Cache invalidation is dependency-tracked: every computed orientation
 records — once, for all partitions — the identity of its two children, the
 version stamps of the connecting edges and the model version of every
-partition.  An orientation is valid for a partition iff those stamps still
-match and its children are (recursively) valid, so branch-length changes,
-SPR moves and model updates invalidate exactly the right CLVs without any
-explicit notification — the same effect as RAxML's orientation
-bookkeeping, but robust against arbitrary topology edits.  The traversal
-an edge needs is derived once; each of its ops carries the set of
-partitions it is stale for (all of them, unless only some models changed).
+partition; recomputing a CLV marks the orientations that read it stale for
+the recomputed partitions.  An orientation is valid for a partition iff
+those stamps still match and its children are (recursively) valid, so
+branch-length changes, SPR moves and model updates invalidate exactly the
+right CLVs without any explicit notification — the same effect as RAxML's
+orientation bookkeeping, but robust against arbitrary topology edits.
+
+The CLV updates an edge needs form its *traversal descriptor*: the
+post-order list of ops that the fork-join scheme (RAxML-Light) broadcasts
+to its workers before every parallel region — the structure whose bytes
+the paper's scheme eliminates (Table I puts 30–98% of fork-join bytes in
+it; :func:`repro.engines.forkjoin.descriptor_nbytes` is its byte model).
+It is built in one iterative pass, directly in that wire format, and each
+op carries the set of partitions it is stale for (all of them, unless only
+some models changed); the one list feeds the stacks, the broadcast and
+the region log.
 
 Compute follows ownership.  A partition with no local patterns (a rank's
 share of a partition it does not own, see :mod:`repro.dist`) keeps its
 replicated model state and takes part in the validity stamps — the
-fork-join master derives the wire descriptor from them — but is in no
+fork-join master's wire descriptor comes from them — but is in no
 stack: no tip vectors, P matrices, CLVs or sumtables are built for it, no
 kernel runs, nothing reaches the profiler, and its
 slot of every per-partition result is an exact ``0.0``.
@@ -39,12 +48,12 @@ import numpy as np
 
 from repro.errors import LikelihoodError, ModelError, TreeError
 from repro.likelihood.stack import (
-    Op,
     PartitionStack,
     build_stacks,
     clv_stats,
     derivatives_of_stacks,
     evaluate_stacks,
+    wire_ops,
 )
 from repro.model.frequencies import smooth_frequencies
 from repro.model.rates import (
@@ -58,9 +67,9 @@ from repro.obs.nullprofiler import NULL_OP_PROFILER
 from repro.seq.alignment import Alignment
 from repro.seq.partitions import PartitionScheme
 from repro.tree.topology import Node, Tree
-from repro.tree.traversal import EdgeDescriptor, traversal_for_edge
 
-__all__ = ["PartitionData", "PartitionedLikelihood", "BranchWorkspace"]
+__all__ = ["PartitionData", "PartitionedLikelihood", "BranchWorkspace",
+           "EdgeDescriptor"]
 
 
 class PartitionData:
@@ -166,6 +175,11 @@ class PartitionData:
         )
 
 
+#: Stale set of an orientation that is up to date for every partition
+#: (tested by identity).
+_VALID: frozenset[int] = frozenset()
+
+
 @dataclass
 class _Stamp:
     """What ``clv(node -> toward)`` was computed from (validity only)."""
@@ -177,10 +191,34 @@ class _Stamp:
     #: every partition's model version when the orientation was last
     #: computed or found valid for it
     model_vers: tuple[int, ...]
+    #: the partitions whose rows were computed from a child CLV that has
+    #: been recomputed since (``None``: all of them)
+    dirty: frozenset[int] | None = _VALID
 
 
-#: ``_stale`` result: the orientation is up to date for every partition.
-_VALID: frozenset[int] = frozenset()
+#: Memo miss.
+_UNSEEN = object()
+
+
+@dataclass
+class EdgeDescriptor:
+    """The CLV updates one edge needs.  ``ops`` are in fork-join's wire
+    format, ``(node, toward, child_a, child_b, t_a, t_b)``, children before
+    parents; ``masks[i]`` is the set of partitions op ``i`` is stale for
+    (``None``: all of them, the common case).  An op's mask contains its
+    children's, so ``ops`` is the longest per-partition descriptor."""
+
+    ops: list[tuple]
+    masks: list[frozenset[int] | None]
+    n_partitions: int
+
+    def op_counts(self) -> list[int]:
+        """How many ops each partition takes part in."""
+        counts = [sum(mask is None for mask in self.masks)] * self.n_partitions
+        for mask in self.masks:
+            for p in mask or ():
+                counts[p] += 1
+        return counts
 
 
 @dataclass
@@ -345,51 +383,77 @@ class PartitionedLikelihood:
             return None
         return (node, toward) if node in toward.neighbors else None
 
-    def _stale(self, key: tuple[int, int]) -> frozenset[int] | None:
-        """The partitions ``clv(key)`` is out of date for: :data:`_VALID`
-        (none), ``None`` (all of them) or the set of those whose model
-        changed since (memoised until the tree or a model changes)."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            stale = self._memo[key] = self._check_stale(key)
-            return stale
+    def _walk(self, roots, ops: list | None = None,
+              masks: list | None = None) -> frozenset[int] | None:
+        """One iterative post-order pass over the orientations behind
+        ``roots`` (``(node, toward)`` pairs, in order).  Each orientation's
+        stale set — :data:`_VALID` (none), ``None`` (every partition) or
+        the partitions it is out of date for — is its stamp's verdict
+        united with its children's, memoised until the tree or a model
+        changes.  With ``ops``, every orientation not valid for all
+        partitions is appended in wire format, children before parents,
+        with its stale set in ``masks``; a valid orientation's subtree is
+        skipped (its children are valid too).  Returns the last root's."""
+        tree, memo = self.tree, self._memo
+        todo = [(node, toward, None, None) for node, toward in reversed(roots)]
+        while todo:
+            node, toward, children, own = todo.pop()
+            key = (node.id, toward.id)
+            stale = memo.get(key, _UNSEEN)
+            if children is None:  # first visit: the stamp, then the children
+                if (node.is_leaf or stale is _VALID
+                        or (ops is None and stale is not _UNSEEN)):
+                    continue
+                children = tree.other_neighbors(node, toward)
+                if len(children) != 2:
+                    if ops is not None:
+                        raise TreeError(
+                            f"inner node {node.id} has {len(children) + 1} "
+                            "neighbors; tree is not binary")
+                    memo[key] = None
+                    continue
+                if stale is _UNSEEN:
+                    own = self._stamp_stale(key, node, children)
+                    if own is None and ops is None:
+                        memo[key] = None  # no need to look below
+                        continue
+                a, b = children  # sorted by id: a's ops come first
+                todo += [(node, toward, children, own), (b, node, None, None),
+                         (a, node, None, None)]
+                continue
+            if stale is _UNSEEN:  # last visit: unite with the children's
+                stale = own
+                for child in children:
+                    below = _VALID if child.is_leaf else memo[(child.id, node.id)]
+                    if stale is None or below is None:
+                        stale = None
+                    elif below:  # a valid result stays the _VALID object
+                        stale = stale | below
+                if stale is not None and len(stale) == len(self.parts):
+                    stale = None
+                memo[key] = stale
+            if stale is not _VALID and ops is not None:
+                a, b = children
+                ops.append((node.id, toward.id, a.id, b.id,
+                            tree.edge_length(node, a), tree.edge_length(node, b)))
+                masks.append(stale)
+        return memo.get((roots[-1][0].id, roots[-1][1].id))
 
-    def _check_stale(self, key: tuple[int, int]) -> frozenset[int] | None:
+    def _stamp_stale(self, key: tuple[int, int], node: Node,
+                     children: list[Node]) -> frozenset[int] | None:
+        """What the stamp of ``clv(key)`` alone says (children aside)."""
         entry = self._stamps.get(key)
-        nodes = self._edge_nodes(key) if entry is not None else None
-        if nodes is None:
+        a, b = children
+        if (entry is None or entry.dirty is None
+                or (a.id, b.id) != (entry.child_a, entry.child_b)
+                or self.tree.edge_version(node, a) != entry.ver_a
+                or self.tree.edge_version(node, b) != entry.ver_b):
             return None
-        tree = self.tree
-        node, toward = nodes
-        children = tree.other_neighbors(node, toward)
-        if len(children) != 2:
-            return None
-        a, b = children  # sorted by id
-        if (
-            (a.id, b.id) != (entry.child_a, entry.child_b)
-            or tree.edge_version(node, a) != entry.ver_a
-            or tree.edge_version(node, b) != entry.ver_b
-        ):
-            return None
-        stale = _VALID
-        if entry.model_vers != self._versions:
-            stale = frozenset(
-                p for p, (then, now) in enumerate(zip(entry.model_vers, self._versions))
-                if then != now
-            )
-        for child in (a, b):
-            if not child.is_leaf:
-                below = self._stale((child.id, node.id))
-                if below is None:
-                    return None
-                if below:
-                    stale = stale | below
-        return None if len(stale) == len(self.parts) else stale
-
-    def _is_valid(self, p: int, key: tuple[int, int]) -> bool:
-        stale = self._stale(key)
-        return stale is not None and p not in stale
+        if entry.model_vers == self._versions:
+            return entry.dirty
+        return entry.dirty | frozenset(
+            p for p, (then, now) in enumerate(zip(entry.model_vers, self._versions))
+            if then != now)
 
     def invalidate_partition(self, p: int) -> None:
         """Drop all cached CLVs of partition ``p`` (model change)."""
@@ -405,10 +469,13 @@ class PartitionedLikelihood:
         return sum(stack.drop(keys)[0] for stack in self.stacks)
 
     def gc(self) -> int:
-        """Drop the cache entries no partition can use any more; returns
-        how many per-partition CLVs were evicted."""
+        """Drop the cache entries no partition can use any more (stale for
+        every partition, or their edge is gone); returns how many
+        per-partition CLVs were evicted."""
         self._fresh_memos()
-        return self._evict([k for k in self._stamps if self._stale(k) is None])
+        return self._evict([k for k in self._stamps
+                            if (nodes := self._edge_nodes(k)) is None
+                            or self._walk((nodes,)) is None])
 
     def _sweep(self) -> None:
         """Keep the store bounded: SPR moves leave behind the orientations
@@ -436,20 +503,21 @@ class PartitionedLikelihood:
     # ------------------------------------------------------------------ #
     # CLV computation
     # ------------------------------------------------------------------ #
-    def _ref(self, node: Node, toward: Node) -> int | tuple[int, int]:
-        """Stack operand reference of ``node`` seen from ``toward``."""
+    def _ref(self, node: Node, toward: int) -> int | tuple[int, int]:
+        """Stack operand reference of ``node`` seen from node ``toward``."""
         if node.is_leaf:
             return self.taxon_row[node.label]
-        return (node.id, toward.id)
+        return (node.id, toward)
 
     def descriptors_for_edge(self, u: Node, v: Node) -> EdgeDescriptor:
         """The CLV updates edge ``{u, v}`` still needs, with the partitions
-        each is needed for (what :meth:`ensure_clvs` executes)."""
+        each is needed for (what :meth:`ensure_clvs` executes): one pass
+        from ``u``'s side, then from ``v``'s."""
+        if not self.tree.has_edge(u, v):
+            raise TreeError(f"cannot evaluate at missing edge ({u.id},{v.id})")
         self._fresh_memos()
-        ops = traversal_for_edge(
-            self.tree, u, v, is_valid=lambda key: self._stale(key) is _VALID
-        ).ops
-        masks = [self._stale((op.node, op.toward)) for op in ops]
+        ops, masks = [], []
+        self._walk(((u, v), (v, u)), ops, masks)
         return EdgeDescriptor(ops, masks, self.n_partitions)
 
     def execute_descriptors(self, descriptors: EdgeDescriptor) -> None:
@@ -459,29 +527,24 @@ class PartitionedLikelihood:
         if not descriptors.ops:
             return
         tree = self.tree
-        ops: list[Op] = []
-        stamps: list[_Stamp] = []
-        for op, mask in zip(descriptors.ops, descriptors.masks):
-            node = tree.node(op.node)
-            a = tree.node(op.child_a)
-            b = tree.node(op.child_b)
-            ops.append(((op.node, op.toward), self._ref(a, node),
-                        self._ref(b, node), tree.edge_length(node, a),
-                        tree.edge_length(node, b), mask))
-            if a.id > b.id:
-                a, b = b, a
-            stamps.append(_Stamp(
-                child_a=a.id,
-                child_b=b.id,
-                ver_a=tree.edge_version(node, a),
-                ver_b=tree.edge_version(node, b),
-                model_vers=self._versions,
-            ))
+        ops = wire_ops(descriptors.ops, descriptors.masks,
+                       lambda child, node: self._ref(tree.node(child), node))
         for stack in self.stacks:
             stack.traverse(ops, self.profiler)
-        for (key, *_), stamp in zip(ops, stamps):
-            self._stamps[key] = stamp
-            self._memo[key] = _VALID
+        for (node_id, toward, a_id, b_id, *_), mask in zip(descriptors.ops,
+                                                            descriptors.masks):
+            node = tree.node(node_id)
+            self._stamps[(node_id, toward)] = _Stamp(
+                a_id, b_id, tree.edge_version(node, tree.node(a_id)),
+                tree.edge_version(node, tree.node(b_id)), self._versions)
+            self._memo[(node_id, toward)] = _VALID
+            # an orientation that reads this CLV keeps rows computed from
+            # the old one (a later op of this descriptor restamps it; a
+            # memo entry of it already holds ``mask``)
+            for other in tree.node(toward).neighbors:
+                reader = self._stamps.get((toward, other.id))
+                if other.id != node_id and reader and reader.dirty is not None:
+                    reader.dirty = None if mask is None else reader.dirty | mask
         self._sweep()
 
     def ensure_clvs(self, u: Node, v: Node) -> EdgeDescriptor:
@@ -513,7 +576,7 @@ class PartitionedLikelihood:
         """Per-partition log likelihoods and per-pattern log likelihoods
         from the CLVs edge ``{u, v}`` already has (see :meth:`ensure_clvs`)."""
         return evaluate_stacks(
-            self.stacks, self.n_partitions, self._ref(u, v), self._ref(v, u),
+            self.stacks, self.n_partitions, self._ref(u, v.id), self._ref(v, u.id),
             self.tree.edge_length(u, v), self.profiler)
 
     def site_log_likelihoods(
@@ -538,7 +601,7 @@ class PartitionedLikelihood:
     def sumtables_local(self, u: Node, v: Node) -> BranchWorkspace:
         """:meth:`prepare_branch` from the CLVs the edge already has."""
         sumtables = [
-            stack.sumtable(self._ref(u, v), self._ref(v, u), self.profiler)
+            stack.sumtable(self._ref(u, v.id), self._ref(v, u.id), self.profiler)
             for stack in self.stacks
         ]
         return BranchWorkspace(

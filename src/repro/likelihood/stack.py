@@ -42,7 +42,7 @@ from repro.likelihood import kernel
 from repro.model.substitution import EigenSystem, fill_eigen_caches
 
 __all__ = ["PartitionStack", "build_stacks", "clv_stats", "evaluate_stacks",
-           "derivatives_of_stacks", "fold_by_set"]
+           "derivatives_of_stacks", "fold_by_set", "wire_ops"]
 
 #: A tip (taxon row) or a stored CLV (directed-edge key).
 Ref = int | tuple[int, int]
@@ -52,6 +52,14 @@ Ref = int | tuple[int, int]
 #: and ``tb``, for the partitions in ``mask`` (``None``: all of them).
 Op = tuple[tuple[int, int], Ref, Ref, np.ndarray, np.ndarray,
            frozenset[int] | None]
+
+
+def wire_ops(wire, masks, ref) -> list[Op]:
+    """The stack ops of a wire descriptor — ops ``(node, toward, child_a,
+    child_b, t_a, t_b)`` with one mask each — where ``ref(child, node)``
+    names a child's operand (a taxon row or ``(child, node)``)."""
+    return [((node, toward), ref(a, node), ref(b, node), ta, tb, mask)
+            for (node, toward, a, b, ta, tb), mask in zip(wire, masks)]
 
 
 class PartitionStack:

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, TextIO
 
+from repro.durable import durable_write
 from repro.obs.heartbeat import read_heartbeats
 
 __all__ = [
@@ -385,16 +386,10 @@ class MonitorThread:
             self.first_stall = diag
             try:
                 self.diagnosis_path.parent.mkdir(parents=True, exist_ok=True)
-                # tmp + fsync + rename: the supervisor reads this file to
-                # pick an escalation tier, so it must never see a torn
-                # half-written diagnosis.
-                tmp = self.diagnosis_path.with_name(
-                    self.diagnosis_path.name + ".tmp")
-                with open(tmp, "w") as fh:
-                    fh.write(json.dumps(diag.to_dict(), indent=2) + "\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, self.diagnosis_path)
+                # the supervisor reads this file to pick an escalation
+                # tier, so it must never see a torn half-written diagnosis
+                durable_write(self.diagnosis_path,
+                              json.dumps(diag.to_dict(), indent=2) + "\n")
             except OSError:  # pragma: no cover
                 pass
             if self.on_stall is not None:

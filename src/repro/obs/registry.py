@@ -28,6 +28,8 @@ import time
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.durable import durable_write
+
 try:  # advisory locking is POSIX-only; degrade gracefully elsewhere
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
@@ -64,12 +66,6 @@ def runs_root(root: str | Path | None = None) -> Path:
     if env:
         return Path(env)
     return Path.cwd() / DEFAULT_ROOT_NAME
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 @contextlib.contextmanager
@@ -202,7 +198,7 @@ class RunRegistry:
         """Store a bench record alongside the run, its metrics in the
         manifest."""
         path = self.root / run_id / BENCH_FILENAME
-        _atomic_write(path, json.dumps(bench, indent=2) + "\n")
+        durable_write(path, json.dumps(bench, indent=2) + "\n")
         self.update(run_id, bench_path=str(path),
                     bench_metrics=bench.get("metrics", {}))
         return path
@@ -210,7 +206,7 @@ class RunRegistry:
     def _write_manifest(self, run_id: str, manifest: dict[str, Any]) -> None:
         run_dir = self.root / run_id
         run_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(run_dir / MANIFEST_FILENAME,
+        durable_write(run_dir / MANIFEST_FILENAME,
                       json.dumps(manifest, indent=2, default=str) + "\n")
 
     # -- reading ------------------------------------------------------- #

@@ -13,15 +13,18 @@ identical state, so any one of them can write it — maximum redundancy).
 
 from __future__ import annotations
 
+import io
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
+from repro.durable import durable_write
 from repro.errors import CheckpointError
 from repro.model.rates import DiscreteGamma, NoRateHeterogeneity, PerSiteRates
+from repro.tree.distances import edge_sides
 from repro.tree.newick import parse_newick, write_newick
+from repro.tree.topology import edge_key
 
 __all__ = ["checkpoint_file", "save_checkpoint", "load_checkpoint", "restore_into"]
 
@@ -52,17 +55,10 @@ def save_checkpoint(path, lik, iteration: int, radius: int, logl: float) -> None
     }
     # topology without lengths + all length sets keyed by edge
     meta["newick"] = write_newick(tree, lengths=False)
-    edge_keys = []
-    lengths = []
-    label_of = {}
-    for node in tree.nodes:
-        if node.is_leaf:
-            label_of[node.id] = node.label
-    for u, v in tree.edges():
-        edge_keys.append(_edge_name(tree, u, v))
-        lengths.append(tree.edge_length(u, v))
-    arrays["edge_lengths"] = np.vstack(lengths)
-    meta["edge_names"] = edge_keys
+    names = _edge_names(tree)
+    edges = tree.edges()
+    arrays["edge_lengths"] = np.vstack([tree.edge_length(u, v) for u, v in edges])
+    meta["edge_names"] = [names[edge_key(u, v)] for u, v in edges]
 
     for i, part in enumerate(lik.parts):
         pm: dict = {"name": part.name, "branch_set": part.branch_set}
@@ -83,60 +79,20 @@ def save_checkpoint(path, lik, iteration: int, radius: int, logl: float) -> None
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     ).copy()
-    # Atomic write: a crash mid-write (the very event checkpoints guard
-    # against) must never leave a torn archive where the previous good
-    # checkpoint used to be.  Write a sibling, fsync, then rename over.
-    final = checkpoint_file(path)
-    tmp = final.with_name(final.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
-        _fsync_dir(final.parent)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    # a crash mid-write (the very event checkpoints guard against) must
+    # never leave a torn archive where the previous good checkpoint was
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **arrays)
+    durable_write(checkpoint_file(path), buf.getvalue())
 
 
-def _fsync_dir(directory: Path) -> None:
-    """Flush the directory entry itself: the rename above is only durable
-    once its *directory* hits disk — a crash between rename and dir flush
-    could otherwise leave a restart with no visible checkpoint at all."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - exotic fs without dir opens
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fs refuses dir fsync
-        pass
-    finally:
-        os.close(fd)
-
-
-def _edge_name(tree, u, v) -> str:
-    """A topology-stable, unique name for an edge: the sorted label set of
-    the side *not* containing the globally smallest taxon.  The bipartition
-    identifies the edge uniquely and is invariant under node renumbering
-    (min-label pairs alone are NOT unique: a leaf edge and the edge above
-    it can share both side minima)."""
-    from repro.tree.topology import Node
-
-    def side_labels(node: Node, parent: Node) -> list[str]:
-        if node.is_leaf:
-            return [node.label]  # type: ignore[list-item]
-        out: list[str] = []
-        for child in tree.other_neighbors(node, parent):
-            out.extend(side_labels(child, node))
-        return out
-
-    side_u = sorted(side_labels(u, v))
-    side_v = sorted(side_labels(v, u))
-    global_min = min(side_u[0], side_v[0])
-    side = side_v if global_min in side_u else side_u
-    return ",".join(sorted(side))
+def _edge_names(tree) -> dict[tuple[int, int], str]:
+    """A topology-stable, unique name for every edge: the sorted label set
+    of the side *not* containing the globally smallest taxon.  The
+    bipartition identifies the edge uniquely and is invariant under node
+    renumbering (min-label pairs alone are NOT unique: a leaf edge and the
+    edge above it can share both side minima)."""
+    return {key: ",".join(sorted(side)) for key, side in edge_sides(tree).items()}
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -175,8 +131,9 @@ def restore_into(lik, meta: dict, arrays: dict[str, np.ndarray]):
     for idx, name in enumerate(meta["edge_names"]):
         name_to_row[name] = idx
     lengths = arrays["edge_lengths"]
+    names = _edge_names(new_tree)
     for u, v in new_tree.edges():
-        name = _edge_name(new_tree, u, v)
+        name = names[edge_key(u, v)]
         if name not in name_to_row:
             raise CheckpointError(f"edge {name!r} missing from checkpoint")
         new_tree.set_edge_length(u, v, lengths[name_to_row[name]])

@@ -1,16 +1,12 @@
-"""Tree substrate: unrooted binary topologies, Newick I/O, traversals,
-random starting trees, NNI/SPR rearrangements and tree distances."""
+"""Tree substrate: unrooted binary topologies, Newick I/O, random
+starting trees, NNI/SPR rearrangements and tree distances."""
 
 from repro.tree.topology import Node, Tree
 from repro.tree.newick import parse_newick, write_newick
-from repro.tree.traversal import TraversalDescriptor, traversal_for_edge, full_traversal
 
 __all__ = [
     "Node",
     "Tree",
     "parse_newick",
     "write_newick",
-    "TraversalDescriptor",
-    "traversal_for_edge",
-    "full_traversal",
 ]

@@ -8,9 +8,26 @@ the same search algorithm, so their outputs must agree).
 from __future__ import annotations
 
 from repro.errors import TreeError
-from repro.tree.topology import Node, Tree
+from repro.tree.topology import Tree, edge_key
 
-__all__ = ["bipartitions", "rf_distance", "same_topology"]
+__all__ = ["bipartitions", "edge_sides", "rf_distance", "same_topology"]
+
+
+def edge_sides(tree: Tree) -> dict[tuple[int, int], frozenset[str]]:
+    """Every edge's taxa on its side away from the smallest taxon, keyed by
+    :func:`~repro.tree.topology.edge_key` — one iterative pass, so a tree
+    of any depth works."""
+    anchor = min(tree.leaves(), key=lambda n: n.label)  # type: ignore[arg-type]
+    order = [(anchor, None)]
+    for node, parent in order:
+        order.extend((c, node) for c in node.neighbors if c is not parent)
+    below: dict[int, frozenset[str]] = {}
+    sides: dict[tuple[int, int], frozenset[str]] = {}
+    for node, parent in reversed(order[1:]):  # children before parents
+        below[node.id] = sides[edge_key(node, parent)] = (
+            frozenset((node.label,)) if node.is_leaf else frozenset().union(
+                *(below[c.id] for c in node.neighbors if c is not parent)))
+    return sides
 
 
 def bipartitions(tree: Tree) -> set[frozenset[str]]:
@@ -18,20 +35,10 @@ def bipartitions(tree: Tree) -> set[frozenset[str]]:
     frozen taxon-label set (canonicalized against the full label set)."""
     tree.validate()
     all_labels = frozenset(n.label for n in tree.leaves())  # type: ignore[arg-type]
-
-    def side_labels(node: Node, parent: Node) -> frozenset[str]:
-        if node.is_leaf:
-            return frozenset([node.label])  # type: ignore[list-item]
-        out: set[str] = set()
-        for child in tree.other_neighbors(node, parent):
-            out |= side_labels(child, node)
-        return frozenset(out)
-
     splits: set[frozenset[str]] = set()
-    for u, v in tree.edges():
-        if u.is_leaf or v.is_leaf:
+    for (a, b), side in edge_sides(tree).items():
+        if tree.node(a).is_leaf or tree.node(b).is_leaf:
             continue  # trivial split
-        side = side_labels(u, v)
         other = all_labels - side
         splits.add(min(side, other, key=lambda s: (len(s), sorted(s))))
     return splits

@@ -99,33 +99,43 @@ def parse_newick(text: str, n_branch_sets: int = 1) -> Tree:
     tree = Tree(n_branch_sets)
     lex = _Lexer(text)
 
-    def parse_clade(parent: Node | None) -> tuple[Node, float | None]:
-        if lex.peek() == "(":
-            lex.expect("(")
-            node = tree.add_node()
-            children: list[tuple[Node, float | None]] = [parse_clade(node)]
-            while lex.peek() == ",":
-                lex.take()
-                children.append(parse_clade(node))
-            lex.expect(")")
-            lex.label()  # inner label / support value: parsed, ignored
-            for child, length in children:
-                tree.connect(node, child, length)
-        else:
-            label = lex.label()
-            if not label:
-                raise NewickError(f"empty leaf label near position {lex.pos}")
-            node = tree.add_node(label=label)
-        length: float | None = None
+    def length() -> float | None:
         lex._skip_ws_and_comments()
         if lex.pos < len(lex.text) and lex.text[lex.pos] == ":":
             lex.take()
-            length = lex.number()
-            if length < 0:
+            value = lex.number()
+            if value < 0:
                 raise NewickError("negative branch length")
-        return node, length
+            return value
+        return None
 
-    root, root_len = parse_clade(None)
+    # one iterative pass: ``clades`` holds each unclosed clade's node and the
+    # (child, length) pairs read so far; a clade's edges are made when its
+    # ')' is read, innermost first
+    clades: list[tuple[Node, list[tuple[Node, float | None]]]] = []
+    while True:
+        if lex.peek() == "(":
+            lex.expect("(")
+            clades.append((tree.add_node(), []))
+            continue
+        label = lex.label()
+        if not label:
+            raise NewickError(f"empty leaf label near position {lex.pos}")
+        node = tree.add_node(label=label)
+        node_len = length()
+        while clades and lex.peek() != ",":
+            clades[-1][1].append((node, node_len))
+            lex.expect(")")
+            lex.label()  # inner label / support value: parsed, ignored
+            node, children = clades.pop()
+            for child, child_len in children:
+                tree.connect(node, child, child_len)
+            node_len = length()
+        if not clades:
+            break
+        clades[-1][1].append((node, node_len))
+        lex.take()  # ','
+    root, root_len = node, node_len
     lex._skip_ws_and_comments()
     if lex.pos >= len(lex.text) or lex.text[lex.pos] != ";":
         raise NewickError("missing terminating ';'")
@@ -143,15 +153,6 @@ def parse_newick(text: str, n_branch_sets: int = 1) -> Tree:
         raise NewickError("duplicate taxon labels")
     tree.validate()
     return tree
-
-
-def _subtree_min_label(tree: Tree, node: Node, parent: Node) -> str:
-    if node.is_leaf:
-        return node.label  # type: ignore[return-value]
-    return min(
-        _subtree_min_label(tree, child, node)
-        for child in tree.other_neighbors(node, parent)
-    )
 
 
 def _format_length(length: np.ndarray, branch_set: int, digits: int) -> str:
@@ -176,19 +177,38 @@ def write_newick(
     anchor = min(tree.leaves(), key=lambda n: n.label)  # type: ignore[arg-type]
     root = anchor.neighbors[0]
 
-    def render(node: Node, parent: Node) -> str:
-        if node.is_leaf:
-            body = node.label or ""
-        else:
-            children = tree.other_neighbors(node, parent)
-            children.sort(key=lambda c: _subtree_min_label(tree, c, node))
-            body = "(" + ",".join(render(c, node) for c in children) + ")"
-        if lengths:
-            body += ":" + _format_length(tree.edge_length(node, parent), branch_set, digits)
-        return body
+    # the smallest taxon below every node, from one post-order pass
+    order = [(root, None)]
+    for node, parent in order:
+        order.extend((c, node) for c in node.neighbors if c is not parent)
+    min_label: dict[int, str] = {}
+    for node, parent in reversed(order):
+        min_label[node.id] = node.label if node.is_leaf else min(
+            min_label[c.id] for c in node.neighbors if c is not parent)
 
-    children = sorted(
-        root.neighbors, key=lambda c: _subtree_min_label(tree, c, root) if not c.is_leaf else c.label  # type: ignore[arg-type]
-    )
-    parts = [render(c, root) for c in children]
-    return "(" + ",".join(parts) + ");"
+    def push(todo: list, children: list[Node], parent: Node) -> None:
+        """Queue ``parent``'s children (by smallest taxon), comma-separated."""
+        children = sorted(children, key=lambda c: min_label[c.id])
+        for i, child in enumerate(reversed(children)):
+            if i:
+                todo.append(",")
+            todo.append((child, parent))
+
+    out = ["("]
+    todo: list = [");"]
+    push(todo, root.neighbors, root)
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, parent = item
+        suffix = (":" + _format_length(tree.edge_length(node, parent),
+                                       branch_set, digits)) if lengths else ""
+        if node.is_leaf:
+            out.append((node.label or "") + suffix)
+        else:
+            out.append("(")
+            todo.append(")" + suffix)
+            push(todo, tree.other_neighbors(node, parent), node)
+    return "".join(out)

@@ -14,8 +14,6 @@ carries its own length for every branch.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.errors import TreeError
@@ -330,12 +328,6 @@ class Tree:
         for u, v in self.edges():
             if v not in u.neighbors or u not in v.neighbors:
                 raise TreeError(f"edge map inconsistent at ({u.id},{v.id})")
-
-    def iter_directed_edges(self) -> Iterator[tuple[Node, Node]]:
-        """Both orientations of every edge, deterministically ordered."""
-        for u, v in self.edges():
-            yield u, v
-            yield v, u
 
     def __repr__(self) -> str:
         return f"Tree({self.n_taxa} taxa, {self.n_edges} edges)"

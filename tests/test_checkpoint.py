@@ -140,6 +140,31 @@ class TestErrors:
             restore_into(lik2, meta, arrays)
 
 
+class TestDeepTree:
+    def test_caterpillar_round_trip(self, tmp_path):
+        """Edge names of a 1,200-level tree are computed iteratively."""
+        from test_newick import caterpillar_newick
+
+        from repro.likelihood.partitioned import PartitionData
+        from repro.model.rates import NoRateHeterogeneity
+        from repro.model.substitution import JC69
+        from repro.tree.newick import parse_newick, write_newick
+
+        def likelihood(tree):
+            taxa = sorted(leaf.label for leaf in tree.leaves())
+            part = PartitionData("p", np.ones((len(taxa), 1), dtype=np.uint32),
+                                 np.ones(1), JC69(), NoRateHeterogeneity())
+            return PartitionedLikelihood(tree, [part], taxa)
+
+        tree = parse_newick(caterpillar_newick(1200))
+        lik = likelihood(tree)
+        save_checkpoint(tmp_path / "deep.npz", lik, 3, 2, -1.5)
+        other = likelihood(random_topology(lik.taxa, rng=5))
+        assert restore_into(other, *load_checkpoint(tmp_path / "deep.npz")) \
+            == (3, 2, -1.5)
+        assert write_newick(other.tree) == write_newick(tree)
+
+
 class TestAtomicity:
     """Checkpoints guard against crashes — writing one must never leave a
     torn archive where the previous good checkpoint used to be."""
@@ -149,9 +174,7 @@ class TestAtomicity:
         path = tmp_path / "atomic.npz"
         save_checkpoint(path, lik, 1, 1, logl)
         assert path.exists()
-        leftovers = [p for p in sorted(tmp_path.iterdir())
-                     if p.suffix == ".tmp"]
-        assert leftovers == []
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_bare_path_gets_npz_suffix(self, optimized, tmp_path):
         aln, scheme, lik, logl = optimized
@@ -162,10 +185,11 @@ class TestAtomicity:
                                                       tmp_path, monkeypatch):
         # The rename is only durable once the directory entry hits disk;
         # a crash in between would leave a restart with no checkpoint.
+        import repro.durable
         import repro.search.checkpoint as cp
 
         synced = []
-        monkeypatch.setattr(cp, "_fsync_dir", synced.append)
+        monkeypatch.setattr(repro.durable, "_fsync_dir", synced.append)
         aln, scheme, lik, logl = optimized
         cp.save_checkpoint(tmp_path / "durable.npz", lik, 1, 1, logl)
         assert synced == [tmp_path]
@@ -189,7 +213,7 @@ class TestAtomicity:
         assert path.read_bytes() == good
         meta, _ = load_checkpoint(path)
         assert meta["iteration"] == 1
-        assert not (tmp_path / "survives.npz.tmp").exists()
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_truncated_file_rejected(self, optimized, tmp_path):
         aln, scheme, lik, logl = optimized

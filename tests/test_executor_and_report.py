@@ -10,7 +10,6 @@ from repro.likelihood.backend import SequentialBackend
 from repro.likelihood.partitioned import PartitionedLikelihood
 from repro.obs.hotspots import OpProfiler
 from repro.perf.price import format_table1, table1_rows
-from repro.tree.traversal import full_traversal
 
 from region_work import region_work
 
@@ -22,13 +21,9 @@ def setup(sim_dataset):
     lik = PartitionedLikelihood.build(aln, true_tree.copy(), rate_mode="gamma")
     tree = lik.tree
     u, v = tree.edges()[0]
-    desc = full_traversal(tree, u, v)
-    wire = []
-    for op in desc.ops:
-        node = tree.node(op.node)
-        ta = tree.edge_length(node, tree.node(op.child_a)).copy()
-        tb = tree.edge_length(node, tree.node(op.child_b)).copy()
-        wire.append((op.node, op.toward, op.child_a, op.child_b, ta, tb))
+    # a fresh likelihood's descriptor: every CLV toward the edge
+    wire = PartitionedLikelihood(tree, lik.parts, lik.taxa).descriptors_for_edge(
+        u, v).ops
     node_taxon = {
         leaf.id: lik.taxon_row[leaf.label] for leaf in tree.leaves()
     }

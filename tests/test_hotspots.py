@@ -47,7 +47,6 @@ from repro.par.machine import HITS_CLUSTER
 from repro.perf.costmodel import modeled_bytes, modeled_flops
 from repro.search.search import SearchConfig, hill_climb
 from repro.tree.newick import write_newick
-from repro.tree.traversal import full_traversal
 
 from region_work import PATTERN_OPS, region_work
 
@@ -73,13 +72,9 @@ def executor_fixture(lik):
     """The wire descriptor reaching one edge, as the comm layer ships it."""
     tree = lik.tree
     u, v = tree.edges()[0]
-    desc = full_traversal(tree, u, v)
-    wire = []
-    for op in desc.ops:
-        node = tree.node(op.node)
-        ta = tree.edge_length(node, tree.node(op.child_a)).copy()
-        tb = tree.edge_length(node, tree.node(op.child_b)).copy()
-        wire.append((op.node, op.toward, op.child_a, op.child_b, ta, tb))
+    # a fresh likelihood's descriptor: every CLV toward the edge
+    wire = PartitionedLikelihood(tree, lik.parts, lik.taxa).descriptors_for_edge(
+        u, v).ops
     node_taxon = {
         leaf.id: lik.taxon_row[leaf.label] for leaf in tree.leaves()
     }

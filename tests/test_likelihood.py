@@ -179,14 +179,15 @@ class TestInvalidation:
         tree = lik.tree
         u, v = tree.edges()[0]
         first = lik.ensure_clvs(u, v)
-        assert len(first[0]) > 0
+        # one op per inner node, for the single partition
+        assert first.op_counts() == [len(first.ops)] == [len(lik.taxa) - 2]
         second = lik.ensure_clvs(u, v)
-        assert len(second[0]) == 0  # everything cached
+        assert len(second.ops) == 0  # everything cached
         # a local branch change requires only a partial traversal
         far = tree.edges()[-1]
         tree.set_edge_length(*far, 0.9)
         third = lik.ensure_clvs(u, v)
-        assert 0 < len(third[0]) <= len(first[0])
+        assert 0 < len(third.ops) <= len(first.ops)
 
     def test_gc_drops_stale_entries(self, sim_dataset):
         aln, true_tree, _ = sim_dataset

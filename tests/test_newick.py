@@ -103,3 +103,23 @@ class TestCanonicalProperty:
         assert same_topology(tree, again)
         # canonical: serializing again yields identical text
         assert write_newick(again) == text
+
+
+def caterpillar_newick(n: int) -> str:
+    """``(t0,t1,(t2,(t3,...)))``: one nesting level per taxon."""
+    return ("(t0,t1," + "".join(f"(t{i}:0.{i}," for i in range(2, n - 1))
+            + f"t{n - 1}" + "):0.5" * (n - 3) + ");")
+
+
+class TestDeepTrees:
+    """Parsing, writing and splitting walk the tree iteratively, so depth
+    is not bounded by the interpreter's recursion limit."""
+
+    def test_caterpillar_round_trip_and_bipartitions(self):
+        from repro.tree.distances import bipartitions
+
+        tree = parse_newick(caterpillar_newick(1200))
+        assert tree.n_taxa == 1200
+        text = write_newick(tree)
+        assert write_newick(parse_newick(text)) == text
+        assert len(bipartitions(tree)) == 1200 - 3

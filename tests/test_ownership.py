@@ -199,11 +199,12 @@ class TestZeroPatternShares:
         ws = lik.prepare_branch(u, v)
         assert len(ws.sumtables) == len(lik.stacks)
         d1, d2 = lik.branch_derivatives(ws, tree.edge_length(u, v))
+        # every partition took part in every op, and none needs one now
+        assert descriptors.op_counts() == [len(descriptors.ops)] * N_PARTS
+        assert lik.descriptors_for_edge(u, v).ops == []
         for j in range(N_PARTS):
             stats = lik.clv_stats()[j]
             calls = sum(lik.profiler.invocations(op, j) for op in KERNEL_OPS)
-            assert len(descriptors[j]) == len(descriptors[0])
-            assert lik._is_valid(j, (u.id, v.id))
             if j in mine:
                 assert per_part[j] < 0.0 and d2[j] != 0.0
                 assert stats["entries"] > 0 and stats["live_bytes"] > 0
@@ -449,6 +450,27 @@ PINNED_FORKJOIN = (
     {"traversal descriptor": 10152, BL: 5662, LL: 736,
      "model parameters": 780, "control": 8},
 )
+#: The same run with per-partition branch lengths (``-M``) and with PSR.
+PINNED_FORKJOIN_MODES = {
+    ("gamma", True): (
+        {"traversal descriptor": 107, BL: 410, LL: 23, "model parameters": 10,
+         "control": 1},
+        {"traversal descriptor": 18528, BL: 22550, LL: 736,
+         "model parameters": 780, "control": 8}),
+    ("psr", False): (
+        {"traversal descriptor": 105, BL: 342, LL: 13, "model parameters": 14,
+         "control": 1},
+        {"traversal descriptor": 10072, BL: 6498, LL: 416,
+         "model parameters": 448, "control": 8}),
+}
+#: The sequential region log of :func:`_workload` under ``SEARCH``:
+#: ``(regions, distinct region shapes, descriptor ops summed)`` — the
+#: work every engine prices, pinned where no communicator is involved.
+PINNED_SEQUENTIAL_LOGS = {
+    ("gamma", False): (224, 12, 142),
+    ("gamma", True): (280, 12, 142),
+    ("psr", False): (236, 13, 142),
+}
 
 
 class TestCollectiveStreamsUnchanged:
@@ -467,6 +489,27 @@ class TestCollectiveStreamsUnchanged:
                                                  config=SEARCH,
                                                  dist_kind="mps")))
         assert (master.calls_by_tag, master.bytes_by_tag) == PINNED_FORKJOIN
+
+    @pytest.mark.parametrize("rate_mode,minus_m", sorted(PINNED_FORKJOIN_MODES))
+    def test_forkjoin_minus_m_and_psr(self, rate_mode, minus_m):
+        parts, taxa, newick, nbs = _workload(rate_mode, minus_m)
+        master = first_survivor(launch(RunConfig("forkjoin", parts, taxa,
+                                                 newick, n_ranks=2,
+                                                 config=SEARCH, dist_kind="mps",
+                                                 n_branch_sets=nbs)))
+        assert ((master.calls_by_tag, master.bytes_by_tag)
+                == PINNED_FORKJOIN_MODES[rate_mode, minus_m])
+
+    @pytest.mark.parametrize("rate_mode,minus_m", sorted(PINNED_SEQUENTIAL_LOGS))
+    def test_sequential_region_log(self, rate_mode, minus_m):
+        parts, taxa, newick, nbs = _workload(rate_mode, minus_m)
+        lik = PartitionedLikelihood(_rebuild_tree(newick, nbs), _copies(parts),
+                                    taxa)
+        backend = SequentialBackend(lik)
+        hill_climb(backend, SEARCH)
+        log = backend.log
+        assert ((len(log), len(log.counts), sum(r.max_ops() for r in log))
+                == PINNED_SEQUENTIAL_LOGS[rate_mode, minus_m])
 
 
 # --------------------------------------------------------------------- #

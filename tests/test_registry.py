@@ -115,6 +115,49 @@ class TestRunRegistry:
         assert [m["run_id"] for m in reg.list_runs()] == [run_id]
 
 
+class TestDurableManifests:
+    """An acknowledged run survives a crash: the manifest reaches the disk
+    before ``register`` returns, and a failed rewrite leaves the old one."""
+
+    def test_register_fsyncs_the_manifest_and_its_directory(self, tmp_path,
+                                                            monkeypatch):
+        import os
+
+        reg = RunRegistry(tmp_path / "runs")
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(os.path.realpath(f"/proc/self/fd/{fd}"))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        run_id = reg.register({"command": "infer"})
+        run_dir = os.path.realpath(reg.root / run_id)
+        # the tmp sibling's data, then the directory holding the rename
+        assert synced[-1] == run_dir
+        assert synced[-2].startswith(os.path.join(run_dir, "manifest.json.tmp"))
+
+    def test_failed_update_keeps_the_old_manifest(self, tmp_path, monkeypatch):
+        import os
+
+        reg = RunRegistry(tmp_path / "runs")
+        run_id = reg.register({"command": "infer"})
+        before = sorted((reg.root / run_id).iterdir())
+        old = (reg.root / run_id / "manifest.json").read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            reg.update(run_id, status="completed")
+        monkeypatch.undo()
+        assert (reg.root / run_id / "manifest.json").read_bytes() == old
+        assert sorted((reg.root / run_id).iterdir()) == before
+        assert reg.load(run_id)["status"] == "running"
+
+
 class TestCompareRuns:
     def test_metric_deltas_and_ratios(self):
         reg = RunRegistry()

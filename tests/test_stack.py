@@ -32,7 +32,7 @@ from reference_likelihood import ReferenceBackend
 from repro.likelihood.backend import SequentialBackend
 from repro.likelihood.kernel import SCALE_THRESHOLD
 from repro.likelihood.partitioned import PartitionData, PartitionedLikelihood
-from repro.likelihood.stack import PartitionStack
+from repro.likelihood.stack import PartitionStack, wire_ops
 from repro.model.rates import DiscreteGamma, NoRateHeterogeneity, PerSiteRates
 from repro.model.substitution import SubstitutionModel, fill_eigen_caches
 from repro.obs.hotspots import OpProfiler
@@ -42,7 +42,6 @@ from repro.seq.alphabet import AMINO_ACIDS, DNA
 from repro.tree.newick import write_newick
 from repro.tree.random_trees import random_topology
 from repro.tree.topology import Tree
-from repro.tree.traversal import traversal_for_edge
 
 
 # --------------------------------------------------------------------- #
@@ -261,8 +260,7 @@ class TestPartialMask:
         n_ops = len(descriptors.ops)
         assert n_ops == len(lik.taxa) - 2  # a full traversal, for one row
         assert all(mask == frozenset({2}) for mask in descriptors.masks)
-        # it reads as the per-partition list: only partition 2 has work
-        assert [len(d) for d in descriptors] == [0, 0, n_ops, 0, 0]
+        # only partition 2 has work
         assert descriptors.op_counts() == [0, 0, n_ops, 0, 0]
         lik.execute_descriptors(descriptors)
         for p in range(5):
@@ -305,21 +303,19 @@ class TestPartialMask:
 # --------------------------------------------------------------------- #
 # batched traversals
 # --------------------------------------------------------------------- #
-def _traversal(tree: Tree, taxa: list[str], masks: list) -> list[tuple]:
-    """The stack ops of the full traversal toward an inner edge."""
+def _traversal(tree: Tree, taxa: list[str], parts: list,
+               masks: list) -> list[tuple]:
+    """The stack ops of the full traversal toward an inner edge: a fresh
+    likelihood's descriptor, with ``masks``."""
     row = {label: i for i, label in enumerate(taxa)}
 
-    def ref(node, toward):
-        return row[node.label] if node.is_leaf else (node.id, toward.id)
+    def ref(child, node):
+        child = tree.node(child)
+        return row[child.label] if child.is_leaf else (child.id, node)
 
-    u, v = _inner_edge(tree)
-    ops = []
-    for op, mask in zip(traversal_for_edge(tree, u, v, lambda key: False).ops,
-                        masks):
-        node, a, b = (tree.node(i) for i in (op.node, op.child_a, op.child_b))
-        ops.append(((op.node, op.toward), ref(a, node), ref(b, node),
-                    tree.edge_length(node, a), tree.edge_length(node, b), mask))
-    return ops
+    wire = PartitionedLikelihood(tree, parts, taxa).descriptors_for_edge(
+        *_inner_edge(tree)).ops
+    return wire_ops(wire, masks, ref)
 
 
 class TestBatchedTraversal:
@@ -350,7 +346,8 @@ class TestBatchedTraversal:
                     parts[p].model = parts[p].model.with_rates(
                         parts[p].model.rates * 1.3)
                     parts[p].bump_model()
-            ops = _traversal(tree, taxa, masks if step else [None] * n_ops)
+            ops = _traversal(tree, taxa, parts,
+                             masks if step else [None] * n_ops)
             stacked.traverse(ops, NULL_OP_PROFILER)
             for stack in alone:
                 for op in ops:
