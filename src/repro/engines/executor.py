@@ -25,8 +25,9 @@ objects — the same stacks, kernels and accounting the tree-aware
 worker's numbers are bitwise the master's.  Every kernel call is bracketed
 with the attached op profiler (a
 :data:`~repro.obs.nullprofiler.NULL_OP_PROFILER` by default, whose hooks are
-no-ops and read no clock), and the CLV store carries live/peak byte
-accounting per partition for memory attribution.
+no-ops and read no clock), and the CLV store counts its entries, whose
+bytes per partition follow from the stack's shape, for memory
+attribution.
 """
 
 from __future__ import annotations

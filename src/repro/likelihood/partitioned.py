@@ -466,7 +466,7 @@ class PartitionedLikelihood:
     def _evict(self, keys: list[tuple[int, int]]) -> int:
         for key in keys:
             del self._stamps[key]
-        return sum(stack.drop(keys)[0] for stack in self.stacks)
+        return sum(stack.drop(keys) for stack in self.stacks)
 
     def gc(self) -> int:
         """Drop the cache entries no partition can use any more (stale for

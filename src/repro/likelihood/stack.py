@@ -27,13 +27,19 @@ fork-join workers' :class:`~repro.engines.executor.DescriptorExecutor`.
 A zero-pattern share (a partition this process does not own) is in no
 stack: nothing is stored or computed for it.
 
-Kernel calls run between ``prof.begin()`` and ``prof.end_stack(...)``,
-which accounts a stacked region to each partition it computed: one call
-still means one ``(op, partition)`` update, and a batched P build still
-counts two ``pmatrix`` calls per traversal op.
+Kernel calls run between ``t0 = prof.begin()`` and ``prof.end(t0, op,
+stack, rows)``: the hook is handed objects that already exist and nothing
+else, so with profiling off a call computes no argument for it.  What a
+call worked on and allocated follows from the stack's :class:`StackShape`
+— every CLV of a stack has one shape, and a masked op writes rows into an
+entry without changing it — so the profiler reads units and bytes off the
+shape when its totals are read, and the CLV store counts entries, not
+bytes.  A batched P build still counts two ``pmatrix`` calls per op.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +47,8 @@ from repro.errors import LikelihoodError
 from repro.likelihood import kernel
 from repro.model.substitution import EigenSystem, fill_eigen_caches
 
-__all__ = ["PartitionStack", "build_stacks", "clv_stats", "evaluate_stacks",
-           "derivatives_of_stacks", "fold_by_set", "wire_ops"]
+__all__ = ["PartitionStack", "StackShape", "build_stacks", "clv_stats",
+           "evaluate_stacks", "derivatives_of_stacks", "fold_by_set", "wire_ops"]
 
 #: A tip (taxon row) or a stored CLV (directed-edge key).
 Ref = int | tuple[int, int]
@@ -62,6 +68,39 @@ def wire_ops(wire, masks, ref) -> list[Op]:
             for (node, toward, a, b, ta, tb), mask in zip(wire, masks)]
 
 
+class StackShape(NamedTuple):
+    """A stack's partitions and the dimensions all its rows share: what
+    its kernel calls compute and allocate follows from these."""
+
+    partitions: tuple[int, ...]
+    n_patterns: int
+    n_cats: int
+    n_states: int
+    #: rates a P matrix is built for: categories, or one per pattern (PSR)
+    n_rates: int
+    site_specific: bool
+    #: work units of one CLV-shaped op, per partition (cost-model convention)
+    unit: float
+
+    @property
+    def clv_bytes(self) -> int:
+        """Bytes of one stored CLV entry, per partition: the CLV and its
+        per-pattern scale vector (both float64)."""
+        return 8 * self.n_patterns * (self.n_cats * self.n_states + 1)
+
+    def charge(self, op: str) -> tuple[float, int]:
+        """``(work units, allocated bytes)`` of one ``op`` call, per
+        partition computed: a P matrix (units are matrices), a CLV, a
+        sumtable (a CLV without scale), or no array."""
+        if op == "pmatrix":
+            return self.n_rates, 8 * self.n_rates * self.n_states ** 2
+        if op == "newview":
+            return self.unit, self.clv_bytes
+        if op == "sumtable":
+            return self.unit, 8 * self.n_patterns * self.n_cats * self.n_states
+        return self.unit, 0
+
+
 class PartitionStack:
     """The partitions ``members`` of ``parts`` (one shape), stacked.
 
@@ -77,9 +116,11 @@ class PartitionStack:
         g = len(members)
         self.n_states = first.model.n_states
         self.site_specific = first.site_specific
-        #: work units of one CLV-shaped op, per partition (cost-model convention)
-        self.unit = first.cost_patterns * first.n_cats
-        n_rates = first.n_patterns if first.site_specific else first.n_cats
+        rates, self.cat_weights = first.category_rates()
+        n_rates = len(rates)
+        self.shape = StackShape(
+            self.partitions, first.n_patterns, first.n_cats, self.n_states,
+            n_rates, self.site_specific, first.cost_patterns * first.n_cats)
         #: traversal ops whose P matrices (2 · rates · n² per row) are built
         #: per call: as many as fit in one CLV's bytes (patterns · cats · n
         #: per row), so a Γ traversal takes a few calls and a PSR one (P per
@@ -91,20 +132,18 @@ class PartitionStack:
                         else np.stack([p.weights for p in self.parts]))
         self.branch_sets = np.array([p.branch_set for p in self.parts],
                                     dtype=np.intp)
-        rates, self.cat_weights = first.category_rates()
         n = self.n_states
         self.eigen = EigenSystem(np.empty((g, n)), np.empty((g, n, n)),
                                  np.empty((g, n, n)), np.empty((g, n)))
-        self.rates = np.empty((g, len(rates)))
+        self.rates = np.empty((g, n_rates))
         self._versions: list[int | None] = [None] * g
         self._tips: dict[int, np.ndarray] = {}
         #: directed edge -> (clv ``(g, cats, states, patterns)``, scale
         #: ``(g, patterns)``)
         self.clvs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self.live_bytes = 0
-        self.peak_bytes = 0
+        #: most entries ever stored at once, and entries evicted so far
+        self.peak_entries = 0
         self.evictions = 0
-        self.evicted_bytes = 0
 
     # ------------------------------------------------------------------ #
     # stacked model state and operands
@@ -159,12 +198,6 @@ class PartitionStack:
     # ------------------------------------------------------------------ #
     # kernels
     # ------------------------------------------------------------------ #
-    def _members(self, rows: list[int] | None) -> tuple[int, ...]:
-        """Partitions of ``rows`` (``None``: every row)."""
-        if rows is None:
-            return self.partitions
-        return tuple(self.partitions[i] for i in rows)
-
     def traverse(self, ops: list[Op], prof) -> None:
         """Compute and store the CLVs of ``ops``, in order (a child may be
         an earlier op's result).
@@ -198,18 +231,10 @@ class PartitionStack:
         t = np.array([(op[3], op[4]) for op, _ in batch])[..., sets]
         t0 = prof.begin()
         p = kernel.pmatrices(eigen, t, rates)  # (ops, 2, rows, rates, n, n)
-        # each op's partitions are charged two matrix builds, as if the op
-        # had built them alone; the call's wall time goes to the batch's
-        # first partition set
-        charged: dict[tuple[int, ...], int] = {}
+        # each op's rows are charged two matrix builds, as if the op had
+        # built them alone; the call's wall time goes to the batch's first op
         for _, rows in batch:
-            members = self._members(rows)
-            charged[members] = charged.get(members, 0) + 1
-        n, n_rates = self.n_states, rates.shape[1]
-        for members, k in charged.items():
-            prof.end_stack(t0, "pmatrix", members, 2 * k * n_rates,
-                           count=2 * k, alloc=k * 2 * n_rates * n * n * 8,
-                           n_states=n, site_specific=self.site_specific)
+            prof.end(t0, "pmatrix", self, rows, count=2)
             t0 = prof.begin()
         for i, ((key, a, b, _, _, _), rows) in enumerate(batch):
             p_ab = p[i]
@@ -230,42 +255,31 @@ class PartitionStack:
         t0 = prof.begin()
         clv, scale = kernel.newview(p_a, clv_a, scale_a, p_b, clv_b, scale_b,
                                     site_specific=self.site_specific)
-        nbytes = clv.nbytes + scale.nbytes
-        old = self.clvs.get(key)
         if rows is None:
             self.clvs[key] = (clv, scale)
-            self.live_bytes += nbytes
-            if old is not None:
-                self.live_bytes -= old[0].nbytes + old[1].nbytes
-            self.peak_bytes = max(self.peak_bytes, self.live_bytes)
+            self.peak_entries = max(self.peak_entries, len(self.clvs))
         else:
-            old[0][rows] = clv
-            old[1][rows] = scale
-        members = self._members(rows)
-        prof.end_stack(t0, "newview", members, self.unit,
-                       alloc=nbytes // len(members),
-                       n_states=self.n_states, site_specific=self.site_specific)
+            old_clv, old_scale = self.clvs[key]
+            old_clv[rows] = clv
+            old_scale[rows] = scale
+        prof.end(t0, "newview", self, rows)
 
     def evaluate(self, u: Ref, v: Ref, t_root: np.ndarray,
                  prof) -> tuple[np.ndarray, np.ndarray]:
         """Per-member log likelihoods ``(g,)`` and per-pattern values
         ``(g, patterns)`` at the virtual root between ``u`` and ``v``."""
         self.refresh()
-        g = len(self.partitions)
         t0 = prof.begin()
         p_root = kernel.pmatrices(self.eigen, t_root[self.branch_sets],
                                   self.rates)
-        prof.end_stack(t0, "pmatrix", self.partitions, self.rates.shape[1],
-                       alloc=p_root.nbytes // g, n_states=self.n_states,
-                       site_specific=self.site_specific)
+        prof.end(t0, "pmatrix", self)
         clv_i, scale_i = self.side(u)
         clv_j, scale_j = self.side(v)
         t0 = prof.begin()
         result = kernel.evaluate_edge(
             p_root, clv_i, scale_i, clv_j, scale_j, self.eigen.frequencies,
             self.cat_weights, self.weights, site_specific=self.site_specific)
-        prof.end_stack(t0, "evaluate", self.partitions, self.unit,
-                       n_states=self.n_states, site_specific=self.site_specific)
+        prof.end(t0, "evaluate", self)
         return result
 
     def sumtable(self, u: Ref, v: Ref, prof) -> np.ndarray:
@@ -275,9 +289,7 @@ class PartitionStack:
         clv_j, _ = self.side(v)
         t0 = prof.begin()
         table = kernel.sumtable(self.eigen, clv_i, clv_j)
-        prof.end_stack(t0, "sumtable", self.partitions, self.unit,
-                       alloc=table.nbytes // len(self.partitions),
-                       n_states=self.n_states, site_specific=self.site_specific)
+        prof.end(t0, "sumtable", self)
         return table
 
     def derivatives(self, table: np.ndarray, t: np.ndarray,
@@ -289,24 +301,21 @@ class PartitionStack:
         d1, d2 = kernel.derivatives_from_sumtable(
             self.eigen, table, t[self.branch_sets], self.rates,
             self.cat_weights, self.weights)
-        prof.end_stack(t0, "derivative", self.partitions, self.unit,
-                       n_states=self.n_states, site_specific=self.site_specific)
+        prof.end(t0, "derivative", self)
         return d1, d2
 
     # ------------------------------------------------------------------ #
     # CLV store
     # ------------------------------------------------------------------ #
-    def drop(self, keys=None) -> tuple[int, int]:
+    def drop(self, keys=None) -> int:
         """Evict the stored CLVs of ``keys`` (all when ``None``); returns
-        ``(per-partition entries, bytes)`` evicted."""
-        entries = [self.clvs.pop(k, None)
-                   for k in (list(self.clvs) if keys is None else keys)]
-        entries = [e for e in entries if e is not None]
-        nbytes = sum(clv.nbytes + scale.nbytes for clv, scale in entries)
-        self.live_bytes -= nbytes
-        self.evictions += len(entries)
-        self.evicted_bytes += nbytes
-        return len(entries) * len(self.partitions), nbytes
+        the per-partition entries evicted."""
+        before = len(self.clvs)
+        for k in list(self.clvs) if keys is None else keys:
+            self.clvs.pop(k, None)
+        evicted = before - len(self.clvs)
+        self.evictions += evicted
+        return evicted * len(self.partitions)
 
 
 def build_stacks(parts: list) -> list[PartitionStack]:
@@ -362,16 +371,17 @@ def fold_by_set(d1: np.ndarray, d2: np.ndarray, branch_sets,
 
 
 def clv_stats(stacks: list[PartitionStack], n_partitions: int) -> list[dict[str, int]]:
-    """Per-partition CLV memory accounting: a partition's share of its
-    stack's arrays (their bytes over the stack's rows); zeros for a
-    partition in no stack."""
+    """Per-partition CLV memory accounting: a partition's row of its
+    stack's entries (current, peak and evicted counts times one entry's
+    bytes); zeros for a partition in no stack."""
     stats = [{"partition": p, "entries": 0, "live_bytes": 0, "peak_bytes": 0,
               "evictions": 0, "evicted_bytes": 0} for p in range(n_partitions)]
     for stack in stacks:
-        g = len(stack.partitions)
+        entry = stack.shape.clv_bytes
         for p in stack.partitions:
             stats[p].update(
-                entries=len(stack.clvs), live_bytes=stack.live_bytes // g,
-                peak_bytes=stack.peak_bytes // g, evictions=stack.evictions,
-                evicted_bytes=stack.evicted_bytes // g)
+                entries=len(stack.clvs), live_bytes=len(stack.clvs) * entry,
+                peak_bytes=stack.peak_entries * entry,
+                evictions=stack.evictions,
+                evicted_bytes=stack.evictions * entry)
     return stats

@@ -9,26 +9,27 @@ individual kernel operations of Felsenstein pruning:
 
 Three layers:
 
-* :class:`OpProfiler` — a per-rank *aggregating* profiler.  The
-  partition stacks bracket each kernel region with ``t0 = prof.begin()``
-  / ``prof.end_stack(t0, op, partitions, units, ...)``; the profiler
-  accumulates wall-nanoseconds, invocation counts, pattern·category work
-  units and allocated bytes, read back per ``(op, partition)`` — a region
-  that computed eight partitions is eight calls, each with an eighth of
-  its time, at the cost of one accumulator update.  Aggregation (instead of
-  one span per op) keeps a long search from blowing out the tracer ring
-  buffer: the whole profile flushes as a handful of summary spans.
+* :class:`OpProfiler` — a per-rank clock and call counter.  The
+  partition stacks bracket each kernel call with ``t0 = prof.begin()`` /
+  ``prof.end(t0, op, stack, rows)``; the profiler keeps wall-nanoseconds
+  and a call count per ``(op, stack shape, rows)`` and nothing else.
+  Work units, allocated bytes, state count and rate class are read off
+  the :class:`~repro.likelihood.stack.StackShape` when the totals are
+  read, per ``(op, partition)`` — a call that computed eight partitions
+  is eight calls, each with an eighth of its time.  Aggregation (instead
+  of one span per op) keeps a long search from blowing out the tracer
+  ring buffer: the whole profile flushes as a handful of summary spans.
   ``units`` uses the *same* virtual-pattern accounting as the region log
   the performance model prices (``cost_patterns × n_cats`` per
-  invocation, see :meth:`repro.likelihood.backend.Region.kernel_ops`), so
-  modeled FLOPs derived from the profile match the modeled work exactly.  :data:`NULL_OP_PROFILER` (defined in the leaf module
+  invocation, see :meth:`repro.likelihood.backend.Region.kernel_ops`).
+  :data:`NULL_OP_PROFILER` (defined in the leaf module
   :mod:`repro.obs.nullprofiler`, re-exported here) is the disabled path:
-  ``begin()`` returns 0 without reading a clock and ``end_stack()`` is a
-  no-op, the same zero-cost discipline as
-  :data:`~repro.obs.tracer.NULL_TRACER`.  All clock reads live here (in
-  ``obs``), so the engines' hot loops contain no wall-clock calls —
-  replicheck's R004 stays clean and profiling can never steer replica
-  control flow.
+  ``begin()`` returns 0 without reading a clock and ``end()`` is a no-op
+  taking only objects the call site already holds, the same zero-cost
+  discipline as :data:`~repro.obs.tracer.NULL_TRACER`.  All clock reads
+  live here (in ``obs``), so the engines' hot loops contain no wall-clock
+  calls — replicheck's R004 stays clean and profiling can never steer
+  replica control flow.
 
 * :func:`emit_kernel_profile` — flushes the accumulated totals into the
   rank's tracer as ``kernel_op`` summary instants
@@ -42,7 +43,8 @@ Three layers:
   GFLOP/s, arithmetic intensity and a roofline placement against
   :class:`~repro.par.machine.MachineSpec` peak FLOP/s and memory
   bandwidth, plus per-partition CLV memory reconciled against the
-  analytic footprint model.
+  analytic footprint model.  FLOPs and bytes are priced once per op,
+  from its summed units per state count.
 
 CLV reconciliation tolerance (documented band, :data:`CLV_RATIO_MIN` /
 :data:`CLV_RATIO_MAX`): the memory model charges one CLV per inner node
@@ -98,11 +100,6 @@ CLV_MEMORY_SPAN = "clv_memory"
 CLV_RATIO_MIN = 0.3
 CLV_RATIO_MAX = 3.5
 
-#: Relative slack of ``HotspotReport.check``'s FLOPs re-derivation: the
-#: per-record sum and the formula on the summed units agree exactly on
-#: integer units and to the last bits on fractional ones.
-FLOPS_REL_TOL = 1e-12
-
 #: Ops whose work unit is one pattern·category (cost-model convention); the
 #: machine's ``op_cost_ns`` constants price exactly these, so only they
 #: get a modeled-throughput column.  ``pmatrix`` units are transition
@@ -111,7 +108,7 @@ PATTERN_UNIT_OPS = ("newview", "evaluate", "sumtable", "derivative")
 
 
 class OpProfiler:
-    """Aggregating per-op kernel profiler (one per rank).
+    """Per-op kernel clock and call counter (one per rank).
 
     Not thread-safe and not shared across ranks: each forked rank owns
     one, exactly like its :class:`~repro.obs.tracer.Tracer`.
@@ -119,76 +116,49 @@ class OpProfiler:
 
     enabled = True
 
-    __slots__ = ("_acc", "_meta")
+    __slots__ = ("_acc",)
 
     def __init__(self) -> None:
-        # (op, partitions) -> [wall_ns, count, units, alloc_bytes]: the time
-        # of the whole region, the other three per partition
-        self._acc: dict[tuple[str, tuple[int, ...]], list[float]] = {}
-        # (op, partitions) -> (n_states, site_specific)
-        self._meta: dict[tuple[str, tuple[int, ...]], tuple[int, bool]] = {}
+        # (op, stack shape, rows or None) -> [wall_ns, calls].  Keyed on the
+        # shape, not the stack: a rebuilt likelihood's stacks (in-run
+        # recovery) must not be kept alive by the profile of the old ones.
+        self._acc: dict[tuple, list[int]] = {}
 
     def begin(self) -> int:
-        """Start timestamp for one kernel region."""
+        """Start timestamp for one kernel call."""
         return time.perf_counter_ns()
 
-    def end_stack(
-        self,
-        t0: int,
-        op: str,
-        partitions: tuple[int, ...],
-        units: float,
-        count: int = 1,
-        alloc: int = 0,
-        n_states: int = 4,
-        site_specific: bool = False,
-    ) -> None:
-        """Account one timed kernel region that computed ``partitions``
-        together (a partition stack).
-
-        One call still means one ``(op, partition)`` update: every
-        partition is charged ``count`` calls, ``units`` of modeled work in
-        the op's unit (pattern·category for CLV ops, matrices for
-        ``pmatrix``) and ``alloc`` bytes of allocated arrays (CLVs,
-        sumtables, P matrices), and an even share of the elapsed time.
-        The region costs one accumulator update however many partitions it
-        covers; they are told apart when the totals are read.
-        """
+    def end(self, t0: int, op: str, stack, rows: list[int] | None = None,
+            count: int = 1) -> None:
+        """Account one timed kernel call of ``op`` on ``stack`` that
+        computed its ``rows`` (``None``: every row): each of their
+        partitions is charged ``count`` calls and an even share of the
+        elapsed time."""
         now = time.perf_counter_ns()
-        key = (op, partitions)
+        key = (op, stack.shape, None if rows is None else tuple(rows))
         acc = self._acc.get(key)
         if acc is None:
-            self._acc[key] = [float(now - t0), float(count), float(units),
-                              float(alloc)]
-            self._meta[key] = (int(n_states), bool(site_specific))
+            self._acc[key] = [now - t0, count]
         else:
             acc[0] += now - t0
             acc[1] += count
-            acc[2] += units
-            acc[3] += alloc
 
-    def end(self, t0: int, op: str, partition: int, units: float,
-            count: int = 1, alloc: int = 0, n_states: int = 4,
-            site_specific: bool = False) -> None:
-        """Account one timed kernel region of a single partition."""
-        self.end_stack(t0, op, (partition,), units, count, alloc, n_states,
-                       site_specific)
-
-    def _per_partition(self) -> dict[tuple[str, int], list[float]]:
+    def _per_partition(self) -> dict[tuple[str, int], list]:
         """Totals per ``(op, partition)``: ``[wall_ns, count, units,
-        alloc_bytes, n_states, site_specific]``."""
-        out: dict[tuple[str, int], list[float]] = {}
-        for (op, partitions), acc in self._acc.items():
-            share = acc[0] / len(partitions)
-            for partition in partitions:
-                mine = out.get((op, partition))
-                if mine is None:
-                    out[(op, partition)] = [share, *acc[1:],
-                                            *self._meta[(op, partitions)]]
-                else:
-                    mine[0] += share
-                    for i in (1, 2, 3):
-                        mine[i] += acc[i]
+        alloc_bytes, n_states, site_specific]``, the work and bytes of a
+        call read off its stack's shape."""
+        out: dict[tuple[str, int], list] = {}
+        for (op, shape, rows), (wall, count) in self._acc.items():
+            members = (shape.partitions if rows is None
+                       else [shape.partitions[i] for i in rows])
+            units, alloc = shape.charge(op)
+            for partition in members:
+                mine = out.setdefault((op, partition), [
+                    0.0, 0, 0.0, 0.0, shape.n_states, shape.site_specific])
+                mine[0] += wall / len(members)
+                mine[1] += count
+                mine[2] += count * units
+                mine[3] += count * alloc
         return out
 
     def records(self) -> list[dict[str, Any]]:
@@ -197,7 +167,7 @@ class OpProfiler:
             "op": op,
             "partition": partition,
             "wall_ns": int(acc[0]),
-            "count": int(acc[1]),
+            "count": acc[1],
             "units": acc[2],
             "alloc_bytes": acc[3],
             "n_states": acc[4],
@@ -215,18 +185,11 @@ class OpProfiler:
         )
 
     def invocations(self, op: str, partition: int | None = None) -> int:
-        return int(sum(
+        return sum(
             acc[1]
             for (kind, p), acc in self._per_partition().items()
             if kind == op and (partition is None or p == partition)
-        ))
-
-    def clear(self) -> None:
-        self._acc.clear()
-        self._meta.clear()
-
-    def __len__(self) -> int:
-        return len(self._per_partition())
+        )
 
 
 def emit_kernel_profile(profiler, tracer, clv_sources: Iterable[Any] = ()) -> int:
@@ -272,16 +235,26 @@ class OpStat:
     wall_s: float
     count: int
     units: float
-    flops: float
-    bytes_moved: float
     alloc_bytes: float
     n_states: int
     site_specific: bool
     by_partition: dict[int, float] = field(default_factory=dict)
     #: Work units per state count (an op may span DNA and protein
-    #: partitions); ``check`` re-derives the FLOPs from these.
+    #: partitions); FLOPs and bytes are priced from these.
     units_by_states: dict[int, float] = field(default_factory=dict)
     time_share: float = 0.0
+
+    @property
+    def flops(self) -> float:
+        """Modeled FLOPs of the op's work, priced per state count."""
+        return sum(modeled_flops(self.op, units, n_states=k)
+                   for k, units in self.units_by_states.items())
+
+    @property
+    def bytes_moved(self) -> float:
+        """Modeled memory traffic of the op's work, per state count."""
+        return sum(modeled_bytes(self.op, units, n_states=k)
+                   for k, units in self.units_by_states.items())
 
     @property
     def gflops(self) -> float:
@@ -361,40 +334,15 @@ class HotspotReport:
             return None
         return self.measured_clv_live_bytes / self.modeled_clv_bytes
 
-    def check(self, check_memory: bool = True) -> list[str]:
-        """Internal-consistency problems (empty list == healthy report).
-
-        * time shares must sum to 1 over the ranked ops,
-        * each op's carried FLOPs (summed record by record) must equal
-          the analytic per-unit formula times its summed work units, per
-          state count, to within :data:`FLOPS_REL_TOL` (exact on integer
-          units; fractional units, as on pattern-scaled workloads, may
-          differ in the last bit) — any larger drift means the formulas
-          and the profiler disagree,
-        * with ``check_memory`` and a modeled footprint, the CLV ratio
-          must sit inside the documented band.
-        """
-        problems: list[str] = []
-        if self.ops:
-            share_sum = sum(s.time_share for s in self.ops)
-            if abs(share_sum - 1.0) > 1e-6:
-                problems.append(
-                    f"time shares sum to {share_sum:.6f}, expected 1.0")
-        for stat in self.ops:
-            expect = sum(modeled_flops(stat.op, units, n_states=k)
-                         for k, units in stat.units_by_states.items())
-            if abs(stat.flops - expect) > FLOPS_REL_TOL * abs(expect):
-                problems.append(
-                    f"{stat.op}: carried {stat.flops} FLOPs but the "
-                    f"per-unit formula gives {expect} for "
-                    f"{stat.units} units")
+    def check(self) -> list[str]:
+        """The CLV band (empty list == inside it, or nothing modeled): the
+        measured live CLV bytes over the modeled footprint must sit inside
+        [:data:`CLV_RATIO_MIN`, :data:`CLV_RATIO_MAX`]."""
         ratio = self.clv_ratio()
-        if check_memory and ratio is not None:
-            if not (CLV_RATIO_MIN <= ratio <= CLV_RATIO_MAX):
-                problems.append(
-                    f"CLV live/model ratio {ratio:.3f} outside the "
-                    f"documented band [{CLV_RATIO_MIN}, {CLV_RATIO_MAX}]")
-        return problems
+        if ratio is None or CLV_RATIO_MIN <= ratio <= CLV_RATIO_MAX:
+            return []
+        return [f"CLV live/model ratio {ratio:.3f} outside the documented "
+                f"band [{CLV_RATIO_MIN}, {CLV_RATIO_MAX}]"]
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -498,8 +446,8 @@ def build_hotspot_report(
             stat = acc.get(op)
             if stat is None:
                 stat = OpStat(
-                    op=op, wall_s=0.0, count=0, units=0.0, flops=0.0,
-                    bytes_moved=0.0, alloc_bytes=0.0, n_states=n_states,
+                    op=op, wall_s=0.0, count=0, units=0.0, alloc_bytes=0.0,
+                    n_states=n_states,
                     site_specific=bool(attrs.get("site_specific", False)),
                 )
                 acc[op] = stat
@@ -508,8 +456,6 @@ def build_hotspot_report(
             stat.units += units
             stat.units_by_states[n_states] = (
                 stat.units_by_states.get(n_states, 0.0) + units)
-            stat.flops += modeled_flops(op, units, n_states=n_states)
-            stat.bytes_moved += modeled_bytes(op, units, n_states=n_states)
             stat.alloc_bytes += float(attrs.get("alloc_bytes", 0.0))
             stat.n_states = max(stat.n_states, n_states)
             stat.by_partition[partition] = (

@@ -1,10 +1,12 @@
 """Kernel work a region log implies — the second side of the profiler
 checks.
 
-The :class:`~repro.obs.hotspots.OpProfiler` counts what the kernels ran;
-the region log a backend kept over the same calls says what the *search*
-asked for, derived from the traversal descriptors alone.  ``Σ Region.kernel_ops()[op] × cost_patterns × n_cats``
-over the log must equal the profiler's units exactly (integers at
+The :class:`~repro.obs.hotspots.OpProfiler` counts the kernel calls that
+ran and reads their units off the stacks' shapes; the region log a
+backend kept over the same calls says what the *search* asked for,
+derived from the traversal descriptors alone, so it is the independent
+side.  ``Σ Region.kernel_ops()[op] × cost_patterns × n_cats`` over the
+log must equal the profiler's units exactly (integers at
 ``pattern_scale = 1``).  Not collected by pytest (no ``test_`` prefix).
 """
 

@@ -50,6 +50,35 @@ class TestParser:
         args = build_parser().parse_args(["infer", str(fasta_path), "-M"])
         assert args.per_partition_branches
 
+    @pytest.mark.parametrize("verb, flag, value, extra", [
+        ("infer", "--detect-timeout", "0", []),
+        ("infer", "--detect-timeout", "-1", []),
+        ("infer", "--beat-interval", "-1", ["--monitor"]),
+        ("infer", "--max-attempts", "0", ["--supervise"]),
+        ("infer", "--min-ranks", "0", ["--supervise"]),
+        ("infer", "--backoff", "-1", ["--supervise"]),
+        ("infer", "--attempt-timeout", "-5", ["--supervise"]),
+        ("infer", "--straggler-after", "-1", ["--monitor"]),
+        ("profile", "--ranks", "0", []),
+        ("chaos", "--max-attempts", "0", []),
+        ("chaos", "--min-ranks", "0", []),
+        ("chaos", "--attempt-timeout", "0", []),
+        ("chaos", "--detect-timeout", "-1", []),
+    ])
+    def test_out_of_range_number_is_a_usage_error(self, fasta_path, tmp_path,
+                                                  capsys, verb, flag, value,
+                                                  extra):
+        """A number outside its flag's range stops the parse (exit 2) with
+        a message naming the flag, before any rank is started."""
+        common = {"infer": ["--engine", "decentralized", "--no-register"],
+                  "profile": ["--no-register"],
+                  "chaos": ["--runs", "1", "--out", str(tmp_path / "out")]}
+        with pytest.raises(SystemExit) as exc:
+            main([verb, str(fasta_path), "-n", "1", "-r", "1", *common[verb],
+                  *extra, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {value} is not" in capsys.readouterr().err
+
 
 class TestInfer:
     def test_writes_valid_tree(self, fasta_path, tmp_path):

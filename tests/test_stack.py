@@ -18,10 +18,13 @@
   leaves, and both match the oracle;
 * a stack's models decompose together to the bits each gives alone;
 * the CLV store stays bounded over topology changes;
-* a stacked profiler region reads as one call per partition.
+* a stacked profiler region reads as one call per partition, and the
+  CLV bytes read off a stack's shape are the bytes its store holds.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from reference_likelihood import ReferenceBackend
 from repro.likelihood.backend import SequentialBackend
 from repro.likelihood.kernel import SCALE_THRESHOLD
 from repro.likelihood.partitioned import PartitionData, PartitionedLikelihood
-from repro.likelihood.stack import PartitionStack, wire_ops
+from repro.likelihood.stack import PartitionStack, StackShape, wire_ops
 from repro.model.rates import DiscreteGamma, NoRateHeterogeneity, PerSiteRates
 from repro.model.substitution import SubstitutionModel, fill_eigen_caches
 from repro.obs.hotspots import OpProfiler
@@ -456,24 +459,75 @@ class TestBoundedStore:
 # --------------------------------------------------------------------- #
 class TestStackedAccounting:
     def test_one_region_reads_as_one_call_per_partition(self):
+        shape = StackShape((0, 1, 2), n_patterns=8, n_cats=4, n_states=4,
+                           n_rates=4, site_specific=False, unit=32.0)
+        stack = SimpleNamespace(shape=shape)
         prof = OpProfiler()
-        prof.end_stack(prof.begin(), "newview", (0, 1, 2), 128.0, alloc=4096)
-        prof.end_stack(prof.begin(), "newview", (0, 1, 2), 128.0, alloc=4096)
-        prof.end_stack(prof.begin(), "newview", (1,), 128.0, alloc=4096)
-        prof.end_stack(prof.begin(), "pmatrix", (0, 1, 2), 8.0, count=2)
-        assert len(prof._acc) == 3  # one accumulator per (op, partition set)
-        assert len(prof) == 6       # read per (op, partition)
+        prof.end(prof.begin(), "newview", stack)
+        prof.end(prof.begin(), "newview", stack)
+        prof.end(prof.begin(), "newview", stack, [1])
+        prof.end(prof.begin(), "pmatrix", stack, count=2)
+        assert len(prof._acc) == 3  # one accumulator per (op, shape, rows)
+        assert len(prof.records()) == 6  # read per (op, partition)
         assert [prof.invocations("newview", p) for p in range(3)] == [2, 3, 2]
-        assert prof.units("newview") == 7 * 128.0
+        assert prof.units("newview") == 7 * 32.0
+        # pmatrix units are matrices: one per rate, per call
         assert prof.invocations("pmatrix") == 6 and prof.units("pmatrix") == 24.0
         records = {(r["op"], r["partition"]): r for r in prof.records()}
-        assert records[("newview", 1)]["alloc_bytes"] == 3 * 4096
+        # a CLV is cats · states · patterns doubles plus a scale per pattern
+        assert records[("newview", 1)]["alloc_bytes"] == 3 * (4 * 4 + 1) * 8 * 8
+        assert records[("pmatrix", 0)]["alloc_bytes"] == 2 * 4 * 16 * 8
         # a stacked region's time is shared evenly over its partitions
         assert records[("newview", 0)]["wall_ns"] == records[("newview", 2)]["wall_ns"]
-        stacked = sum(acc[0] for (op, parts), acc in prof._acc.items()
+        stacked = sum(acc[0] for (op, _, _), acc in prof._acc.items()
                       if op == "newview")
         assert sum(r["wall_ns"] for r in prof.records()
                    if r["op"] == "newview") == pytest.approx(stacked, abs=3)
+        # the profile holds the shape, not the stack: a rebuilt likelihood's
+        # old stacks (and their CLVs) are not kept alive by it
+        assert all(key[1] is shape for key in prof._acc)
+
+    def test_disabled_hooks_are_handed_nothing_computed(self):
+        """With profiling off, a kernel call hands its hook only what it
+        already holds — the start stamp, the op, the stack and the rows it
+        computed — and the stack keeps entry counts, no byte sums."""
+
+        class Recording:
+            enabled = False
+
+            def __init__(self):
+                self.calls = []
+
+            def begin(self):
+                return 0
+
+            def end(self, *args, **kwargs):
+                self.calls.append((args, kwargs))
+
+        lik, _ = _setup(5, 3, 7, "gamma", 4, False)
+        (stack,) = lik.stacks
+        lik.profiler = prof = Recording()
+        u, v = _inner_edge(lik.tree)
+        lik.evaluate(u, v)
+        lik.invalidate_partition(1)
+        lik.evaluate(u, v)  # the traversal recomputes row 1 only
+        ws = lik.prepare_branch(u, v)
+        lik.branch_derivatives(ws, lik.tree.edge_length(u, v))
+        ops, masked = set(), []
+        for args, kwargs in prof.calls:
+            assert set(kwargs) <= {"count"} and 3 <= len(args) <= 5, args
+            t0, op, owner, *rest = args
+            assert t0 == 0 and owner is stack
+            ops.add(op)
+            if rest and rest[0] is not None:
+                assert set(rest[0]) < set(range(3)), rest
+                masked.append(rest[0])
+            if len(rest) == 2:
+                assert isinstance(rest[1], int)
+        assert ops == {"pmatrix", "newview", "evaluate", "sumtable",
+                       "derivative"}
+        assert masked and all(rows == [1] for rows in masked)
+        assert not [name for name in vars(stack) if "bytes" in name]
 
     def test_profiler_and_ledger_agree_on_a_stacked_search(self):
         """The second side is the region log the same search kept (what
@@ -492,4 +546,6 @@ class TestStackedAccounting:
         stats = lik.clv_stats()
         (stack,) = lik.stacks
         assert all(s["entries"] == len(stack.clvs) for s in stats)
-        assert sum(s["live_bytes"] for s in stats) == stack.live_bytes
+        # bytes read off the shape are the bytes the store holds
+        assert sum(s["live_bytes"] for s in stats) == sum(
+            clv.nbytes + scale.nbytes for clv, scale in stack.clvs.values())
