@@ -228,14 +228,17 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     if args.engine != "sequential":
         from repro.engines.launch import RunConfig, first_survivor, launch
         from repro.errors import MasterLostError
-        from repro.par.faultcomm import FaultPlan
 
+        fault_plan = None
+        if args.inject_failure:
+            from repro.par.faultcomm import FaultPlan
+
+            fault_plan = FaultPlan.parse(args.inject_failure)
         run_cfg = RunConfig(
             args.engine, lik.parts, lik.taxa, start_newick, args.ranks,
             config=config, dist_kind=args.dist,
             n_branch_sets=lik.n_branch_sets,
-            fault_plan=(FaultPlan.parse(args.inject_failure)
-                        if args.inject_failure else None),
+            fault_plan=fault_plan,
             detect_timeout=args.detect_timeout, sanitize=args.sanitize,
             beat_interval=args.beat_interval, cancellable=args.cancellable,
             trace_dir=trace_dir, trace_id=trace_id,
@@ -1087,8 +1090,20 @@ _COUNT = _at_least(int, 1)
 _SECONDS = _at_least(float, 0, strict=True)
 
 
+def _over_slow_fault(text: str) -> float:
+    """``chaos --detect-timeout``: seconds above the sleep of a drawn slow
+    or hang fault, which a shorter timeout would detect as a rank failure."""
+    from repro.supervise.chaos import SLOW_FAULT_SECONDS
+
+    return _at_least(float, SLOW_FAULT_SECONDS, strict=True)(text)
+
+
+_over_slow_fault.__name__ = "float"  # argparse's "invalid float value"
+
+
 def build_parser() -> argparse.ArgumentParser:
-    from repro.obs.monitor import (
+    from repro.obs.thresholds import (
+        DEFAULT_BEAT_INTERVAL,
         DEFAULT_BEAT_TIMEOUT,
         DEFAULT_STALL_AFTER,
         DEFAULT_STRAGGLER_AFTER,
@@ -1163,7 +1178,7 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--beat-interval", type=_SECONDS, default=None,
                        metavar="SECONDS",
                        help="seconds between heartbeat rewrites "
-                            "(default 0.2)")
+                            f"(default {DEFAULT_BEAT_INTERVAL})")
     infer.add_argument("--straggler-after", type=_SECONDS, default=None,
                        metavar="SECONDS",
                        help="no state change for this long flags a rank "
@@ -1422,10 +1437,11 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--attempt-timeout", type=_SECONDS, default=120.0,
                        metavar="SECONDS",
                        help="per-attempt wall-clock budget (default 120)")
-    chaos.add_argument("--detect-timeout", type=_SECONDS, default=6.0,
-                       metavar="SECONDS",
-                       help="bounded-receive failure detection timeout "
-                            "(default 6)")
+    chaos.add_argument("--detect-timeout", type=_over_slow_fault,
+                       default=6.0, metavar="SECONDS",
+                       help="bounded-receive failure detection timeout; "
+                            "must exceed the sleep of a drawn slow or "
+                            "hang fault (default 6)")
     chaos.add_argument("--monitor", action="store_true",
                        help="run the heartbeat monitor per attempt so "
                             "timeout verdicts carry a stall diagnosis")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,12 +45,14 @@ from repro.errors import CommError, MasterLostError, QuorumLostError, RankFailur
 from repro.likelihood.backend import EventLog, SequentialBackend
 from repro.likelihood.partitioned import PartitionData, PartitionedLikelihood
 from repro.par.comm import Comm
-from repro.par.faultcomm import FaultPlan
 from repro.par.mpcomm import run_mpi
 from repro.search.checkpoint import checkpoint_file
 from repro.search.search import SearchConfig, hill_climb
 from repro.tree.newick import parse_newick, write_newick
 from repro.tree.topology import Tree
+
+if TYPE_CHECKING:
+    from repro.par.faultcomm import FaultPlan
 
 __all__ = [
     "DistributedResult",

@@ -13,22 +13,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.engines.cancel import cancel_requested, install_sigterm_flag, make_agree_stop
-from repro.obs.heartbeat import (
-    DEFAULT_BEAT_INTERVAL,
-    HeartbeatInterceptor,
-    HeartbeatState,
-    HeartbeatWriter,
-)
-from repro.obs.progress import (
-    NULL_PROGRESS,
-    ProgressReporter,
-    ProgressStream,
-    progress_path,
-)
+from repro.obs.progress import NULL_PROGRESS
 from repro.obs.tracer import DEFAULT_CAPACITY, NULL_TRACER, Tracer
 from repro.par.comm import Comm, InterceptingComm, Interceptor
-from repro.par.faultcomm import FaultInjector
-from repro.par.sanitize import ReplicaSanitizer
 
 if TYPE_CHECKING:
     from repro.engines.launch import RunConfig
@@ -73,11 +60,13 @@ class RankRuntime:
         """
         cfg = self.cfg
         interceptors: list[Interceptor] = []
+        # Each attachment is imported only by a rank that enables it: an
+        # unused subsystem would cost every rank its pages (the sanitizer
+        # alone maps OpenSSL's libcrypto).
         if cfg.cancellable:
             # child-rank half of cooperative cancellation: SIGTERM sets a flag
             install_sigterm_flag()
         if cfg.trace_dir:
-            # the tracing half of obs is imported only by a traced rank
             from repro.obs.hotspots import OpProfiler
             from repro.obs.instrument import TraceInterceptor
 
@@ -90,8 +79,18 @@ class RankRuntime:
             self.profiler = OpProfiler()
             interceptors.append(TraceInterceptor(self.tracer))
         if cfg.fault_plan is not None and comm.size > 1:
+            from repro.par.faultcomm import FaultInjector
+
             interceptors.append(FaultInjector(cfg.fault_plan, self.world_rank))
         if cfg.monitor_dir:
+            from repro.obs.heartbeat import (
+                DEFAULT_BEAT_INTERVAL,
+                HeartbeatInterceptor,
+                HeartbeatState,
+                HeartbeatWriter,
+            )
+            from repro.obs.progress import ProgressReporter, ProgressStream, progress_path
+
             state = HeartbeatState(self.world_rank)
             self.progress = ProgressReporter(state, ProgressStream(
                 progress_path(cfg.monitor_dir, self.world_rank),
@@ -102,6 +101,8 @@ class RankRuntime:
             ).start()
             interceptors.append(HeartbeatInterceptor(state))
         if cfg.sanitize and comm.size > 1:
+            from repro.par.sanitize import ReplicaSanitizer
+
             interceptors.append(ReplicaSanitizer())
         # no instrumentation, no wrapper: the benchmarked path
         return InterceptingComm(comm, interceptors) if interceptors else comm

@@ -264,7 +264,9 @@ def categorize_rates(
     idx = np.clip(np.searchsorted(edges, rates, side="right") - 1, 0,
                   n_categories - 1)
     out = rates.copy()
-    for c in np.unique(idx):
+    # the occupied categories, ascending (flag-less ``np.unique`` would
+    # import ``numpy.ma``)
+    for c in np.flatnonzero(np.bincount(idx, minlength=n_categories)):
         mask = idx == c
         w = weights[mask]
         out[mask] = float(np.dot(w, rates[mask]) / w.sum())

@@ -26,6 +26,9 @@ multiprocess runs and closes the loop:
   streamed as JSONL while the search executes;
 * :mod:`repro.obs.monitor` — parent-side stall diagnosis (hung rank vs
   slow straggler vs global stall) and the ``repro watch`` table;
+* :mod:`repro.obs.thresholds` — the monitor's and heartbeat's timing
+  defaults, in a module that imports nothing (the CLI parser prints
+  them without loading the monitor);
 * :mod:`repro.obs.registry` — the persistent ``.repro_runs/`` run
   registry behind ``repro runs list|show|compare``;
 * :mod:`repro.obs.context` — end-to-end trace context: the serve

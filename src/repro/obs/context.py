@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import uuid
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -74,6 +73,9 @@ def new_trace_id() -> str:
     Uniqueness, not determinism, is the requirement here: the id names
     one submission's lifecycle and never feeds replica control flow.
     """
+    # imported here: only a traced run mints an id, and uuid maps libuuid
+    import uuid
+
     return uuid.uuid4().hex[:16]
 
 

@@ -44,6 +44,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     resource = None  # type: ignore[assignment]
 
+from repro.obs.thresholds import DEFAULT_BEAT_INTERVAL
 from repro.par.comm import Comm, CommCall, Interceptor
 
 __all__ = [
@@ -55,9 +56,6 @@ __all__ = [
     "read_heartbeats",
     "DEFAULT_BEAT_INTERVAL",
 ]
-
-#: Default seconds between heartbeat file rewrites.
-DEFAULT_BEAT_INTERVAL = 0.2
 
 _HB_PREFIX = "hb-rank"
 

@@ -48,6 +48,11 @@ from typing import Any, Callable, TextIO
 
 from repro.durable import durable_write
 from repro.obs.heartbeat import read_heartbeats
+from repro.obs.thresholds import (
+    DEFAULT_BEAT_TIMEOUT,
+    DEFAULT_STALL_AFTER,
+    DEFAULT_STRAGGLER_AFTER,
+)
 
 __all__ = [
     "RankHealth",
@@ -62,14 +67,6 @@ __all__ = [
     "DEFAULT_BEAT_TIMEOUT",
     "DIAGNOSIS_FILENAME",
 ]
-
-#: A rank whose state is frozen this long is a straggler suspect.
-DEFAULT_STRAGGLER_AFTER = 1.0
-#: ... and this long, a stall.  Keep well under the bounded-recv
-#: detection timeout (default 60 s): diagnosis must precede detection.
-DEFAULT_STALL_AFTER = 3.0
-#: Missing beats for this long mean the process itself is dead.
-DEFAULT_BEAT_TIMEOUT = 5.0
 
 #: Where :class:`MonitorThread` drops the first stall diagnosis.
 DIAGNOSIS_FILENAME = "diagnosis.json"

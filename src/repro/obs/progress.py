@@ -34,9 +34,10 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any, TextIO
+from typing import TYPE_CHECKING, Any, TextIO
 
-from repro.obs.heartbeat import HeartbeatState
+if TYPE_CHECKING:
+    from repro.obs.heartbeat import HeartbeatState
 
 __all__ = [
     "ProgressStream",

@@ -48,7 +48,6 @@ must not poison the first post-recovery check.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 import sys
 from typing import Any, Callable
@@ -91,6 +90,10 @@ _CHECKED = {
 
 
 def _stable_hash(obj: Any) -> str:
+    # imported where it hashes: hashlib maps OpenSSL's libcrypto, which an
+    # unsanitized rank has no use for
+    import hashlib
+
     h = hashlib.blake2b(digest_size=8)
     _feed(h, obj)
     return h.hexdigest()

@@ -35,6 +35,13 @@ __all__ = [
 ]
 
 
+def _repeats(sites: np.ndarray) -> bool:
+    """True when ``sites`` holds a value twice.  (Not ``np.unique``: since
+    NumPy 2.4 it imports ``numpy.ma`` on its first call.)"""
+    ordered = np.sort(sites)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
 @dataclass
 class Partition:
     """A named partition: a model tag plus the (0-based) site indices."""
@@ -49,7 +56,7 @@ class Partition:
             raise AlignmentError(f"partition {self.name!r} selects no sites")
         if np.any(self.sites < 0):
             raise AlignmentError(f"partition {self.name!r} has negative site indices")
-        if np.unique(self.sites).size != self.sites.size:
+        if _repeats(self.sites):
             raise AlignmentError(f"partition {self.name!r} repeats sites")
 
     @property
@@ -75,7 +82,7 @@ class PartitionScheme:
         if len(set(names)) != len(names):
             raise AlignmentError("partition names must be unique")
         all_sites = np.concatenate([p.sites for p in self.partitions])
-        if np.unique(all_sites).size != all_sites.size:
+        if _repeats(all_sites):
             raise AlignmentError("partitions overlap")
 
     def __len__(self) -> int:

@@ -49,6 +49,7 @@ __all__ = [
     "run_campaign",
     "DEFAULT_LOGL_TOL",
     "REPORT_FILENAME",
+    "SLOW_FAULT_SECONDS",
 ]
 
 #: |Δ logL| a matching run may show against the undisturbed reference.
@@ -58,6 +59,10 @@ __all__ = [
 DEFAULT_LOGL_TOL = 1e-8
 
 REPORT_FILENAME = "chaos_report.json"
+
+#: How long a drawn hang or slow fault sleeps.  A campaign's detect
+#: timeout must exceed it, or a benign straggler reads as a dead rank.
+SLOW_FAULT_SECONDS = 2.0
 
 #: Mode mix for drawn faults: deaths dominate (the fail-stop model the
 #: recovery machinery is built for), hangs exercise bounded-receive
@@ -72,7 +77,7 @@ def generate_schedule(
     engine: str = "decentralized",
     max_faults: int = 3,
     max_call: int = 40,
-    hang_seconds: float = 2.0,
+    hang_seconds: float = SLOW_FAULT_SECONDS,
 ) -> FaultPlan:
     """Draw one randomized multi-fault schedule from ``rng``.
 
@@ -212,7 +217,7 @@ def run_campaign(
     policy: RecoveryPolicy | None = None,
     out_dir: str | Path | None = None,
     max_faults: int = 3,
-    hang_seconds: float = 2.0,
+    hang_seconds: float = SLOW_FAULT_SECONDS,
     logl_tol: float = DEFAULT_LOGL_TOL,
     monitor: bool = False,
     log: Callable[[str], None] | None = None,

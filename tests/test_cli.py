@@ -79,6 +79,22 @@ class TestParser:
         assert exc.value.code == 2
         assert f"argument {flag}: {value} is not" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1.5", "2"])
+    def test_chaos_detect_timeout_must_exceed_the_slow_fault(self, tmp_path,
+                                                            capsys, value):
+        """A chaos timeout at or under the drawn faults' sleep would count
+        every benign straggler as a dead rank: a usage error naming the
+        floor, raised before the campaign's reference run."""
+        from repro.supervise.chaos import SLOW_FAULT_SECONDS
+
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--runs", "1", "--out", str(tmp_path / "out"),
+                  "--detect-timeout", value])
+        assert exc.value.code == 2
+        assert (f"argument --detect-timeout: {value} is not > "
+                f"{SLOW_FAULT_SECONDS}") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestInfer:
     def test_writes_valid_tree(self, fasta_path, tmp_path):

@@ -1,10 +1,12 @@
-"""The program runs without SciPy.
+"""The program runs without SciPy, and without what a run did not enable.
 
 Every rank of the decentralized scheme is a complete copy of the program,
 so what a process imports is paid once per rank.  ``repro`` computes the
 Γ rates with its own incomplete-gamma routines; SciPy is a test-side
 oracle only (``tests/test_rates.py``, ``tests/test_substitution.py``).
-These tests run fresh interpreters in which ``import scipy`` *fails*.
+An optional subsystem (the replica sanitizer, the live monitor) is
+imported only in the branch that enables it.  These tests run fresh
+interpreters in which importing the blocked modules *fails*.
 """
 
 from __future__ import annotations
@@ -27,6 +29,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: ``None`` in ``sys.modules`` makes any later ``import scipy[.x]`` raise
 #: ImportError, in this process and in every rank forked from it
 BLOCK_SCIPY = "import sys; sys.modules['scipy'] = None\n"
+
+#: What a plain ``infer`` never needs: ``hashlib`` (OpenSSL's libcrypto,
+#: for ``--sanitize`` only), ``numpy.ma`` (what a flag-less ``np.unique``
+#: imports), the parent-side monitor and the sanitizer
+UNUSED = ("hashlib", "_hashlib", "numpy.ma", "repro.obs.monitor",
+          "repro.par.sanitize")
+BLOCK_UNUSED = "import sys\n" + "".join(
+    f"sys.modules[{name!r}] = None\n" for name in UNUSED)
 
 ENGINES = {
     "sequential": ["--engine", "sequential"],
@@ -70,7 +80,9 @@ def test_infer_path_imports_no_scipy(tmp_path):
     assert out.strip() == "['scipy']"  # the planted None, nothing under it
 
 
-def test_every_engine_infers_without_scipy(genes, tmp_path):
+def infer_every_engine(block: str, genes, tmp_path: Path):
+    """Each engine's printed logL and tree, ``infer`` run under ``block``
+    (forked ranks inherit the blocked modules)."""
     fasta, parts, start = genes
     logls, trees = {}, {}
     for engine, flags in ENGINES.items():
@@ -79,15 +91,26 @@ def test_every_engine_infers_without_scipy(genes, tmp_path):
                 "-n", "3", "-r", "2", "-s", "5", "--no-register",
                 "-o", str(tree_out), *flags]
         out = run_python(
-            BLOCK_SCIPY + f"from repro.cli import main\nsys.exit(main({argv!r}))",
+            block + f"from repro.cli import main\nsys.exit(main({argv!r}))",
             tmp_path)
         match = re.search(r"logL = (-?[\d.]+)", out)
         assert match, out
         logls[engine] = match.group(1)
         trees[engine] = parse_newick(tree_out.read_text())
+    return logls, trees
+
+
+def test_every_engine_infers_without_scipy(genes, tmp_path):
+    logls, trees = infer_every_engine(BLOCK_SCIPY, genes, tmp_path)
     assert len(set(logls.values())) == 1, logls
     for engine in ("decentralized", "forkjoin"):
         assert rf_distance(trees["sequential"], trees[engine]) == 0
+
+
+def test_every_engine_infers_without_unused_subsystems(genes, tmp_path):
+    """A plain run imports none of :data:`UNUSED`, launcher or rank."""
+    logls, _ = infer_every_engine(BLOCK_UNUSED, genes, tmp_path)
+    assert len(set(logls.values())) == 1, logls
 
 
 def test_gamma_rates_are_bitwise_equal_across_processes(tmp_path):

@@ -425,8 +425,8 @@ class TestLazyPackage:
             repro.obs.no_such_name
 
     def test_infer_setup_leaves_the_report_half_unimported(self):
-        """What ``infer`` does before its search — import the CLI, build a
-        likelihood — in a fresh interpreter."""
+        """What ``infer`` does before its search — import the CLI, build
+        its parser, build a likelihood — in a fresh interpreter."""
         import subprocess
         import sys
         from pathlib import Path
@@ -436,6 +436,7 @@ class TestLazyPackage:
             "import sys",
             "import repro.cli",
             "import repro.obs.context",
+            "repro.cli.build_parser()",
             "from repro.datasets import partitioned_workload",
             "workload = partitioned_workload(2, n_taxa=5, sites_per_partition=12)",
             "lik = workload.build_likelihood('gamma')",

@@ -28,6 +28,20 @@ class TestPartition:
         with pytest.raises(AlignmentError):
             Partition("g1", np.array([1, 1]))
 
+    @pytest.mark.parametrize("sites", [[4, 0, 2, 0], [7, 3, 5, 9, 3]])
+    def test_repeated_site_names_the_partition(self, sites):
+        """A repeat anywhere in an unsorted list, not only next to itself."""
+        with pytest.raises(AlignmentError, match="partition 'g1' repeats sites"):
+            Partition("g1", np.array(sites))
+
+    @pytest.mark.parametrize("sites", [[0], [5, 1, 3], [2, 0, 1, 4]])
+    def test_distinct_unsorted_sites_accepted(self, sites):
+        assert list(Partition("g1", np.array(sites)).sites) == sites
+
+    def test_file_ranges_repeating_a_site(self):
+        with pytest.raises(AlignmentError, match="partition 'g' repeats sites"):
+            parse_partition_file("DNA, g = 1-5, 5-8\n")
+
 
 class TestPartitionScheme:
     def test_single(self):
