@@ -7,20 +7,17 @@ runtime complement is :class:`repro.par.sanitize.ReplicaSanitizer`.
 
 Entry points: :func:`analyze_paths` (CLI + tests) and the rule catalog
 in :data:`RULES`.  See ``docs/DETERMINISM.md`` for the rule catalog
-with examples and the suppression/baseline workflow.
+with examples and the inline-suppression workflow.
 """
 
 from repro.analysis.engine import (
-    PROFILES,
     RULES,
     AnalysisReport,
     analyze_paths,
-    analyze_source,
 )
 from repro.analysis.findings import (
     SEVERITY_ERROR,
     SEVERITY_WARNING,
-    Baseline,
     Finding,
     Suppression,
     parse_suppressions,
@@ -29,11 +26,8 @@ from repro.analysis.sarif import to_sarif
 
 __all__ = [
     "RULES",
-    "PROFILES",
     "AnalysisReport",
     "analyze_paths",
-    "analyze_source",
-    "Baseline",
     "Finding",
     "Suppression",
     "parse_suppressions",

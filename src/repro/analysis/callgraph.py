@@ -1,10 +1,11 @@
 """Project-wide call graph with per-function flow summaries.
 
-replicheck v1 analyzed one function at a time, so a rank-dependent
-branch that reaches a collective *through a call* was invisible: the
-branch body contained only ``helper(x)``, the collective lived in
-``helper`` (possibly in another module), and neither function alone
-violated R003.  This module closes that hole MPI-Checker-style:
+The collective rule (R003) asks whether every rank issues the same
+collective sequence.  Checking one function at a time misses a rank-
+dependent branch that reaches a collective *through a call*: the branch
+body contains only ``helper(x)``, the collective lives in ``helper``
+(possibly in another module), and neither function alone violates R003.
+This module sees through such chains MPI-Checker-style:
 
 1. parse every file once and index every function/method by a
    qualified name (``module:Class.method``);
@@ -17,7 +18,8 @@ violated R003.  This module closes that hole MPI-Checker-style:
    regions, blocking operations, attribute writes;
 4. run fixpoints over the graph (``may issue a collective``, ``may
    block``, ``may acquire lock X``) and *inline* callee summaries into
-   branch arms, so the v1 checks apply across call chains.
+   branch arms, so a rank-guarded arm is compared by the collectives it
+   reaches, however many calls away.
 
 The summaries feed two rule families: the interprocedural collective
 rules here (R003 across calls, R006 collective-under-lock) and the
@@ -36,12 +38,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.analysis.collectives import _collective_of, _mentions_rank
-from repro.analysis.findings import (
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    Finding,
-)
+from repro.analysis.findings import SEVERITY_ERROR, Finding
 from repro.analysis.rules import ImportMap, RuleContext
 
 __all__ = [
@@ -50,6 +47,7 @@ __all__ = [
     "ClassInfo",
     "ModuleInfo",
     "build_project",
+    "module_name",
     "run_collective_flow_rules",
 ]
 
@@ -75,6 +73,19 @@ _BLOCKING_SUBPROCESS = frozenset({"run", "call", "check_call",
 #: Zero-timeout method names that block indefinitely on their receiver.
 _BLOCKING_METHODS = frozenset({"recv", "recv_bytes", "accept",
                                "serve_forever", "communicate"})
+
+#: Method names treated as collectives when called on a comm-like object.
+COLLECTIVE_VERBS = frozenset({
+    "allreduce", "bcast", "barrier", "agree", "shrink", "scatter",
+    "allgather", "alltoall", "reduce", "gather",
+})
+
+# These verbs are common English / stdlib names (functools.reduce,
+# itertools accumulate patterns, list gathering helpers) — only treat
+# them as collectives when the receiver *looks like* a communicator.
+_AMBIGUOUS_VERBS = frozenset({"reduce", "gather"})
+
+_RANK_TOKENS = ("rank", "world_rank")
 
 
 # --------------------------------------------------------------------- #
@@ -139,9 +150,9 @@ class Project:
 
     # -- name resolution ------------------------------------------------ #
     def module_named(self, dotted: str) -> ModuleInfo | None:
-        """Match a module by exact dotted name or dotted suffix, the same
-        convention :mod:`repro.analysis.engine` uses for set-returning
-        function signatures."""
+        """Match a module by exact dotted name or dotted suffix of its
+        :func:`module_name` (the engine's set-returning signature index
+        is keyed and matched the same way)."""
         for m in self.modules:
             if m.module == dotted or m.module.endswith("." + dotted):
                 return m
@@ -165,11 +176,64 @@ class Project:
         return None
 
 
-def _module_name(path: str) -> str:
+def module_name(path: str) -> str:
+    """Dotted module guess from a file path (``src/repro/tree/x.py`` ->
+    ``src.repro.tree.x``, empty and ``.`` parts dropped, so an absolute
+    or ``./``-prefixed path gives the same tail); consumers match by
+    dotted suffix."""
     parts = path.replace("\\", "/").rstrip("/").split("/")
     if parts and parts[-1].endswith(".py"):
         parts[-1] = parts[-1][:-3]
     return ".".join(p for p in parts if p not in ("", "."))
+
+
+def _receiver_is_comm(node: ast.Attribute) -> bool:
+    base = node.value
+    name = ""
+    if isinstance(base, ast.Name):
+        name = base.id
+    elif isinstance(base, ast.Attribute):
+        name = base.attr
+    low = name.lower()
+    return "comm" in low or low in ("inner", "_inner")
+
+
+def _collective_of(node: ast.expr) -> tuple[str, str] | None:
+    """``(verb, tag)`` if this expression is a collective call."""
+    if not isinstance(node, ast.Call):
+        return None
+    f = node.func
+    if not isinstance(f, ast.Attribute) or f.attr not in COLLECTIVE_VERBS:
+        return None
+    if f.attr in _AMBIGUOUS_VERBS and not _receiver_is_comm(f):
+        return None
+    if f.attr not in _AMBIGUOUS_VERBS and not (
+        _receiver_is_comm(f) or isinstance(f.value, (ast.Name, ast.Attribute))
+    ):
+        return None
+    tag = "?"
+    for kw in node.keywords:
+        if kw.arg == "tag":
+            if isinstance(kw.value, ast.Constant) and isinstance(
+                kw.value.value, str
+            ):
+                tag = kw.value.value
+            elif isinstance(kw.value, (ast.Name, ast.Attribute)):
+                tag = ast.unparse(kw.value)
+    return (f.attr, tag)
+
+
+def _mentions_rank(test: ast.expr) -> bool:
+    for node in ast.walk(test):
+        if isinstance(node, ast.Attribute) and any(
+            t in node.attr.lower() for t in _RANK_TOKENS
+        ):
+            return True
+        if isinstance(node, ast.Name) and any(
+            t in node.id.lower() for t in _RANK_TOKENS
+        ):
+            return True
+    return False
 
 
 # --------------------------------------------------------------------- #
@@ -187,7 +251,7 @@ def build_project(parsed: Iterable[tuple[str, str, ast.Module]]) -> Project:
     for path, source, tree in parsed:
         module = ModuleInfo(
             path=path,
-            module=_module_name(path),
+            module=module_name(path),
             tree=tree,
             lines=source.splitlines(),
             imports=ImportMap(tree),
@@ -231,7 +295,7 @@ def _index_module(project: Project, module: ModuleInfo) -> None:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = f"{prefix}{node.name}"
                 add_function(node, qualname, cls)
-                # nested defs get their own summaries, like v1
+                # nested defs get their own summaries
                 visit(node.body, f"{qualname}.", None)
             elif isinstance(node, ast.ClassDef):
                 sub_cls = ClassInfo(

@@ -1,12 +1,12 @@
-"""The replicheck driver: file discovery, rule dispatch, suppression
-and baseline application.
+"""The replicheck driver: file discovery, rule dispatch and
+suppression.
 
 ``analyze_paths`` is the single entry point used by both the CLI
 (``repro lint``) and the test suite.  It returns an
 :class:`AnalysisReport` that separates *new* findings (gate-relevant)
-from suppressed/baselined ones, and also reports suppression hygiene
-(pragmas without a justification, pragmas that no longer match any
-finding) so exemptions cannot silently rot.
+from suppressed ones, and also reports suppression hygiene (pragmas
+without a justification, pragmas that no longer match any finding) so
+exemptions cannot silently rot.
 """
 
 from __future__ import annotations
@@ -15,9 +15,13 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.collectives import run_collective_rule
+from repro.analysis.callgraph import (
+    build_project,
+    module_name,
+    run_collective_flow_rules,
+)
+from repro.analysis.concurrency import run_concurrency_rules
 from repro.analysis.findings import (
-    Baseline,
     Finding,
     Suppression,
     assign_fingerprints,
@@ -30,8 +34,7 @@ from repro.analysis.rules import (
     set_returning_functions,
 )
 
-__all__ = ["AnalysisReport", "analyze_source", "analyze_paths", "RULES",
-           "PROFILES"]
+__all__ = ["AnalysisReport", "analyze_paths", "RULES"]
 
 #: Rule catalog: id -> one-line description (docs + ``repro lint --rules``).
 RULES = {
@@ -56,13 +59,6 @@ RULES = {
             "calls) inside a signal handler",
 }
 
-#: Rule groups selectable via ``repro lint --profile``.
-PROFILES = {
-    "replica": frozenset({"R001", "R002", "R003", "R004", "R005",
-                          "R006"}),
-    "concurrency": frozenset({"R007", "R008", "R009", "R010", "R011"}),
-    "all": frozenset(RULES),
-}
 
 def _is_obs_path(path: str) -> bool:
     """obs/ is exempt from R004 — the observability layer exists to read
@@ -77,14 +73,12 @@ class AnalysisReport:
 
     findings: list[Finding] = field(default_factory=list)       # gate-relevant
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     unjustified_suppressions: list[tuple[str, Suppression]] = field(
         default_factory=list)
     unused_suppressions: list[tuple[str, Suppression]] = field(
         default_factory=list)
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
     files_scanned: int = 0
-    profile: str = "all"
 
     @property
     def exit_code(self) -> int:
@@ -92,23 +86,20 @@ class AnalysisReport:
 
     def all_findings(self) -> list[Finding]:
         return sorted(
-            self.findings + self.suppressed + self.baselined,
+            self.findings + self.suppressed,
             key=lambda f: (f.path, f.line, f.col, f.rule),
         )
 
     def to_dict(self) -> dict:
         return {
-            "version": 2,
-            "profile": self.profile,
+            "version": 3,
             "files_scanned": self.files_scanned,
             "counts": {
                 "new": len(self.findings),
                 "suppressed": len(self.suppressed),
-                "baselined": len(self.baselined),
             },
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": [f.to_dict() for f in self.suppressed],
-            "baselined": [f.to_dict() for f in self.baselined],
             "unjustified_suppressions": [
                 {"path": p, "line": s.pragma_line,
                  "rules": sorted(s.rules)}
@@ -123,33 +114,6 @@ class AnalysisReport:
                 {"path": p, "error": e} for p, e in self.parse_errors
             ],
         }
-
-
-def analyze_source(
-    source: str, path: str,
-    set_fns: frozenset[str] = NO_NAMES,
-) -> tuple[list[Finding], list[Suppression]]:
-    """Run every rule over one file's source.
-
-    Returns the raw (unsuppressed, unfingerprinted) findings plus the
-    inline suppressions found in the file.  Raises ``SyntaxError`` if
-    the source does not parse.  ``set_fns`` names callables known to
-    return sets (resolved by :func:`analyze_paths` from return
-    annotations across the scanned project).
-    """
-    tree = ast.parse(source, filename=path)
-    lines = source.splitlines()
-    findings = run_syntax_rules(
-        tree, path, lines, skip_r004=_is_obs_path(path), set_fns=set_fns
-    )
-    findings.extend(run_collective_rule(tree, path, lines))
-    return findings, parse_suppressions(source)
-
-
-def _module_name(path: Path) -> str:
-    """Dotted module guess from a file path (``src/repro/tree/x.py`` ->
-    ``src.repro.tree.x``); consumers match by dotted suffix."""
-    return ".".join(path.with_suffix("").parts)
 
 
 def _resolve_imported_set_fns(
@@ -205,33 +169,24 @@ def _discover(paths: list[str | Path],
 
 def analyze_paths(
     paths: list[str | Path],
-    baseline: Baseline | None = None,
-    profile: str = "all",
     select: frozenset[str] | None = None,
     exclude: tuple[str, ...] = (),
     order_safe: frozenset[str] = NO_NAMES,
 ) -> AnalysisReport:
-    """Analyze files/directories and apply suppressions + baseline.
+    """Analyze files/directories and apply inline suppressions.
 
-    ``profile`` picks a rule group (:data:`PROFILES`); ``select``
-    overrides it with an explicit rule-id set.  ``exclude`` drops path
-    prefixes from discovery (e.g. fixture directories that are
-    intentionally violating).  ``order_safe`` extends the order-safe
-    consumer allowlist of R002 for scan targets (like tests) with local
-    order-insensitive helpers.
+    ``select`` restricts the run to a rule-id set (default: every rule
+    in :data:`RULES`).  ``exclude`` drops path prefixes from discovery
+    (e.g. fixture directories that are intentionally violating).
+    ``order_safe`` extends the order-safe consumer allowlist of R002
+    for scan targets (like tests) with local order-insensitive helpers.
 
-    Unlike v1, the collective rule runs on a *project-wide* call graph
-    (:mod:`repro.analysis.callgraph`), so the R003/R006 findings here
-    see through call chains that :func:`analyze_source` (the per-file
-    v1 engine, kept for comparison and snippet checks) cannot.
+    The collective and concurrency rules run on a *project-wide* call
+    graph (:mod:`repro.analysis.callgraph`), so their findings see
+    through call chains across functions and modules.
     """
-    if profile not in PROFILES:
-        raise ValueError(
-            f"unknown profile {profile!r}; expected one of "
-            f"{sorted(PROFILES)}")
-    active = frozenset(select) if select else PROFILES[profile]
-    report = AnalysisReport(profile=profile)
-    baseline = baseline or Baseline()
+    active = frozenset(RULES) if select is None else frozenset(select)
+    report = AnalysisReport()
     all_findings: list[Finding] = []
     per_file_suppressions: dict[str, list[Suppression]] = {}
 
@@ -251,7 +206,7 @@ def analyze_paths(
         parsed.append((path, source, tree))
         fns = set_returning_functions(tree)
         if fns:
-            sig_index[_module_name(path)] = fns
+            sig_index[module_name(str(path))] = fns
 
     # Pass 2: per-file syntax rules + suppressions.
     for path, source, tree in parsed:
@@ -269,12 +224,6 @@ def analyze_paths(
     # Pass 3: project-wide call-graph rules (R003/R006 + R007–R011).
     if active.intersection(
             {"R003", "R006", "R007", "R008", "R009", "R010", "R011"}):
-        from repro.analysis.callgraph import (
-            build_project,
-            run_collective_flow_rules,
-        )
-        from repro.analysis.concurrency import run_concurrency_rules
-
         project = build_project(
             (str(path), source, tree) for path, source, tree in parsed)
         all_findings.extend(run_collective_flow_rules(project))
@@ -293,15 +242,13 @@ def analyze_paths(
         if suppression is not None:
             used.add((f.path, suppression.pragma_line))
             report.suppressed.append(f)
-        elif f in baseline:
-            report.baselined.append(f)
         else:
             report.findings.append(f)
 
     for path_str, suppressions in per_file_suppressions.items():
         for s in suppressions:
             if not s.rules.intersection(active):
-                continue   # out-of-profile pragmas are not this run's business
+                continue   # unselected rules' pragmas are not this run's business
             if not s.justified:
                 report.unjustified_suppressions.append((path_str, s))
             if (path_str, s.pragma_line) not in used:

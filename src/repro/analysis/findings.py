@@ -1,33 +1,26 @@
-"""Findings, suppressions and the committed baseline for replicheck.
+"""Findings and inline suppressions for replicheck.
 
 A :class:`Finding` is one rule violation at one source location.  Its
 *fingerprint* is content-addressed — rule id, file path and the
 normalized source snippet (plus an occurrence index for repeated
-identical snippets) — so baselines survive unrelated line-number churn.
+identical snippets) — so code scanning (SARIF ``partialFingerprints``)
+tracks a finding across unrelated line-number churn.
 
-Two suppression mechanisms exist:
-
-* **inline** — ``# replicheck: ignore[R001] -- justification`` on the
-  flagged line (or as a standalone comment on the line directly above).
-  The justification after ``--`` is mandatory in spirit: replica-safety
-  exemptions must say *why* the code is safe, and the analyzer reports
-  justification-less suppressions so review can push back.
-* **baseline** — a committed JSON file of tolerated fingerprints; the
-  CLI gate fails only on findings *not* in the baseline, so the tool can
-  land on a codebase with pre-existing debt and still block new debt.
+A finding is accepted in one way only: an inline
+``# replicheck: ignore[R001] -- justification`` on the flagged line (or
+as a standalone comment on the line directly above).  The justification
+after ``--`` is mandatory in spirit: replica-safety exemptions must say
+*why* the code is safe, and the analyzer reports justification-less
+suppressions so review can push back.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import json
 import re
 import tokenize
-from dataclasses import dataclass, field
-from pathlib import Path
-
-from repro.durable import durable_write
+from dataclasses import dataclass
 
 __all__ = [
     "SEVERITY_ERROR",
@@ -35,7 +28,6 @@ __all__ = [
     "Finding",
     "Suppression",
     "parse_suppressions",
-    "Baseline",
     "assign_fingerprints",
 ]
 
@@ -88,7 +80,7 @@ def assign_fingerprints(findings: list[Finding]) -> None:
 
     The digest covers (rule, path, normalized snippet, occurrence index)
     — deliberately *not* the line number, so reformatting elsewhere in
-    the file does not invalidate a committed baseline.
+    the file does not make code scanning see a new finding.
     """
     seen: dict[tuple[str, str, str], int] = {}
     for f in sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule)):
@@ -146,45 +138,3 @@ def parse_suppressions(source: str) -> list[Suppression]:
             pragma_line=lineno,
         ))
     return out
-
-
-@dataclass
-class Baseline:
-    """The committed set of tolerated finding fingerprints."""
-
-    fingerprints: dict[str, dict] = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Baseline":
-        p = Path(path)
-        if not p.exists():
-            return cls()
-        data = json.loads(p.read_text())
-        entries = data.get("findings", [])
-        return cls(fingerprints={e["fingerprint"]: e for e in entries})
-
-    @classmethod
-    def from_findings(cls, findings: list[Finding]) -> "Baseline":
-        return cls(fingerprints={
-            f.fingerprint: {
-                "fingerprint": f.fingerprint,
-                "rule": f.rule,
-                "path": f.path,
-                "message": f.message,
-            }
-            for f in findings
-        })
-
-    def save(self, path: str | Path) -> None:
-        entries = [self.fingerprints[k] for k in sorted(self.fingerprints)]
-        payload = json.dumps(
-            {"version": 1, "findings": entries}, indent=2) + "\n"
-        # the baseline gates CI, so a torn write must not be able to pass
-        # (or fail) a build
-        durable_write(path, payload)
-
-    def __contains__(self, finding: Finding) -> bool:
-        return finding.fingerprint in self.fingerprints
-
-    def __len__(self) -> int:
-        return len(self.fingerprints)

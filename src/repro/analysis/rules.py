@@ -3,8 +3,8 @@
 Every rule targets one way a supposedly bitwise-identical replica can
 silently diverge (see ``docs/DETERMINISM.md`` for the invariants and
 worked examples; R003, the collective-sequence rule, lives in
-:mod:`repro.analysis.collectives` because it needs per-function
-summaries rather than a single AST walk):
+:mod:`repro.analysis.callgraph` because it needs call-graph summaries
+rather than a single AST walk):
 
 * **R001** — unseeded or global-state RNG.  ``random.*`` and the legacy
   ``np.random.*`` functions share hidden global state; two replicas that

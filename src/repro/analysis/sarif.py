@@ -5,11 +5,10 @@ diffs with findings instead of burying them in a job log.  Only the
 subset of the format code scanning actually reads is produced: one run,
 one tool driver with the rule catalog, one result per finding with a
 physical location and the replicheck fingerprint as a partial
-fingerprint (so code scanning tracks findings across commits the same
-way the committed baseline does).
+fingerprint (so code scanning tracks findings across commits).
 
-Suppressed and baselined findings are included with a populated
-``suppressions`` array — code scanning then shows them as closed
+Inline-suppressed findings are included with an ``inSource``
+``suppressions`` entry — code scanning then shows them as closed
 instead of flapping between present/absent as pragmas move.
 """
 
@@ -26,7 +25,7 @@ SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/"
 _LEVELS = {"error": "error", "warning": "warning"}
 
 
-def _result(finding: Finding, suppressed_kind: str | None) -> dict:
+def _result(finding: Finding, suppressed: bool) -> dict:
     result: dict = {
         "ruleId": finding.rule,
         "level": _LEVELS.get(finding.severity, "warning"),
@@ -53,11 +52,8 @@ def _result(finding: Finding, suppressed_kind: str | None) -> dict:
         result["locations"][0]["physicalLocation"]["region"]["snippet"] = {
             "text": finding.snippet,
         }
-    if suppressed_kind is not None:
-        result["suppressions"] = [{
-            "kind": "inSource" if suppressed_kind == "suppressed"
-            else "external",
-        }]
+    if suppressed:
+        result["suppressions"] = [{"kind": "inSource"}]
     return result
 
 
@@ -65,9 +61,8 @@ def to_sarif(report, rules: dict[str, str],
              tool_version: str = "2.0") -> dict:
     """Render an :class:`~repro.analysis.engine.AnalysisReport` as a
     SARIF 2.1.0 log object (a plain dict ready for ``json.dump``)."""
-    results = [_result(f, None) for f in report.findings]
-    results.extend(_result(f, "suppressed") for f in report.suppressed)
-    results.extend(_result(f, "baselined") for f in report.baselined)
+    results = [_result(f, False) for f in report.findings]
+    results.extend(_result(f, True) for f in report.suppressed)
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,

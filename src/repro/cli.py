@@ -975,19 +975,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     """replicheck: determinism & collective-consistency static analysis."""
     import json
 
-    from repro.analysis import (
-        PROFILES,
-        RULES,
-        Baseline,
-        analyze_paths,
-        to_sarif,
-    )
+    from repro.analysis import RULES, analyze_paths, to_sarif
 
     if args.rules:
         for rule_id, desc in sorted(RULES.items()):
-            profile = next(p for p in ("replica", "concurrency")
-                           if rule_id in PROFILES[p])
-            print(f"{rule_id}  [{profile}] {desc}")
+            print(f"{rule_id}  {desc}")
         return 0
 
     paths = args.paths
@@ -997,30 +989,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
         paths = [str(Path(repro.__file__).parent)]
 
-    select = None
-    if args.select:
-        select = frozenset(
-            r.strip().upper() for r in args.select.split(",") if r.strip())
-        unknown = select - set(RULES)
-        if unknown:
-            raise SystemExit(f"unknown rule id(s): {sorted(unknown)}")
     order_safe = frozenset(
         n.strip() for n in (args.order_safe or "").split(",") if n.strip())
-
-    baseline = (Baseline() if args.no_baseline
-                else Baseline.load(args.baseline))
     report = analyze_paths(
-        paths, baseline=baseline, profile=args.profile, select=select,
-        exclude=tuple(args.exclude or ()), order_safe=order_safe)
-
-    if args.write_baseline:
-        new_baseline = Baseline.from_findings(
-            report.findings + report.baselined
-        )
-        new_baseline.save(args.baseline)
-        print(f"baseline with {len(new_baseline)} finding(s) written to "
-              f"{args.baseline}", file=sys.stderr)
-        return 0
+        paths, select=args.select, exclude=tuple(args.exclude or ()),
+        order_safe=order_safe)
 
     if args.out:
         Path(args.out).write_text(
@@ -1029,13 +1002,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         Path(args.sarif_out).write_text(
             json.dumps(to_sarif(report, RULES), indent=2) + "\n")
 
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-        return report.exit_code
-    if args.format == "sarif":
-        print(json.dumps(to_sarif(report, RULES), indent=2))
-        return report.exit_code
-
     for f in report.findings:
         print(f.format())
     for path, err in report.parse_errors:
@@ -1043,8 +1009,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.verbose:
         for f in report.suppressed:
             print(f"[suppressed] {f.format()}")
-        for f in report.baselined:
-            print(f"[baselined] {f.format()}")
     for path, s in report.unjustified_suppressions:
         print(f"{path}:{s.pragma_line}: note: suppression for "
               f"{sorted(s.rules)} has no justification "
@@ -1054,8 +1018,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
               f"{sorted(s.rules)} matches no finding (stale?)")
     print(f"{report.files_scanned} file(s) scanned: "
           f"{len(report.findings)} new, {len(report.suppressed)} "
-          f"suppressed, {len(report.baselined)} baselined",
-          file=sys.stderr)
+          f"suppressed", file=sys.stderr)
     return report.exit_code
 
 
@@ -1088,6 +1051,21 @@ def _at_least(kind: type, low: float, strict: bool = False):
 
 _COUNT = _at_least(int, 1)
 _SECONDS = _at_least(float, 0, strict=True)
+
+
+def _rule_ids(text: str) -> frozenset[str]:
+    """``lint --select``: a non-empty set of known rule ids, so a typo is
+    a usage error naming the flag rather than a failing gate."""
+    from repro.analysis.engine import RULES
+
+    ids = frozenset(r.strip().upper() for r in text.split(",") if r.strip())
+    if not ids:
+        raise argparse.ArgumentTypeError(f"{text!r} names no rule id")
+    unknown = ids - set(RULES)
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown rule id(s) {sorted(unknown)} (see `lint --rules`)")
+    return ids
 
 
 def _over_slow_fault(text: str) -> float:
@@ -1352,16 +1330,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("paths", nargs="*",
                       help="files or directories to analyze (default: "
                            "the installed repro package)")
-    lint.add_argument("--profile",
-                      choices=["replica", "concurrency", "all"],
-                      default="all",
-                      help="rule group to run: replica-divergence rules "
-                           "(R001-R006), the threaded-service "
-                           "concurrency pack (R007-R011), or all "
-                           "(default all)")
-    lint.add_argument("--select", metavar="RULES",
-                      help="comma-separated rule ids to run instead of "
-                           "a profile (e.g. R002,R005)")
+    lint.add_argument("--select", metavar="RULES", type=_rule_ids,
+                      help="comma-separated rule ids to run (default "
+                           "all; e.g. R002,R005)")
     lint.add_argument("--exclude", action="append", metavar="PATH",
                       help="path prefix to skip during discovery (may "
                            "repeat; e.g. tests/fixtures)")
@@ -1369,29 +1340,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated extra order-safe consumer "
                            "names for R002 (project helpers that are "
                            "order-insensitive)")
-    lint.add_argument("--format", choices=["text", "json", "sarif"],
-                      default="text",
-                      help="finding output format (default text)")
     lint.add_argument("--sarif-out", metavar="PATH",
                       help="also write a SARIF 2.1.0 log here (for "
                            "GitHub code scanning upload)")
-    lint.add_argument("--baseline", default="replicheck.baseline.json",
-                      metavar="PATH",
-                      help="committed baseline of tolerated findings "
-                           "(default ./replicheck.baseline.json); only "
-                           "findings NOT in it fail the gate")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore the baseline: report every finding")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="accept the current findings: write them to "
-                           "--baseline and exit 0")
     lint.add_argument("--out", metavar="PATH",
                       help="also write the full JSON report here "
                            "(for CI artifacts)")
     lint.add_argument("--rules", action="store_true",
                       help="print the rule catalog and exit")
     lint.add_argument("-v", "--verbose", action="store_true",
-                      help="also list suppressed and baselined findings")
+                      help="also list suppressed findings")
     lint.set_defaults(func=_cmd_lint)
 
     chaos = sub.add_parser(

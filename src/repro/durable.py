@@ -1,7 +1,7 @@
 """One durable write for every artifact a crash must not tear (run
-manifests, bench records, checkpoints, stall diagnoses, lint baselines):
-a reader sees the old file or the new one, never half of either, and a
-failed write leaves no sibling behind."""
+manifests, bench records, checkpoints, stall diagnoses): a reader sees
+the old file or the new one, never half of either, and a failed write
+leaves no sibling behind."""
 
 from __future__ import annotations
 

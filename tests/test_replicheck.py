@@ -4,7 +4,8 @@ The fixture corpus under ``tests/fixtures/replicheck/`` carries the
 known-bad patterns (one file per rule, >= 2 seeded violations each) and
 known-good counterparts; the acceptance test at the bottom runs the
 analyzer over ``src/repro`` itself and requires zero unsuppressed
-findings — the shipped baseline stays empty.
+findings.  Snippet tests write their source to a file and run the same
+project analyzer (``analyze_paths``) the CI gate runs.
 """
 
 import json
@@ -13,15 +14,9 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from test_replicheck_v2 import project_of
 
-from repro.analysis import (
-    RULES,
-    Baseline,
-    analyze_paths,
-    analyze_source,
-    parse_suppressions,
-)
-from repro.analysis.findings import assign_fingerprints
+from repro.analysis import RULES, analyze_paths, parse_suppressions
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "replicheck"
@@ -34,9 +29,8 @@ def findings_for(path: Path):
     return report
 
 
-def from_snippet(code: str):
-    findings, _ = analyze_source(textwrap.dedent(code), "snippet.py")
-    return findings
+def from_snippet(code: str, tmp_path: Path):
+    return project_of(code, tmp_path).findings
 
 
 class TestRuleCatalog:
@@ -70,48 +64,48 @@ class TestRuleCatalog:
 
 
 class TestR001:
-    def test_seeded_generator_is_clean(self):
+    def test_seeded_generator_is_clean(self, tmp_path):
         assert from_snippet("""
             import numpy as np
             rng = np.random.default_rng(42)
             x = rng.random()
-        """) == []
+        """, tmp_path) == []
 
-    def test_unseeded_default_rng_flagged(self):
+    def test_unseeded_default_rng_flagged(self, tmp_path):
         findings = from_snippet("""
             import numpy as np
             rng = np.random.default_rng()
-        """)
+        """, tmp_path)
         assert [f.rule for f in findings] == ["R001"]
 
-    def test_none_default_parameter_flagged(self):
+    def test_none_default_parameter_flagged(self, tmp_path):
         findings = from_snippet("""
             import numpy as np
             def build(rng=None):
                 return np.random.default_rng(rng)
-        """)
+        """, tmp_path)
         assert [f.rule for f in findings] == ["R001"]
 
-    def test_threaded_parameter_without_none_default_is_clean(self):
+    def test_threaded_parameter_without_none_default_is_clean(self, tmp_path):
         assert from_snippet("""
             import numpy as np
             def build(seed):
                 return np.random.default_rng(seed)
-        """) == []
+        """, tmp_path) == []
 
 
 class TestR002:
-    def test_sorted_wrapper_is_clean(self):
+    def test_sorted_wrapper_is_clean(self, tmp_path):
         assert from_snippet("""
             def f(splits: set):
                 return [len(s) for s in sorted(splits, key=sorted)]
-        """) == []
+        """, tmp_path) == []
 
-    def test_order_insensitive_consumers_are_clean(self):
+    def test_order_insensitive_consumers_are_clean(self, tmp_path):
         assert from_snippet("""
             def f(splits: set):
                 return len(splits), max(splits), any(splits)
-        """) == []
+        """, tmp_path) == []
 
     def test_cross_module_set_return_annotation(self, tmp_path):
         (tmp_path / "producer.py").write_text(textwrap.dedent("""
@@ -130,72 +124,96 @@ class TestR002:
 
 
 class TestR003:
-    def test_data_dependent_branch_is_clean(self):
+    def test_data_dependent_branch_is_clean(self, tmp_path):
         # both replicas evaluate the same replicated value identically
         assert from_snippet("""
             def step(comm, x):
                 total = comm.allreduce(x, tag="a")
                 if total > 0:
                     comm.allreduce(x, tag="b")
-        """) == []
+        """, tmp_path) == []
 
-    def test_rank_branch_same_sequence_is_clean(self):
+    def test_rank_branch_same_sequence_is_clean(self, tmp_path):
         assert from_snippet("""
             def step(comm, x):
                 if comm.rank == 0:
                     comm.bcast(x, root=0, tag="a")
                 else:
                     comm.bcast(None, root=0, tag="a")
-        """) == []
+        """, tmp_path) == []
 
-    def test_rank_branch_different_sequence_flagged(self):
-        findings = from_snippet("""
+    @pytest.mark.parametrize("code, line", [
+        ("""
             def step(comm, x):
                 if comm.rank == 0:
                     comm.bcast(x, root=0, tag="a")
-        """)
-        assert [f.rule for f in findings] == ["R003"]
+        """, 3),
+        # module level: a rank branch outside any function ...
+        ("""
+            from mesh import world
 
-    def test_functools_reduce_not_a_collective(self):
+            comm = world()
+            x = comm.allreduce(1.0, tag="a")
+            if comm.rank == 0:
+                comm.bcast(x, root=0, tag="b")
+        """, 6),
+        # ... and a collective in a module-level except handler
+        ("""
+            from mesh import world
+
+            comm = world()
+            try:
+                x = float("nan")
+            except ValueError:
+                comm.allreduce(0.0, tag="c")
+        """, 8),
+    ], ids=["function", "module-branch", "module-except"])
+    def test_rank_branch_different_sequence_flagged(self, code, line,
+                                                    tmp_path):
+        findings = from_snippet(code, tmp_path)
+        assert [(f.rule, f.line) for f in findings] == [("R003", line)]
+
+    def test_functools_reduce_not_a_collective(self, tmp_path):
         assert from_snippet("""
             from functools import reduce
             def total(xs, rank):
                 if rank == 0:
                     return reduce(lambda a, b: a + b, xs)
                 return 0
-        """) == []
+        """, tmp_path) == []
 
 
 class TestR004:
-    def test_wall_clock_in_loop_test_is_error(self):
+    def test_wall_clock_in_loop_test_is_error(self, tmp_path):
         findings = from_snippet("""
             import time
             def run(budget):
                 start = time.time()
                 while time.time() - start < budget:
                     pass
-        """)
+        """, tmp_path)
         assert {f.rule for f in findings} == {"R004"}
         assert any(f.severity == "error" for f in findings)
 
-    def test_obs_layer_is_exempt(self):
-        findings, _ = analyze_source(
-            "import time\nt = time.perf_counter()\n",
-            "src/repro/obs/tracer.py",
-        )
-        assert findings == []
+    def test_obs_layer_is_exempt(self, tmp_path):
+        (tmp_path / "obs").mkdir()
+        report = project_of("import time\nt = time.perf_counter()\n",
+                            tmp_path, "obs/tracer.py")
+        assert report.findings == []
 
 
 class TestR005:
-    def test_sum_over_list_is_clean(self):
-        assert from_snippet("def f(xs: list):\n    return sum(xs)\n") == []
-
-    def test_sum_over_sorted_set_is_clean(self):
+    def test_sum_over_list_is_clean(self, tmp_path):
         assert from_snippet(
-            "def f(xs: set):\n    return sum(sorted(xs))\n") == []
+            "def f(xs: list):\n    return sum(xs)\n", tmp_path) == []
 
-    def test_sum_over_set_flagged_once(self):
-        findings = from_snippet("def f(xs: set):\n    return sum(xs)\n")
+    def test_sum_over_sorted_set_is_clean(self, tmp_path):
+        assert from_snippet(
+            "def f(xs: set):\n    return sum(sorted(xs))\n", tmp_path) == []
+
+    def test_sum_over_set_flagged_once(self, tmp_path):
+        findings = from_snippet(
+            "def f(xs: set):\n    return sum(xs)\n", tmp_path)
         assert [f.rule for f in findings] == ["R005"]
 
 
@@ -221,92 +239,55 @@ class TestSuppressions:
         assert len(report.unjustified_suppressions) == 1
         assert report.unused_suppressions == []
 
-    def test_wrong_rule_pragma_does_not_suppress(self):
-        findings, sups = analyze_source(
+    def test_wrong_rule_pragma_does_not_suppress(self, tmp_path):
+        report = project_of(
             "import time\nt = time.time()"
             "  # replicheck: ignore[R001] -- wrong rule\n",
-            "x.py",
+            tmp_path,
         )
-        assert [f.rule for f in findings] == ["R004"]
-        assert sups[0].rules == frozenset({"R001"})
+        assert [f.rule for f in report.findings] == ["R004"]
+        assert [s.rules for _, s in report.unused_suppressions] == [
+            frozenset({"R001"})]
 
 
 class TestBaseline:
-    def test_fingerprints_survive_line_shifts(self):
+    """Fingerprints: line-shift stable, distinct per repeated snippet
+    (code scanning tracks SARIF results by them)."""
+
+    def test_fingerprints_survive_line_shifts(self, tmp_path):
         code = "import random\nrandom.shuffle([])\n"
         shifted = "import random\n\n\n# moved\nrandom.shuffle([])\n"
-        f1, _ = analyze_source(code, "x.py")
-        f2, _ = analyze_source(shifted, "x.py")
-        assign_fingerprints(f1)
-        assign_fingerprints(f2)
-        assert f1[0].fingerprint == f2[0].fingerprint
-        assert f1[0].line != f2[0].line
+        # same file path both times: the path is part of the fingerprint
+        (f1,) = from_snippet(code, tmp_path)
+        (f2,) = from_snippet(shifted, tmp_path)
+        assert f1.fingerprint == f2.fingerprint
+        assert f1.line != f2.line
 
-    def test_identical_snippets_get_distinct_fingerprints(self):
+    def test_identical_snippets_get_distinct_fingerprints(self, tmp_path):
         code = "import random\nrandom.shuffle([])\nrandom.shuffle([])\n"
-        findings, _ = analyze_source(code, "x.py")
-        assign_fingerprints(findings)
+        findings = from_snippet(code, tmp_path)
         prints = {f.fingerprint for f in findings}
         assert len(prints) == 2
 
-    def test_baselined_findings_do_not_gate(self, tmp_path):
-        bad = tmp_path / "legacy.py"
-        bad.write_text("import random\nrandom.shuffle([])\n")
-        first = analyze_paths([bad])
-        assert first.exit_code == 1
-        baseline = Baseline.from_findings(first.findings)
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        second = analyze_paths([bad], baseline=Baseline.load(path))
-        assert second.exit_code == 0
-        assert len(second.baselined) == 1
-        # new debt still gates
-        bad.write_text(
-            "import random\nrandom.shuffle([])\nrandom.random()\n")
-        third = analyze_paths([bad], baseline=Baseline.load(path))
-        assert third.exit_code == 1
-        assert len(third.findings) == 1
-        assert len(third.baselined) == 1
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert len(Baseline.load(tmp_path / "nope.json")) == 0
-
 
 class TestLintCLI:
-    def test_json_format_and_exit_code(self, tmp_path, capsys):
-        code = main(["lint", str(FIXTURES / "bad_r001.py"),
-                     "--format", "json", "--no-baseline"])
-        assert code == 1
-        report = json.loads(capsys.readouterr().out)
-        assert report["counts"]["new"] >= 2
-        assert all(f["rule"] == "R001" for f in report["findings"])
-
     def test_text_format_lists_findings(self, capsys):
-        code = main(["lint", str(FIXTURES / "bad_r002.py"),
-                     "--no-baseline"])
+        code = main(["lint", str(FIXTURES / "bad_r002.py")])
         assert code == 1
         out = capsys.readouterr().out
         assert "R002" in out and "bad_r002.py" in out
 
     def test_clean_paths_exit_zero(self, capsys):
-        assert main(["lint", str(FIXTURES / "good_clean.py"),
-                     "--no-baseline"]) == 0
-
-    def test_write_baseline_then_gate_passes(self, tmp_path, capsys):
-        bad = tmp_path / "legacy.py"
-        bad.write_text("import random\nrandom.shuffle([])\n")
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", str(bad), "--baseline", str(baseline),
-                     "--write-baseline"]) == 0
-        assert baseline.exists()
-        assert main(["lint", str(bad), "--baseline", str(baseline)]) == 0
+        assert main(["lint", str(FIXTURES / "good_clean.py")]) == 0
 
     def test_out_writes_report_artifact(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        main(["lint", str(FIXTURES / "bad_r003.py"), "--no-baseline",
-              "--out", str(out)])
+        code = main(["lint", str(FIXTURES / "bad_r003.py"),
+                     "--out", str(out)])
+        assert code == 1
         report = json.loads(out.read_text())
         assert report["counts"]["new"] >= 2
+        assert all(f["rule"] == "R003" for f in report["findings"])
 
     def test_rules_listing(self, capsys):
         assert main(["lint", "--rules"]) == 0
@@ -329,8 +310,3 @@ class TestSelfCheck:
         report = analyze_paths([SRC])
         assert report.unjustified_suppressions == []
         assert report.unused_suppressions == []
-
-    def test_shipped_baseline_is_empty(self):
-        baseline = Baseline.load(
-            Path(__file__).parent.parent / "replicheck.baseline.json")
-        assert len(baseline) == 0

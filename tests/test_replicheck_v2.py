@@ -1,11 +1,11 @@
-"""replicheck v2: the project call graph, the concurrency rule pack,
-profiles, SARIF export, and the serve-layer regression fixes the new
-rules motivated.
+"""replicheck's project call graph, the concurrency rule pack, rule
+selection, SARIF export, and the serve-layer regression fixes the
+concurrency rules motivated.
 
 The headline acceptance test is :class:`TestInterprocedural`: a
 rank-dependent branch in one module reaching a collective two modules
-away is invisible to the v1 per-file analyzer (``analyze_source``) and
-caught by the v2 project analyzer (``analyze_paths``).
+away, where no single file violates R003 on its own, is caught by the
+project analyzer (``analyze_paths``).
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    PROFILES,
-    RULES,
-    Baseline,
-    analyze_paths,
-    analyze_source,
-    to_sarif,
-)
+from repro.analysis import RULES, analyze_paths, to_sarif
 from repro.cli import main
 from repro.model.substitution import JC69
 from repro.seq.io_fasta import write_fasta
@@ -41,20 +34,17 @@ NEW_RULES = ["R006", "R007", "R008", "R009", "R010", "R011"]
 
 
 def project_of(source: str, tmp_path: Path, name: str = "mod.py"):
+    """Write ``source`` to ``tmp_path/name`` and run the project analyzer
+    on that one file."""
     path = tmp_path / name
     path.write_text(textwrap.dedent(source))
     return analyze_paths([path])
 
 
 # --------------------------------------------------------------------- #
-# the v1-miss / v2-catch acceptance fixture
+# the cross-module call-chain acceptance fixture
 # --------------------------------------------------------------------- #
 class TestInterprocedural:
-    def test_v1_per_file_analysis_misses_the_chain(self):
-        for path in sorted(INTERPROC.glob("*.py")):
-            findings, _ = analyze_source(path.read_text(), str(path))
-            assert findings == [], (path.name, findings)
-
     def test_v2_project_analysis_catches_it(self):
         report = analyze_paths([INTERPROC])
         assert [f.rule for f in report.findings] == ["R003"]
@@ -207,38 +197,16 @@ class TestR011:
 
 
 # --------------------------------------------------------------------- #
-# profiles, select, exclude, order-safe
+# select, exclude, order-safe
 # --------------------------------------------------------------------- #
 class TestProfiles:
-    def test_profiles_partition_the_catalog(self):
-        assert PROFILES["replica"] | PROFILES["concurrency"] \
-            == PROFILES["all"] == frozenset(RULES)
-
-    def test_replica_profile_skips_concurrency_rules(self):
-        report = analyze_paths([FIXTURES / "bad_r009.py"],
-                               profile="replica")
-        assert report.findings == []
-        assert report.profile == "replica"
-
-    def test_concurrency_profile_skips_replica_rules(self):
-        report = analyze_paths([FIXTURES / "bad_r003.py"],
-                               profile="concurrency")
-        assert report.findings == []
-
-    def test_r006_belongs_to_the_replica_profile(self):
-        report = analyze_paths([FIXTURES / "bad_r006.py"],
-                               profile="replica")
-        assert {f.rule for f in report.findings} == {"R006"}
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ValueError):
-            analyze_paths([FIXTURES / "good_clean.py"], profile="nope")
-
     def test_inactive_rule_suppressions_leave_hygiene_alone(self):
-        # a replica-profile run must not call suppressed_r009's pragma
-        # "unused": its rule simply is not being checked
-        report = analyze_paths([FIXTURES / "suppressed_r009.py"],
-                               profile="replica")
+        # a run selecting only the replica rules must not call
+        # suppressed_r009's pragma "unused": its rule is not being checked
+        report = analyze_paths(
+            [FIXTURES / "suppressed_r009.py"],
+            select=frozenset({"R001", "R002", "R003", "R004", "R005",
+                              "R006"}))
         assert report.findings == []
         assert report.unused_suppressions == []
 
@@ -271,37 +239,24 @@ class TestProfiles:
 
 
 class TestLintCLIv2:
-    def test_profile_flag(self, capsys):
-        bad = str(FIXTURES / "bad_r009.py")
-        assert main(["lint", bad, "--profile", "replica",
-                     "--no-baseline"]) == 0
-        assert main(["lint", bad, "--profile", "concurrency",
-                     "--no-baseline"]) == 1
-
-    def test_select_flag_rejects_unknown_rule(self, capsys):
-        with pytest.raises(SystemExit):
+    @pytest.mark.parametrize("select", ["R099", ","])
+    def test_select_flag_rejects_unknown_rule(self, select, capsys):
+        # a usage error (2), not a failing gate (1) nor a run of every rule
+        with pytest.raises(SystemExit) as exc:
             main(["lint", str(FIXTURES / "good_clean.py"),
-                  "--select", "R099", "--no-baseline"])
-
-    def test_rules_listing_shows_profiles(self, capsys):
-        assert main(["lint", "--rules"]) == 0
-        out = capsys.readouterr().out
-        assert "R011" in out and "concurrency" in out and "replica" in out
+                  "--select", select])
+        assert exc.value.code == 2
+        assert "--select" in capsys.readouterr().err
 
     def test_sarif_out_writes_artifact(self, tmp_path, capsys):
         out = tmp_path / "findings.sarif"
-        main(["lint", str(FIXTURES / "bad_r010.py"), "--no-baseline",
+        main(["lint", str(FIXTURES / "bad_r010.py"),
               "--sarif-out", str(out)])
         log = json.loads(out.read_text())
         assert log["version"] == "2.1.0"
+        assert log["runs"][0]["tool"]["driver"]["name"] == "replicheck"
         assert {r["ruleId"] for run in log["runs"]
                 for r in run["results"]} == {"R010"}
-
-    def test_format_sarif_prints_log(self, capsys):
-        main(["lint", str(FIXTURES / "bad_r001.py"), "--no-baseline",
-              "--format", "sarif"])
-        log = json.loads(capsys.readouterr().out)
-        assert log["runs"][0]["tool"]["driver"]["name"] == "replicheck"
 
 
 # --------------------------------------------------------------------- #
@@ -309,28 +264,23 @@ class TestLintCLIv2:
 # --------------------------------------------------------------------- #
 class TestSarif:
     def full_report(self, tmp_path):
-        bad = tmp_path / "legacy.py"
-        bad.write_text("import random\nrandom.shuffle([])\n")
-        first = analyze_paths([bad])
-        baseline = Baseline.from_findings(first.findings)
-        bad.write_text(
+        return project_of(
             "import random\n"
             "random.shuffle([])\n"
             "random.random()\n"
             "random.vonmisesvariate(0, 1)"
-            "  # replicheck: ignore[R001] -- demo\n")
-        return analyze_paths([bad], baseline=baseline)
+            "  # replicheck: ignore[R001] -- demo\n", tmp_path)
 
     def test_structure_covers_all_finding_classes(self, tmp_path):
         report = self.full_report(tmp_path)
-        assert report.findings and report.suppressed and report.baselined
+        assert report.findings and report.suppressed
         log = to_sarif(report, RULES)
         results = log["runs"][0]["results"]
         assert len(results) == 3
         kinds = Counter(
             r["suppressions"][0]["kind"] if "suppressions" in r else "new"
             for r in results)
-        assert kinds == {"new": 1, "inSource": 1, "external": 1}
+        assert kinds == {"new": 2, "inSource": 1}
         for r in results:
             assert r["ruleId"] in RULES
             assert r["level"] in ("warning", "error")
@@ -401,35 +351,6 @@ class TestNewRuleHygiene:
         assert [f.rule for f in first.findings] == ["R007"]
         assert first.findings[0].fingerprint == second.findings[0].fingerprint
         assert first.findings[0].line != second.findings[0].line
-
-    def test_mixed_profile_baseline_round_trip(self, tmp_path):
-        code = textwrap.dedent("""
-            import time
-            import threading
-
-            _LOCK = threading.Lock()
-
-            def weigh(splits: set):
-                return [len(s) for s in splits]
-
-            def settle(delay):
-                with _LOCK:
-                    time.sleep(delay)
-        """)
-        path = tmp_path / "mixed.py"
-        path.write_text(code)
-        full = analyze_paths([path])
-        assert {f.rule for f in full.findings} == {"R002", "R009"}
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.from_findings(full.findings).save(baseline_path)
-        baseline = Baseline.load(baseline_path)
-        # the mixed baseline pacifies every profile's slice of it
-        for profile in ("all", "replica", "concurrency"):
-            report = analyze_paths([path], baseline=baseline,
-                                   profile=profile)
-            assert report.findings == [], profile
-            assert len(report.baselined) == (
-                2 if profile == "all" else 1), profile
 
 
 # --------------------------------------------------------------------- #
